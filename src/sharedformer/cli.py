@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 bad input or contract violation, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -45,10 +44,6 @@ def _build_config(args, overrides) -> RunConfig:
         apply_preset(cfg, args.preset)
     for dotted, value in overrides:
         apply_override(cfg, dotted, value)
-    if args.threads is not None:
-        cfg.train.threads = args.threads
-    elif os.environ.get("LC_THREADS"):
-        cfg.train.threads = int(os.environ["LC_THREADS"])
     return cfg
 
 
@@ -210,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "shallow inference, and layer-similarity diagnostics.")
     p.add_argument("--config", help="config file ([section] key=value lines)")
     p.add_argument("--preset", help="named preset: desk-shared-u28, desk-unshared-8, paper")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; 1 guarantees bitwise reproducibility "
-                        "(env LC_THREADS is the fallback)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate the synthetic labeled corpus")

@@ -9,10 +9,10 @@ into every output directory so a run can be reproduced from it alone.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .encoder import ConformerConfig
+from .encoder import ConformerConfig, parse_field
 from .errors import ConfigError
 from .masking import MaskConfig, MaskPolicy
 from .training import TrainConfig
@@ -39,20 +39,6 @@ class MaskSection:
 
 
 @dataclass
-class ModelSection:
-    input_dim: int = 16
-    model_dim: int = 16
-    num_heads: int = 2
-    ff_dim: int = 32
-    conv_kernel: int = 7
-    max_layers: int = 8
-    min_layers: int = 2
-    share_params: bool = True
-    dropout: float = 0.1
-    pos_bias: str = "relative-bias"
-
-
-@dataclass
 class TrainSection:
     batch_size: int = 8
     max_steps: int = 2000
@@ -64,7 +50,6 @@ class TrainSection:
     loss_mode: str = "all-frames"
     val_fraction: float = 0.1
     grad_clip: float = 0.0
-    threads: int = 1
     precision: str = "float32"
 
 
@@ -81,7 +66,7 @@ class DiagSection:
 class RunConfig:
     data: DataSection = field(default_factory=DataSection)
     mask: MaskSection = field(default_factory=MaskSection)
-    model: ModelSection = field(default_factory=ModelSection)
+    model: ConformerConfig = field(default_factory=ConformerConfig)
     train: TrainSection = field(default_factory=TrainSection)
     diag: DiagSection = field(default_factory=DiagSection)
 
@@ -95,47 +80,26 @@ class RunConfig:
         match = {f.name: f for f in fields(obj)}
         if key not in match:
             raise ConfigError(f"unknown config key {section}.{key}")
-        current = getattr(obj, key)
-        if isinstance(current, bool):
-            if raw not in ("true", "false", "True", "False", "1", "0"):
-                raise ConfigError(f"{section}.{key} must be a boolean, got {raw!r}")
-            value = raw in ("true", "True", "1")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(obj, key, value)
+        setattr(obj, key, parse_field(match[key], raw, f"{section}.{key}"))
 
     # ---- resolution ---------------------------------------------------------
 
     def model_config(self) -> ConformerConfig:
-        m = self.model
-        return ConformerConfig(
-            input_dim=m.input_dim, model_dim=m.model_dim, num_heads=m.num_heads,
-            ff_dim=m.ff_dim, conv_kernel=m.conv_kernel, max_layers=m.max_layers,
-            min_layers=m.min_layers, share_params=m.share_params,
-            dropout=m.dropout, pos_bias=m.pos_bias,
-        )
+        # keys are set one at a time, so validation waits for a complete section
+        return replace(self.model)
 
     def train_config(self) -> TrainConfig:
-        t = self.train
-        mode, fixed, low, high = parse_depth(t.depth)
-        return TrainConfig(
-            batch_size=t.batch_size, max_steps=t.max_steps, warmup_steps=t.warmup_steps,
-            peak_scale=t.peak_scale, validation_every=t.validation_every, seed=t.seed,
-            depth_mode=mode, depth_fixed=fixed, depth_low=low, depth_high=high,
-            loss_mode=t.loss_mode, val_fraction=t.val_fraction, grad_clip=t.grad_clip,
-            threads=t.threads, precision=t.precision,
-        )
+        values = asdict(self.train)
+        mode, fixed, low, high = parse_depth(values.pop("depth"))
+        return TrainConfig(depth_mode=mode, depth_fixed=fixed, depth_low=low,
+                           depth_high=high, **values)
 
     def mask_config(self) -> MaskConfig:
-        m = self.mask
-        return MaskConfig(
-            block_len=m.block_len, ratio=m.ratio,
-            policy=MaskPolicy(kind=m.policy, p_zero=m.p_zero, p_random=m.p_random),
-        )
+        values = asdict(self.mask)
+        policy = MaskPolicy(kind=values.pop("policy"),
+                            **{f.name: values.pop(f.name) for f in fields(MaskPolicy)
+                               if f.name in values})
+        return MaskConfig(policy=policy, **values)
 
     def echo(self) -> str:
         lines = []

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import (ConformerConfig, LayerTrace, ParameterStore,
-                      conformer_block, forward, sli_forward)
+from .encoder import (ConformerConfig, LayerTrace, ParameterStore, forward,
+                      sli_forward)
 from .errors import ContractError, InvariantError
 from .features import FeatureSequence, LabeledCorpus
-from .masking import MaskConfig, apply_masks, plan_masks
-from .rng import substream, utterance_seed
+from .masking import MaskConfig, mask_utterance
+from .rng import substream
 from .training import predictor_apply, mpc_loss
 
 SCHEMA_VERSION = 1
@@ -95,12 +95,11 @@ def _shared_group_names(store: ParameterStore) -> list[str]:
     return sorted(k for k in store.params if k.startswith("layer.shared."))
 
 
-def _flatten(tensors: dict[str, Tensor], names: list[str], grad: bool) -> np.ndarray:
+def _flatten(tensors: dict[str, Tensor], names: list[str]) -> np.ndarray:
     parts = []
     for n in names:
         t = tensors[n]
-        arr = t.grad if grad else t.data
-        parts.append((np.zeros_like(t.data) if arr is None else arr).ravel())
+        parts.append((np.zeros_like(t.data) if t.grad is None else t.grad).ravel())
     return np.concatenate(parts)
 
 
@@ -108,9 +107,10 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
                            n_layers: int, mask_cfg: MaskConfig | None = None) -> GradDecomposition:
     """Split the shared-group gradient into per-layer-application contributions.
 
-    The shared group is replaced by one independent copy per application, so
-    each copy's gradient isolates that layer's contribution; their sum is
-    verified against a standard shared backward on the identical loss.
+    An unshared view of the store holds one independent copy of the shared
+    group per application, so each copy's gradient isolates that layer's
+    contribution; their sum is verified against a standard shared backward on
+    the identical loss.
     """
     cfg = store.config
     if not cfg.share_params:
@@ -118,38 +118,31 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
     if not batch:
         raise ContractError("empty batch")
     mask_cfg = mask_cfg or MaskConfig()
-    names = _shared_group_names(store)
-    short = [n[len("layer.shared."):] for n in names]
+    short = [n[len("layer.shared."):] for n in _shared_group_names(store)]
 
-    def batch_loss(groups: list[dict[str, Tensor]]) -> Tensor:
+    def batch_loss(model: ParameterStore) -> Tensor:
         total = None
         for seq in batch:
-            rng = np.random.default_rng(utterance_seed(seq.utterance_id))
-            plan = plan_masks(seq.num_frames, mask_cfg.block_len, mask_cfg.ratio, rng)
-            corrupted = apply_masks(seq, plan, mask_cfg.policy, rng)
-            h = Tensor(corrupted.frames) @ store.params["frontend.w"] + store.params["frontend.b"]
-            for g in groups:
-                h = conformer_block(h, g, cfg)
-            pred = predictor_apply(h, store)
-            loss = mpc_loss(pred, seq.frames, plan)
+            plan, corrupted = mask_utterance(seq, mask_cfg)
+            h, _ = forward(Tensor(corrupted.frames), model, n_layers)
+            loss = mpc_loss(predictor_apply(h, model), seq.frames, plan)
             total = loss if total is None else total + loss
         return total * (1.0 / len(batch))
 
-    shared = {s: store.params["layer.shared." + s] for s in short}
-
-    # per-application aliases
-    aliases = [
-        {s: Tensor(shared[s].data.copy(), requires_grad=True) for s in short}
-        for _ in range(n_layers)
-    ]
+    view = {k: v for k, v in store.params.items() if not k.startswith("layer.")}
+    for i in range(n_layers):
+        for name in short:
+            view[f"layer.{i}.{name}"] = Tensor(store.params["layer.shared." + name].data.copy(),
+                                               requires_grad=True)
+    unshared = ParameterStore(replace(cfg, share_params=False), view)
     store.zero_grad()
-    batch_loss(aliases).backward()
-    contributions = [_flatten(alias, short, grad=True) for alias in aliases]
+    batch_loss(unshared).backward()
+    contributions = [_flatten(unshared.layer_group(i), short) for i in range(n_layers)]
 
     # reference: one shared group applied n_layers times
     store.zero_grad()
-    batch_loss([shared] * n_layers).backward()
-    total = _flatten(shared, short, grad=True)
+    batch_loss(store).backward()
+    total = _flatten(store.layer_group(0), short)
     store.zero_grad()
 
     summed = np.sum(contributions, axis=0)
@@ -366,9 +359,7 @@ def collect_traces(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
         seq = corpus.sequences[i]
         frames = seq.frames
         if masked:
-            rng = np.random.default_rng(utterance_seed(seq.utterance_id))
-            plan = plan_masks(seq.num_frames, mask_cfg.block_len, mask_cfg.ratio, rng)
-            frames = apply_masks(seq, plan, mask_cfg.policy, rng).frames
+            frames = mask_utterance(seq, mask_cfg)[1].frames
         _, trace = forward(Tensor(frames), store, store.config.max_layers, collect_trace=True)
         traces.append(trace)
     return traces

@@ -13,15 +13,16 @@ name length + name, u32 rank, u32 dims, f32 data.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from . import codec
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, FormatError
-from .rng import substream
 
 CHECKPOINT_MAGIC = b"LCCK"
 
@@ -60,20 +61,21 @@ class ConformerConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, str]) -> "ConformerConfig":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in d:
-                continue
-            raw = d[f.name]
-            if f.type == "bool":
-                kwargs[f.name] = raw in ("True", "true", "1")
-            elif f.type == "int":
-                kwargs[f.name] = int(raw)
-            elif f.type == "float":
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw
-        return cls(**kwargs)
+        return cls(**{f.name: parse_field(f, d[f.name], f"model.{f.name}")
+                      for f in fields(cls) if f.name in d})
+
+
+_BOOLS = {"true": True, "True": True, "1": True, "false": False, "False": False, "0": False}
+_PARSERS = {"bool": _BOOLS.__getitem__, "int": int, "float": float, "str": str}
+
+
+def parse_field(f: Field, raw: str, where: str):
+    """Typed value of config field ``f`` from its string form (``where`` names it in errors)."""
+    parse = _PARSERS[f.type]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where} must be {f.type}, got {raw!r}") from None
 
 
 @dataclass
@@ -117,14 +119,28 @@ def _shape_of(spec: str, cfg: ConformerConfig) -> tuple[int, ...]:
     }[spec]
 
 
+def param_shapes(cfg: ConformerConfig) -> dict[str, tuple[int, ...]]:
+    """Every trainable tensor's name and shape, in init order."""
+    d, D = cfg.model_dim, cfg.input_dim
+    prefixes = ["layer.shared."] if cfg.share_params else [
+        f"layer.{i}." for i in range(cfg.max_layers)
+    ]
+    shapes = {"frontend.w": (D, d), "frontend.b": (d,)}
+    for prefix in prefixes:
+        for name, spec in _LAYER_SHAPES:
+            shapes[prefix + name] = _shape_of(spec, cfg)
+    shapes.update({"predictor.w": (d, D), "predictor.b": (D,)})
+    return shapes
+
+
 def _init_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
-    if name.endswith("norm.gamma"):
+    """Norm gains start at one, biases (rank 1) at zero, weights uniform(+-1/sqrt(fan_in))."""
+    if name.endswith("gamma"):
         data = np.ones(shape)
-    elif name.endswith(("norm.beta",)) or name.startswith("b") or ".b" in name or name.endswith(("pb1", "pb2")):
+    elif len(shape) == 1:
         data = np.zeros(shape)
     else:
-        fan_in = shape[0] if len(shape) > 1 else shape[0]
-        bound = 1.0 / np.sqrt(fan_in)
+        bound = 1.0 / np.sqrt(shape[0])
         data = rng.uniform(-bound, bound, size=shape)
     return Tensor(data, requires_grad=True, name=name)
 
@@ -144,20 +160,8 @@ class ParameterStore:
 
     @classmethod
     def init(cls, config: ConformerConfig, rng: np.random.Generator) -> "ParameterStore":
-        params: dict[str, Tensor] = {}
-        d, D = config.model_dim, config.input_dim
-        params["frontend.w"] = _init_tensor("frontend.w", (D, d), rng)
-        params["frontend.b"] = Tensor(np.zeros(d), requires_grad=True, name="frontend.b")
-        prefixes = ["layer.shared."] if config.share_params else [
-            f"layer.{i}." for i in range(config.max_layers)
-        ]
-        for prefix in prefixes:
-            for name, spec in _LAYER_SHAPES:
-                full = prefix + name
-                params[full] = _init_tensor(name, _shape_of(spec, config), rng)
-                params[full].name = full
-        params["predictor.w"] = _init_tensor("predictor.w", (d, D), rng)
-        params["predictor.b"] = Tensor(np.zeros(D), requires_grad=True, name="predictor.b")
+        params = {name: _init_tensor(name, shape, rng)
+                  for name, shape in param_shapes(config).items()}
         return cls(config, params)
 
     def layer_group(self, i: int) -> dict[str, Tensor]:
@@ -299,64 +303,51 @@ def save_checkpoint(path, store: ParameterStore, extra_config: dict[str, str] | 
                     extra_tensors: dict[str, np.ndarray] | None = None) -> None:
     cfg_lines = dict(store.config.to_dict())
     cfg_lines.update(extra_config or {})
-    cfg_blob = "".join(f"{k}={v}\n" for k, v in sorted(cfg_lines.items())).encode("utf-8")
+    cfg_blob = "".join(f"{k}={v}\n" for k, v in sorted(cfg_lines.items()))
     tensors: list[tuple[str, np.ndarray]] = [(n, p.data) for n, p in store.named_parameters()]
     tensors += sorted((extra_tensors or {}).items())
-    parts = [CHECKPOINT_MAGIC, struct.pack("<II", 1, len(cfg_blob)), cfg_blob,
+    parts = [codec.header(CHECKPOINT_MAGIC), codec.string(cfg_blob),
              struct.pack("<Q", len(tensors))]
     for name, arr in tensors:
-        nb = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        parts.append(codec.string(name))
+        parts.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     with open(path, "wb") as f:
         f.write(b"".join(parts))
 
 
 def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    with open(path, "rb") as f:
-        data = f.read()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(data):
-            raise FormatError(f"truncated checkpoint reading {what}", offset=off)
-        chunk = data[off:off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != CHECKPOINT_MAGIC:
-        raise FormatError("bad checkpoint magic", offset=0)
-    version, cfg_len = struct.unpack("<II", take(8, "header"))
-    if version != 1:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
+    r = codec.Reader(path, "checkpoint")
+    r.header(CHECKPOINT_MAGIC)
     config: dict[str, str] = {}
-    for line in take(cfg_len, "config block").decode("utf-8").splitlines():
+    for line in r.string("config block").splitlines():
         if line:
             key, _, value = line.partition("=")
             config[key] = value
-    (count,) = struct.unpack("<Q", take(8, "tensor count"))
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "tensor name").decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        size = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(take(4 * size, "tensor data"), dtype="<f4").reshape(dims)
+    for _ in range(r.unpack("Q", "tensor count")[0]):
+        name = r.string("tensor name")
+        rank = r.u32("rank")
+        dims = r.unpack(f"{rank}I", "dims")
+        arr = np.frombuffer(r.take(4 * math.prod(dims), "tensor data"), dtype="<f4").reshape(dims)
         tensors[name] = arr.copy()
     return config, tensors
 
 
 def store_from_checkpoint(config: dict[str, str], tensors: dict[str, np.ndarray]) -> ParameterStore:
+    """Parameter store from a loaded checkpoint, whose model tensors must match its config."""
     cfg = ConformerConfig.from_dict(config)
+    expected = param_shapes(cfg)
     params: dict[str, Tensor] = {}
     for name, arr in tensors.items():
         if name.startswith(("frontend.", "layer.", "predictor.")):
+            if name not in expected:
+                raise FormatError(f"checkpoint tensor {name!r} does not belong to its model config")
+            if arr.shape != expected[name]:
+                raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, "
+                                  f"config needs {expected[name]}")
             params[name] = Tensor(arr, requires_grad=True, name=name)
-    store = ParameterStore(cfg, params)
-    store.layer_group(0)  # raises KeyError early if the checkpoint is incomplete
-    return store
+    missing = [name for name in expected if name not in params]
+    if missing:
+        raise FormatError(f"checkpoint lacks {len(missing)} model tensors, first {missing[0]!r}")
+    return ParameterStore(cfg, params)

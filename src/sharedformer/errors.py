@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-CLI exit codes map onto these: InputError/ContractError -> 2, IOFailure -> 3,
-DivergenceError -> 4, InvariantError -> 5.
+CLI exit codes map onto these: InputError (FormatError included), ContractError,
+ConfigError and DimensionError -> 2; OSError -> 3; DivergenceError -> 4;
+InvariantError and any other SharedformerError -> 5.
 """
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codec
 from .errors import ConfigError, FormatError, InputError
 from .rng import substream
 
@@ -61,32 +62,11 @@ class LabeledCorpus:
 # ---- binary round trips ------------------------------------------------------
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.data):
-            raise FormatError(f"truncated payload reading {what}", offset=self.off)
-        chunk = self.data[self.off:self.off + n]
-        self.off += n
-        return chunk
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def f32(self, what: str) -> float:
-        return struct.unpack("<f", self.take(4, what))[0]
-
-
 def save_features(sequences: list[FeatureSequence], path) -> None:
-    parts = [FEATURE_MAGIC, struct.pack("<II", 1, len(sequences))]
+    parts = [codec.header(FEATURE_MAGIC), struct.pack("<I", len(sequences))]
     for seq in sequences:
-        uid = seq.utterance_id.encode("utf-8")
         T, D = seq.frames.shape
-        parts.append(struct.pack("<I", len(uid)))
-        parts.append(uid)
+        parts.append(codec.string(seq.utterance_id))
         parts.append(struct.pack("<IIf", T, D, float(seq.frame_shift_ms)))
         parts.append(np.ascontiguousarray(seq.frames, dtype="<f4").tobytes())
     with open(path, "wb") as f:
@@ -94,33 +74,23 @@ def save_features(sequences: list[FeatureSequence], path) -> None:
 
 
 def load_features(path) -> list[FeatureSequence]:
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    if r.take(4, "magic") != FEATURE_MAGIC:
-        raise FormatError("bad feature file magic", offset=0)
-    version = r.u32("version")
-    if version != 1:
-        raise FormatError(f"unsupported feature file version {version}", offset=4)
-    count = r.u32("sequence count")
+    r = codec.Reader(path, "feature file")
+    r.header(FEATURE_MAGIC)
     out = []
-    for _ in range(count):
-        uid = r.take(r.u32("id length"), "utterance id").decode("utf-8")
-        T = r.u32("T")
-        D = r.u32("D")
+    for _ in range(r.u32("sequence count")):
+        uid = r.string("utterance id")
+        T, D, shift = r.unpack("IIf", "shape")
         if T < 1 or D < 1 or T * D > 1 << 30:
-            raise FormatError(f"implausible shape {T}x{D}", offset=r.off - 8)
-        shift = r.f32("frame_shift_ms")
+            raise FormatError(f"implausible shape {T}x{D}", offset=r.off - 12)
         frames = np.frombuffer(r.take(4 * T * D, "frame data"), dtype="<f4").reshape(T, D)
         out.append(FeatureSequence(uid, frames.copy(), shift))
     return out
 
 
 def save_labels(corpus: LabeledCorpus, path) -> None:
-    parts = [LABEL_MAGIC, struct.pack("<II", 1, len(corpus.labels))]
+    parts = [codec.header(LABEL_MAGIC), struct.pack("<I", len(corpus.labels))]
     for seq, lab in zip(corpus.sequences, corpus.labels):
-        uid = seq.utterance_id.encode("utf-8")
-        parts.append(struct.pack("<I", len(uid)))
-        parts.append(uid)
+        parts.append(codec.string(seq.utterance_id))
         parts.append(struct.pack("<II", len(lab), corpus.num_classes))
         parts.append(np.ascontiguousarray(lab, dtype="<u2").tobytes())
     with open(path, "wb") as f:
@@ -128,23 +98,26 @@ def save_labels(corpus: LabeledCorpus, path) -> None:
 
 
 def load_labels(path) -> tuple[dict[str, np.ndarray], int]:
-    """Returns (labels keyed by utterance id, num_classes)."""
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    if r.take(4, "magic") != LABEL_MAGIC:
-        raise FormatError("bad label file magic", offset=0)
-    version = r.u32("version")
-    if version != 1:
-        raise FormatError(f"unsupported label file version {version}", offset=4)
-    count = r.u32("count")
+    """Returns (labels keyed by utterance id, num_classes).
+
+    Every record must carry the same class count C and only labels below C.
+    """
+    r = codec.Reader(path, "label file")
+    r.header(LABEL_MAGIC)
     labels: dict[str, np.ndarray] = {}
-    num_classes = 0
-    for _ in range(count):
-        uid = r.take(r.u32("id length"), "utterance id").decode("utf-8")
-        T = r.u32("T")
-        num_classes = r.u32("C")
-        labels[uid] = np.frombuffer(r.take(2 * T, "label data"), dtype="<u2").astype(np.int64)
-    return labels, num_classes
+    num_classes = None
+    for _ in range(r.u32("count")):
+        uid = r.string("utterance id")
+        at = r.off
+        T, C = r.unpack("II", "shape")
+        if num_classes is not None and C != num_classes:
+            raise FormatError(f"class count {C} for {uid!r} disagrees with {num_classes}", offset=at + 4)
+        num_classes = C
+        lab = np.frombuffer(r.take(2 * T, "label data"), dtype="<u2").astype(np.int64)
+        if lab.size and int(lab.max()) >= C:
+            raise FormatError(f"label {int(lab.max())} >= class count {C} for {uid!r}", offset=at + 8)
+        labels[uid] = lab
+    return labels, num_classes or 0
 
 
 # ---- log-mel extraction ------------------------------------------------------

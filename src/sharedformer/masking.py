@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ContractError
 from .features import FeatureSequence
+from .rng import utterance_seed
 
 MAX_REJECTION_ATTEMPTS = 1000
 
@@ -126,3 +127,18 @@ def apply_masks(x: FeatureSequence, plan: MaskPlan, policy: MaskPolicy | None = 
     else:
         raise ContractError(f"unknown mask policy {policy.kind!r}")
     return FeatureSequence(x.utterance_id, frames, x.frame_shift_ms)
+
+
+def mask_utterance(x: FeatureSequence, cfg: MaskConfig,
+                   plan_rng: np.random.Generator | None = None,
+                   apply_rng: np.random.Generator | None = None) -> tuple[MaskPlan, FeatureSequence]:
+    """Plan and apply one utterance's mask.
+
+    Without rngs the mask is fixed by the utterance id (one generator seeded
+    from it drives both the plan and the policy), which is how validation and
+    the diagnostics see the same mask on every call.
+    """
+    if plan_rng is None:
+        plan_rng = apply_rng = np.random.default_rng(utterance_seed(x.utterance_id))
+    plan = plan_masks(x.num_frames, cfg.block_len, cfg.ratio, plan_rng)
+    return plan, apply_masks(x, plan, cfg.policy, apply_rng)

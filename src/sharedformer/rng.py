@@ -12,10 +12,6 @@ import zlib
 
 import numpy as np
 
-# fixed registry keeps stream-name hashing collision-free and auditable
-STREAMS = ("data", "mask", "init", "depth", "dropout", "corpus", "probe")
-
-
 def _stream_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 

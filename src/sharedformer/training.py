@@ -14,8 +14,6 @@ from a checkpoint reproduces the uninterrupted run bitwise.
 from __future__ import annotations
 
 import json
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,12 +21,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import (ConformerConfig, ParameterStore, forward, param_count,
+from .encoder import (ConformerConfig, ParameterStore, forward, load_checkpoint,
                       sample_depth, save_checkpoint, store_from_checkpoint)
 from .errors import ConfigError, ContractError, DivergenceError
 from .features import FeatureSequence, LabeledCorpus
-from .masking import MaskConfig, MaskPlan, apply_masks, plan_masks
-from .rng import substream, utterance_seed
+from .masking import MaskConfig, MaskPlan, mask_utterance
+from .rng import substream
 
 
 @dataclass
@@ -49,7 +47,6 @@ class TrainConfig:
     loss_mode: str = "all-frames"  # "all-frames" | "masked-only"
     val_fraction: float = 0.1
     grad_clip: float = 0.0  # max global norm; 0 disables
-    threads: int = 1
     precision: str = "float32"
 
     def __post_init__(self):
@@ -161,10 +158,8 @@ def split_corpus(corpus: LabeledCorpus, seed: int, val_fraction: float) -> tuple
 
 def _utterance_loss(seq: FeatureSequence, store: ParameterStore, cfg: TrainConfig,
                     mask_cfg: MaskConfig, n_layers: int, step: int, slot: int) -> Tensor:
-    plan = plan_masks(seq.num_frames, mask_cfg.block_len, mask_cfg.ratio,
-                      substream(cfg.seed, "mask", step, slot))
-    corrupted = apply_masks(seq, plan, mask_cfg.policy,
-                            substream(cfg.seed, "mask", step, slot, 1))
+    plan, corrupted = mask_utterance(seq, mask_cfg, substream(cfg.seed, "mask", step, slot),
+                                     substream(cfg.seed, "mask", step, slot, 1))
     emb, _ = forward(Tensor(corrupted.frames), store, n_layers, train_mode=True,
                      rng=substream(cfg.seed, "dropout", step, slot))
     pred = predictor_apply(emb, store)
@@ -177,9 +172,7 @@ def validation_loss(store: ParameterStore, corpus: LabeledCorpus, val_idx: list[
     total = 0.0
     for i in val_idx:
         seq = corpus.sequences[i]
-        rng = np.random.default_rng(utterance_seed(seq.utterance_id))
-        plan = plan_masks(seq.num_frames, mask_cfg.block_len, mask_cfg.ratio, rng)
-        corrupted = apply_masks(seq, plan, mask_cfg.policy, rng)
+        plan, corrupted = mask_utterance(seq, mask_cfg)
         emb, _ = forward(Tensor(corrupted.frames), store, store.config.max_layers)
         pred = predictor_apply(emb, store)
         total += float(mpc_loss(pred, seq.frames, plan, cfg.loss_mode).data)
@@ -208,7 +201,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
     best_step = 0
     cum_layer_apps = 0
     if resume_from is not None:
-        ck_cfg, tensors = _load_train_checkpoint(resume_from)
+        ck_cfg, tensors = load_checkpoint(resume_from)
         store = store_from_checkpoint(ck_cfg, tensors)
         for name, arr in tensors.items():
             if name.startswith("adam.m."):
@@ -227,14 +220,16 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
     metrics_file = None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        mode = "a" if resume_from is not None else "w"
-        metrics_file = open(out_dir / "metrics.jsonl", mode, encoding="utf-8")
+        path = out_dir / "metrics.jsonl"
+        # a resumed run continues the rows of the run it resumes, cut back to
+        # the checkpoint step, so the file matches an uninterrupted run's
+        kept = _metrics_prefix(path, start_step) if resume_from is not None else ""
+        metrics_file = open(path, "w", encoding="utf-8")
+        metrics_file.write(kept)
 
     metrics: list[dict] = []
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
     try:
         for step in range(start_step + 1, cfg.max_steps + 1):
-            t0 = time.monotonic()
             if cfg.depth_mode == "fixed":
                 n_layers = cfg.depth_fixed
             else:
@@ -244,12 +239,9 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             replace = len(train_idx) < cfg.batch_size
             batch = batch_rng.choice(train_idx, size=cfg.batch_size, replace=replace)
 
-            args = [(corpus.sequences[int(i)], store, cfg, mask_cfg, n_layers, step, slot)
-                    for slot, i in enumerate(batch)]
-            if pool is not None:
-                losses = list(pool.map(lambda a: _utterance_loss(*a), args))
-            else:
-                losses = [_utterance_loss(*a) for a in args]
+            losses = [_utterance_loss(corpus.sequences[int(i)], store, cfg, mask_cfg,
+                                      n_layers, step, slot)
+                      for slot, i in enumerate(batch)]
             total = losses[0]
             for extra in losses[1:]:
                 total = total + extra
@@ -260,9 +252,9 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
                                            best_val, best_step, cfg, cum_layer_apps)
                 raise DivergenceError(f"training loss became non-finite at step {step}")
 
-            # backprop each utterance separately, in slot order, so gradients
-            # accumulate into the shared parameters in the same order no matter
-            # how many threads built the forward graphs
+            # backprop each utterance separately, in slot order: the gradients
+            # of every slot then sum into the parameters in one fixed order,
+            # which keeps checkpoints bitwise reproducible
             store.zero_grad()
             for utt_loss in losses:
                 (utt_loss * (1.0 / cfg.batch_size)).backward()
@@ -282,16 +274,13 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
                         _save_train_checkpoint(out_dir / "best.ckpt", store, adam, step,
                                                best_val, best_step, cfg, cum_layer_apps)
 
-            wall_ms = None if cfg.threads == 1 else round((time.monotonic() - t0) * 1e3, 3)
             row = {"step": step, "sampled_depth": n_layers, "lr": lr,
                    "train_loss": train_loss, "val_loss": val,
-                   "cum_layer_apps": cum_layer_apps, "wall_ms": wall_ms}
+                   "cum_layer_apps": cum_layer_apps}
             metrics.append(row)
             if metrics_file is not None:
                 metrics_file.write(json.dumps(row) + "\n")
     finally:
-        if pool is not None:
-            pool.shutdown()
         if metrics_file is not None:
             metrics_file.close()
 
@@ -319,6 +308,10 @@ def _save_train_checkpoint(path, store: ParameterStore, adam: AdamState, step: i
     save_checkpoint(path, store, extra_cfg, extra_tensors)
 
 
-def _load_train_checkpoint(path):
-    from .encoder import load_checkpoint
-    return load_checkpoint(path)
+def _metrics_prefix(path: Path, step: int) -> str:
+    """The complete rows of an existing metrics file up to and including ``step``."""
+    if not path.exists():
+        return ""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return "".join(line for line in lines
+                   if line.endswith("\n") and json.loads(line)["step"] <= step)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from sharedformer.autodiff import Tensor
 from sharedformer.cli import main
+from sharedformer.encoder import load_checkpoint, save_checkpoint, store_from_checkpoint
 from sharedformer.features import load_features
 
 QUICK = [
@@ -71,6 +73,20 @@ def test_unknown_preset_is_input_error(tmp_path, capsys):
 def test_missing_config_file_is_input_error(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.ini"), "synth", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--train.max_steps=abc", "--model.dropout=high",
+                                  "--model.share_params=maybe"])
+def test_malformed_config_value_is_input_error(tmp_path, capsys, flag):
+    assert main(["synth", "--out", str(tmp_path), flag]) == 2
+    assert flag[2:].split("=")[0] in capsys.readouterr().err
+
+
+def test_threads_key_in_config_file_is_unknown(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[train]\nthreads=2\n")
+    assert main(["--config", str(ini), "synth", "--out", str(tmp_path)]) == 2
+    assert "threads" in capsys.readouterr().err
 
 
 # ---- pretrain ----------------------------------------------------------------
@@ -259,3 +275,26 @@ def test_probe_layer_out_of_range(tmp_path, corpus_dir, run_dir, capsys):
                  "--labels", str(corpus_dir / "labels.bin"),
                  "--layers", "9", "--out", str(tmp_path)])
     assert code == 2
+
+
+# ---- malformed checkpoints ---------------------------------------------------
+
+
+def _doctored_checkpoint(run_dir, path, edit):
+    store = store_from_checkpoint(*load_checkpoint(run_dir / "final.ckpt"))
+    edit(store.params)
+    save_checkpoint(path, store)
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda params: params.pop("layer.shared.attn.wq"),
+    lambda params: params.update({"layer.shared.attn.wq": Tensor(np.zeros((3, 3)))}),
+    lambda params: params.update({"layer.3.attn.wq": Tensor(np.zeros((16, 16)))}),
+], ids=["missing", "wrong-shape", "foreign"])
+def test_malformed_checkpoint_is_input_error(tmp_path, corpus_dir, run_dir, capsys, edit):
+    ckpt = _doctored_checkpoint(run_dir, tmp_path / "bad.ckpt", edit)
+    code = main(["diagnose", "--which", "transitions", "--checkpoint", str(ckpt),
+                 "--data", str(corpus_dir / "features.bin"), "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert "attn.wq" in capsys.readouterr().err

@@ -289,3 +289,11 @@ def test_checkpoint_restores_forward(tmp_path):
     restored = store_from_checkpoint(*load_checkpoint(path))
     out2, _ = forward(Tensor(x), restored, 8)
     np.testing.assert_array_equal(out.data, out2.data)
+
+
+def test_config_from_dict_rejects_malformed_values():
+    with pytest.raises(ConfigError):
+        ConformerConfig.from_dict({"share_params": "maybe"})
+    with pytest.raises(ConfigError):
+        ConformerConfig.from_dict({"model_dim": "16.5"})
+    assert ConformerConfig.from_dict({"share_params": "False"}).share_params is False

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,6 +113,41 @@ def test_label_round_trip(tmp_path):
     assert num_classes == 3
     for seq, lab in zip(corpus.sequences, corpus.labels):
         np.testing.assert_array_equal(labels[seq.utterance_id], lab)
+
+
+def _label_file(path, records):
+    """Label file written byte by byte: records are (utterance id, C, labels)."""
+    parts = [b"LCLB", struct.pack("<II", 1, len(records))]
+    for uid, num_classes, labels in records:
+        raw = uid.encode("utf-8")
+        parts += [struct.pack("<I", len(raw)), raw,
+                  struct.pack("<II", len(labels), num_classes),
+                  np.asarray(labels, dtype="<u2").tobytes()]
+    path.write_bytes(b"".join(parts))
+
+
+def test_label_outside_class_count_rejected(tmp_path):
+    path = tmp_path / "l.bin"
+    _label_file(path, [("a", 3, [0, 1, 2]), ("b", 3, [1, 9])])
+    with pytest.raises(FormatError, match="9"):
+        load_labels(path)
+
+
+def test_label_class_count_must_agree(tmp_path):
+    path = tmp_path / "l.bin"
+    _label_file(path, [("a", 3, [0, 1]), ("b", 7, [1, 2])])
+    with pytest.raises(FormatError, match="class count"):
+        load_labels(path)
+
+
+def test_non_utf8_utterance_id_rejected(tmp_path):
+    path = tmp_path / "f.bin"
+    save_features([FeatureSequence("ab", np.zeros((1, 1), dtype=np.float32))], path)
+    data = bytearray(path.read_bytes())
+    data[16] = 0xFF  # first byte of the id, after magic, version, count, id length
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError):
+        load_features(path)
 
 
 # ---- log-mel ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from sharedformer import autodiff as ad
 from sharedformer.autodiff import Tensor
-from sharedformer.encoder import ConformerConfig, ParameterStore
+from sharedformer.encoder import ConformerConfig, ParameterStore, load_checkpoint
 from sharedformer.errors import ConfigError, ContractError, DivergenceError
 from sharedformer.features import synth_corpus
 from sharedformer.masking import MaskPlan
@@ -207,11 +207,18 @@ def test_resume_matches_uninterrupted(tmp_path):
     assert part[17]["step"] == 18 and part[18]["step"] == 19  # continues at the saved step
 
 
-def test_threads_do_not_change_results(tmp_path):
+def test_resume_from_best_matches_uninterrupted(tmp_path):
     corpus = small_corpus()
-    a = train(corpus, ConformerConfig(), quick_train_config(max_steps=6))
-    b = train(corpus, ConformerConfig(), quick_train_config(max_steps=6, threads=4))
-    assert [m["train_loss"] for m in a.metrics] == [m["train_loss"] for m in b.metrics]
+    cfg = quick_train_config(max_steps=8, validation_every=3)
+    train(corpus, ConformerConfig(), cfg, out_dir=tmp_path)
+    metrics = (tmp_path / "metrics.jsonl").read_bytes()
+    final = (tmp_path / "final.ckpt").read_bytes()
+    best_cfg, _ = load_checkpoint(tmp_path / "best.ckpt")
+    assert int(best_cfg["train.step"]) < 8  # the resume replays logged steps
+    train(corpus, ConformerConfig(), cfg, out_dir=tmp_path,
+          resume_from=tmp_path / "best.ckpt")
+    assert (tmp_path / "metrics.jsonl").read_bytes() == metrics
+    assert (tmp_path / "final.ckpt").read_bytes() == final
 
 
 def test_cumulative_layer_applications(tmp_path):
