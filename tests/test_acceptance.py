@@ -3,7 +3,13 @@
 Two 2000-step models are trained once per session (shared parameters with
 uniform depth sampling, and the unshared fixed-depth baseline) and every
 criterion reads from them. Each test prints a single pass/fail line.
+
+Training is single-threaded, so the baseline and the determinism rerun train
+in two forked child processes while the shared model trains in this one; on a
+machine with more than one core the three runs overlap in time.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -54,8 +60,63 @@ def desk_train_config(**overrides):
     return TrainConfig(**base)
 
 
+def _train_in_child(conn, corpus, model_cfg, train_cfg, out):
+    try:
+        conn.send((train(corpus, model_cfg, train_cfg, out_dir=out), None))
+    except BaseException as exc:  # handed to the parent, which re-raises it
+        conn.send((None, exc))
+    finally:
+        conn.close()
+
+
+class ChildRun:
+    """One `train` call running in a forked child process."""
+
+    def __init__(self, corpus, model_cfg, train_cfg, out):
+        ctx = multiprocessing.get_context("fork")
+        self.out = out
+        self._conn, child_conn = ctx.Pipe(duplex=False)
+        self._proc = ctx.Process(target=_train_in_child, daemon=True,
+                                 args=(child_conn, corpus, model_cfg, train_cfg, out))
+        self._proc.start()
+        child_conn.close()
+        self._value = None
+
+    def result(self):
+        """(TrainResult, out_dir), as the in-process call would give."""
+        if self._value is None:
+            result, exc = self._conn.recv()
+            self._proc.join()
+            if exc is not None:
+                raise exc
+            self._value = (result, self.out)
+        return self._value
+
+    def stop(self):
+        if self._proc.is_alive():
+            self._proc.terminate()
+        self._proc.join()
+        self._conn.close()
+
+
 @pytest.fixture(scope="module")
-def model_a(corpus, tmp_path_factory):
+def child_runs(corpus, tmp_path_factory):
+    """Start the baseline and the rerun; model_a requests this first."""
+    runs = {
+        "model_b": ChildRun(corpus, ConformerConfig(share_params=False),
+                            desk_train_config(depth_mode="fixed", depth_fixed=8),
+                            tmp_path_factory.mktemp("model_b")),
+        "model_a_rerun": ChildRun(corpus, ConformerConfig(share_params=True),
+                                  desk_train_config(),
+                                  tmp_path_factory.mktemp("model_a_rerun")),
+    }
+    yield runs
+    for run in runs.values():
+        run.stop()
+
+
+@pytest.fixture(scope="module")
+def model_a(corpus, tmp_path_factory, child_runs):
     """Shared parameters, depth sampled from U(2, 8)."""
     out = tmp_path_factory.mktemp("model_a")
     result = train(corpus, ConformerConfig(share_params=True),
@@ -64,21 +125,15 @@ def model_a(corpus, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def model_b(corpus, tmp_path_factory):
+def model_b(child_runs):
     """Independent layer parameters, fixed full depth."""
-    out = tmp_path_factory.mktemp("model_b")
-    result = train(corpus, ConformerConfig(share_params=False),
-                   desk_train_config(depth_mode="fixed", depth_fixed=8),
-                   out_dir=out)
-    return result, out
+    return child_runs["model_b"].result()
 
 
 @pytest.fixture(scope="module")
-def model_a_rerun(corpus, tmp_path_factory):
-    out = tmp_path_factory.mktemp("model_a_rerun")
-    result = train(corpus, ConformerConfig(share_params=True),
-                   desk_train_config(), out_dir=out)
-    return result, out
+def model_a_rerun(child_runs):
+    """A second, independent run of model_a's configuration."""
+    return child_runs["model_a_rerun"].result()
 
 
 # ---- criterion 1: gradient correctness ---------------------------------------
