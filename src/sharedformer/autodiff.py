@@ -84,24 +84,18 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = requires_grad = any([p.requires_grad for p in parents])
+        out.requires_grad = any(p.requires_grad for p in parents)
         out.name = None
         out._parents = tuple(parents)
-        out._backward = backward if requires_grad else None
+        out._backward = backward if out.requires_grad else None
         out._id = next(_ids)
-        if check_finite:
-            _assert_finite(data, op)
+        _assert_finite(data, op)
         return out
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is not None:
-            self.grad += g
-        elif g.shape == self.data.shape:
-            # a fresh copy: g may be a view that another tensor also receives
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
+        if self.grad is None:
             self.grad = np.zeros_like(self.data)
-            self.grad += g
+        self.grad += g
 
     # ---- arithmetic ---------------------------------------------------------
 
@@ -186,7 +180,7 @@ class Tensor:
 
     def transpose(self, axes):
         a = self
-        inv = sorted(range(len(axes)), key=lambda i: axes[i])  # inverse permutation
+        inv = np.argsort(axes)
 
         def backward(g):
             if a.requires_grad:
@@ -241,8 +235,7 @@ class Tensor:
                 nodes[t._id] = t
                 stack.extend(t._parents)
         self.grad = np.ones_like(self.data)
-        for i in sorted(nodes, reverse=True):
-            t = nodes[i]
+        for t in sorted(nodes.values(), key=lambda n: n._id, reverse=True):
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
                 if t is not self:
@@ -251,8 +244,6 @@ class Tensor:
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
-    if g.shape == shape:
-        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -284,9 +275,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.swapaxes(-1, -2))
+            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            b._accumulate(a.data.swapaxes(-1, -2) @ g)
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return Tensor._result(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -336,13 +327,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     d = x.data.shape[-1]
     if d < 2:
         raise DimensionError(f"layer_norm needs last dim >= 2, got {d}")
-    # plain sums over d, which is what ndarray.mean and .var reduce to,
-    # without their per-call Python overhead
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    centred = x.data - mu
-    var = (centred * centred).sum(axis=-1, keepdims=True) / d
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
+    xhat = (x.data - mu) * inv
     y = gamma.data * xhat + beta.data
 
     def backward(g):
@@ -354,8 +342,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             beta._accumulate(g.sum(axis=axes))
         if x.requires_grad:
             gx = g * gamma.data
-            m1 = gx.sum(axis=-1, keepdims=True) / d
-            m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
             x._accumulate((gx - m1 - xhat * m2) * inv)
 
     return Tensor._result(y, (x, gamma, beta), backward, "layer_norm")

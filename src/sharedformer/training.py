@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import (ConformerConfig, ParameterStore, forward, load_checkpoint,
                       sample_depth, save_checkpoint, store_from_checkpoint)
-from .errors import ConfigError, ContractError, DivergenceError
+from .errors import ConfigError, ContractError, DivergenceError, FormatError
 from .features import FeatureSequence, LabeledCorpus
 from .masking import MaskConfig, MaskPlan, mask_utterance
 from .rng import substream
@@ -223,9 +223,10 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
         path = out_dir / "metrics.jsonl"
         # a resumed run continues the rows of the run it resumes, cut back to
         # the checkpoint step, so the file matches an uninterrupted run's
-        kept = _metrics_prefix(path, start_step) if resume_from is not None else ""
-        metrics_file = open(path, "w", encoding="utf-8")
-        metrics_file.write(kept)
+        if resume_from is not None and path.exists():
+            _truncate_metrics(path, start_step)
+        metrics_file = open(path, "a" if resume_from is not None else "w",
+                            encoding="utf-8")
 
     metrics: list[dict] = []
     try:
@@ -308,10 +309,15 @@ def _save_train_checkpoint(path, store: ParameterStore, adam: AdamState, step: i
     save_checkpoint(path, store, extra_cfg, extra_tensors)
 
 
-def _metrics_prefix(path: Path, step: int) -> str:
-    """The complete rows of an existing metrics file up to and including ``step``."""
-    if not path.exists():
-        return ""
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    return "".join(line for line in lines
-                   if line.endswith("\n") and json.loads(line)["step"] <= step)
+def _truncate_metrics(path: Path, step: int) -> None:
+    """Cut a metrics file in place to its complete rows up to and including ``step``."""
+    offset = 0
+    with open(path, "r+b") as f:
+        for line in f:
+            try:
+                if not line.endswith(b"\n") or json.loads(line)["step"] > step:
+                    break
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"{path}: malformed row at byte {offset}") from exc
+            offset += len(line)
+        f.truncate(offset)

@@ -4,9 +4,9 @@ Two 2000-step models are trained once per session (shared parameters with
 uniform depth sampling, and the unshared fixed-depth baseline) and every
 criterion reads from them. Each test prints a single pass/fail line.
 
-Training is single-threaded, so the baseline and the determinism rerun train
-in two forked child processes while the shared model trains in this one; on a
-machine with more than one core the three runs overlap in time.
+Training is single-threaded, so the baseline trains in a forked child process
+while the shared model and then its determinism rerun train in this one; on a
+machine with more than one core the runs overlap in time.
 """
 
 import multiprocessing
@@ -60,63 +60,25 @@ def desk_train_config(**overrides):
     return TrainConfig(**base)
 
 
-def _train_in_child(conn, corpus, model_cfg, train_cfg, out):
-    try:
-        conn.send((train(corpus, model_cfg, train_cfg, out_dir=out), None))
-    except BaseException as exc:  # handed to the parent, which re-raises it
-        conn.send((None, exc))
-    finally:
-        conn.close()
+@pytest.fixture(scope="module")
+def baseline_run(corpus, tmp_path_factory):
+    """Start training the unshared baseline in a forked child process.
 
-
-class ChildRun:
-    """One `train` call running in a forked child process."""
-
-    def __init__(self, corpus, model_cfg, train_cfg, out):
-        ctx = multiprocessing.get_context("fork")
-        self.out = out
-        self._conn, child_conn = ctx.Pipe(duplex=False)
-        self._proc = ctx.Process(target=_train_in_child, daemon=True,
-                                 args=(child_conn, corpus, model_cfg, train_cfg, out))
-        self._proc.start()
-        child_conn.close()
-        self._value = None
-
-    def result(self):
-        """(TrainResult, out_dir), as the in-process call would give."""
-        if self._value is None:
-            result, exc = self._conn.recv()
-            self._proc.join()
-            if exc is not None:
-                raise exc
-            self._value = (result, self.out)
-        return self._value
-
-    def stop(self):
-        if self._proc.is_alive():
-            self._proc.terminate()
-        self._proc.join()
-        self._conn.close()
+    model_a requests this first, so the baseline trains while model_a does.
+    """
+    out = tmp_path_factory.mktemp("model_b")
+    pool = multiprocessing.get_context("fork").Pool(1)
+    pending = pool.apply_async(
+        train, (corpus, ConformerConfig(share_params=False),
+                desk_train_config(depth_mode="fixed", depth_fixed=8)),
+        {"out_dir": out})
+    yield pending, out
+    pool.terminate()
+    pool.join()
 
 
 @pytest.fixture(scope="module")
-def child_runs(corpus, tmp_path_factory):
-    """Start the baseline and the rerun; model_a requests this first."""
-    runs = {
-        "model_b": ChildRun(corpus, ConformerConfig(share_params=False),
-                            desk_train_config(depth_mode="fixed", depth_fixed=8),
-                            tmp_path_factory.mktemp("model_b")),
-        "model_a_rerun": ChildRun(corpus, ConformerConfig(share_params=True),
-                                  desk_train_config(),
-                                  tmp_path_factory.mktemp("model_a_rerun")),
-    }
-    yield runs
-    for run in runs.values():
-        run.stop()
-
-
-@pytest.fixture(scope="module")
-def model_a(corpus, tmp_path_factory, child_runs):
+def model_a(corpus, tmp_path_factory, baseline_run):
     """Shared parameters, depth sampled from U(2, 8)."""
     out = tmp_path_factory.mktemp("model_a")
     result = train(corpus, ConformerConfig(share_params=True),
@@ -125,15 +87,18 @@ def model_a(corpus, tmp_path_factory, child_runs):
 
 
 @pytest.fixture(scope="module")
-def model_b(child_runs):
+def model_b(baseline_run):
     """Independent layer parameters, fixed full depth."""
-    return child_runs["model_b"].result()
+    pending, out = baseline_run
+    return pending.get(), out
 
 
 @pytest.fixture(scope="module")
-def model_a_rerun(child_runs):
-    """A second, independent run of model_a's configuration."""
-    return child_runs["model_a_rerun"].result()
+def model_a_rerun(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model_a_rerun")
+    result = train(corpus, ConformerConfig(share_params=True),
+                   desk_train_config(), out_dir=out)
+    return result, out
 
 
 # ---- criterion 1: gradient correctness ---------------------------------------

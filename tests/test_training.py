@@ -6,7 +6,7 @@ import pytest
 from sharedformer import autodiff as ad
 from sharedformer.autodiff import Tensor
 from sharedformer.encoder import ConformerConfig, ParameterStore, load_checkpoint
-from sharedformer.errors import ConfigError, ContractError, DivergenceError
+from sharedformer.errors import ConfigError, ContractError, DivergenceError, FormatError
 from sharedformer.features import synth_corpus
 from sharedformer.masking import MaskPlan
 from sharedformer.rng import substream
@@ -219,6 +219,18 @@ def test_resume_from_best_matches_uninterrupted(tmp_path):
           resume_from=tmp_path / "best.ckpt")
     assert (tmp_path / "metrics.jsonl").read_bytes() == metrics
     assert (tmp_path / "final.ckpt").read_bytes() == final
+
+
+def test_resume_rejects_malformed_metrics_row(tmp_path):
+    corpus = small_corpus()
+    cfg = quick_train_config(max_steps=4, validation_every=2)
+    train(corpus, ConformerConfig(), cfg, out_dir=tmp_path)
+    path = tmp_path / "metrics.jsonl"
+    path.write_bytes(b'{"step": 1}\nnot json\n')
+    with pytest.raises(FormatError):
+        train(corpus, ConformerConfig(), cfg, out_dir=tmp_path,
+              resume_from=tmp_path / "final.ckpt")
+    assert path.read_bytes() == b'{"step": 1}\nnot json\n'
 
 
 def test_cumulative_layer_applications(tmp_path):
