@@ -25,7 +25,7 @@ def main():
     args = ap.parse_args()
 
     base = dict(input_dim=80, model_dim=512, num_heads=4, ff_dim=2048,
-                conv_kernel=15, max_layers=8, min_layers=2)
+                conv_kernel=15, max_layers=8)
     shared = param_count(ConformerConfig(**base))
     unshared = param_count(ConformerConfig(share_params=False, **base))
 
@@ -43,7 +43,7 @@ def main():
         print(f"  {n} layers: {rep.flops(n) / 1e6:10.1f}M total, "
               f"{rep.block_flops(n) / 1e6:10.1f}M in blocks")
     print(f"  shallow inference M=5 vs full: {rep.sli_ratio_at(5):.3f} of block compute")
-    print(f"  uniform depth sampling U(2,8): {rep.expected_training_ratio:.3f} "
+    print(f"  uniform depth sampling U(2,8): {rep.expected_training_ratio(2, 8):.3f} "
           f"of fixed-depth training block compute")
 
 

@@ -38,15 +38,13 @@ def main():
     eval_idx = split_corpus(corpus, args.seed, 0.1)[1]
 
     variants = {
-        "shared_u28": (ConformerConfig(share_params=True),
-                       dict(depth_mode="uniform", depth_low=2, depth_high=8)),
-        "unshared_8": (ConformerConfig(share_params=False),
-                       dict(depth_mode="fixed", depth_fixed=8)),
+        "shared_u28": (ConformerConfig(share_params=True), "uniform:2:8"),
+        "unshared_8": (ConformerConfig(share_params=False), "fixed:8"),
     }
 
     summary = {}
     for tag, (model_cfg, depth) in variants.items():
-        cfg = TrainConfig(max_steps=args.steps, seed=args.seed, **depth)
+        cfg = TrainConfig(max_steps=args.steps, seed=args.seed, depth=depth)
         print(f"== training {tag} for {args.steps} steps")
         result = train(corpus, model_cfg, cfg, out_dir=out / tag)
 

@@ -7,7 +7,7 @@ from .encoder import (ConformerConfig, LayerTrace, ParameterStore,
                       sli_forward)
 from .features import (FeatureSequence, LabeledCorpus, load_features,
                        logmel_extract, save_features, synth_corpus)
-from .masking import MaskConfig, MaskPlan, MaskPolicy, apply_masks, plan_masks
+from .masking import MaskConfig, MaskPlan, apply_masks, plan_masks
 from .training import (AdamState, TrainConfig, TrainResult, adam_step,
                        mpc_loss, noam_lr, predictor_apply, train)
 from .diagnostics import (ConsistencyReport, FlopReport, GradDecomposition,

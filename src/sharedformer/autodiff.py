@@ -24,9 +24,6 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 _default_dtype = np.float32
 
-# when enabled, every op output is checked for NaN/Inf (slow; used by tests)
-check_finite = False
-
 _ids = itertools.count()
 
 
@@ -52,11 +49,6 @@ def precision(name: str):
         _default_dtype = prev
 
 
-def _assert_finite(arr: np.ndarray, op: str) -> None:
-    if check_finite and not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values produced by {op}")
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_id")
 
@@ -80,7 +72,7 @@ class Tensor:
     # ---- graph construction -------------------------------------------------
 
     @staticmethod
-    def _result(data, parents: Sequence["Tensor"], backward, op: str) -> "Tensor":
+    def _result(data, parents: Sequence["Tensor"], backward) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -89,7 +81,6 @@ class Tensor:
         out._parents = tuple(parents)
         out._backward = backward if out.requires_grad else None
         out._id = next(_ids)
-        _assert_finite(data, op)
         return out
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -113,7 +104,7 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(_unbroadcast(g, b.data.shape))
 
-        return Tensor._result(a.data + b.data, (a, b), backward, "add")
+        return Tensor._result(a.data + b.data, (a, b), backward)
 
     __radd__ = __add__
 
@@ -127,7 +118,7 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(_unbroadcast(-g, b.data.shape))
 
-        return Tensor._result(a.data - b.data, (a, b), backward, "sub")
+        return Tensor._result(a.data - b.data, (a, b), backward)
 
     def __neg__(self):
         a = self
@@ -136,7 +127,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(-g)
 
-        return Tensor._result(-a.data, (a,), backward, "neg")
+        return Tensor._result(-a.data, (a,), backward)
 
     def __mul__(self, other):
         other = Tensor._wrap(other)
@@ -148,7 +139,7 @@ class Tensor:
             if b.requires_grad:
                 b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-        return Tensor._result(a.data * b.data, (a, b), backward, "mul")
+        return Tensor._result(a.data * b.data, (a, b), backward)
 
     __rmul__ = __mul__
 
@@ -164,7 +155,7 @@ class Tensor:
                 np.add.at(full, key, g)
                 a._accumulate(full)
 
-        return Tensor._result(a.data[key], (a,), backward, "getitem")
+        return Tensor._result(a.data[key], (a,), backward)
 
     # ---- shape ops ----------------------------------------------------------
 
@@ -176,7 +167,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(g.reshape(orig))
 
-        return Tensor._result(a.data.reshape(*shape), (a,), backward, "reshape")
+        return Tensor._result(a.data.reshape(*shape), (a,), backward)
 
     def transpose(self, axes):
         a = self
@@ -186,7 +177,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(g.transpose(inv))
 
-        return Tensor._result(a.data.transpose(axes), (a,), backward, "transpose")
+        return Tensor._result(a.data.transpose(axes), (a,), backward)
 
     # ---- reductions ---------------------------------------------------------
 
@@ -197,7 +188,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(_expand_reduced(g, a.data.shape, axis, keepdims))
 
-        return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward, "sum")
+        return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
     def mean(self, axis=None, keepdims=False):
         a = self
@@ -209,7 +200,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(_expand_reduced(g, a.data.shape, axis, keepdims) / count)
 
-        return Tensor._result(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward, "mean")
+        return Tensor._result(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
     def abs(self):
         a = self
@@ -219,7 +210,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(g * sign)
 
-        return Tensor._result(np.abs(a.data), (a,), backward, "abs")
+        return Tensor._result(np.abs(a.data), (a,), backward)
 
     # ---- backward pass ------------------------------------------------------
 
@@ -279,7 +270,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
-    return Tensor._result(a.data @ b.data, (a, b), backward, "matmul")
+    return Tensor._result(a.data @ b.data, (a, b), backward)
 
 
 # ---- nonlinearities ---------------------------------------------------------
@@ -292,7 +283,7 @@ def sigmoid(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g * s * (1.0 - s))
 
-    return Tensor._result(s, (x,), backward, "sigmoid")
+    return Tensor._result(s, (x,), backward)
 
 
 def swish(x: Tensor) -> Tensor:
@@ -303,7 +294,7 @@ def swish(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g * (s + y * (1.0 - s)))
 
-    return Tensor._result(y, (x,), backward, "swish")
+    return Tensor._result(y, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -319,7 +310,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             dot = (g * y).sum(axis=axis, keepdims=True)
             x._accumulate(y * (g - dot))
 
-    return Tensor._result(y, (x,), backward, "softmax")
+    return Tensor._result(y, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -346,7 +337,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
             x._accumulate((gx - m1 - xhat * m2) * inv)
 
-    return Tensor._result(y, (x, gamma, beta), backward, "layer_norm")
+    return Tensor._result(y, (x, gamma, beta), backward)
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -379,7 +370,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
                 gpad[j:j + T] += kernel.data[j] * g
             x._accumulate(gpad[pad:pad + T])
 
-    return Tensor._result(y, (x, kernel), backward, "depthwise_conv1d")
+    return Tensor._result(y, (x, kernel), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -16,14 +16,13 @@ from . import autodiff as ad
 from .config import RunConfig, apply_override, apply_preset, load_config
 from .diagnostics import (collect_traces, flop_report, gradient_decomposition,
                           layer_transitions, project_2d, sli_sweep, write_report)
-from .encoder import (ConformerConfig, load_checkpoint, param_count,
-                      store_from_checkpoint)
+from .encoder import load_checkpoint, param_count, store_from_checkpoint
 from .errors import (ConfigError, ContractError, DimensionError,
                      DivergenceError, InputError, InvariantError,
                      SharedformerError)
 from .features import (LabeledCorpus, load_features, load_labels, save_features,
                        save_labels, synth_corpus)
-from .training import train
+from .training import parse_depth, train
 
 
 def _split_overrides(argv: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
@@ -44,6 +43,7 @@ def _build_config(args, overrides) -> RunConfig:
         apply_preset(cfg, args.preset)
     for dotted, value in overrides:
         apply_override(cfg, dotted, value)
+    cfg.validate()
     return cfg
 
 
@@ -88,18 +88,18 @@ def cmd_pretrain(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_echo(out)
-    model_cfg = cfg.model_config()
     if args.preset == "paper":
-        counts = param_count(model_cfg)
-        rep = flop_report(model_cfg, cfg.diag.flop_frames)
+        counts = param_count(cfg.model)
+        rep = flop_report(cfg.model, cfg.diag.flop_frames)
         rows = [[k, v] for k, v in counts.items()]
         rows.append(["sli_block_ratio_m5", rep.sli_ratio_at(5)])
-        rows.append(["expected_training_ratio", rep.expected_training_ratio])
+        rows.append(["expected_training_ratio",
+                     rep.expected_training_ratio(*parse_depth(cfg.train.depth))])
         write_report(out / "paper_scale_report", ["quantity", "value"], rows)
         print("paper preset is config-emit only: wrote resolved config and scale report")
         return 0
     corpus = _load_corpus(args.data)
-    result = train(corpus, model_cfg, cfg.train_config(), cfg.mask_config(),
+    result = train(corpus, cfg.model, cfg.train, cfg.mask,
                    out_dir=out, resume_from=args.resume)
     print(f"trained to step {result.final_step}; best validation loss "
           f"{result.best_val_loss:.6f} at step {result.best_step}")
@@ -111,13 +111,14 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_echo(out)
     if args.which == "flops":
-        model_cfg = _load_store(args.checkpoint).config if args.checkpoint else cfg.model_config()
+        model_cfg = _load_store(args.checkpoint).config if args.checkpoint else cfg.model
         rep = flop_report(model_cfg, cfg.diag.flop_frames)
+        low, high = parse_depth(cfg.train.depth)
+        rows2 = [["expected_training_ratio", rep.expected_training_ratio(low, high)],
+                 ["sli_ratio_min_layers", rep.sli_ratio_at(low)]]
         rows = [[n, rep.flops(n), rep.block_flops(n)]
                 for n in range(1, model_cfg.max_layers + 1)]
         write_report(out / "flops", ["layers", "total_macs", "block_macs"], rows)
-        rows2 = [["expected_training_ratio", rep.expected_training_ratio],
-                 ["sli_ratio_min_layers", rep.sli_ratio]]
         write_report(out / "flop_ratios", ["quantity", "value"], rows2)
         print(f"wrote FLOP report for {model_cfg.max_layers}-layer model to {out}")
         return 0
@@ -130,11 +131,9 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
         raise ContractError(
             f"feature dim mismatch: checkpoint expects {store.config.input_dim}, "
             f"found {corpus.sequences[0].dim}")
-    mask_cfg = cfg.mask_config()
-
     if args.which == "transitions":
         idx = list(range(len(corpus.sequences)))
-        traces = collect_traces(store, corpus, idx, mask_cfg)
+        traces = collect_traces(store, corpus, idx, cfg.mask)
         report = layer_transitions(traces, model_tag=str(args.checkpoint))
         rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
                 for i in range(len(report.l2_mean))]
@@ -146,7 +145,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
         with ad.precision("float64"):
             store64 = _load_store(args.checkpoint)
             batch = corpus.sequences[:cfg.train.batch_size]
-            decomp = gradient_decomposition(store64, batch, cfg.diag.grad_depth, mask_cfg)
+            decomp = gradient_decomposition(store64, batch, cfg.diag.grad_depth, cfg.mask)
             decomp.assert_sum_identity()
         rows = [[i + 1, decomp.norms[i]] for i in range(len(decomp.norms))]
         write_report(out / "grad_norms", ["layer", "contribution_norm"], rows)
@@ -164,7 +163,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
         idx = [cfg.diag.utterance]
         if idx[0] >= len(corpus.sequences):
             raise InputError(f"diag.utterance={idx[0]} but corpus has {len(corpus.sequences)} utterances")
-        trace = collect_traces(store, corpus, idx, mask_cfg)[0]
+        trace = collect_traces(store, corpus, idx, cfg.mask)[0]
         end = min(cfg.diag.frame_end, trace.embeddings[0].shape[0])
         proj = project_2d(trace, (cfg.diag.frame_start, end))
         rows = []
@@ -179,12 +178,15 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
 
 def cmd_probe(args, cfg: RunConfig) -> int:
+    try:
+        layers = [int(tok) for tok in args.layers.split(",") if tok.strip()]
+    except ValueError:
+        raise InputError(f"--layers must be comma-separated integers, got {args.layers!r}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_echo(out)
     store = _load_store(args.checkpoint)
     corpus = _load_corpus(args.data, args.labels)
-    layers = [int(tok) for tok in args.layers.split(",") if tok.strip()]
     if len(set(layers)) != len(layers):
         print("warning: duplicate layer entries removed", file=sys.stderr)
     results = sli_sweep(store, corpus, layers, seed=cfg.train.seed)

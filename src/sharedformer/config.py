@@ -9,13 +9,15 @@ into every output directory so a run can be reproduced from it alone.
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .encoder import ConformerConfig, parse_field
 from .errors import ConfigError
-from .masking import MaskConfig, MaskPolicy
-from .training import TrainConfig
+from .masking import MaskConfig
+from .training import TrainConfig, check_depth, parse_depth
+
+SECTIONS = ("data", "mask", "model", "train", "diag")
 
 
 @dataclass
@@ -30,30 +32,6 @@ class DataSection:
 
 
 @dataclass
-class MaskSection:
-    block_len: int = 7
-    ratio: float = 0.15
-    policy: str = "zero"  # "zero" | "tera"
-    p_zero: float = 0.8
-    p_random: float = 0.1
-
-
-@dataclass
-class TrainSection:
-    batch_size: int = 8
-    max_steps: int = 2000
-    warmup_steps: int = 200
-    peak_scale: float = 0.5
-    validation_every: int = 100
-    seed: int = 0
-    depth: str = "uniform:2:8"  # "fixed:N" | "uniform:L:H"
-    loss_mode: str = "all-frames"
-    val_fraction: float = 0.1
-    grad_clip: float = 0.0
-    precision: str = "float32"
-
-
-@dataclass
 class DiagSection:
     frame_start: int = 0
     frame_end: int = 50
@@ -61,17 +39,23 @@ class DiagSection:
     grad_depth: int = 8
     flop_frames: int = 100
 
+    def __post_init__(self):
+        if self.utterance < 0:
+            raise ConfigError(f"utterance must be >= 0, got {self.utterance}")
+        if self.grad_depth < 1:
+            raise ConfigError(f"grad_depth must be >= 1, got {self.grad_depth}")
+
 
 @dataclass
 class RunConfig:
     data: DataSection = field(default_factory=DataSection)
-    mask: MaskSection = field(default_factory=MaskSection)
+    mask: MaskConfig = field(default_factory=MaskConfig)
     model: ConformerConfig = field(default_factory=ConformerConfig)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainConfig = field(default_factory=TrainConfig)
     diag: DiagSection = field(default_factory=DiagSection)
 
     def section(self, name: str):
-        if name not in ("data", "mask", "model", "train", "diag"):
+        if name not in SECTIONS:
             raise ConfigError(f"unknown config section {name!r}")
         return getattr(self, name)
 
@@ -82,28 +66,19 @@ class RunConfig:
             raise ConfigError(f"unknown config key {section}.{key}")
         setattr(obj, key, parse_field(match[key], raw, f"{section}.{key}"))
 
-    # ---- resolution ---------------------------------------------------------
+    def validate(self) -> None:
+        """Check every section, and the depth range against the model.
 
-    def model_config(self) -> ConformerConfig:
-        # keys are set one at a time, so validation waits for a complete section
-        return replace(self.model)
-
-    def train_config(self) -> TrainConfig:
-        values = asdict(self.train)
-        mode, fixed, low, high = parse_depth(values.pop("depth"))
-        return TrainConfig(depth_mode=mode, depth_fixed=fixed, depth_low=low,
-                           depth_high=high, **values)
-
-    def mask_config(self) -> MaskConfig:
-        values = asdict(self.mask)
-        policy = MaskPolicy(kind=values.pop("policy"),
-                            **{f.name: values.pop(f.name) for f in fields(MaskPolicy)
-                               if f.name in values})
-        return MaskConfig(policy=policy, **values)
+        Keys are set one at a time, so each section's own checks run again
+        here, once the config file, preset and overrides are all applied.
+        """
+        for name in SECTIONS:
+            replace(getattr(self, name))  # re-runs the section's __post_init__
+        check_depth(*parse_depth(self.train.depth), self.model.max_layers)
 
     def echo(self) -> str:
         lines = []
-        for name in ("data", "mask", "model", "train", "diag"):
+        for name in SECTIONS:
             lines.append(f"[{name}]")
             obj = getattr(self, name)
             for f in fields(obj):
@@ -114,19 +89,6 @@ class RunConfig:
     def write_echo(self, out_dir: str | Path) -> None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / "resolved_config.ini").write_text(self.echo(), encoding="utf-8")
-
-
-def parse_depth(spec: str) -> tuple[str, int, int, int]:
-    parts = spec.split(":")
-    try:
-        if parts[0] == "fixed" and len(parts) == 2:
-            n = int(parts[1])
-            return "fixed", n, n, n
-        if parts[0] == "uniform" and len(parts) == 3:
-            return "uniform", 0, int(parts[1]), int(parts[2])
-    except ValueError:
-        pass
-    raise ConfigError(f"depth must be 'fixed:N' or 'uniform:L:H', got {spec!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -151,7 +113,7 @@ PRESETS = {
     "paper": {
         "model.input_dim": "80", "model.model_dim": "512", "model.num_heads": "4",
         "model.ff_dim": "2048", "model.conv_kernel": "15", "model.max_layers": "8",
-        "model.min_layers": "2", "model.share_params": "true", "model.dropout": "0.1",
+        "model.share_params": "true", "model.dropout": "0.1",
         "train.warmup_steps": "8000", "train.batch_size": "8", "train.depth": "uniform:2:8",
     },
 }

@@ -23,7 +23,7 @@ from .errors import ContractError, InvariantError
 from .features import FeatureSequence, LabeledCorpus
 from .masking import MaskConfig, mask_utterance
 from .rng import substream
-from .training import predictor_apply, mpc_loss
+from .training import check_depth, mpc_loss, predictor_apply
 
 SCHEMA_VERSION = 1
 
@@ -199,8 +199,7 @@ class FlopReport:
     frontend: int
     per_block: int
     predictor: int
-    depth_low: int
-    depth_high: int
+    max_layers: int
 
     def flops(self, n_layers: int) -> int:
         return self.frontend + n_layers * self.per_block + self.predictor
@@ -208,18 +207,13 @@ class FlopReport:
     def block_flops(self, n_layers: int) -> int:
         return n_layers * self.per_block
 
-    @property
-    def sli_ratio(self) -> float:
-        """SLI block compute relative to the full stack (defaults to min layers)."""
-        return self.depth_low / self.depth_high
-
     def sli_ratio_at(self, m: int) -> float:
-        return m / self.depth_high
+        return m / self.max_layers
 
-    @property
-    def expected_training_ratio(self) -> float:
-        """Expected block compute of uniform depth sampling vs fixed full depth."""
-        return (self.depth_low + self.depth_high) / 2.0 / self.depth_high
+    def expected_training_ratio(self, low: int, high: int) -> float:
+        """Expected block compute of depth drawn from U(low, high) vs fixed full depth."""
+        check_depth(low, high, self.max_layers)
+        return (low + high) / 2.0 / self.max_layers
 
 
 def flop_report(cfg: ConformerConfig, T: int) -> FlopReport:
@@ -230,7 +224,7 @@ def flop_report(cfg: ConformerConfig, T: int) -> FlopReport:
     conv_macs = T * d * 2 * d + T * k * d + T * d * d
     per_block = 2 * ff_macs + attn_macs + conv_macs
     return FlopReport(frontend=T * D * d, per_block=per_block, predictor=T * d * D,
-                      depth_low=cfg.min_layers, depth_high=cfg.max_layers)
+                      max_layers=cfg.max_layers)
 
 
 # ---- linear probe ------------------------------------------------------------

@@ -35,7 +35,6 @@ class ConformerConfig:
     ff_dim: int = 32
     conv_kernel: int = 7
     max_layers: int = 8
-    min_layers: int = 2
     share_params: bool = True
     dropout: float = 0.1
     pos_bias: str = "relative-bias"  # "none" | "relative-bias"
@@ -43,8 +42,8 @@ class ConformerConfig:
     def __post_init__(self):
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
-        if not (1 <= self.min_layers <= self.max_layers):
-            raise ConfigError(f"need 1 <= min_layers <= max_layers, got {self.min_layers}, {self.max_layers}")
+        if self.max_layers < 1:
+            raise ConfigError(f"max_layers must be >= 1, got {self.max_layers}")
         if self.conv_kernel % 2 == 0:
             raise ConfigError(f"conv_kernel must be odd, got {self.conv_kernel}")
         if not (0.0 <= self.dropout < 1.0):
@@ -269,8 +268,8 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
 
 def sample_depth(low: int, high: int, rng: np.random.Generator) -> int:
     """Integer depth drawn uniformly from {low, ..., high} inclusive."""
-    if not (1 <= low <= high):
-        raise ConfigError(f"need 1 <= low <= high, got ({low}, {high})")
+    if not (0 <= low <= high):
+        raise ConfigError(f"need 0 <= low <= high, got ({low}, {high})")
     return int(rng.integers(low, high + 1))
 
 

@@ -1,17 +1,18 @@
 """Time-alteration masking: contiguous frame blocks up to a target ratio.
 
-Default policy zeroes masked frames. A TERA-style mixed policy (zero / random
-noise / keep, with configurable probabilities) is available but not default.
+Default policy zeroes masked frames. A TERA-style mixed policy (zero /
+unit-variance noise / keep, with configurable probabilities) is available but
+not default.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .features import FeatureSequence
 from .rng import utterance_seed
 
@@ -19,18 +20,19 @@ MAX_REJECTION_ATTEMPTS = 1000
 
 
 @dataclass
-class MaskPolicy:
-    kind: str = "zero"  # "zero" | "tera"
-    p_zero: float = 0.8
-    p_random: float = 0.1  # remaining probability keeps the original frame
-    noise_sigma: float = 1.0
-
-
-@dataclass
 class MaskConfig:
     block_len: int = 7
     ratio: float = 0.15
-    policy: MaskPolicy = field(default_factory=MaskPolicy)
+    policy: str = "zero"  # "zero" | "tera"
+    p_zero: float = 0.8  # tera only
+    p_random: float = 0.1  # tera only; the remaining probability keeps the frames
+
+    def __post_init__(self):
+        if self.policy not in ("zero", "tera"):
+            raise ConfigError(f"mask policy must be 'zero' or 'tera', got {self.policy!r}")
+        if not (self.p_zero >= 0.0 and self.p_random >= 0.0 and self.p_zero + self.p_random <= 1.0):
+            raise ConfigError(f"need p_zero, p_random >= 0 and p_zero + p_random <= 1, "
+                              f"got {self.p_zero}, {self.p_random}")
 
 
 @dataclass
@@ -103,29 +105,28 @@ def plan_masks(T: int, block_len: int = 7, ratio: float = 0.15,
     return MaskPlan(blocks, T, degenerate=degenerate)
 
 
-def apply_masks(x: FeatureSequence, plan: MaskPlan, policy: MaskPolicy | None = None,
+def apply_masks(x: FeatureSequence, plan: MaskPlan, cfg: MaskConfig | None = None,
                 rng: np.random.Generator | None = None) -> FeatureSequence:
-    """Corrupted copy of x per the plan; the input is left untouched."""
+    """Corrupted copy of x per the plan and the config's policy; x is left untouched."""
     if plan.total_frames != x.num_frames:
         raise ContractError(f"plan T={plan.total_frames} but sequence has {x.num_frames} frames")
-    policy = policy or MaskPolicy()
+    cfg = cfg or MaskConfig()
     frames = x.frames.copy()
-    if policy.kind == "zero":
+    if cfg.policy == "zero":
         frames[plan.mask_rows()] = 0.0
-    elif policy.kind == "tera":
+    elif cfg.policy == "tera":
         if rng is None:
             raise ContractError("tera policy needs an rng")
         for start, length in plan.blocks:
             u = rng.random()
-            if u < policy.p_zero:
+            if u < cfg.p_zero:
                 frames[start:start + length] = 0.0
-            elif u < policy.p_zero + policy.p_random:
+            elif u < cfg.p_zero + cfg.p_random:
                 frames[start:start + length] = rng.normal(
-                    0.0, policy.noise_sigma, size=(length, x.dim)
-                ).astype(np.float32)
+                    0.0, 1.0, size=(length, x.dim)).astype(np.float32)
             # else: keep original frames
     else:
-        raise ContractError(f"unknown mask policy {policy.kind!r}")
+        raise ContractError(f"unknown mask policy {cfg.policy!r}")
     return FeatureSequence(x.utterance_id, frames, x.frame_shift_ms)
 
 
@@ -141,4 +142,4 @@ def mask_utterance(x: FeatureSequence, cfg: MaskConfig,
     if plan_rng is None:
         plan_rng = apply_rng = np.random.default_rng(utterance_seed(x.utterance_id))
     plan = plan_masks(x.num_frames, cfg.block_len, cfg.ratio, plan_rng)
-    return plan, apply_masks(x, plan, cfg.policy, apply_rng)
+    return plan, apply_masks(x, plan, cfg, apply_rng)

@@ -1,9 +1,10 @@
 """Masked-reconstruction pretraining loop.
 
-Per iteration: sample a depth, mask each batch utterance, run that many
-encoder layers, predict the clean frames with the linear head, take the mean
-L1 loss, backprop, and apply one Adam step under the warmup/inverse-sqrt
-schedule. Validation runs at full depth without dropout, using a fixed mask
+Per iteration: draw a depth uniformly from the configured range (fixed:N is
+the range N..N), mask each batch utterance, run that many encoder layers,
+predict the clean frames with the linear head, take the mean L1 loss,
+backprop, and apply one Adam step under the warmup/inverse-sqrt schedule.
+Validation runs at full depth without dropout, using a fixed mask
 per utterance (seeded by its id) so the validation loss is deterministic; the
 checkpoint with the best validation loss is retained.
 
@@ -35,15 +36,9 @@ class TrainConfig:
     max_steps: int = 2000
     warmup_steps: int = 200
     peak_scale: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.98
-    adam_eps: float = 1e-9
     validation_every: int = 100
     seed: int = 0
-    depth_mode: str = "uniform"  # "fixed" | "uniform"
-    depth_fixed: int = 8
-    depth_low: int = 2
-    depth_high: int = 8
+    depth: str = "uniform:2:8"  # "fixed:N" | "uniform:L:H"
     loss_mode: str = "all-frames"  # "all-frames" | "masked-only"
     val_fraction: float = 0.1
     grad_clip: float = 0.0  # max global norm; 0 disables
@@ -54,10 +49,33 @@ class TrainConfig:
             raise ConfigError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.depth_mode not in ("fixed", "uniform"):
-            raise ConfigError(f"depth_mode must be 'fixed' or 'uniform', got {self.depth_mode!r}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.validation_every < 1:
+            raise ConfigError(f"validation_every must be >= 1, got {self.validation_every}")
+        parse_depth(self.depth)
         if self.loss_mode not in ("all-frames", "masked-only"):
             raise ConfigError(f"loss_mode must be 'all-frames' or 'masked-only', got {self.loss_mode!r}")
+
+
+def parse_depth(spec: str) -> tuple[int, int]:
+    """Depth range (low, high) of a "fixed:N" or "uniform:L:H" spec; fixed:N is (N, N)."""
+    parts = spec.split(":")
+    try:
+        if parts[0] == "fixed" and len(parts) == 2:
+            return int(parts[1]), int(parts[1])
+        if parts[0] == "uniform" and len(parts) == 3:
+            return int(parts[1]), int(parts[2])
+    except ValueError:
+        pass
+    raise ConfigError(f"depth must be 'fixed:N' or 'uniform:L:H', got {spec!r}")
+
+
+def check_depth(low: int, high: int, max_layers: int) -> None:
+    """The one depth rule: 0 <= low <= high <= max_layers."""
+    if not (0 <= low <= high <= max_layers):
+        raise ConfigError(f"depth range ({low}, {high}) must satisfy "
+                          f"0 <= L <= H <= model.max_layers = {max_layers}")
 
 
 # ---- building blocks ---------------------------------------------------------
@@ -190,8 +208,6 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
                 mask_cfg: MaskConfig | None, out_dir: str | Path | None,
                 resume_from: str | Path | None) -> TrainResult:
     mask_cfg = mask_cfg or MaskConfig()
-    if cfg.depth_mode == "fixed" and not (0 <= cfg.depth_fixed <= model_cfg.max_layers):
-        raise ConfigError(f"fixed depth {cfg.depth_fixed} outside [0, {model_cfg.max_layers}]")
 
     train_idx, val_idx = split_corpus(corpus, cfg.seed, cfg.val_fraction)
 
@@ -215,6 +231,8 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
         cum_layer_apps = int(ck_cfg.get("train.cum_layer_apps", "0"))
     else:
         store = ParameterStore.init(model_cfg, substream(cfg.seed, "init"))
+    low, high = parse_depth(cfg.depth)
+    check_depth(low, high, store.config.max_layers)
 
     out_dir = Path(out_dir) if out_dir is not None else None
     metrics_file = None
@@ -231,11 +249,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
     metrics: list[dict] = []
     try:
         for step in range(start_step + 1, cfg.max_steps + 1):
-            if cfg.depth_mode == "fixed":
-                n_layers = cfg.depth_fixed
-            else:
-                n_layers = sample_depth(cfg.depth_low, cfg.depth_high,
-                                        substream(cfg.seed, "depth", step))
+            n_layers = sample_depth(low, high, substream(cfg.seed, "depth", step))
             batch_rng = substream(cfg.seed, "data", step)
             replace = len(train_idx) < cfg.batch_size
             batch = batch_rng.choice(train_idx, size=cfg.batch_size, replace=replace)
@@ -260,7 +274,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             for utt_loss in losses:
                 (utt_loss * (1.0 / cfg.batch_size)).backward()
             lr = noam_lr(step, cfg.warmup_steps, model_cfg.model_dim, cfg.peak_scale)
-            adam_step(adam, store, lr, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.grad_clip)
+            adam_step(adam, store, lr, grad_clip=cfg.grad_clip)
             cum_layer_apps += n_layers * cfg.batch_size
 
             val = None

@@ -55,7 +55,7 @@ def corpus():
 def desk_train_config(**overrides):
     base = dict(batch_size=8, max_steps=DESK_STEPS, warmup_steps=200,
                 peak_scale=0.5, validation_every=100, seed=0,
-                depth_mode="uniform", depth_low=2, depth_high=8)
+                depth="uniform:2:8")
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -70,7 +70,7 @@ def baseline_run(corpus, tmp_path_factory):
     pool = multiprocessing.get_context("fork").Pool(1)
     pending = pool.apply_async(
         train, (corpus, ConformerConfig(share_params=False),
-                desk_train_config(depth_mode="fixed", depth_fixed=8)),
+                desk_train_config(depth="fixed:8")),
         {"out_dir": out})
     yield pending, out
     pool.terminate()
@@ -133,7 +133,7 @@ def test_criterion_1_gradient_correctness(float64, report):
 
     worst_block = 0.0
     cfg = ConformerConfig(input_dim=5, model_dim=6, num_heads=2, ff_dim=7,
-                          conv_kernel=3, max_layers=3, min_layers=1)
+                          conv_kernel=3, max_layers=3)
     for seed in range(20):
         store = ParameterStore.init(cfg, substream(seed, "init"))
         group = store.layer_group(0)
@@ -175,8 +175,8 @@ def test_criterion_3_parameter_arithmetic(report):
     shared_totals = set()
     ratios = {}
     for H in (2, 5, 8):
-        shared = param_count(ConformerConfig(max_layers=H, min_layers=1))
-        unshared = param_count(ConformerConfig(max_layers=H, min_layers=1,
+        shared = param_count(ConformerConfig(max_layers=H))
+        unshared = param_count(ConformerConfig(max_layers=H,
                                                share_params=False))
         shared_totals.add(shared["total_encoder"])
         layer_shared = shared["total_encoder"] - shared["frontend"]
@@ -185,7 +185,7 @@ def test_criterion_3_parameter_arithmetic(report):
     ok = len(shared_totals) == 1 and all(ratios[H] == H for H in (2, 5, 8))
 
     paper_cfg = dict(input_dim=80, model_dim=512, num_heads=4, ff_dim=2048,
-                     conv_kernel=15, max_layers=8, min_layers=2)
+                     conv_kernel=15, max_layers=8)
     shared_m = param_count(ConformerConfig(**paper_cfg))["per_layer"] / 1e6
     unshared_m = param_count(ConformerConfig(share_params=False, **paper_cfg))
     unshared_m = unshared_m["total_encoder"] / 1e6

@@ -5,7 +5,9 @@ import pytest
 
 from sharedformer.autodiff import Tensor
 from sharedformer.cli import main
-from sharedformer.encoder import load_checkpoint, save_checkpoint, store_from_checkpoint
+from sharedformer.config import PRESETS, RunConfig, apply_preset, load_config
+from sharedformer.encoder import (ConformerConfig, ParameterStore, load_checkpoint,
+                                  save_checkpoint, store_from_checkpoint)
 from sharedformer.features import load_features
 
 QUICK = [
@@ -89,6 +91,39 @@ def test_threads_key_in_config_file_is_unknown(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", [None, *PRESETS])
+def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
+    cfg = RunConfig()
+    if preset is not None:
+        apply_preset(cfg, preset)
+    cfg.write_echo(tmp_path)
+    assert load_config(tmp_path / "resolved_config.ini") == cfg
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--train.validation_every=0"],
+    ["pretrain", "--train.max_steps=-3"],
+    ["pretrain", "--mask.policy=bogus"],
+    ["pretrain", "--mask.policy=tera", "--mask.p_zero=1.5"],
+    ["pretrain", "--train.depth=uniform:2:9"],
+    ["pretrain", "--model.min_layers=2"],
+    ["diagnose", "--which", "grads", "--diag.grad_depth=0"],
+    ["diagnose", "--which", "project", "--diag.utterance=-1"],
+    ["probe", "--layers", "2,x"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_bad_value_exits_before_any_output(tmp_path, corpus_dir, run_dir, capsys, argv):
+    data = ["--data", str(corpus_dir / "features.bin")]
+    ckpt = ["--checkpoint", str(run_dir / "final.ckpt")]
+    inputs = {"pretrain": data, "diagnose": ckpt + data,
+              "probe": ckpt + data + ["--labels", str(corpus_dir / "labels.bin")]}
+    out = tmp_path / "out"
+    # a short run comes first, so a case that slips through ends quickly
+    short = ["--train.max_steps=2", "--train.batch_size=2"]
+    assert main([argv[0], *inputs[argv[0]], *short, *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # ---- pretrain ----------------------------------------------------------------
 
 
@@ -156,6 +191,24 @@ def test_pretrain_resume_continues(tmp_path, corpus_dir, run_dir):
     assert [r["step"] for r in rows] == [5, 6]
 
 
+@pytest.mark.parametrize("depth", ["uniform:0:3", "fixed:0"])
+def test_pretrain_depth_range_may_start_at_zero(tmp_path, corpus_dir, depth):
+    code = main(["pretrain", "--data", str(corpus_dir / "features.bin"),
+                 "--out", str(tmp_path), f"--train.depth={depth}"] + QUICK)
+    assert code == 0
+    rows = [json.loads(l) for l in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in rows] == [1, 2, 3, 4]
+    assert all(0 <= r["sampled_depth"] <= 3 for r in rows)
+
+
+def test_checkpoint_with_min_layers_line_still_loads(tmp_path, run_dir):
+    store = store_from_checkpoint(*load_checkpoint(run_dir / "final.ckpt"))
+    save_checkpoint(tmp_path / "old.ckpt", store, {"min_layers": "2"})
+    ck_cfg, tensors = load_checkpoint(tmp_path / "old.ckpt")
+    assert ck_cfg["min_layers"] == "2"
+    assert store_from_checkpoint(ck_cfg, tensors).config == store.config
+
+
 # ---- diagnose ----------------------------------------------------------------
 
 
@@ -168,6 +221,25 @@ def test_diagnose_flops_from_defaults(tmp_path):
               for l in (tmp_path / "flop_ratios.jsonl").read_text().splitlines()}
     assert ratios["expected_training_ratio"] == pytest.approx(0.625)
     assert ratios["sli_ratio_min_layers"] == pytest.approx(0.25)
+
+
+def test_diagnose_flops_follow_train_depth(tmp_path):
+    assert main(["diagnose", "--which", "flops", "--out", str(tmp_path),
+                 "--train.depth=uniform:4:8"]) == 0
+    ratios = {json.loads(l)["quantity"]: json.loads(l)["value"]
+              for l in (tmp_path / "flop_ratios.jsonl").read_text().splitlines()}
+    assert ratios["expected_training_ratio"] == pytest.approx(0.75)
+    assert ratios["sli_ratio_min_layers"] == pytest.approx(0.5)
+
+
+def test_diagnose_flops_depth_beyond_checkpoint_is_input_error(tmp_path):
+    store = ParameterStore.init(ConformerConfig(max_layers=3), np.random.default_rng(0))
+    save_checkpoint(tmp_path / "three.ckpt", store)
+    out = tmp_path / "out"
+    code = main(["diagnose", "--which", "flops", "--checkpoint", str(tmp_path / "three.ckpt"),
+                 "--out", str(out)])
+    assert code == 2
+    assert not (out / "flops.csv").exists()
 
 
 def test_diagnose_needs_checkpoint_and_data(tmp_path, capsys):

@@ -128,7 +128,7 @@ def test_decomposition_matches_finite_difference(float64):
         for seq in batch:
             r = np.random.default_rng(utterance_seed(seq.utterance_id))
             plan = plan_masks(seq.num_frames, mask_cfg.block_len, mask_cfg.ratio, r)
-            corrupted = apply_masks(seq, plan, mask_cfg.policy, r)
+            corrupted = apply_masks(seq, plan, mask_cfg, r)
             emb, _ = forward(Tensor(corrupted.frames), store, 3)
             total += float(mpc_loss(predictor_apply(emb, store), seq.frames, plan).data)
         return total / len(batch)
@@ -241,7 +241,7 @@ def test_projection_range_contract():
 
 def test_flops_hand_count_tiny_config():
     cfg = ConformerConfig(input_dim=5, model_dim=6, num_heads=2, ff_dim=7,
-                          conv_kernel=3, min_layers=1, max_layers=3)
+                          conv_kernel=3, max_layers=3)
     T = 10
     report = flop_report(cfg, T)
     assert report.frontend == T * 5 * 6
@@ -260,9 +260,9 @@ def test_flops_affine_in_depth():
 
 
 def test_flops_depth_policy_ratios():
-    report = flop_report(ConformerConfig(min_layers=2, max_layers=8), 100)
-    assert report.expected_training_ratio == pytest.approx(0.625)
-    assert report.sli_ratio == pytest.approx(0.25)
+    report = flop_report(ConformerConfig(max_layers=8), 100)
+    assert report.expected_training_ratio(2, 8) == pytest.approx(0.625)
+    assert report.sli_ratio_at(2) == pytest.approx(0.25)
     assert report.sli_ratio_at(4) == pytest.approx(0.5)
     assert report.sli_ratio_at(8) == pytest.approx(1.0)
 

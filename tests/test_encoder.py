@@ -18,7 +18,7 @@ def rng(seed):
 
 def tiny_config(**overrides):
     base = dict(input_dim=5, model_dim=6, num_heads=2, ff_dim=7, conv_kernel=3,
-                max_layers=3, min_layers=1, share_params=True, dropout=0.1)
+                max_layers=3, share_params=True, dropout=0.1)
     base.update(overrides)
     return ConformerConfig(**base)
 
@@ -37,7 +37,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ConformerConfig(conv_kernel=4)
     with pytest.raises(ConfigError):
-        ConformerConfig(min_layers=5, max_layers=4)
+        ConformerConfig(max_layers=0)
 
 
 # ---- block ------------------------------------------------------------------
@@ -225,14 +225,14 @@ def test_block_count_affine_in_depth(float64):
 
 def test_param_count_shared_independent_of_depth():
     for H in (2, 5, 8):
-        counts = param_count(ConformerConfig(max_layers=H, min_layers=1, share_params=True))
+        counts = param_count(ConformerConfig(max_layers=H, share_params=True))
         assert counts["total_encoder"] == counts["per_layer"] + counts["frontend"]
 
 
 def test_param_count_layer_ratio_is_depth():
     for H in (2, 5, 8):
-        shared = param_count(ConformerConfig(max_layers=H, min_layers=1, share_params=True))
-        unshared = param_count(ConformerConfig(max_layers=H, min_layers=1, share_params=False))
+        shared = param_count(ConformerConfig(max_layers=H, share_params=True))
+        unshared = param_count(ConformerConfig(max_layers=H, share_params=False))
         layer_shared = shared["total_encoder"] - shared["frontend"]
         layer_unshared = unshared["total_encoder"] - unshared["frontend"]
         assert layer_unshared == H * layer_shared
@@ -251,11 +251,11 @@ def test_param_count_matches_store():
 
 def test_param_count_paper_scale_reported():
     cfg = ConformerConfig(input_dim=80, model_dim=512, num_heads=4, ff_dim=2048,
-                          conv_kernel=15, max_layers=8, min_layers=2)
+                          conv_kernel=15, max_layers=8)
     counts = param_count(cfg)
     unshared = param_count(ConformerConfig(input_dim=80, model_dim=512, num_heads=4,
                                            ff_dim=2048, conv_kernel=15, max_layers=8,
-                                           min_layers=2, share_params=False))
+                                           share_params=False))
     # the layer-parameter portion shrinks by exactly the layer count
     ratio = (unshared["total_encoder"] - unshared["frontend"]) / (
         counts["total_encoder"] - counts["frontend"])

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharedformer.errors import ContractError
+from sharedformer.errors import ConfigError, ContractError
 from sharedformer.features import FeatureSequence
-from sharedformer.masking import MaskPlan, MaskPolicy, apply_masks, plan_masks
+from sharedformer.masking import MaskConfig, MaskPlan, apply_masks, plan_masks
 
 
 def rng(seed):
@@ -96,7 +96,7 @@ def test_apply_t_mismatch():
 def test_tera_policy_branches():
     x = FeatureSequence("u", np.ones((50, 4), dtype=np.float32))
     plan = MaskPlan([(0, 7), (10, 7), (20, 7), (30, 7), (40, 7)], 50)
-    policy = MaskPolicy(kind="tera", p_zero=0.4, p_random=0.3)
+    policy = MaskConfig(policy="tera", p_zero=0.4, p_random=0.3)
     seen = set()
     for seed in range(40):
         out = apply_masks(x, plan, policy, rng(seed))
@@ -116,3 +116,10 @@ def test_invalid_block_rejected():
         MaskPlan([(5, 7), (8, 7)], 30)  # overlap
     with pytest.raises(ContractError):
         MaskPlan([(28, 7)], 30)  # runs past the end
+
+
+@pytest.mark.parametrize("values", [dict(policy="bogus"), dict(p_zero=-0.1),
+                                    dict(p_random=-0.1), dict(p_zero=0.6, p_random=0.5)])
+def test_mask_config_contract(values):
+    with pytest.raises(ConfigError):
+        MaskConfig(**{"policy": "tera", **values})

@@ -180,7 +180,7 @@ def test_adam_nan_gradient_names_parameter(float64):
 
 def test_fixed_depth_logged(tmp_path):
     result = train(small_corpus(), ConformerConfig(),
-                   quick_train_config(max_steps=8, depth_mode="fixed", depth_fixed=8))
+                   quick_train_config(max_steps=8, depth="fixed:8"))
     assert all(m["sampled_depth"] == 8 for m in result.metrics)
 
 
@@ -234,7 +234,7 @@ def test_resume_rejects_malformed_metrics_row(tmp_path):
 
 
 def test_cumulative_layer_applications(tmp_path):
-    cfg = quick_train_config(max_steps=50, depth_mode="uniform", depth_low=2, depth_high=8)
+    cfg = quick_train_config(max_steps=50, depth="uniform:2:8")
     result = train(small_corpus(), ConformerConfig(), cfg)
     assert result.cum_layer_apps == sum(m["sampled_depth"] * cfg.batch_size for m in result.metrics)
 
@@ -262,4 +262,11 @@ def test_train_config_contracts():
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
-        TrainConfig(depth_mode="linear")
+        TrainConfig(depth="linear")
+
+
+def test_depth_range_beyond_model_rejected_before_step_one(tmp_path):
+    with pytest.raises(ConfigError):
+        train(small_corpus(), ConformerConfig(max_layers=3),
+              quick_train_config(depth="uniform:2:8"), out_dir=tmp_path)
+    assert not (tmp_path / "metrics.jsonl").exists()
