@@ -3,9 +3,15 @@
 A Tensor wraps an ndarray and remembers the op that produced it. Tensors are
 created in execution order, so the monotonically increasing creation id gives
 a topological order of the implicit graph for free; `backward` walks reachable
-nodes in reverse creation order. Gradients for a tensor that feeds several
-downstream ops (including a parameter reused across shared layers) accumulate
-by summation at the leaf.
+nodes in reverse creation order, then releases the graph it walked, so a
+step's activations are freed before the next step builds its graph. Gradients
+for a tensor that feeds several downstream ops (including a parameter reused
+across shared layers) accumulate by summation at the leaf.
+
+Ops take a leading batch: matmul multiplies (..., n, k) by a (k, m) weight, or
+two equal-rank operands with matching leading dims (attention heads), and the
+depthwise convolution runs along axis -2. Inside `no_grad()` ops keep no
+parents and no backward closure, so a forward-only pass builds no graph.
 
 Precision is a process-global setting: float32 for training speed, float64 for
 finite-difference verification. Tensors keep the dtype they were created with.
@@ -25,6 +31,7 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 _default_dtype = np.float32
 
 _ids = itertools.count()
+_grad_enabled = True
 
 
 def set_default_dtype(name: str) -> None:
@@ -47,6 +54,18 @@ def precision(name: str):
         yield
     finally:
         _default_dtype = prev
+
+
+@contextmanager
+def no_grad():
+    """Within this block, op results record no graph and require no gradient."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class Tensor:
@@ -76,11 +95,16 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
         out.name = None
-        out._parents = tuple(parents)
-        out._backward = backward if out.requires_grad else None
         out._id = next(_ids)
+        if _grad_enabled and any(p.requires_grad for p in parents):
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = backward
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._backward = None
         return out
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -215,7 +239,11 @@ class Tensor:
     # ---- backward pass ------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this scalar loss into all reachable leaves."""
+        """Reverse-mode sweep from this scalar loss into all reachable leaves.
+
+        The graph is released as it is walked: every visited node drops its
+        parents and backward closure, and intermediates their gradients.
+        """
         if self.data.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.data.shape}")
         nodes: dict[int, Tensor] = {}
@@ -227,10 +255,13 @@ class Tensor:
                 stack.extend(t._parents)
         self.grad = np.ones_like(self.data)
         for t in sorted(nodes.values(), key=lambda n: n._id, reverse=True):
-            if t._backward is not None and t.grad is not None:
-                t._backward(t.grad)
+            if t._backward is not None:
+                if t.grad is not None:
+                    t._backward(t.grad)
                 if t is not self:
                     t.grad = None  # free intermediate buffers; leaves keep theirs
+            t._parents = ()
+            t._backward = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -255,20 +286,26 @@ def _expand_reduced(g, shape, axis, keepdims):
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 2-D, or 3-D with matching leading (batch/head) dim."""
+    """Matrix product of (..., n, k) by a (k, m) weight, or of two equal-rank
+    operands whose leading (batch/head) dims match."""
     a, b = Tensor._wrap(a), Tensor._wrap(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.ndim != b.data.ndim:
-        raise DimensionError(f"matmul expects matching 2-D or 3-D operands, got {a.shape} @ {b.shape}")
+    if a.data.ndim < 2 or b.data.ndim < 2 or (b.data.ndim != 2 and a.data.ndim != b.data.ndim):
+        raise DimensionError(f"matmul expects (..., n, k) @ (k, m) or equal-rank operands, "
+                             f"got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    if a.data.ndim == 3 and a.data.shape[0] != b.data.shape[0]:
+    if a.data.ndim == b.data.ndim and a.data.shape[:-2] != b.data.shape[:-2]:
         raise DimensionError(f"matmul batch dimensions disagree: {a.shape} @ {b.shape}")
 
     def backward(g):
         if a.requires_grad:
             a._accumulate(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+            if b.data.ndim == 2:  # weight shared by every row: one reshaped GEMM
+                k, m = b.data.shape
+                b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, m))
+            else:
+                b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return Tensor._result(a.data @ b.data, (a, b), backward)
 
@@ -341,44 +378,36 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel 1-D convolution with zero 'same' padding.
+    """Per-channel 1-D convolution along axis -2 with zero 'same' padding.
 
-    x is T x d, kernel is k x d with k odd; output is T x d.
+    x is (..., T, d), kernel is k x d with k odd; output is (..., T, d).
     """
     k, d = kernel.data.shape
     if k % 2 == 0:
         raise ConfigError(f"depthwise kernel length must be odd, got {k}")
-    T = x.data.shape[0]
-    if x.data.ndim != 2 or x.data.shape[1] != d:
+    if x.data.ndim < 2 or x.data.shape[-1] != d:
         raise DimensionError(f"depthwise_conv1d shape mismatch: x {x.shape}, kernel {kernel.shape}")
+    T = x.data.shape[-2]
     pad = k // 2
-    xpad = np.zeros((T + k - 1, d), dtype=x.data.dtype)
-    xpad[pad:pad + T] = x.data
+    xpad = np.zeros(x.data.shape[:-2] + (T + k - 1, d), dtype=x.data.dtype)
+    xpad[..., pad:pad + T, :] = x.data
     y = np.zeros_like(x.data)
     for j in range(k):
-        y += kernel.data[j] * xpad[j:j + T]
+        y += kernel.data[j] * xpad[..., j:j + T, :]
 
     def backward(g):
         if kernel.requires_grad:
             gk = np.empty_like(kernel.data)
             for j in range(k):
-                gk[j] = (xpad[j:j + T] * g).sum(axis=0)
+                gk[j] = (xpad[..., j:j + T, :] * g).reshape(-1, d).sum(axis=0)
             kernel._accumulate(gk)
         if x.requires_grad:
             gpad = np.zeros_like(xpad)
             for j in range(k):
-                gpad[j:j + T] += kernel.data[j] * g
-            x._accumulate(gpad[pad:pad + T])
+                gpad[..., j:j + T, :] += kernel.data[j] * g
+            x._accumulate(gpad[..., pad:pad + T, :])
 
     return Tensor._result(y, (x, kernel), backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
-    if p <= 0.0:
-        return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
 
 
 # ---- verification oracle ----------------------------------------------------

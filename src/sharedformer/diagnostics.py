@@ -354,6 +354,8 @@ def collect_traces(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
         frames = seq.frames
         if masked:
             frames = mask_utterance(seq, mask_cfg)[1].frames
-        _, trace = forward(Tensor(frames), store, store.config.max_layers, collect_trace=True)
+        with ad.no_grad():
+            _, trace = forward(Tensor(frames), store, store.config.max_layers,
+                               collect_trace=True)
         traces.append(trace)
     return traces

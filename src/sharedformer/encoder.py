@@ -191,54 +191,112 @@ def relative_position_bias(T: int, head_dim: int, dtype) -> np.ndarray:
     return _pos_bias_cache[key]
 
 
+def _position_bias(cfg: ConformerConfig, T: int, dtype) -> np.ndarray | None:
+    return relative_position_bias(T, cfg.head_dim, dtype) if cfg.pos_bias == "relative-bias" else None
+
+
+@dataclass
+class Padding:
+    """Real frame counts of a padded (B, T_max, ...) batch and its constant masks.
+
+    The masks exist only when the lengths differ: `frame_mask` (B, T_max, 1)
+    zeroes padded frames before the depthwise conv, and `attn_bias` folds a
+    -inf key-padding bias into the relative-position bias.
+    """
+    lengths: list[int]
+    frame_mask: np.ndarray | None
+    attn_bias: np.ndarray | None
+
+    @classmethod
+    def of(cls, lengths: list[int], T: int, cfg: ConformerConfig, dtype) -> "Padding":
+        bias = _position_bias(cfg, T, dtype)
+        if min(lengths) == T:
+            return cls(lengths, None, bias)
+        real = np.arange(T) < np.asarray(lengths)[:, None]          # (B, T)
+        key_bias = np.where(real, 0.0, -np.inf)[:, None, None, :]   # (B, 1, 1, T)
+        if bias is not None:
+            key_bias = key_bias + bias
+        return cls(lengths, real[..., None].astype(dtype), key_bias.astype(dtype))
+
+
 def _feed_forward(x: Tensor, g: dict[str, Tensor], which: str) -> Tensor:
     h = ad.layer_norm(x, g[f"{which}.norm.gamma"], g[f"{which}.norm.beta"])
     h = ad.swish(h @ g[f"{which}.w1"] + g[f"{which}.b1"])
     return h @ g[f"{which}.w2"] + g[f"{which}.b2"]
 
 
-def _attention(x: Tensor, g: dict[str, Tensor], cfg: ConformerConfig,
-               train_mode: bool, rng: np.random.Generator | None) -> Tensor:
-    T = x.shape[0]
-    h, dh = cfg.num_heads, cfg.head_dim
-    n = ad.layer_norm(x, g["attn.norm.gamma"], g["attn.norm.beta"])
+def _dropout_mask(shape: tuple[int, ...], p: float, rng, pad: Padding | None) -> np.ndarray:
+    """Inverted-dropout mask for attention weights of `shape` (..., h, T, T).
 
-    def heads(t: Tensor) -> Tensor:  # (T, d) -> (h, T, dh)
-        return t.reshape(T, h, dh).transpose((1, 0, 2))
+    A padded batch draws each slot's (h, T_b, T_b) block from that slot's own
+    generator, so a slot sees the same draws as it would alone.
+    """
+    def keep(r: np.random.Generator, T: int) -> np.ndarray:
+        return (r.random((shape[-3], T, T)) >= p) / (1.0 - p)
+
+    if pad is None:
+        return keep(rng, shape[-1])
+    mask = np.zeros(shape, dtype=ad.get_default_dtype())
+    for b, (r, T) in enumerate(zip(rng, pad.lengths)):
+        mask[b, :, :T, :T] = keep(r, T)
+    return mask
+
+
+def _attention(x: Tensor, g: dict[str, Tensor], cfg: ConformerConfig,
+               train_mode: bool, rng, pad: Padding | None) -> Tensor:
+    lead, T = x.shape[:-2], x.shape[-2]
+    h, dh = cfg.num_heads, cfg.head_dim
+    nl = len(lead)
+    n = ad.layer_norm(x, g["attn.norm.gamma"], g["attn.norm.beta"])
+    split = tuple(range(nl)) + (nl + 1, nl, nl + 2)  # (..., T, h, dh) <-> (..., h, T, dh)
+
+    def heads(t: Tensor) -> Tensor:
+        return t.reshape(*lead, T, h, dh).transpose(split)
 
     q = heads(n @ g["attn.wq"] + g["attn.bq"])
     k = heads(n @ g["attn.wk"])
     v = heads(n @ g["attn.wv"] + g["attn.bv"])
-    logits = ad.matmul(q, k.transpose((0, 2, 1))) * (1.0 / np.sqrt(dh))
-    if cfg.pos_bias == "relative-bias":
-        logits = logits + Tensor(relative_position_bias(T, dh, x.data.dtype))
+    logits = ad.matmul(q, k.transpose(tuple(range(nl + 1)) + (nl + 2, nl + 1)))
+    logits = logits * (1.0 / np.sqrt(dh))
+    bias = pad.attn_bias if pad is not None else _position_bias(cfg, T, x.data.dtype)
+    if bias is not None:
+        logits = logits + Tensor(bias)
     weights = ad.softmax(logits, axis=-1)
     if train_mode and cfg.dropout > 0.0:
         if rng is None:
             raise ContractError("train_mode attention needs an rng for dropout")
-        weights = ad.dropout(weights, cfg.dropout, rng)
-    ctx = ad.matmul(weights, v).transpose((1, 0, 2)).reshape(T, cfg.model_dim)
+        weights = weights * Tensor(_dropout_mask(weights.shape, cfg.dropout, rng, pad))
+    ctx = ad.matmul(weights, v).transpose(split).reshape(*lead, T, cfg.model_dim)
     return ctx @ g["attn.wo"] + g["attn.bo"]
 
 
-def _conv_module(x: Tensor, g: dict[str, Tensor]) -> Tensor:
-    d = x.shape[1]
+def _conv_module(x: Tensor, g: dict[str, Tensor], pad: Padding | None) -> Tensor:
+    d = x.shape[-1]
     h = ad.layer_norm(x, g["conv.norm.gamma"], g["conv.norm.beta"])
     h = h @ g["conv.pw1"] + g["conv.pb1"]
-    h = h[:, :d] * ad.sigmoid(h[:, d:])  # GLU
+    h = h[..., :d] * ad.sigmoid(h[..., d:])  # GLU
+    if pad is not None and pad.frame_mask is not None:
+        h = h * Tensor(pad.frame_mask)  # padded frames must not leak into real ones
     h = ad.depthwise_conv1d(h, g["conv.dw"])
     h = ad.swish(h)
     return h @ g["conv.pw2"] + g["conv.pb2"]
 
 
 def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
-                    train_mode: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
-    if x.data.ndim != 2 or x.shape[1] != cfg.model_dim:
-        raise ContractError(f"block input must be T x {cfg.model_dim}, got {x.shape}")
+                    train_mode: bool = False, rng=None,
+                    pad: Padding | None = None) -> Tensor:
+    """One block on a (T, d) utterance, or on a (B, T_max, d) batch with its `pad`.
+
+    In train mode `rng` drives attention dropout: one generator for an
+    utterance, one per slot for a batch.
+    """
+    rank = 2 if pad is None else 3
+    if x.data.ndim != rank or x.shape[-1] != cfg.model_dim:
+        want = "T" if pad is None else f"{len(pad.lengths)} x T_max"
+        raise ContractError(f"block input must be {want} x {cfg.model_dim}, got {x.shape}")
     h = x + 0.5 * _feed_forward(x, group, "ff1")
-    h = h + _attention(h, group, cfg, train_mode, rng)
-    h = h + _conv_module(h, group)
+    h = h + _attention(h, group, cfg, train_mode, rng, pad)
+    h = h + _conv_module(h, group, pad)
     h = h + 0.5 * _feed_forward(h, group, "ff2")
     return ad.layer_norm(h, group["out.norm.gamma"], group["out.norm.beta"])
 
@@ -247,23 +305,49 @@ def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
 
 
 def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
-            collect_trace: bool = False, train_mode: bool = False,
-            rng: np.random.Generator | None = None) -> tuple[Tensor, LayerTrace | None]:
+            collect_trace: bool = False, train_mode: bool = False, rng=None,
+            lengths: list[int] | None = None) -> tuple[Tensor, LayerTrace | None]:
+    """Encoder stack over one (T, D) utterance or a padded (B, T_max, D) batch.
+
+    A batch's `lengths` gives each slot's real frame count (default: all
+    T_max); padded frames never reach a real frame's output. In train mode
+    `rng` is one dropout generator for an utterance, one per slot for a batch.
+    """
     cfg = store.config
     if not (0 <= n_layers <= cfg.max_layers):
         raise ContractError(f"n_layers {n_layers} outside [0, {cfg.max_layers}]")
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    if x.data.ndim != 2 or x.shape[1] != cfg.input_dim:
-        raise ContractError(f"input must be T x {cfg.input_dim}, got {x.shape}")
+    pad = None
+    if x.data.ndim == 3 and x.shape[2] == cfg.input_dim:
+        B, T = x.shape[:2]
+        lengths = [T] * B if lengths is None else [int(n) for n in lengths]
+        if len(lengths) != B or not all(1 <= n <= T for n in lengths):
+            raise ContractError(f"lengths {lengths} do not fit a batch of {B} x {T} frames")
+        if train_mode and rng is not None and (
+                isinstance(rng, np.random.Generator) or len(rng) != B):
+            raise ContractError(f"a batch of {B} needs one dropout generator per slot")
+        pad = Padding.of(lengths, T, cfg, x.data.dtype)
+    elif x.data.ndim != 2 or x.shape[1] != cfg.input_dim or lengths is not None:
+        raise ContractError(f"input must be T x {cfg.input_dim}, or B x T_max x "
+                            f"{cfg.input_dim} with lengths, got {x.shape}")
     h = x @ store.params["frontend.w"] + store.params["frontend.b"]
     trace = [h.data.copy()] if collect_trace else None
     for i in range(n_layers):
-        store.block_applications += 1
-        h = conformer_block(h, store.layer_group(i), cfg, train_mode, rng)
+        store.block_applications += 1 if pad is None else len(pad.lengths)
+        h = conformer_block(h, store.layer_group(i), cfg, train_mode, rng, pad)
         if collect_trace:
             trace.append(h.data.copy())
     return h, (LayerTrace(trace) if collect_trace else None)
+
+
+def pad_batch(arrays: list[np.ndarray]) -> np.ndarray:
+    """Stack (T_b, D) arrays into one zero-padded (B, T_max, D) array."""
+    out = np.zeros((len(arrays), max(a.shape[0] for a in arrays), arrays[0].shape[1]),
+                   dtype=ad.get_default_dtype())
+    for b, a in enumerate(arrays):
+        out[b, :a.shape[0]] = a
+    return out
 
 
 def sample_depth(low: int, high: int, rng: np.random.Generator) -> int:
@@ -274,10 +358,11 @@ def sample_depth(low: int, high: int, rng: np.random.Generator) -> int:
 
 
 def sli_forward(x: Tensor | np.ndarray, store: ParameterStore, m: int) -> Tensor:
-    """Inference with only the first m layers; no dropout, no masking required."""
+    """Inference with only the first m layers; no dropout, no masking, no graph."""
     if not (1 <= m <= store.config.max_layers):
         raise ContractError(f"SLI layer count {m} outside [1, {store.config.max_layers}]")
-    emb, _ = forward(x, store, m, collect_trace=False, train_mode=False)
+    with ad.no_grad():
+        emb, _ = forward(x, store, m)
     return emb
 
 

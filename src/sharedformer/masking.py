@@ -28,6 +28,10 @@ class MaskConfig:
     p_random: float = 0.1  # tera only; the remaining probability keeps the frames
 
     def __post_init__(self):
+        if not (0.0 < self.ratio < 0.5):
+            raise ConfigError(f"mask ratio must be in (0, 0.5), got {self.ratio}")
+        if self.block_len < 1:
+            raise ConfigError(f"mask block_len must be >= 1, got {self.block_len}")
         if self.policy not in ("zero", "tera"):
             raise ConfigError(f"mask policy must be 'zero' or 'tera', got {self.policy!r}")
         if not (self.p_zero >= 0.0 and self.p_random >= 0.0 and self.p_zero + self.p_random <= 1.0):

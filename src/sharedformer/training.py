@@ -1,12 +1,15 @@
 """Masked-reconstruction pretraining loop.
 
 Per iteration: draw a depth uniformly from the configured range (fixed:N is
-the range N..N), mask each batch utterance, run that many encoder layers,
-predict the clean frames with the linear head, take the mean L1 loss,
-backprop, and apply one Adam step under the warmup/inverse-sqrt schedule.
-Validation runs at full depth without dropout, using a fixed mask
-per utterance (seeded by its id) so the validation loss is deterministic; the
-checkpoint with the best validation loss is retained.
+the range N..N), mask each batch utterance, pack the batch into one
+zero-padded (B, T_max, D) tensor, run that many encoder layers over it,
+predict the clean frames with the linear head and take the L1 loss (each
+utterance's mean over its real frames, averaged over the batch). One backward
+pass and one Adam step under the warmup/inverse-sqrt schedule follow.
+Validation runs at full depth without dropout and without a graph, in padded
+chunks of batch_size, using a fixed mask per utterance (seeded by its id) so
+the validation loss is deterministic; the checkpoint with the best validation
+loss is retained.
 
 All per-step randomness is derived from (seed, stream, step), so resuming
 from a checkpoint reproduces the uninterrupted run bitwise.
@@ -23,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import (ConformerConfig, ParameterStore, forward, load_checkpoint,
-                      sample_depth, save_checkpoint, store_from_checkpoint)
+                      pad_batch, sample_depth, save_checkpoint, store_from_checkpoint)
 from .errors import ConfigError, ContractError, DivergenceError, FormatError
 from .features import FeatureSequence, LabeledCorpus
 from .masking import MaskConfig, MaskPlan, mask_utterance
@@ -56,6 +59,8 @@ class TrainConfig:
         parse_depth(self.depth)
         if self.loss_mode not in ("all-frames", "masked-only"):
             raise ConfigError(f"loss_mode must be 'all-frames' or 'masked-only', got {self.loss_mode!r}")
+        if self.precision not in ("float32", "float64"):
+            raise ConfigError(f"precision must be 'float32' or 'float64', got {self.precision!r}")
 
 
 def parse_depth(spec: str) -> tuple[int, int]:
@@ -83,25 +88,43 @@ def check_depth(low: int, high: int, max_layers: int) -> None:
 
 def predictor_apply(embeddings: Tensor, store: ParameterStore) -> Tensor:
     """Per-frame affine map from model_dim back to the input feature space."""
-    if embeddings.shape[1] != store.config.model_dim:
+    if embeddings.shape[-1] != store.config.model_dim:
         raise ContractError(f"embeddings are {embeddings.shape}, expected T x {store.config.model_dim}")
     return embeddings @ store.params["predictor.w"] + store.params["predictor.b"]
 
 
-def mpc_loss(pred: Tensor, target, plan: MaskPlan | None = None,
-             mode: str = "all-frames") -> Tensor:
-    """Mean L1 distance between prediction and clean frames."""
+def mpc_loss(pred: Tensor, target, plan: MaskPlan | list[MaskPlan] | None = None,
+             mode: str = "all-frames", lengths: list[int] | None = None) -> Tensor:
+    """Mean L1 distance between prediction and clean frames.
+
+    A (T, D) prediction is averaged over its frames, or over the plan's masked
+    frames in masked-only mode. A padded (B, T_max, D) batch, with `lengths`
+    real frames and one plan per slot, gives the mean over utterances of each
+    utterance's loss; padded frames carry no weight.
+    """
     target = target if isinstance(target, Tensor) else Tensor(target)
     if pred.shape != target.shape:
         raise ContractError(f"prediction {pred.shape} vs target {target.shape}")
-    if mode == "all-frames":
-        return (pred - target).abs().mean()
-    if mode == "masked-only":
-        if plan is None or plan.num_masked == 0:
-            raise ContractError("masked-only loss needs a plan with at least one masked frame")
+    if mode not in ("all-frames", "masked-only"):
+        raise ContractError(f"unknown loss mode {mode!r}")
+    plans = plan if pred.data.ndim == 3 else [plan]
+    if mode == "masked-only" and (plans is None or any(p is None or p.num_masked == 0
+                                                       for p in plans)):
+        raise ContractError("masked-only loss needs a plan with at least one masked frame")
+    if pred.data.ndim == 2:
+        if mode == "all-frames":
+            return (pred - target).abs().mean()
         rows = plan.mask_rows()
         return (pred[rows] - target[rows]).abs().mean()
-    raise ContractError(f"unknown loss mode {mode!r}")
+    B, T, D = pred.shape
+    weight = np.zeros((B, T, 1))
+    for b, n in enumerate([T] * B if lengths is None else lengths):
+        if mode == "all-frames":
+            weight[b, :n] = 1.0 / n
+        else:
+            rows = plans[b].mask_rows()
+            weight[b, :n][rows] = 1.0 / rows.sum()
+    return ((pred - target).abs() * Tensor(weight / (B * D))).sum()
 
 
 def noam_lr(step: int, warmup: int, model_dim: int, scale: float) -> float:
@@ -174,26 +197,32 @@ def split_corpus(corpus: LabeledCorpus, seed: int, val_fraction: float) -> tuple
     return [int(i) for i in perm[val_count:]], [int(i) for i in perm[:val_count]]
 
 
-def _utterance_loss(seq: FeatureSequence, store: ParameterStore, cfg: TrainConfig,
-                    mask_cfg: MaskConfig, n_layers: int, step: int, slot: int) -> Tensor:
-    plan, corrupted = mask_utterance(seq, mask_cfg, substream(cfg.seed, "mask", step, slot),
-                                     substream(cfg.seed, "mask", step, slot, 1))
-    emb, _ = forward(Tensor(corrupted.frames), store, n_layers, train_mode=True,
-                     rng=substream(cfg.seed, "dropout", step, slot))
+def batch_loss(store: ParameterStore, clean: list[FeatureSequence],
+               masked: list[tuple[MaskPlan, FeatureSequence]], n_layers: int, mode: str,
+               dropout_rngs: list[np.random.Generator] | None = None) -> Tensor:
+    """MPC loss of one zero-padded batch: one forward, one predictor, one loss.
+
+    `masked` holds each utterance's plan and corrupted copy; dropout (train
+    mode) is on when one generator per slot is given.
+    """
+    lengths = [seq.num_frames for seq in clean]
+    emb, _ = forward(pad_batch([c.frames for _, c in masked]), store, n_layers,
+                     train_mode=dropout_rngs is not None, rng=dropout_rngs, lengths=lengths)
     pred = predictor_apply(emb, store)
-    return mpc_loss(pred, seq.frames, plan, cfg.loss_mode)
+    return mpc_loss(pred, pad_batch([seq.frames for seq in clean]),
+                    [plan for plan, _ in masked], mode, lengths)
 
 
 def validation_loss(store: ParameterStore, corpus: LabeledCorpus, val_idx: list[int],
                     cfg: TrainConfig, mask_cfg: MaskConfig) -> float:
     """Full-depth loss over the validation split with fixed per-utterance masks."""
     total = 0.0
-    for i in val_idx:
-        seq = corpus.sequences[i]
-        plan, corrupted = mask_utterance(seq, mask_cfg)
-        emb, _ = forward(Tensor(corrupted.frames), store, store.config.max_layers)
-        pred = predictor_apply(emb, store)
-        total += float(mpc_loss(pred, seq.frames, plan, cfg.loss_mode).data)
+    with ad.no_grad():
+        for start in range(0, len(val_idx), cfg.batch_size):
+            chunk = [corpus.sequences[i] for i in val_idx[start:start + cfg.batch_size]]
+            masked = [mask_utterance(seq, mask_cfg) for seq in chunk]
+            loss = batch_loss(store, chunk, masked, store.config.max_layers, cfg.loss_mode)
+            total += float(loss.data) * len(chunk)
     return total / len(val_idx)
 
 
@@ -254,27 +283,27 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             replace = len(train_idx) < cfg.batch_size
             batch = batch_rng.choice(train_idx, size=cfg.batch_size, replace=replace)
 
-            losses = [_utterance_loss(corpus.sequences[int(i)], store, cfg, mask_cfg,
-                                      n_layers, step, slot)
-                      for slot, i in enumerate(batch)]
-            total = losses[0]
-            for extra in losses[1:]:
-                total = total + extra
-            train_loss = float((total * (1.0 / cfg.batch_size)).data)
-            if not np.isfinite(train_loss):
+            clean = [corpus.sequences[int(i)] for i in batch]
+            masked = [mask_utterance(seq, mask_cfg, substream(cfg.seed, "mask", step, slot),
+                                     substream(cfg.seed, "mask", step, slot, 1))
+                      for slot, seq in enumerate(clean)]
+            rngs = [substream(cfg.seed, "dropout", step, slot) for slot in range(len(clean))]
+            loss = batch_loss(store, clean, masked, n_layers, cfg.loss_mode, rngs)
+            train_loss = float(loss.data)
+            try:
+                if not np.isfinite(train_loss):
+                    raise DivergenceError(f"training loss became non-finite at step {step}")
+                store.zero_grad()
+                loss.backward()
+                lr = noam_lr(step, cfg.warmup_steps, model_cfg.model_dim, cfg.peak_scale)
+                adam_step(adam, store, lr, grad_clip=cfg.grad_clip)
+            except DivergenceError:
+                # keep the last good state: adam_step rejects a non-finite
+                # gradient before it updates anything
                 if out_dir is not None:
                     _save_train_checkpoint(out_dir / "final.ckpt", store, adam, step - 1,
                                            best_val, best_step, cfg, cum_layer_apps)
-                raise DivergenceError(f"training loss became non-finite at step {step}")
-
-            # backprop each utterance separately, in slot order: the gradients
-            # of every slot then sum into the parameters in one fixed order,
-            # which keeps checkpoints bitwise reproducible
-            store.zero_grad()
-            for utt_loss in losses:
-                (utt_loss * (1.0 / cfg.batch_size)).backward()
-            lr = noam_lr(step, cfg.warmup_steps, model_cfg.model_dim, cfg.peak_scale)
-            adam_step(adam, store, lr, grad_clip=cfg.grad_clip)
+                raise
             cum_layer_apps += n_layers * cfg.batch_size
 
             val = None

@@ -51,6 +51,28 @@ def test_batched_matmul_matches_per_slice(float64):
         np.testing.assert_allclose(out[h], a[h] @ b[h], atol=1e-12)
 
 
+def test_matmul_leading_dims_against_weight(float64):
+    a = Tensor(rng(3).normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng(4).normal(size=(4, 5)), requires_grad=True)
+    out = ad.matmul(a, w)
+    for b in range(2):
+        np.testing.assert_allclose(out.data[b], a.data[b] @ w.data, atol=1e-12)
+    coeff = Tensor(rng(5).normal(size=(2, 3, 5)))
+    assert ad.grad_check(lambda: (ad.matmul(a, w) * coeff).sum(), [a, w], eps=1e-6) <= 1e-8
+
+
+def test_matmul_four_dim_heads(float64):
+    a = Tensor(rng(6).normal(size=(2, 3, 4, 5)), requires_grad=True)
+    b = Tensor(rng(7).normal(size=(2, 3, 5, 2)), requires_grad=True)
+    np.testing.assert_allclose(ad.matmul(a, b).data, a.data @ b.data, atol=1e-12)
+    coeff = Tensor(rng(8).normal(size=(2, 3, 4, 2)))
+    assert ad.grad_check(lambda: (ad.matmul(a, b) * coeff).sum(), [a, b], eps=1e-6) <= 1e-8
+    with pytest.raises(DimensionError):
+        ad.matmul(a, Tensor(np.ones((3, 2, 5, 2))))
+    with pytest.raises(DimensionError):
+        ad.matmul(Tensor(np.ones((4, 5))), b)
+
+
 # ---- softmax ----------------------------------------------------------------
 
 
@@ -145,6 +167,18 @@ def test_depthwise_against_sliding_window(float64):
         np.testing.assert_allclose(out, expect, atol=1e-6)
 
 
+def test_depthwise_batch_matches_per_row(float64):
+    x = Tensor(rng(9).normal(size=(3, 7, 2)), requires_grad=True)
+    kernel = Tensor(rng(10).normal(size=(5, 2)), requires_grad=True)
+    out = ad.depthwise_conv1d(x, kernel).data
+    for b in range(3):
+        np.testing.assert_allclose(out[b], ad.depthwise_conv1d(Tensor(x.data[b]), kernel).data,
+                                   atol=1e-12)
+    coeff = Tensor(rng(11).normal(size=(3, 7, 2)))
+    assert ad.grad_check(lambda: (ad.depthwise_conv1d(x, kernel) * coeff).sum(),
+                         [x, kernel], eps=1e-6) <= 1e-8
+
+
 # ---- backward ---------------------------------------------------------------
 
 
@@ -174,6 +208,25 @@ def test_backward_accumulates_on_reuse(float64):
     (ad.matmul(w, a).sum() + ad.matmul(w, b).sum()).backward()
     expect = np.ones((3, 3)) @ a.data.T + np.ones((3, 3)) @ b.data.T
     np.testing.assert_allclose(w.grad, expect, atol=1e-12)
+
+
+def test_backward_releases_the_graph(float64):
+    w = Tensor(rng(0).normal(size=(3, 3)), requires_grad=True)
+    h = ad.swish(ad.matmul(Tensor(rng(1).normal(size=(2, 3))), w))
+    loss = (h * 2.0).sum()
+    loss.backward()
+    for node in (h, loss):
+        assert node._parents == () and node._backward is None
+    assert h.grad is None and w.grad is not None
+
+
+def test_no_grad_builds_no_graph(float64):
+    w = Tensor(rng(0).normal(size=(3, 3)), requires_grad=True)
+    with ad.no_grad():
+        y = ad.softmax(ad.matmul(w, w) + 1.0)
+    assert y._parents == () and y._backward is None and not y.requires_grad
+    z = ad.matmul(w, w)  # recording resumes after the block
+    assert z.requires_grad and z._parents
 
 
 def test_composed_ops_finite_difference(float64):

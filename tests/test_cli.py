@@ -106,6 +106,9 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["pretrain", "--mask.policy=bogus"],
     ["pretrain", "--mask.policy=tera", "--mask.p_zero=1.5"],
     ["pretrain", "--train.depth=uniform:2:9"],
+    ["pretrain", "--mask.ratio=0.7"],
+    ["pretrain", "--mask.block_len=0"],
+    ["pretrain", "--train.precision=float16"],
     ["pretrain", "--model.min_layers=2"],
     ["diagnose", "--which", "grads", "--diag.grad_depth=0"],
     ["diagnose", "--which", "project", "--diag.utterance=-1"],
@@ -167,6 +170,23 @@ def test_pretrain_divergence_exit_code(tmp_path, corpus_dir, capsys):
     assert code == 4
     assert "divergence" in capsys.readouterr().err
     assert (tmp_path / "final.ckpt").exists()  # last good state is kept
+
+
+def test_pretrain_non_finite_gradient_keeps_last_good_state(tmp_path, corpus_dir, monkeypatch):
+    from sharedformer import training
+    original = training.adam_step
+
+    def poisoned(state, store, lr, **kwargs):
+        if state.step == 2:  # the update of step 3
+            store.params["predictor.b"].grad[0] = np.nan
+        return original(state, store, lr, **kwargs)
+
+    monkeypatch.setattr(training, "adam_step", poisoned)
+    code = main(["pretrain", "--data", str(corpus_dir / "features.bin"),
+                 "--out", str(tmp_path)] + QUICK)
+    assert code == 4
+    cfg, _ = load_checkpoint(tmp_path / "final.ckpt")
+    assert cfg["train.step"] == "2"
 
 
 def test_pretrain_paper_preset_emits_config_only(tmp_path, capsys):

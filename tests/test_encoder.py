@@ -52,6 +52,20 @@ def test_block_preserves_shape(float64):
         assert out.shape == (T, cfg.model_dim)
 
 
+def _tensors_created(fn):
+    start = next(ad._ids)
+    fn()
+    return next(ad._ids) - start - 1
+
+
+@pytest.mark.parametrize("train_mode,count", [(False, 56), (True, 58)])
+def test_block_graph_size(train_mode, count):
+    store = desk_store()
+    x = Tensor(rng(0).normal(size=(20, 16)))
+    assert _tensors_created(lambda: conformer_block(
+        x, store.layer_group(0), store.config, train_mode, rng(1))) == count
+
+
 def test_block_zero_weights_reduces_to_layer_norm(float64):
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(0, "init"))
@@ -76,6 +90,22 @@ def test_block_gradient_finite_difference(float64):
         return (conformer_block(Tensor(x), group, cfg) * coeff).sum()
 
     assert ad.grad_check(f, list(group.values()), eps=1e-6) <= 1e-4
+
+
+def test_padded_batch_gradient_finite_difference(float64):
+    cfg = tiny_config()
+    store = ParameterStore.init(cfg, substream(1, "init"))
+    lengths = [6, 3, 5]
+    x = rng(2).normal(size=(3, 6, cfg.input_dim))
+    coeff = rng(3).normal(size=(3, 6, cfg.model_dim))
+    coeff[np.arange(6)[None, :] >= np.asarray(lengths)[:, None]] = 0.0  # real frames only
+
+    def f():
+        dropout = [substream(0, "dropout", 1, slot) for slot in range(3)]
+        out, _ = forward(Tensor(x), store, 2, train_mode=True, rng=dropout, lengths=lengths)
+        return (out * Tensor(coeff)).sum()
+
+    assert ad.grad_check(f, [p for _, p in store.named_parameters()], eps=1e-6) <= 1e-4
 
 
 def test_attention_rows_sum_to_one(float64, monkeypatch):

@@ -5,13 +5,14 @@ import pytest
 
 from sharedformer import autodiff as ad
 from sharedformer.autodiff import Tensor
-from sharedformer.encoder import ConformerConfig, ParameterStore, load_checkpoint
+from sharedformer.encoder import (ConformerConfig, ParameterStore, forward,
+                                  load_checkpoint)
 from sharedformer.errors import ConfigError, ContractError, DivergenceError, FormatError
 from sharedformer.features import synth_corpus
-from sharedformer.masking import MaskPlan
+from sharedformer.masking import MaskConfig, MaskPlan, mask_utterance
 from sharedformer.rng import substream
-from sharedformer.training import (AdamState, TrainConfig, adam_step, mpc_loss,
-                                   noam_lr, predictor_apply, train)
+from sharedformer.training import (AdamState, TrainConfig, adam_step, batch_loss,
+                                   mpc_loss, noam_lr, predictor_apply, train)
 
 
 def rng(seed):
@@ -263,6 +264,8 @@ def test_train_config_contracts():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(depth="linear")
+    with pytest.raises(ConfigError):
+        TrainConfig(precision="float16")
 
 
 def test_depth_range_beyond_model_rejected_before_step_one(tmp_path):
@@ -270,3 +273,101 @@ def test_depth_range_beyond_model_rejected_before_step_one(tmp_path):
         train(small_corpus(), ConformerConfig(max_layers=3),
               quick_train_config(depth="uniform:2:8"), out_dir=tmp_path)
     assert not (tmp_path / "metrics.jsonl").exists()
+
+
+# ---- padded batches ----------------------------------------------------------
+
+
+def _masked_batch(seqs, step=1):
+    return [mask_utterance(seq, MaskConfig(), substream(0, "mask", step, slot),
+                           substream(0, "mask", step, slot, 1))
+            for slot, seq in enumerate(seqs)]
+
+
+def _dropout_rngs(n, step=1):
+    return [substream(0, "dropout", step, slot) for slot in range(n)]
+
+
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "unshared"])
+@pytest.mark.parametrize("mode", ["all-frames", "masked-only"])
+def test_batched_loss_matches_per_utterance(float64, share, mode):
+    """One padded graph gives the per-utterance losses' mean and its gradients."""
+    seqs = synth_corpus(5, 5, (20, 50), 16, 4).sequences
+    assert len({s.num_frames for s in seqs}) > 1
+    store = ParameterStore.init(ConformerConfig(share_params=share), substream(0, "init"))
+    masked = _masked_batch(seqs)
+    depth = 6
+
+    store.zero_grad()
+    loss = batch_loss(store, seqs, masked, depth, mode, _dropout_rngs(len(seqs)))
+    loss.backward()
+    batched = {n: p.grad.copy() for n, p in store.named_parameters() if p.grad is not None}
+
+    store.zero_grad()
+    total = 0.0
+    for slot, (seq, (plan, corrupted)) in enumerate(zip(seqs, masked)):
+        emb, _ = forward(Tensor(corrupted.frames), store, depth, train_mode=True,
+                         rng=_dropout_rngs(len(seqs))[slot])
+        part = mpc_loss(predictor_apply(emb, store), seq.frames, plan, mode) * (1.0 / len(seqs))
+        part.backward()
+        total += float(part.data)
+    per_utt = {n: p.grad for n, p in store.named_parameters() if p.grad is not None}
+
+    assert abs(float(loss.data) - total) <= 1e-12
+    assert batched.keys() == per_utt.keys()
+    for name, g in per_utt.items():
+        np.testing.assert_allclose(batched[name], g, rtol=1e-9, atol=1e-13, err_msg=name)
+
+
+def test_padding_values_change_no_real_output_or_gradient(float64):
+    store = ParameterStore.init(ConformerConfig(), substream(1, "init"))
+    seqs = synth_corpus(6, 3, (10, 30), 16, 4).sequences
+    lengths = [s.num_frames for s in seqs]
+    T = max(lengths)
+    assert min(lengths) < T
+    x = np.zeros((3, T, 16))
+    target = np.zeros((3, T, 16))
+    for b, seq in enumerate(seqs):
+        x[b, :lengths[b]] = seq.frames
+        target[b, :lengths[b]] = seq.frames[::-1]
+
+    def run(x, target):
+        store.zero_grad()
+        emb, _ = forward(Tensor(x), store, 4, train_mode=True, rng=_dropout_rngs(3),
+                         lengths=lengths)
+        mpc_loss(predictor_apply(emb, store), target, lengths=lengths).backward()
+        return emb.data, {n: p.grad.copy() for n, p in store.named_parameters()}
+
+    emb, grads = run(x, target)
+    noise = rng(7).normal(scale=3.0, size=x.shape)
+    pad = np.arange(T)[None, :, None] >= np.asarray(lengths)[:, None, None]
+    emb2, grads2 = run(np.where(pad, noise, x), np.where(pad, -noise, target))
+    for b, n in enumerate(lengths):
+        np.testing.assert_allclose(emb2[b, :n], emb[b, :n], rtol=1e-12, atol=1e-12)
+    for name, g in grads.items():
+        np.testing.assert_allclose(grads2[name], g, rtol=1e-10, atol=1e-14, err_msg=name)
+
+
+def test_training_step_runs_one_backward(monkeypatch):
+    calls = []
+    original = Tensor.backward
+
+    def counting(self):
+        calls.append(self.shape)
+        return original(self)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    train(small_corpus(), ConformerConfig(), quick_train_config(max_steps=4, validation_every=2))
+    assert len(calls) == 4  # validation builds no graph
+
+
+def test_step_graph_does_not_grow_with_batch_size():
+    corpus = small_corpus()
+
+    def tensors_created(batch_size):
+        start = next(ad._ids)
+        train(corpus, ConformerConfig(), quick_train_config(
+            max_steps=1, batch_size=batch_size, depth="fixed:4", validation_every=10))
+        return next(ad._ids) - start
+
+    assert tensors_created(2) == tensors_created(8)
