@@ -6,12 +6,16 @@ a topological order of the implicit graph for free; `backward` walks reachable
 nodes in reverse creation order, then releases the graph it walked, so a
 step's activations are freed before the next step builds its graph. Gradients
 for a tensor that feeds several downstream ops (including a parameter reused
-across shared layers) accumulate by summation at the leaf.
+across shared layers) accumulate by summation at the leaf: the first
+contribution is copied into a buffer of the tensor's own dtype and shape, later
+ones add into it in place, so no two tensors ever share a gradient buffer.
 
 Ops take a leading batch: matmul multiplies (..., n, k) by a (k, m) weight, or
 two equal-rank operands with matching leading dims (attention heads), and the
-depthwise convolution runs along axis -2. Inside `no_grad()` ops keep no
-parents and no backward closure, so a forward-only pass builds no graph.
+depthwise convolution runs along axis -2. The weight form takes an optional
+(m,) bias operand, added in place to the product, so an affine projection is
+one graph node. Inside `no_grad()` ops keep no parents and no backward
+closure, so a forward-only pass builds no graph.
 
 Precision is a process-global setting: float32 for training speed, float64 for
 finite-difference verification. Tensors keep the dtype they were created with.
@@ -109,8 +113,13 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a private copy: g may be a read-only broadcast view, or an array
+            # another tensor's backward also hands out
+            if g.shape != self.data.shape:
+                g = np.broadcast_to(g, self.data.shape)
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     # ---- arithmetic ---------------------------------------------------------
 
@@ -172,12 +181,17 @@ class Tensor:
 
     def __getitem__(self, key):
         a = self
+        basic = all(isinstance(k, (slice, int, np.integer)) or k is Ellipsis or k is None
+                    for k in (key if isinstance(key, tuple) else (key,)))
 
         def backward(g):
             if a.requires_grad:
-                full = np.zeros_like(a.data)
-                np.add.at(full, key, g)
-                a._accumulate(full)
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.data)
+                if basic:  # a view selects each element at most once
+                    a.grad[key] += g
+                else:      # an index array may repeat an element
+                    np.add.at(a.grad, key, g)
 
         return Tensor._result(a.data[key], (a,), backward)
 
@@ -274,6 +288,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Column sums of an (n, m) array, as a vector-matrix product.
+
+    numpy's reduce over a short trailing axis runs several times slower than
+    the BLAS product, and these reductions run for every bias and norm.
+    """
+    return np.ones(x.shape[0], x.dtype) @ x
+
+
+def _sum_last(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """`scale` times the sum over the last axis, kept as a length-1 axis (see `_sum_rows`)."""
+    return (x @ np.full(x.shape[-1], scale, x.dtype))[..., None]
+
+
+def _sum_along(x: np.ndarray, axis: int) -> np.ndarray:
+    return _sum_last(x) if axis in (-1, x.ndim - 1) else x.sum(axis=axis, keepdims=True)
+
+
 def _expand_reduced(g, shape, axis, keepdims):
     if axis is None:
         return np.broadcast_to(g, shape).copy() if np.ndim(g) == 0 else np.full(shape, g)
@@ -285,9 +317,12 @@ def _expand_reduced(g, shape, axis, keepdims):
 # ---- linear algebra ---------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product of (..., n, k) by a (k, m) weight, or of two equal-rank
-    operands whose leading (batch/head) dims match."""
+    operands whose leading (batch/head) dims match.
+
+    The weight form takes an optional (m,) `bias`, added to every row.
+    """
     a, b = Tensor._wrap(a), Tensor._wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or (b.data.ndim != 2 and a.data.ndim != b.data.ndim):
         raise DimensionError(f"matmul expects (..., n, k) @ (k, m) or equal-rank operands, "
@@ -296,18 +331,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     if a.data.ndim == b.data.ndim and a.data.shape[:-2] != b.data.shape[:-2]:
         raise DimensionError(f"matmul batch dimensions disagree: {a.shape} @ {b.shape}")
+    out = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        bias = Tensor._wrap(bias)
+        if b.data.ndim != 2 or bias.data.shape != b.data.shape[1:]:
+            raise DimensionError(f"matmul bias must be ({b.data.shape[-1]},) with a (k, m) "
+                                 f"weight, got {a.shape} @ {b.shape} + {bias.shape}")
+        out += bias.data
+        parents = (a, b, bias)
 
     def backward(g):
         if a.requires_grad:
             a._accumulate(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            if b.data.ndim == 2:  # weight shared by every row: one reshaped GEMM
-                k, m = b.data.shape
-                b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, m))
-            else:
-                b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+        if b.data.ndim == 2:  # weight and bias shared by every row: one (-1, m) view
+            k, m = b.data.shape
+            g2 = g.reshape(-1, m)
+            if b.requires_grad:
+                b._accumulate(a.data.reshape(-1, k).T @ g2)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(_sum_rows(g2))
+        elif b.requires_grad:
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
-    return Tensor._result(a.data @ b.data, (a, b), backward)
+    return Tensor._result(out, parents, backward)
 
 
 # ---- nonlinearities ---------------------------------------------------------
@@ -335,44 +382,53 @@ def swish(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along `axis` (max-subtraction)."""
+    """Stable softmax along `axis` (max-subtraction), computed in one buffer."""
     if x.data.ndim == 0 or x.data.shape[axis] == 0:
         raise DimensionError("softmax requires a non-empty axis")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= _sum_along(y, axis)
 
     def backward(g):
         if x.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            x._accumulate(y * (g - dot))
+            gx = g * y
+            gx -= y * _sum_along(gx, axis)
+            x._accumulate(gx)
 
     return Tensor._result(y, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis with population variance, then affine."""
+    """Normalize the last axis with population variance, then affine.
+
+    The input is centred once and the variance taken from the centred values.
+    """
     d = x.data.shape[-1]
     if d < 2:
         raise DimensionError(f"layer_norm needs last dim >= 2, got {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    y = gamma.data * xhat + beta.data
+    xhat = x.data - _sum_last(x.data, 1.0 / d)
+    inv = _sum_last(np.square(xhat), 1.0 / d)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    y = xhat * gamma.data
+    y += beta.data
 
     def backward(g):
+        gxhat = g * xhat
         if gamma.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            gamma._accumulate((g * xhat).sum(axis=axes))
+            gamma._accumulate(_sum_rows(gxhat.reshape(-1, d)))
         if beta.requires_grad:
-            axes = tuple(range(g.ndim - 1))
-            beta._accumulate(g.sum(axis=axes))
+            beta._accumulate(_sum_rows(g.reshape(-1, d)))
         if x.requires_grad:
+            # (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)) * inv
+            gxhat *= gamma.data
             gx = g * gamma.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate((gx - m1 - xhat * m2) * inv)
+            gx -= _sum_last(gx, 1.0 / d)
+            gx -= xhat * _sum_last(gxhat, 1.0 / d)
+            gx *= inv
+            x._accumulate(gx)
 
     return Tensor._result(y, (x, gamma, beta), backward)
 
@@ -399,7 +455,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
         if kernel.requires_grad:
             gk = np.empty_like(kernel.data)
             for j in range(k):
-                gk[j] = (xpad[..., j:j + T, :] * g).reshape(-1, d).sum(axis=0)
+                gk[j] = _sum_rows((xpad[..., j:j + T, :] * g).reshape(-1, d))
             kernel._accumulate(gk)
         if x.requires_grad:
             gpad = np.zeros_like(xpad)

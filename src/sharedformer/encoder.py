@@ -13,7 +13,9 @@ name length + name, u32 rank, u32 dims, f32 data.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import Field, dataclass, fields
 
@@ -221,8 +223,8 @@ class Padding:
 
 def _feed_forward(x: Tensor, g: dict[str, Tensor], which: str) -> Tensor:
     h = ad.layer_norm(x, g[f"{which}.norm.gamma"], g[f"{which}.norm.beta"])
-    h = ad.swish(h @ g[f"{which}.w1"] + g[f"{which}.b1"])
-    return h @ g[f"{which}.w2"] + g[f"{which}.b2"]
+    h = ad.swish(ad.matmul(h, g[f"{which}.w1"], g[f"{which}.b1"]))
+    return ad.matmul(h, g[f"{which}.w2"], g[f"{which}.b2"])
 
 
 def _dropout_mask(shape: tuple[int, ...], p: float, rng, pad: Padding | None) -> np.ndarray:
@@ -253,11 +255,11 @@ def _attention(x: Tensor, g: dict[str, Tensor], cfg: ConformerConfig,
     def heads(t: Tensor) -> Tensor:
         return t.reshape(*lead, T, h, dh).transpose(split)
 
-    q = heads(n @ g["attn.wq"] + g["attn.bq"])
+    # scale q (T x dh per head), not the T x T logits: same product, fewer multiplies
+    q = heads(ad.matmul(n, g["attn.wq"], g["attn.bq"])) * (1.0 / np.sqrt(dh))
     k = heads(n @ g["attn.wk"])
-    v = heads(n @ g["attn.wv"] + g["attn.bv"])
+    v = heads(ad.matmul(n, g["attn.wv"], g["attn.bv"]))
     logits = ad.matmul(q, k.transpose(tuple(range(nl + 1)) + (nl + 2, nl + 1)))
-    logits = logits * (1.0 / np.sqrt(dh))
     bias = pad.attn_bias if pad is not None else _position_bias(cfg, T, x.data.dtype)
     if bias is not None:
         logits = logits + Tensor(bias)
@@ -267,19 +269,19 @@ def _attention(x: Tensor, g: dict[str, Tensor], cfg: ConformerConfig,
             raise ContractError("train_mode attention needs an rng for dropout")
         weights = weights * Tensor(_dropout_mask(weights.shape, cfg.dropout, rng, pad))
     ctx = ad.matmul(weights, v).transpose(split).reshape(*lead, T, cfg.model_dim)
-    return ctx @ g["attn.wo"] + g["attn.bo"]
+    return ad.matmul(ctx, g["attn.wo"], g["attn.bo"])
 
 
 def _conv_module(x: Tensor, g: dict[str, Tensor], pad: Padding | None) -> Tensor:
     d = x.shape[-1]
     h = ad.layer_norm(x, g["conv.norm.gamma"], g["conv.norm.beta"])
-    h = h @ g["conv.pw1"] + g["conv.pb1"]
+    h = ad.matmul(h, g["conv.pw1"], g["conv.pb1"])
     h = h[..., :d] * ad.sigmoid(h[..., d:])  # GLU
     if pad is not None and pad.frame_mask is not None:
         h = h * Tensor(pad.frame_mask)  # padded frames must not leak into real ones
     h = ad.depthwise_conv1d(h, g["conv.dw"])
     h = ad.swish(h)
-    return h @ g["conv.pw2"] + g["conv.pb2"]
+    return ad.matmul(h, g["conv.pw2"], g["conv.pb2"])
 
 
 def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
@@ -331,7 +333,7 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
     elif x.data.ndim != 2 or x.shape[1] != cfg.input_dim or lengths is not None:
         raise ContractError(f"input must be T x {cfg.input_dim}, or B x T_max x "
                             f"{cfg.input_dim} with lengths, got {x.shape}")
-    h = x @ store.params["frontend.w"] + store.params["frontend.b"]
+    h = ad.matmul(x, store.params["frontend.w"], store.params["frontend.b"])
     trace = [h.data.copy()] if collect_trace else None
     for i in range(n_layers):
         store.block_applications += 1 if pad is None else len(pad.lengths)
@@ -385,6 +387,7 @@ def param_count(cfg: ConformerConfig) -> dict[str, int]:
 
 def save_checkpoint(path, store: ParameterStore, extra_config: dict[str, str] | None = None,
                     extra_tensors: dict[str, np.ndarray] | None = None) -> None:
+    """Write `store` (plus extra config lines and tensors) atomically to `path`."""
     cfg_lines = dict(store.config.to_dict())
     cfg_lines.update(extra_config or {})
     cfg_blob = "".join(f"{k}={v}\n" for k, v in sorted(cfg_lines.items()))
@@ -396,8 +399,19 @@ def save_checkpoint(path, store: ParameterStore, extra_config: dict[str, str] | 
         parts.append(codec.string(name))
         parts.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    # write a sibling temp file and rename it over `path`, so a crash or a
+    # failed write never leaves a torn checkpoint in place of the last good one
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"".join(parts))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:

@@ -90,7 +90,7 @@ def predictor_apply(embeddings: Tensor, store: ParameterStore) -> Tensor:
     """Per-frame affine map from model_dim back to the input feature space."""
     if embeddings.shape[-1] != store.config.model_dim:
         raise ContractError(f"embeddings are {embeddings.shape}, expected T x {store.config.model_dim}")
-    return embeddings @ store.params["predictor.w"] + store.params["predictor.b"]
+    return ad.matmul(embeddings, store.params["predictor.w"], store.params["predictor.b"])
 
 
 def mpc_loss(pred: Tensor, target, plan: MaskPlan | list[MaskPlan] | None = None,

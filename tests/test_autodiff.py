@@ -73,6 +73,25 @@ def test_matmul_four_dim_heads(float64):
         ad.matmul(Tensor(np.ones((4, 5))), b)
 
 
+def test_matmul_bias_matches_separate_add(float64):
+    a = Tensor(rng(9).normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng(10).normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng(11).normal(size=5), requires_grad=True)
+    np.testing.assert_allclose(ad.matmul(a, w, b).data, a.data @ w.data + b.data, atol=1e-12)
+    coeff = Tensor(rng(12).normal(size=(2, 3, 5)))
+    assert ad.grad_check(lambda: (ad.matmul(a, w, b) * coeff).sum(), [a, w, b], eps=1e-6) <= 1e-7
+
+
+def test_matmul_bias_contract():
+    a = Tensor(np.ones((2, 3, 4)))
+    w = Tensor(np.ones((4, 5)))
+    for bad in (np.ones(4), np.ones((1, 5)), np.ones((3, 5))):
+        with pytest.raises(DimensionError):
+            ad.matmul(a, w, Tensor(bad))
+    with pytest.raises(DimensionError):  # a bias belongs to the (k, m) weight form only
+        ad.matmul(a, Tensor(np.ones((2, 4, 5))), Tensor(np.ones(5)))
+
+
 # ---- softmax ----------------------------------------------------------------
 
 
@@ -208,6 +227,50 @@ def test_backward_accumulates_on_reuse(float64):
     (ad.matmul(w, a).sum() + ad.matmul(w, b).sum()).backward()
     expect = np.ones((3, 3)) @ a.data.T + np.ones((3, 3)) @ b.data.T
     np.testing.assert_allclose(w.grad, expect, atol=1e-12)
+
+
+def test_backward_self_sum_doubles(float64):
+    x = Tensor(rng(0).normal(size=(2, 3)), requires_grad=True)
+    (x + x).sum().backward()
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_leaf_grad_from_reduction_is_writable(float64):
+    # sum/mean backward hand out read-only broadcast views of one value
+    for reduce in (lambda t: t.sum(axis=0), lambda t: t.mean(axis=1, keepdims=True)):
+        x = Tensor(rng(1).normal(size=(3, 4)), requires_grad=True)
+        reduce(x).sum().backward()
+        assert x.grad.flags.writeable and x.grad.shape == (3, 4)
+        x.grad += 1.0
+
+
+def test_leaf_grads_share_no_memory(float64):
+    # add hands the same g to both operands, reshape/transpose hand out views
+    a = Tensor(rng(2).normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng(3).normal(size=(3, 4)), requires_grad=True)
+    c = Tensor(rng(4).normal(size=(4, 3)), requires_grad=True)
+    d = Tensor(rng(5).normal(size=(12,)), requires_grad=True)
+    h = a + b + c.transpose((1, 0)) + d.reshape(3, 4)
+    (h * 2.0).sum().backward()
+    grads = [a.grad, b.grad, c.grad, d.grad]
+    for i in range(len(grads)):
+        for j in range(i + 1, len(grads)):
+            assert not np.shares_memory(grads[i], grads[j])
+
+
+@pytest.mark.parametrize("key", [(Ellipsis, slice(None, 3)), (Ellipsis, slice(3, None)),
+                                 np.array([0, 2, 2])], ids=["low-half", "high-half", "repeated"])
+def test_getitem_gradient_against_add_at(float64, key):
+    x = Tensor(rng(6).normal(size=(3, 2, 6)), requires_grad=True)
+    coeff = rng(7).normal(size=x.data[key].shape)
+    (x[key] * Tensor(coeff)).sum().backward()
+    expect = np.zeros_like(x.data)
+    np.add.at(expect, key, coeff)
+    np.testing.assert_array_equal(x.grad, expect)
+    if isinstance(key, np.ndarray):  # the repeated row is counted twice
+        x.grad = None
+        x[key].sum().backward()
+        np.testing.assert_array_equal(x.grad[:, 0, 0], [1.0, 0.0, 2.0])
 
 
 def test_backward_releases_the_graph(float64):

@@ -189,6 +189,20 @@ def test_pretrain_non_finite_gradient_keeps_last_good_state(tmp_path, corpus_dir
     assert cfg["train.step"] == "2"
 
 
+def test_pretrain_checkpoint_write_failure_is_io_error(tmp_path, corpus_dir, monkeypatch, capsys):
+    from sharedformer import encoder
+
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(encoder.os, "fsync", disk_full)
+    code = main(["pretrain", "--data", str(corpus_dir / "features.bin"),
+                 "--out", str(tmp_path)] + QUICK)
+    assert code == 3
+    assert "I/O error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.ckpt*"))
+
+
 def test_pretrain_paper_preset_emits_config_only(tmp_path, capsys):
     code = main(["--preset", "paper", "pretrain", "--out", str(tmp_path)])
     assert code == 0
