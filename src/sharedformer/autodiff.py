@@ -14,8 +14,11 @@ Ops take a leading batch: matmul multiplies (..., n, k) by a (k, m) weight, or
 two equal-rank operands with matching leading dims (attention heads), and the
 depthwise convolution runs along axis -2. The weight form takes an optional
 (m,) bias operand, added in place to the product, so an affine projection is
-one graph node. Inside `no_grad()` ops keep no parents and no backward
-closure, so a forward-only pass builds no graph.
+one graph node. `attention` is one node too: softmax(q k^T + bias) v with
+optional boolean dropout masks, computed per slot on that slot's real
+frames of a padded batch, with a closed-form backward. Inside `no_grad()`
+ops keep no parents and no backward closure, so a forward-only pass builds
+no graph.
 
 Precision is a process-global setting: float32 for training speed, float64 for
 finite-difference verification. Tensors keep the dtype they were created with.
@@ -24,6 +27,7 @@ finite-difference verification. Tensors keep the dtype they were created with.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -396,6 +400,95 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             x._accumulate(gx)
 
     return Tensor._result(y, (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
+              keep: Sequence[np.ndarray] | None = None, keep_scale: float = 1.0,
+              lengths: Sequence[int] | None = None) -> Tensor:
+    """softmax(q k^T + bias) v as one node, computed per slot on its real frames.
+
+    q and k are (..., h, T, dh) and v is (..., h, T, dv). Each leading index is
+    a slot whose first `lengths[b]` frames are real (default: all T), and only
+    its real (h, T_b, T_b) block is computed: logits plus `bias[:T_b, :T_b]`
+    of a constant (T, T) bias, exp after one row-max shift, then the optional
+    boolean `keep[b]` (h, T_b, T_b) drops weights (inverted dropout, the kept
+    ones scaled by `keep_scale`). The weights are never normalised: the
+    (h, T_b, dv) output is divided by the row sums instead. Padded query rows
+    output zeros and padded keys get no weight.
+
+    A graph saves each slot's exp'd block e and its row sums s; the softmax
+    is P = e / s and the dropped weights W = P * keep * scale. The backward
+    is the closed form dV = W^T dO,
+    dP = (dO V^T) * keep * scale, dS = P * (dP - rowsum(dP * P)), dQ = dS K,
+    dK = dS^T Q, where rowsum(dP * P) = rowsum(dO * O) needs no T x T pass
+    (Rabe & Staats, arXiv 2112.05682; Dao et al., FlashAttention,
+    arXiv 2205.14135).
+    """
+    q, k, v = Tensor._wrap(q), Tensor._wrap(k), Tensor._wrap(v)
+    shape = q.data.shape
+    if len(shape) < 3 or k.data.shape != shape or v.data.shape[:-1] != shape[:-1]:
+        raise DimensionError(f"attention expects q, k (..., h, T, dh) and v (..., h, T, dv), "
+                             f"got {q.shape}, {k.shape}, {v.shape}")
+    h, T, dh = shape[-3:]
+    dv = v.data.shape[-1]
+    n = math.prod(shape[:-3])
+    lengths = [T] * n if lengths is None else [int(t) for t in lengths]
+    if len(lengths) != n or not all(1 <= t <= T for t in lengths):
+        raise ContractError(f"attention lengths {lengths} do not fit {n} slots of {T} frames")
+    if bias is not None and bias.shape != (T, T):
+        raise DimensionError(f"attention bias must be ({T}, {T}), got {bias.shape}")
+    if keep is not None and (len(keep) != n or any(
+            m.shape != (h, t, t) for m, t in zip(keep, lengths))):
+        raise DimensionError(f"attention keep masks must be (h, T_b, T_b) per slot "
+                             f"for lengths {lengths}")
+    scale = keep_scale if keep is not None else 1.0
+    q3, k3, v3 = (t.data.reshape(n, h, T, -1) for t in (q, k, v))
+    out = np.zeros((n, h, T, dv), dtype=q.data.dtype)
+    graph = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    saved = []
+    for b, tb in enumerate(lengths):
+        e = q3[b, :, :tb] @ np.swapaxes(k3[b, :, :tb], -1, -2)
+        if bias is not None:
+            e += bias[:tb, :tb]
+        e -= np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
+        np.exp(e, out=e)
+        s = _sum_last(e)
+        w = e
+        if keep is not None:  # a graph keeps e whole for the backward
+            w = e * keep[b] if graph else np.multiply(e, keep[b], out=e)
+        o = np.divide(w @ v3[b, :, :tb], s, out=out[b, :, :tb])
+        if keep is not None:
+            o *= scale
+        if graph:
+            saved.append((e, s))
+
+    def backward(g):
+        g3 = g.reshape(n, h, T, dv)
+        gq, gk, gv = (np.zeros(a.shape, a.dtype) if t.requires_grad else None
+                      for t, a in ((q, q3), (k, k3), (v, v3)))
+        for b, (tb, (e, s)) in enumerate(zip(lengths, saved)):
+            do = g3[b, :, :tb]
+            r = scale / s  # W = e * keep * r
+            if gv is not None:
+                w = e if keep is None else e * keep[b]
+                gv[b, :, :tb] = np.swapaxes(w, -1, -2) @ (do * r)
+            if gq is None and gk is None:
+                continue
+            # dS / r, its row scale r applied to the (T_b, dh) products instead
+            ds = do @ np.swapaxes(v3[b, :, :tb], -1, -2)  # dL/dW
+            if keep is not None:
+                ds *= keep[b]
+            ds -= _sum_last(do * out[b, :, :tb], 1.0 / scale)
+            ds *= e
+            if gq is not None:
+                np.multiply(ds @ k3[b, :, :tb], r, out=gq[b, :, :tb])
+            if gk is not None:
+                gk[b, :, :tb] = np.swapaxes(ds, -1, -2) @ (q3[b, :, :tb] * r)
+        for t, gt in ((q, gq), (k, gk), (v, gv)):
+            if gt is not None:
+                t._accumulate(gt.reshape(t.data.shape))
+
+    return Tensor._result(out.reshape(shape[:-1] + (dv,)), (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -94,7 +94,10 @@ class RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    read = parser.read(path, encoding="utf-8")
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"malformed config file {path}: {e}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     cfg = RunConfig()

@@ -179,18 +179,23 @@ class ParameterStore:
 
 # ---- block -------------------------------------------------------------------
 
-_pos_bias_cache: dict[tuple[int, int, str], np.ndarray] = {}
+_pos_bias_cache: dict[tuple[int, str], np.ndarray] = {}
 
 
 def relative_position_bias(T: int, head_dim: int, dtype) -> np.ndarray:
-    """Fixed sinusoidal bias over relative frame offsets, added to attn logits."""
-    key = (T, head_dim, np.dtype(dtype).str)
-    if key not in _pos_bias_cache:
+    """Fixed sinusoidal bias over relative frame offsets, added to attn logits.
+
+    Entry (i, j) depends only on i - j, so one table per head size and dtype,
+    grown to the longest T asked for, serves every shorter T as a view.
+    """
+    key = (head_dim, np.dtype(dtype).str)
+    table = _pos_bias_cache.get(key)
+    if table is None or table.shape[0] < T:
         delta = np.arange(T)[:, None] - np.arange(T)[None, :]
         freqs = 1.0 / (10000.0 ** (2 * np.arange(head_dim // 2) / head_dim))
         bias = np.sin(delta[..., None] * freqs).mean(axis=-1) / np.sqrt(head_dim)
-        _pos_bias_cache[key] = bias.astype(dtype)
-    return _pos_bias_cache[key]
+        table = _pos_bias_cache[key] = bias.astype(dtype)
+    return table[:T, :T]
 
 
 def _position_bias(cfg: ConformerConfig, T: int, dtype) -> np.ndarray | None:
@@ -199,49 +204,27 @@ def _position_bias(cfg: ConformerConfig, T: int, dtype) -> np.ndarray | None:
 
 @dataclass
 class Padding:
-    """Real frame counts of a padded (B, T_max, ...) batch and its constant masks.
+    """Real frame counts of a padded (B, T_max, ...) batch.
 
-    The masks exist only when the lengths differ: `frame_mask` (B, T_max, 1)
-    zeroes padded frames before the depthwise conv, and `attn_bias` folds a
-    -inf key-padding bias into the relative-position bias.
+    `frame_mask` (B, T_max, 1) zeroes padded frames before the depthwise conv;
+    it exists only when the lengths differ. Attention needs no mask: it works
+    on each slot's real frames only.
     """
     lengths: list[int]
     frame_mask: np.ndarray | None
-    attn_bias: np.ndarray | None
 
     @classmethod
-    def of(cls, lengths: list[int], T: int, cfg: ConformerConfig, dtype) -> "Padding":
-        bias = _position_bias(cfg, T, dtype)
+    def of(cls, lengths: list[int], T: int, dtype) -> "Padding":
         if min(lengths) == T:
-            return cls(lengths, None, bias)
+            return cls(lengths, None)
         real = np.arange(T) < np.asarray(lengths)[:, None]          # (B, T)
-        key_bias = np.where(real, 0.0, -np.inf)[:, None, None, :]   # (B, 1, 1, T)
-        if bias is not None:
-            key_bias = key_bias + bias
-        return cls(lengths, real[..., None].astype(dtype), key_bias.astype(dtype))
+        return cls(lengths, real[..., None].astype(dtype))
 
 
 def _feed_forward(x: Tensor, g: dict[str, Tensor], which: str) -> Tensor:
     h = ad.layer_norm(x, g[f"{which}.norm.gamma"], g[f"{which}.norm.beta"])
     h = ad.swish(ad.matmul(h, g[f"{which}.w1"], g[f"{which}.b1"]))
     return ad.matmul(h, g[f"{which}.w2"], g[f"{which}.b2"])
-
-
-def _dropout_mask(shape: tuple[int, ...], p: float, rng, pad: Padding | None) -> np.ndarray:
-    """Inverted-dropout mask for attention weights of `shape` (..., h, T, T).
-
-    A padded batch draws each slot's (h, T_b, T_b) block from that slot's own
-    generator, so a slot sees the same draws as it would alone.
-    """
-    def keep(r: np.random.Generator, T: int) -> np.ndarray:
-        return (r.random((shape[-3], T, T)) >= p) / (1.0 - p)
-
-    if pad is None:
-        return keep(rng, shape[-1])
-    mask = np.zeros(shape, dtype=ad.get_default_dtype())
-    for b, (r, T) in enumerate(zip(rng, pad.lengths)):
-        mask[b, :, :T, :T] = keep(r, T)
-    return mask
 
 
 def _attention(x: Tensor, g: dict[str, Tensor], cfg: ConformerConfig,
@@ -259,16 +242,18 @@ def _attention(x: Tensor, g: dict[str, Tensor], cfg: ConformerConfig,
     q = heads(ad.matmul(n, g["attn.wq"], g["attn.bq"])) * (1.0 / np.sqrt(dh))
     k = heads(n @ g["attn.wk"])
     v = heads(ad.matmul(n, g["attn.wv"], g["attn.bv"]))
-    logits = ad.matmul(q, k.transpose(tuple(range(nl + 1)) + (nl + 2, nl + 1)))
-    bias = pad.attn_bias if pad is not None else _position_bias(cfg, T, x.data.dtype)
-    if bias is not None:
-        logits = logits + Tensor(bias)
-    weights = ad.softmax(logits, axis=-1)
+    lengths = [T] if pad is None else pad.lengths
+    keep = None
     if train_mode and cfg.dropout > 0.0:
         if rng is None:
             raise ContractError("train_mode attention needs an rng for dropout")
-        weights = weights * Tensor(_dropout_mask(weights.shape, cfg.dropout, rng, pad))
-    ctx = ad.matmul(weights, v).transpose(split).reshape(*lead, T, cfg.model_dim)
+        # each slot draws its (h, T_b, T_b) block from its own generator, so a
+        # slot sees the same draws as it would alone
+        rngs = [rng] if pad is None else rng
+        keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, lengths)]
+    ctx = ad.attention(q, k, v, _position_bias(cfg, T, x.data.dtype), keep,
+                       1.0 / (1.0 - cfg.dropout), lengths)
+    ctx = ctx.transpose(split).reshape(*lead, T, cfg.model_dim)
     return ad.matmul(ctx, g["attn.wo"], g["attn.bo"])
 
 
@@ -329,7 +314,7 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
         if train_mode and rng is not None and (
                 isinstance(rng, np.random.Generator) or len(rng) != B):
             raise ContractError(f"a batch of {B} needs one dropout generator per slot")
-        pad = Padding.of(lengths, T, cfg, x.data.dtype)
+        pad = Padding.of(lengths, T, x.data.dtype)
     elif x.data.ndim != 2 or x.shape[1] != cfg.input_dim or lengths is not None:
         raise ContractError(f"input must be T x {cfg.input_dim}, or B x T_max x "
                             f"{cfg.input_dim} with lengths, got {x.shape}")

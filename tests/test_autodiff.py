@@ -121,6 +121,77 @@ def test_softmax_empty_rejected():
         ad.softmax(Tensor(np.zeros(0)))
 
 
+# ---- attention --------------------------------------------------------------
+
+
+def _attention_inputs(seed, lead=(2,), h=2, T=5, dh=3):
+    r = rng(seed)
+    q, k, v = (Tensor(r.normal(size=lead + (h, T, dh)), requires_grad=True) for _ in range(3))
+    return q, k, v, r.normal(size=(T, T)), Tensor(r.normal(size=lead + (h, T, dh)))
+
+
+def _keep_masks(seed, h, lengths, p):
+    r = rng(seed)
+    return [r.random((h, t, t)) >= p for t in lengths]
+
+
+@pytest.mark.parametrize("lengths,p", [(None, 0.0), ([5, 3], 0.0), ([5, 3], 0.4)],
+                         ids=["unpadded", "padded", "dropout"])
+def test_attention_finite_difference(float64, lengths, p):
+    q, k, v, bias, coeff = _attention_inputs(0)
+    keep = _keep_masks(1, 2, lengths, p) if p else None
+
+    def f():
+        return (ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), lengths) * coeff).sum()
+
+    assert ad.grad_check(f, [q, k, v], eps=1e-6) <= 1e-7
+
+
+def test_attention_single_slot_matches_softmax_chain(float64):
+    q, k, v, bias, _ = _attention_inputs(2, lead=())
+    weights = ad.softmax(ad.matmul(q, k.transpose((0, 2, 1))) + Tensor(bias))
+    np.testing.assert_allclose(ad.attention(q, k, v, bias).data,
+                               ad.matmul(weights, v).data, atol=1e-12)
+
+
+def test_attention_padded_rows_are_zero(float64):
+    q, k, v, bias, coeff = _attention_inputs(3)
+    lengths = [5, 2]
+    out = ad.attention(q, k, v, bias, _keep_masks(4, 2, lengths, 0.3), 1 / 0.7, lengths)
+    assert np.all(out.data[1, :, 2:] == 0.0)
+    (out * coeff).sum().backward()
+    for t in (q, k, v):  # padded frames neither feed nor receive anything
+        assert np.all(t.grad[1, :, 2:] == 0.0)
+    # a padded slot's real rows match the same slot cut to its length
+    short = [Tensor(t.data[1:, :, :2]) for t in (q, k, v)]
+    ref = ad.attention(*short, bias[:2, :2], _keep_masks(4, 2, lengths, 0.3)[1:], 1 / 0.7)
+    np.testing.assert_array_equal(out.data[1:, :, :2], ref.data)
+
+
+def test_attention_graph_and_no_grad_forward_agree(float64):
+    q, k, v, bias, _ = _attention_inputs(5)
+    keep = _keep_masks(6, 2, [4, 5], 0.2)
+    graph = ad.attention(q, k, v, bias, keep, 1.25, [4, 5])
+    with ad.no_grad():
+        plain = ad.attention(q, k, v, bias, keep, 1.25, [4, 5])
+    assert graph.requires_grad and not plain.requires_grad
+    np.testing.assert_array_equal(graph.data, plain.data)
+
+
+def test_attention_contract():
+    q, k, v, bias, _ = _attention_inputs(7)
+    with pytest.raises(DimensionError):
+        ad.attention(q, Tensor(k.data[..., :4, :]), v)
+    with pytest.raises(DimensionError):
+        ad.attention(q, k, v, bias[:4, :4])
+    with pytest.raises(DimensionError):
+        ad.attention(q, k, v, keep=_keep_masks(0, 2, [5, 4], 0.1), lengths=[5, 5])
+    with pytest.raises(ContractError):
+        ad.attention(q, k, v, lengths=[5, 0])
+    with pytest.raises(ContractError):
+        ad.attention(q, k, v, lengths=[5])
+
+
 # ---- layer_norm -------------------------------------------------------------
 
 

@@ -91,6 +91,22 @@ def test_threads_key_in_config_file_is_unknown(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    b"[train]\nmax_steps=2\n[train]\nbatch_size=2\n",
+    b"max_steps=2\n",
+    b"[train]\nmax_steps\n",
+    b"[train]\nmax_steps=2\xff\n",
+    b"[train]\nmax_steps=2\nmax_steps=3\n",
+], ids=["duplicate-section", "no-section-header", "no-equals", "non-utf8", "duplicate-option"])
+def test_malformed_config_file_is_input_error(tmp_path, capsys, text):
+    ini = tmp_path / "run.ini"
+    ini.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(ini), "synth", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset", [None, *PRESETS])
 def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     cfg = RunConfig()

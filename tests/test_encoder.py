@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from sharedformer import autodiff as ad
+from sharedformer import encoder
 from sharedformer.autodiff import Tensor
-from sharedformer.encoder import (ConformerConfig, ParameterStore,
+from sharedformer.encoder import (ConformerConfig, Padding, ParameterStore, _attention,
                                   conformer_block, forward, load_checkpoint,
-                                  param_count, sample_depth, save_checkpoint,
-                                  sli_forward, store_from_checkpoint)
+                                  param_count, relative_position_bias, sample_depth,
+                                  save_checkpoint, sli_forward, store_from_checkpoint)
 from sharedformer.errors import ConfigError, ContractError
 from sharedformer.rng import substream
 from sharedformer.training import mpc_loss, predictor_apply
@@ -58,7 +59,7 @@ def _tensors_created(fn):
     return next(ad._ids) - start - 1
 
 
-@pytest.mark.parametrize("train_mode,count", [(False, 47), (True, 49)])
+@pytest.mark.parametrize("train_mode,count", [(False, 42), (True, 42)])
 def test_block_graph_size(train_mode, count):
     store = desk_store()
     x = Tensor(rng(0).normal(size=(20, 16)))
@@ -110,20 +111,82 @@ def test_padded_batch_gradient_finite_difference(float64):
 
 def test_attention_rows_sum_to_one(float64, monkeypatch):
     recorded = []
-    original = ad.softmax
+    original = ad.attention
 
-    def spy(x, axis=-1):
-        out = original(x, axis=axis)
-        recorded.append(out.data.copy())
-        return out
+    def spy(q, k, v, *args, **kwargs):
+        recorded.append((q, k, v.shape, args, kwargs))
+        return original(q, k, v, *args, **kwargs)
 
-    monkeypatch.setattr("sharedformer.encoder.ad.softmax", spy)
+    monkeypatch.setattr("sharedformer.encoder.ad.attention", spy)
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(4, "init"))
     conformer_block(Tensor(rng(0).normal(size=(7, cfg.model_dim))), store.layer_group(0), cfg)
     assert recorded
-    for weights in recorded:
-        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
+    for q, k, v_shape, args, kwargs in recorded:
+        # with v = 1 each output is the sum of its row of attention weights
+        out = original(q, k, Tensor(np.ones(v_shape[:-1] + (1,))), *args, **kwargs)
+        np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
+
+
+def _composite_attention(x, g, cfg, rngs, lengths):
+    """The attention module as a chain of plain ops: full (B, h, T, T) logits
+    with a -inf key-padding bias, softmax, and a float inverted-dropout mask."""
+    B, T, d = x.shape
+    h, dh, p = cfg.num_heads, cfg.head_dim, cfg.dropout
+    n = ad.layer_norm(x, g["attn.norm.gamma"], g["attn.norm.beta"])
+
+    def heads(t):
+        return t.reshape(B, T, h, dh).transpose((0, 2, 1, 3))
+
+    q = heads(ad.matmul(n, g["attn.wq"], g["attn.bq"])) * (1.0 / np.sqrt(dh))
+    k = heads(n @ g["attn.wk"])
+    v = heads(ad.matmul(n, g["attn.wv"], g["attn.bv"]))
+    real = np.arange(T) < np.asarray(lengths)[:, None]
+    bias = np.where(real, 0.0, -np.inf)[:, None, None, :] + relative_position_bias(
+        T, dh, np.float64)
+    weights = ad.softmax(ad.matmul(q, k.transpose((0, 1, 3, 2))) + Tensor(bias))
+    mask = np.zeros(weights.shape)
+    for b, (r, t) in enumerate(zip(rngs, lengths)):
+        mask[b, :, :t, :t] = (r.random((h, t, t)) >= p) / (1.0 - p)
+    ctx = ad.matmul(weights * Tensor(mask), v).transpose((0, 2, 1, 3)).reshape(B, T, d)
+    return ad.matmul(ctx, g["attn.wo"], g["attn.bo"])
+
+
+def test_attention_matches_composite_chain(float64):
+    cfg = tiny_config(dropout=0.3)
+    group = ParameterStore.init(cfg, substream(2, "init")).layer_group(0)
+    lengths = [6, 4, 2]
+    real = (np.arange(6) < np.asarray(lengths)[:, None])[..., None]
+    x = Tensor(rng(7).normal(size=(3, 6, cfg.model_dim)))
+    coeff = Tensor(rng(8).normal(size=(3, 6, cfg.model_dim)) * real)
+    pad = Padding.of(lengths, 6, np.float64)
+    outs, grads = [], []
+    for attend in (lambda rngs: _attention(x, group, cfg, True, rngs, pad),
+                   lambda rngs: _composite_attention(x, group, cfg, rngs, lengths)):
+        out = attend([substream(0, "dropout", 3, slot) for slot in range(3)])
+        (out * coeff).sum().backward()
+        outs.append(out.data * real)
+        grads.append({name: p.grad for name, p in group.items() if name.startswith("attn.")})
+        for p in group.values():
+            p.grad = None
+    np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-12)
+    for name, g in grads[0].items():
+        np.testing.assert_allclose(g, grads[1][name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def _position_bias_formula(T, head_dim, dtype):
+    delta = np.arange(T)[:, None] - np.arange(T)[None, :]
+    freqs = 1.0 / (10000.0 ** (2 * np.arange(head_dim // 2) / head_dim))
+    return (np.sin(delta[..., None] * freqs).mean(axis=-1) / np.sqrt(head_dim)).astype(dtype)
+
+
+def test_position_bias_one_table_grown_to_longest(monkeypatch):
+    monkeypatch.setattr(encoder, "_pos_bias_cache", {})
+    for T in (40, 100, 7, 250, 100, 1):
+        np.testing.assert_array_equal(relative_position_bias(T, 8, np.float32),
+                                      _position_bias_formula(T, 8, np.float32))
+    assert len(encoder._pos_bias_cache) == 1
+    assert next(iter(encoder._pos_bias_cache.values())).shape == (250, 250)
 
 
 # ---- stack ------------------------------------------------------------------
