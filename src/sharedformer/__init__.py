@@ -6,7 +6,7 @@ from .encoder import (ConformerConfig, LayerTrace, ParameterStore,
                       conformer_block, forward, param_count, sample_depth,
                       sli_forward)
 from .features import (FeatureSequence, LabeledCorpus, load_features,
-                       logmel_extract, save_features, synth_corpus)
+                       save_features, synth_corpus)
 from .masking import MaskConfig, MaskPlan, apply_masks, plan_masks
 from .training import (AdamState, TrainConfig, TrainResult, adam_step,
                        mpc_loss, noam_lr, predictor_apply, train)

@@ -133,7 +133,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
             f"found {corpus.sequences[0].dim}")
     if args.which == "transitions":
         idx = list(range(len(corpus.sequences)))
-        traces = collect_traces(store, corpus, idx, cfg.mask)
+        traces = collect_traces(store, corpus, idx, cfg.mask, batch_size=cfg.train.batch_size)
         report = layer_transitions(traces, model_tag=str(args.checkpoint))
         rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
                 for i in range(len(report.l2_mean))]
@@ -182,6 +182,8 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         layers = [int(tok) for tok in args.layers.split(",") if tok.strip()]
     except ValueError:
         raise InputError(f"--layers must be comma-separated integers, got {args.layers!r}") from None
+    if not layers:
+        raise InputError(f"--layers names no depth, got {args.layers!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_echo(out)
@@ -189,7 +191,8 @@ def cmd_probe(args, cfg: RunConfig) -> int:
     corpus = _load_corpus(args.data, args.labels)
     if len(set(layers)) != len(layers):
         print("warning: duplicate layer entries removed", file=sys.stderr)
-    results = sli_sweep(store, corpus, layers, seed=cfg.train.seed)
+    results = sli_sweep(store, corpus, layers, seed=cfg.train.seed,
+                        batch_size=cfg.train.batch_size)
     rows = [[r.layer, r.accuracy] for r in results]
     write_report(out / "sweep", ["layer", "accuracy"], rows)
     for r in results:

@@ -4,6 +4,12 @@ Includes consecutive-layer transition metrics (L2 / cosine), a per-layer
 decomposition of the shared parameter gradient, analytic multiply-accumulate
 counts with depth-policy ratios, deterministic PCA scatter projections, and a
 frozen-feature linear probe with a shallow-inference sweep.
+
+Every forward-only diagnostic runs one length-sorted, zero-padded batch per
+chunk of utterances through a single traced forward without a graph, then
+cuts each utterance's trace back to its real frames. Depth m is a prefix of
+the stack, so the shallow-inference sweep reads every requested depth from
+one trace at the deepest of them.
 """
 
 from __future__ import annotations
@@ -17,15 +23,40 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import (ConformerConfig, LayerTrace, ParameterStore, forward,
-                      sli_forward)
+from .encoder import ConformerConfig, LayerTrace, ParameterStore, forward, pad_batch
 from .errors import ContractError, InvariantError
 from .features import FeatureSequence, LabeledCorpus
 from .masking import MaskConfig, mask_utterance
 from .rng import substream
-from .training import check_depth, mpc_loss, predictor_apply
+from .training import batch_loss, check_depth
 
 SCHEMA_VERSION = 1
+
+
+# ---- traced passes -----------------------------------------------------------
+
+
+def _traced_passes(store: ParameterStore, frames: list[np.ndarray], depth: int,
+                   batch_size: int) -> list[LayerTrace]:
+    """Depth-`depth` traces of (T_i, D) utterances, one per utterance in the given order.
+
+    Utterances are stable-sorted by length and packed into zero-padded chunks
+    of `batch_size`, each run as one traced forward without a graph; every
+    trace keeps only its utterance's real frames.
+    """
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
+    order = sorted(range(len(frames)), key=lambda i: frames[i].shape[0])
+    traces: list[LayerTrace] = [None] * len(frames)
+    with ad.no_grad():
+        for start in range(0, len(order), batch_size):
+            chunk = order[start:start + batch_size]
+            lengths = [frames[i].shape[0] for i in chunk]
+            _, trace = forward(pad_batch([frames[i] for i in chunk]), store, depth,
+                               collect_trace=True, lengths=lengths)
+            for b, (i, n) in enumerate(zip(chunk, lengths)):
+                traces[i] = LayerTrace([e[b, :n] for e in trace.embeddings])
+    return traces
 
 
 # ---- layer transitions -------------------------------------------------------
@@ -119,13 +150,14 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
         raise ContractError("empty batch")
     mask_cfg = mask_cfg or MaskConfig()
     short = [n[len("layer.shared."):] for n in _shared_group_names(store)]
+    masked = [mask_utterance(seq, mask_cfg) for seq in batch]
 
-    def batch_loss(model: ParameterStore) -> Tensor:
+    def summed_loss(model: ParameterStore) -> Tensor:
+        # one graph over one-utterance chunks: a single padded batch graph
+        # holds more activations at once
         total = None
-        for seq in batch:
-            plan, corrupted = mask_utterance(seq, mask_cfg)
-            h, _ = forward(Tensor(corrupted.frames), model, n_layers)
-            loss = mpc_loss(predictor_apply(h, model), seq.frames, plan)
+        for seq, m in zip(batch, masked):
+            loss = batch_loss(model, [seq], [m], n_layers, "all-frames")
             total = loss if total is None else total + loss
         return total * (1.0 / len(batch))
 
@@ -136,12 +168,12 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
                                                requires_grad=True)
     unshared = ParameterStore(replace(cfg, share_params=False), view)
     store.zero_grad()
-    batch_loss(unshared).backward()
+    summed_loss(unshared).backward()
     contributions = [_flatten(unshared.layer_group(i), short) for i in range(n_layers)]
 
     # reference: one shared group applied n_layers times
     store.zero_grad()
-    batch_loss(store).backward()
+    summed_loss(store).backward()
     total = _flatten(store.layer_group(0), short)
     store.zero_grad()
 
@@ -297,34 +329,42 @@ def probe_split(corpus: LabeledCorpus, seed: int, test_fraction: float = 0.2) ->
     return [int(i) for i in perm[cut:]], [int(i) for i in perm[:cut]]
 
 
+def _pooled(traces: list[LayerTrace], m: int) -> np.ndarray:
+    return np.concatenate([t.embeddings[m] for t in traces]).astype(np.float64)
+
+
 def layer_embeddings(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
-                     m: int) -> tuple[np.ndarray, np.ndarray]:
+                     m: int, batch_size: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Pooled frame embeddings and labels for the given utterances at depth m."""
-    xs, ys = [], []
-    for i in idx:
-        seq = corpus.sequences[i]
-        emb = sli_forward(Tensor(seq.frames), store, m)
-        xs.append(emb.data.astype(np.float64))
-        ys.append(corpus.labels[i])
-    return np.concatenate(xs, axis=0), np.concatenate(ys)
+    if not (1 <= m <= store.config.max_layers):
+        raise ContractError(f"SLI layer count {m} outside [1, {store.config.max_layers}]")
+    traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx], m, batch_size)
+    return _pooled(traces, m), np.concatenate([corpus.labels[i] for i in idx])
 
 
 def sli_sweep(store: ParameterStore, corpus: LabeledCorpus, layers: list[int],
-              seed: int = 0, probe_config: ProbeConfig | None = None) -> list[ProbeResult]:
-    """One linear probe per shallow-inference depth; results sorted by depth."""
+              seed: int = 0, probe_config: ProbeConfig | None = None,
+              batch_size: int = 8) -> list[ProbeResult]:
+    """One linear probe per shallow-inference depth; results sorted by depth.
+
+    Each probe split is traced once, at the deepest requested depth; depth m
+    is entry m of that trace.
+    """
     H = store.config.max_layers
+    if not layers:
+        raise ContractError("sweep needs at least one layer")
     for m in layers:
         if not (1 <= m <= H):
             raise ContractError(f"sweep layer {m} outside [1, {H}]")
-    train_idx, test_idx = probe_split(corpus, seed)
-    results = []
-    for m in sorted(set(layers)):
-        xtr, ytr = layer_embeddings(store, corpus, train_idx, m)
-        xte, yte = layer_embeddings(store, corpus, test_idx, m)
-        res = linear_probe(xtr, ytr, xte, yte, corpus.num_classes, layer=m,
-                           config=probe_config)
-        results.append(res)
-    return results
+    splits = []
+    for idx in probe_split(corpus, seed):
+        traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx],
+                                max(layers), batch_size)
+        splits.append((traces, np.concatenate([corpus.labels[i] for i in idx])))
+    (train_traces, ytr), (test_traces, yte) = splits
+    return [linear_probe(_pooled(train_traces, m), ytr, _pooled(test_traces, m), yte,
+                         corpus.num_classes, layer=m, config=probe_config)
+            for m in sorted(set(layers))]
 
 
 # ---- report emission ---------------------------------------------------------
@@ -345,17 +385,12 @@ def write_report(path_base: str | Path, header: list[str], rows: list[list]) -> 
 
 
 def collect_traces(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
-                   mask_cfg: MaskConfig | None = None, masked: bool = True) -> list[LayerTrace]:
-    """Full-depth traced forwards over the given utterances (fixed masks)."""
+                   mask_cfg: MaskConfig | None = None, masked: bool = True,
+                   batch_size: int = 8) -> list[LayerTrace]:
+    """Full-depth traces of the given utterances (fixed masks), in `idx` order."""
     mask_cfg = mask_cfg or MaskConfig()
-    traces = []
-    for i in idx:
-        seq = corpus.sequences[i]
-        frames = seq.frames
-        if masked:
-            frames = mask_utterance(seq, mask_cfg)[1].frames
-        with ad.no_grad():
-            _, trace = forward(Tensor(frames), store, store.config.max_layers,
-                               collect_trace=True)
-        traces.append(trace)
-    return traces
+    seqs = [corpus.sequences[i] for i in idx]
+    if masked:
+        seqs = [mask_utterance(seq, mask_cfg)[1] for seq in seqs]
+    return _traced_passes(store, [seq.frames for seq in seqs], store.config.max_layers,
+                          batch_size)

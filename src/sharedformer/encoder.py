@@ -42,6 +42,9 @@ class ConformerConfig:
     pos_bias: str = "relative-bias"  # "none" | "relative-bias"
 
     def __post_init__(self):
+        for name in ("input_dim", "model_dim", "num_heads", "ff_dim", "conv_kernel"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
         if self.max_layers < 1:
@@ -330,7 +333,10 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
 
 def pad_batch(arrays: list[np.ndarray]) -> np.ndarray:
     """Stack (T_b, D) arrays into one zero-padded (B, T_max, D) array."""
-    out = np.zeros((len(arrays), max(a.shape[0] for a in arrays), arrays[0].shape[1]),
+    dims = {a.shape[1] for a in arrays}
+    if len(dims) > 1:
+        raise ContractError(f"utterances disagree on feature dim: {sorted(dims)}")
+    out = np.zeros((len(arrays), max(a.shape[0] for a in arrays), dims.pop()),
                    dtype=ad.get_default_dtype())
     for b, a in enumerate(arrays):
         out[b, :a.shape[0]] = a
@@ -410,8 +416,13 @@ def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.unpack("Q", "tensor count")[0]):
         name = r.string("tensor name")
+        at = r.off
         rank = r.u32("rank")
-        dims = r.unpack(f"{rank}I", "dims")
+        dims = r.unpack(f"{rank}I", "dims") if rank <= 32 else ()
+        # an empty tensor may carry any other dims, but numpy refuses huge or many
+        if rank > 32 or math.prod(max(n, 1) for n in dims) > 1 << 30:
+            raise FormatError(f"implausible shape for tensor {name!r}: rank {rank}, "
+                              f"dims {dims}", offset=at)
         arr = np.frombuffer(r.take(4 * math.prod(dims), "tensor data"), dtype="<f4").reshape(dims)
         tensors[name] = arr.copy()
     return config, tensors

@@ -1,4 +1,4 @@
-"""Acoustic feature ingestion, log-mel extraction, and a synthetic labeled corpus.
+"""Acoustic feature files and a synthetic labeled corpus.
 
 Binary formats (little-endian):
   features: magic "LCFB", u32 version=1, u32 count; per sequence u32 id_len +
@@ -20,7 +20,6 @@ from .rng import substream
 
 FEATURE_MAGIC = b"LCFB"
 LABEL_MAGIC = b"LCLB"
-LOG_FLOOR = 1e-10
 
 
 @dataclass
@@ -118,56 +117,6 @@ def load_labels(path) -> tuple[dict[str, np.ndarray], int]:
             raise FormatError(f"label {int(lab.max())} >= class count {C} for {uid!r}", offset=at + 8)
         labels[uid] = lab
     return labels, num_classes or 0
-
-
-# ---- log-mel extraction ------------------------------------------------------
-
-
-def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters over rFFT bins; shape (n_fft//2 + 1, n_mels)."""
-    n_bins = n_fft // 2 + 1
-    freqs = np.arange(n_bins) * sample_rate / n_fft
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), n_mels + 2))
-    fb = np.zeros((n_bins, n_mels))
-    for m in range(n_mels):
-        lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
-        up = (freqs - lo) / (mid - lo)
-        down = (hi - freqs) / (hi - mid)
-        fb[:, m] = np.maximum(0.0, np.minimum(up, down))
-    return fb
-
-
-def logmel_extract(pcm, sample_rate: int, n_mels: int = 80,
-                   frame_len_ms: float = 25.0, frame_shift_ms: float = 10.0,
-                   utterance_id: str = "utt") -> FeatureSequence:
-    """Log mel filterbank energies from 16-bit mono samples."""
-    if sample_rate not in (8000, 16000):
-        raise ConfigError(f"sample_rate must be 8000 or 16000, got {sample_rate}")
-    if n_mels < 4:
-        raise ConfigError(f"n_mels must be >= 4, got {n_mels}")
-    pcm = np.asarray(pcm, dtype=np.float64)
-    frame_len = int(round(sample_rate * frame_len_ms / 1000.0))
-    frame_shift = int(round(sample_rate * frame_shift_ms / 1000.0))
-    if pcm.size < frame_len:
-        raise InputError(f"audio too short: {pcm.size} samples < one {frame_len}-sample frame")
-    num_frames = 1 + (pcm.size - frame_len) // frame_shift
-    n_fft = 1
-    while n_fft < frame_len:
-        n_fft *= 2
-    window = np.hanning(frame_len)
-    fb = mel_filterbank(n_mels, n_fft, sample_rate)
-    idx = np.arange(frame_len) + frame_shift * np.arange(num_frames)[:, None]
-    spec = np.abs(np.fft.rfft(pcm[idx] * window, n=n_fft, axis=1)) ** 2
-    feats = np.log(np.maximum(spec @ fb, LOG_FLOOR))
-    return FeatureSequence(utterance_id, feats.astype(np.float32), frame_shift_ms)
 
 
 # ---- synthetic corpus --------------------------------------------------------

@@ -8,7 +8,7 @@ from sharedformer.cli import main
 from sharedformer.config import PRESETS, RunConfig, apply_preset, load_config
 from sharedformer.encoder import (ConformerConfig, ParameterStore, load_checkpoint,
                                   save_checkpoint, store_from_checkpoint)
-from sharedformer.features import load_features
+from sharedformer.features import FeatureSequence, load_features, save_features
 
 QUICK = [
     "--data.num_utts=14", "--data.t_min=15", "--data.t_max=25",
@@ -126,9 +126,13 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["pretrain", "--mask.block_len=0"],
     ["pretrain", "--train.precision=float16"],
     ["pretrain", "--model.min_layers=2"],
+    ["pretrain", "--model.num_heads=0"],
+    ["pretrain", "--model.ff_dim=0"],
     ["diagnose", "--which", "grads", "--diag.grad_depth=0"],
     ["diagnose", "--which", "project", "--diag.utterance=-1"],
     ["probe", "--layers", "2,x"],
+    ["probe", "--layers", ","],
+    ["probe", "--layers", ""],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_bad_value_exits_before_any_output(tmp_path, corpus_dir, run_dir, capsys, argv):
     data = ["--data", str(corpus_dir / "features.bin")]
@@ -399,7 +403,32 @@ def test_probe_layer_out_of_range(tmp_path, corpus_dir, run_dir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["pretrain"],
+    ["diagnose", "--which", "transitions"],
+], ids=["pretrain", "transitions"])
+def test_mixed_feature_dims_is_input_error(tmp_path, run_dir, capsys, command):
+    r = np.random.default_rng(0)
+    seqs = [FeatureSequence(f"u{i}", r.normal(size=(20, 12 if i == 3 else 16)))
+            for i in range(6)]
+    save_features(seqs, tmp_path / "mixed.bin")
+    ckpt = ["--checkpoint", str(run_dir / "final.ckpt")] if command[0] == "diagnose" else []
+    code = main([*command, *ckpt, "--data", str(tmp_path / "mixed.bin"),
+                 "--train.max_steps=2", "--train.batch_size=6", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "feature dim" in capsys.readouterr().err
+
+
 # ---- malformed checkpoints ---------------------------------------------------
+
+
+def test_checkpoint_with_zero_heads_is_input_error(tmp_path, corpus_dir, run_dir, capsys):
+    store = store_from_checkpoint(*load_checkpoint(run_dir / "final.ckpt"))
+    save_checkpoint(tmp_path / "bad.ckpt", store, {"num_heads": "0"})
+    code = main(["diagnose", "--which", "transitions", "--checkpoint", str(tmp_path / "bad.ckpt"),
+                 "--data", str(corpus_dir / "features.bin"), "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert "num_heads" in capsys.readouterr().err
 
 
 def _doctored_checkpoint(run_dir, path, edit):

@@ -10,7 +10,8 @@ from sharedformer.diagnostics import (ConsistencyReport, GradDecomposition,
                                       layer_transitions, linear_probe,
                                       probe_split, project_2d, sli_sweep,
                                       write_report)
-from sharedformer.encoder import ConformerConfig, LayerTrace, ParameterStore
+from sharedformer.encoder import (ConformerConfig, LayerTrace, ParameterStore,
+                                  forward, sli_forward)
 from sharedformer.errors import ContractError, InvariantError
 from sharedformer.features import synth_corpus
 from sharedformer.rng import substream
@@ -400,3 +401,61 @@ def test_collect_traces_unmasked_differs(float64):
     clean = collect_traces(store, corpus, [0], masked=False)
     assert not np.array_equal(masked[0].embeddings[0], clean[0].embeddings[0])
     np.testing.assert_array_equal(clean[0].embeddings[0].shape, masked[0].embeddings[0].shape)
+
+
+# ---- batched traced passes ---------------------------------------------------
+
+
+def test_batched_traces_match_per_utterance(float64):
+    store = desk_store(seed=2)
+    corpus = small_corpus(n=20)
+    idx = [7, 2, 19, 0, 11, 5, 13, 3, 16]
+    lengths = sorted(corpus.sequences[i].num_frames for i in idx)
+    chunks = [lengths[k:k + 4] for k in range(0, len(lengths), 4)]
+    assert any(len(set(c)) > 1 for c in chunks)  # some chunk is really padded
+    traces = collect_traces(store, corpus, idx, masked=False, batch_size=4)
+    assert len(traces) == len(idx)
+    for i, trace in zip(idx, traces):
+        with ad.no_grad():
+            _, ref = forward(corpus.sequences[i].frames, store, 8, collect_trace=True)
+        assert trace.depth == ref.depth
+        for got, want in zip(trace.embeddings, ref.embeddings):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_layer_embeddings_match_sli_forward(float64):
+    store = desk_store(seed=4)
+    corpus = small_corpus(n=12)
+    idx = [5, 0, 9, 3, 11, 1]
+    x, y = layer_embeddings(store, corpus, idx, m=5, batch_size=4)
+    ref = np.concatenate([sli_forward(corpus.sequences[i].frames, store, 5).data for i in idx])
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(y, np.concatenate([corpus.labels[i] for i in idx]))
+
+
+def test_layer_embeddings_depth_contract():
+    store = desk_store()
+    with pytest.raises(ContractError):
+        layer_embeddings(store, small_corpus(n=4), [0], m=0)
+
+
+def test_sli_sweep_traces_once_at_deepest_layer():
+    store = desk_store()
+    corpus = small_corpus(n=10)
+    before = store.block_applications
+    sli_sweep(store, corpus, [2, 5, 8], probe_config=ProbeConfig(steps=5))
+    assert store.block_applications - before == 10 * 8
+
+
+def test_collect_traces_block_applications():
+    store = desk_store()
+    corpus = small_corpus(n=10)
+    before = store.block_applications
+    collect_traces(store, corpus, list(range(10)), batch_size=3)
+    assert store.block_applications - before == 10 * store.config.max_layers
+
+
+def test_sli_sweep_empty_layers_contract():
+    with pytest.raises(ContractError):
+        sli_sweep(desk_store(), small_corpus(n=10), [])

@@ -39,6 +39,9 @@ def test_config_validation():
         ConformerConfig(conv_kernel=4)
     with pytest.raises(ConfigError):
         ConformerConfig(max_layers=0)
+    for name in ("input_dim", "model_dim", "num_heads", "ff_dim", "conv_kernel"):
+        with pytest.raises(ConfigError, match=name):
+            ConformerConfig(**{name: -1})
 
 
 # ---- block ------------------------------------------------------------------

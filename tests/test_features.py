@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from sharedformer.diagnostics import linear_probe
 from sharedformer.errors import ConfigError, FormatError, InputError
-from sharedformer.features import (LOG_FLOOR, FeatureSequence, LabeledCorpus,
-                                   load_features, load_labels, logmel_extract,
-                                   mel_filterbank, save_features, save_labels,
+from sharedformer.features import (FeatureSequence, LabeledCorpus, load_features,
+                                   load_labels, save_features, save_labels,
                                    synth_corpus)
 
 
@@ -148,71 +147,6 @@ def test_non_utf8_utterance_id_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         load_features(path)
-
-
-# ---- log-mel ----------------------------------------------------------------
-
-
-def test_logmel_silence_is_floor():
-    feats = logmel_extract(np.zeros(16000), 16000, n_mels=20)
-    np.testing.assert_allclose(feats.frames, np.log(LOG_FLOOR))
-
-
-def test_logmel_frame_count():
-    feats = logmel_extract(np.zeros(16000), 16000, n_mels=20,
-                           frame_len_ms=25.0, frame_shift_ms=10.0)
-    assert feats.num_frames == 98
-
-
-def test_logmel_sine_peaks_in_matching_bin():
-    sr, n_mels = 16000, 40
-    t = np.arange(sr) / sr
-    pcm = 8000.0 * np.sin(2 * np.pi * 1000.0 * t)
-    feats = logmel_extract(pcm, sr, n_mels=n_mels)
-    fb = mel_filterbank(n_mels, 512, sr)
-    # the filter with the largest weight at 1 kHz
-    freqs = np.arange(fb.shape[0]) * sr / 512
-    k = int(np.argmin(np.abs(freqs - 1000.0)))
-    target_bin = int(np.argmax(fb[k]))
-    hits = np.mean(np.argmax(feats.frames, axis=1) == target_bin)
-    assert hits >= 0.95
-
-
-def test_logmel_matches_direct_dft_oracle():
-    # brute-force DFT + triangle filters, computed independently per frame
-    sr, n_mels = 8000, 8
-    r = rng(0)
-    pcm = r.normal(size=2000) * 100.0
-    feats = logmel_extract(pcm, sr, n_mels=n_mels, frame_len_ms=25.0, frame_shift_ms=10.0)
-    frame_len, shift, n_fft = 200, 80, 256
-    window = np.hanning(frame_len)
-    fb = mel_filterbank(n_mels, n_fft, sr)
-    for frame in range(3):
-        seg = pcm[frame * shift: frame * shift + frame_len] * window
-        n = np.arange(n_fft)
-        spec = np.zeros(n_fft // 2 + 1)
-        padded = np.zeros(n_fft)
-        padded[:frame_len] = seg
-        for k in range(n_fft // 2 + 1):
-            spec[k] = np.abs(np.sum(padded * np.exp(-2j * np.pi * k * n / n_fft))) ** 2
-        expect = np.log(np.maximum(spec @ fb, LOG_FLOOR))
-        np.testing.assert_allclose(feats.frames[frame], expect, rtol=1e-5, atol=1e-5)
-
-
-def test_logmel_polarity_invariance():
-    pcm = rng(1).normal(size=8000) * 500.0
-    a = logmel_extract(pcm, 16000, n_mels=12)
-    b = logmel_extract(-pcm, 16000, n_mels=12)
-    np.testing.assert_allclose(a.frames, b.frames, atol=1e-4)
-
-
-def test_logmel_contracts():
-    with pytest.raises(ConfigError):
-        logmel_extract(np.zeros(16000), 44100)
-    with pytest.raises(ConfigError):
-        logmel_extract(np.zeros(16000), 16000, n_mels=2)
-    with pytest.raises(InputError):
-        logmel_extract(np.zeros(10), 16000)
 
 
 # ---- synthetic corpus -------------------------------------------------------
