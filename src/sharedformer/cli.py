@@ -107,9 +107,9 @@ def cmd_pretrain(args, cfg: RunConfig) -> int:
 
 
 def cmd_diagnose(args, cfg: RunConfig) -> int:
+    # each branch creates --out only once its checks and its computation pass,
+    # so a rejected run leaves no output directory behind
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_echo(out)
     if args.which == "flops":
         model_cfg = _load_store(args.checkpoint).config if args.checkpoint else cfg.model
         rep = flop_report(model_cfg, cfg.diag.flop_frames)
@@ -118,6 +118,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
                  ["sli_ratio_min_layers", rep.sli_ratio_at(low)]]
         rows = [[n, rep.flops(n), rep.block_flops(n)]
                 for n in range(1, model_cfg.max_layers + 1)]
+        cfg.write_echo(out)
         write_report(out / "flops", ["layers", "total_macs", "block_macs"], rows)
         write_report(out / "flop_ratios", ["quantity", "value"], rows2)
         print(f"wrote FLOP report for {model_cfg.max_layers}-layer model to {out}")
@@ -137,6 +138,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
         report = layer_transitions(traces, model_tag=str(args.checkpoint))
         rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
                 for i in range(len(report.l2_mean))]
+        cfg.write_echo(out)
         write_report(out / "transitions", ["layer_from", "layer_to", "l2_mean", "cos_mean"], rows)
         print(f"wrote {len(rows)} transition rows ({report.num_frames} frames) to {out}")
         return 0
@@ -148,6 +150,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
             decomp = gradient_decomposition(store64, batch, cfg.diag.grad_depth, cfg.mask)
             decomp.assert_sum_identity()
         rows = [[i + 1, decomp.norms[i]] for i in range(len(decomp.norms))]
+        cfg.write_echo(out)
         write_report(out / "grad_norms", ["layer", "contribution_norm"], rows)
         rows2 = [["sum_rel_error", decomp.sum_rel_error],
                  ["total_norm", float(np.linalg.norm(decomp.total))],
@@ -170,6 +173,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
         for layer, coords in enumerate(proj.coords):
             for frame, (pc1, pc2) in enumerate(coords):
                 rows.append([layer, cfg.diag.frame_start + frame, float(pc1), float(pc2)])
+        cfg.write_echo(out)
         write_report(out / "projection", ["layer", "frame", "pc1", "pc2"], rows)
         print(f"wrote 2-D projection ({len(rows)} points, degenerate={proj.degenerate}) to {out}")
         return 0
@@ -184,15 +188,14 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         raise InputError(f"--layers must be comma-separated integers, got {args.layers!r}") from None
     if not layers:
         raise InputError(f"--layers names no depth, got {args.layers!r}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_echo(out)
     store = _load_store(args.checkpoint)
     corpus = _load_corpus(args.data, args.labels)
     if len(set(layers)) != len(layers):
         print("warning: duplicate layer entries removed", file=sys.stderr)
     results = sli_sweep(store, corpus, layers, seed=cfg.train.seed,
                         batch_size=cfg.train.batch_size)
+    out = Path(args.out)
+    cfg.write_echo(out)
     rows = [[r.layer, r.accuracy] for r in results]
     write_report(out / "sweep", ["layer", "accuracy"], rows)
     for r in results:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .encoder import ConformerConfig, parse_field
 from .errors import ConfigError
+from .features import MAX_CLASSES
 from .masking import MaskConfig
 from .training import TrainConfig, check_depth, parse_depth
 
@@ -29,6 +30,10 @@ class DataSection:
     dim: int = 16
     num_classes: int = 4
     noise_sigma: float = 0.1
+
+    def __post_init__(self):
+        if self.num_classes > MAX_CLASSES:
+            raise ConfigError(f"num_classes must be <= {MAX_CLASSES}, got {self.num_classes}")
 
 
 @dataclass

@@ -126,14 +126,6 @@ def _shared_group_names(store: ParameterStore) -> list[str]:
     return sorted(k for k in store.params if k.startswith("layer.shared."))
 
 
-def _flatten(tensors: dict[str, Tensor], names: list[str]) -> np.ndarray:
-    parts = []
-    for n in names:
-        t = tensors[n]
-        parts.append((np.zeros_like(t.data) if t.grad is None else t.grad).ravel())
-    return np.concatenate(parts)
-
-
 def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
                            n_layers: int, mask_cfg: MaskConfig | None = None) -> GradDecomposition:
     """Split the shared-group gradient into per-layer-application contributions.
@@ -161,20 +153,23 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
             total = loss if total is None else total + loss
         return total * (1.0 / len(batch))
 
-    view = {k: v for k, v in store.params.items() if not k.startswith("layer.")}
+    # the view store copies every value into its own buffer, so its tensors
+    # share neither data nor gradients with the store it was built from
+    view = {k: Tensor(v.data, requires_grad=True, name=k)
+            for k, v in store.params.items() if not k.startswith("layer.")}
     for i in range(n_layers):
         for name in short:
-            view[f"layer.{i}.{name}"] = Tensor(store.params["layer.shared." + name].data.copy(),
+            view[f"layer.{i}.{name}"] = Tensor(store.params["layer.shared." + name].data,
                                                requires_grad=True)
     unshared = ParameterStore(replace(cfg, share_params=False), view)
-    store.zero_grad()
     summed_loss(unshared).backward()
-    contributions = [_flatten(unshared.layer_group(i), short) for i in range(n_layers)]
+    grad = unshared.flat_grad()
+    contributions = [grad[unshared.span(f"layer.{i}.")] for i in range(n_layers)]
 
     # reference: one shared group applied n_layers times
     store.zero_grad()
     summed_loss(store).backward()
-    total = _flatten(store.layer_group(0), short)
+    total = store.flat_grad()[store.span("layer.shared.")].copy()
     store.zero_grad()
 
     summed = np.sum(contributions, axis=0)

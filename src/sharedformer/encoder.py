@@ -150,17 +150,44 @@ def _init_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator) ->
 
 
 class ParameterStore:
-    """All trainable tensors, keyed by name.
+    """All trainable tensors, keyed by name, backed by one flat buffer.
 
     Shared mode keeps exactly one layer group under the "layer.shared." prefix
     and aliases it for every application; unshared mode keeps max_layers
     independent groups "layer.<i>.".
+
+    The constructor copies every tensor's values into `buffer`, one contiguous
+    array of the tensors' common dtype laid out in `named_parameters()` order
+    (sorted by name, which is also the checkpoint order), and rebinds each
+    tensor's `.data` to its view of it. The names under any prefix, such as
+    "layer.3.", therefore fill one contiguous `span`, and an optimizer can
+    update every parameter with whole-buffer operations. Gradients stay per
+    tensor, as autodiff sets them; `flat_grad` gathers them into a second
+    buffer of the same layout.
     """
 
     def __init__(self, config: ConformerConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
         self.block_applications = 0  # op counter for compute assertions
+        named = sorted(params.items())
+        dtypes = {p.data.dtype for _, p in named}
+        if len(dtypes) != 1:
+            raise ContractError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
+        self.buffer = np.empty(sum(p.data.size for _, p in named), dtype=dtypes.pop())
+        self._grad = np.empty_like(self.buffer)
+        self._zeros = np.zeros(max(p.data.size for _, p in named), dtype=self.buffer.dtype)
+        self._spans: dict[str, slice] = {}
+        self._layout: list[tuple[str, Tensor, np.ndarray]] = []
+        offset = 0
+        for name, p in named:
+            span = slice(offset, offset + p.data.size)
+            view = self.buffer[span].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._spans[name] = span
+            self._layout.append((name, p, view))
+            offset = span.stop
 
     @classmethod
     def init(cls, config: ConformerConfig, rng: np.random.Generator) -> "ParameterStore":
@@ -178,6 +205,39 @@ class ParameterStore:
     def zero_grad(self) -> None:
         for _, p in self.params.items():
             p.grad = None
+
+    def span(self, prefix: str) -> slice:
+        """The slice of the flat layout holding every parameter whose name starts with `prefix`."""
+        inside = [s for name, s in self._spans.items() if name.startswith(prefix)]
+        if not inside:
+            raise ContractError(f"no parameter name starts with {prefix!r}")
+        return slice(inside[0].start, inside[-1].stop)
+
+    def unflatten(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-parameter views of a flat array in this store's layout, by name."""
+        return {name: flat[self._spans[name]].reshape(view.shape)
+                for name, _, view in self._layout}
+
+    def flat_grad(self) -> np.ndarray:
+        """Every parameter's gradient, zeros where it has none, in the flat layout.
+
+        The result is one preallocated buffer that the next call overwrites.
+        """
+        np.concatenate([self._zeros[:view.size] if p.grad is None else p.grad
+                        for _, p, view in self._layout], axis=None, out=self._grad)
+        return self._grad
+
+    def check_layout(self) -> None:
+        """Raise ContractError unless every parameter is still the tensor viewing `buffer`.
+
+        Rebinding a tensor's `.data`, or swapping a tensor in `params`, detaches
+        it from the buffer, and a whole-buffer update would miss it.
+        """
+        for name, p, view in self._layout:
+            if self.params.get(name) is not p or p.data is not view:
+                raise ContractError(f"parameter {name!r} no longer views the store buffer")
+        if len(self.params) != len(self._layout):
+            raise ContractError("parameters were added to the store after it was built")
 
 
 # ---- block -------------------------------------------------------------------

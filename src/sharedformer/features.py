@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codec
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, ContractError, FormatError, InputError
 from .rng import substream
 
 FEATURE_MAGIC = b"LCFB"
 LABEL_MAGIC = b"LCLB"
+MAX_CLASSES = 1 << 16  # labels are stored as u16
 
 
 @dataclass
@@ -87,6 +88,11 @@ def load_features(path) -> list[FeatureSequence]:
 
 
 def save_labels(corpus: LabeledCorpus, path) -> None:
+    # one check over the whole corpus: a label outside u16 would wrap silently
+    every = np.concatenate(corpus.labels) if corpus.labels else np.zeros(0, dtype=np.int64)
+    if every.size and not (0 <= int(every.min()) and int(every.max()) < MAX_CLASSES):
+        raise ContractError(f"labels span {int(every.min())}..{int(every.max())}, "
+                            f"the label file holds 0..{MAX_CLASSES - 1}")
     parts = [codec.header(LABEL_MAGIC), struct.pack("<I", len(corpus.labels))]
     for seq, lab in zip(corpus.sequences, corpus.labels):
         parts.append(codec.string(seq.utterance_id))

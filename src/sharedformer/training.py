@@ -18,7 +18,7 @@ from a checkpoint reproduces the uninterrupted run bitwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -136,40 +136,46 @@ def noam_lr(step: int, warmup: int, model_dim: int, scale: float) -> float:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Adam's moments as flat buffers in the store's layout; None before the first step."""
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
 
 def adam_step(state: AdamState, store: ParameterStore, lr: float,
               beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-9,
               grad_clip: float = 0.0) -> None:
-    """One bias-corrected Adam update over every parameter, in a fixed order."""
-    named = store.named_parameters()
-    for name, p in named:
-        g = p.grad
-        if g is not None and not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
+    """One bias-corrected Adam update of every parameter, as whole-buffer operations.
+
+    The gradients are gathered into the store's flat layout (zeros where a
+    parameter has none) and checked for finiteness before anything changes.
+    A global norm above `grad_clip` (when positive) scales them down to it.
+    Then `m`, `v` and the store's parameter buffer are updated in place, each
+    element by the same expressions, in the same order, as a per-tensor loop.
+    """
+    store.check_layout()
+    g = store.flat_grad()
+    if not np.isfinite(g).all():
+        name = next(n for n, a in store.unflatten(g).items() if not np.isfinite(a).all())
+        raise DivergenceError(f"non-finite gradient for parameter {name!r}")
     if grad_clip > 0.0:
-        total = np.sqrt(sum(float((p.grad ** 2).sum()) for _, p in named if p.grad is not None))
+        total = float(np.sqrt(np.dot(g, g)))
         if total > grad_clip:
-            factor = grad_clip / total
-            for _, p in named:
-                if p.grad is not None:
-                    p.grad = p.grad * factor
+            g *= grad_clip / total
+    if state.m is None:
+        state.m = np.zeros_like(store.buffer)
+    if state.v is None:
+        state.v = np.zeros_like(store.buffer)
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for name, p in named:
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    store.buffer -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
 
 
 # ---- training loop -----------------------------------------------------------
@@ -248,11 +254,8 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
     if resume_from is not None:
         ck_cfg, tensors = load_checkpoint(resume_from)
         store = store_from_checkpoint(ck_cfg, tensors)
-        for name, arr in tensors.items():
-            if name.startswith("adam.m."):
-                adam.m[name[len("adam.m."):]] = arr.astype(ad.get_default_dtype())
-            elif name.startswith("adam.v."):
-                adam.v[name[len("adam.v."):]] = arr.astype(ad.get_default_dtype())
+        adam.m = _adam_moment(store, tensors, "adam.m.")
+        adam.v = _adam_moment(store, tensors, "adam.v.")
         start_step = int(ck_cfg.get("train.step", "0"))
         adam.step = start_step
         best_val = float(ck_cfg.get("train.best_val_loss", "inf"))
@@ -347,9 +350,34 @@ def _save_train_checkpoint(path, store: ParameterStore, adam: AdamState, step: i
         "train.seed": str(cfg.seed),
         "train.cum_layer_apps": str(cum_layer_apps),
     }
-    extra_tensors = {f"adam.m.{k}": v for k, v in adam.m.items()}
-    extra_tensors.update({f"adam.v.{k}": v for k, v in adam.v.items()})
+    extra_tensors = {}
+    for prefix, flat in (("adam.m.", adam.m), ("adam.v.", adam.v)):
+        if flat is not None:
+            extra_tensors.update({prefix + k: a for k, a in store.unflatten(flat).items()})
     save_checkpoint(path, store, extra_cfg, extra_tensors)
+
+
+def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],
+                 prefix: str) -> np.ndarray | None:
+    """A checkpoint's `prefix`<name> tensors as one flat buffer in the store's layout.
+
+    None when it holds none: a checkpoint written before the first Adam step.
+    """
+    found = {n[len(prefix):]: a for n, a in tensors.items() if n.startswith(prefix)}
+    if not found:
+        return None
+    flat = np.empty_like(store.buffer)
+    views = store.unflatten(flat)
+    if found.keys() != views.keys():
+        odd = sorted(found.keys() ^ views.keys())[0]
+        raise FormatError(f"checkpoint {prefix}* tensors do not match the model's "
+                          f"parameters, first mismatch {odd!r}")
+    for name, view in views.items():
+        if found[name].shape != view.shape:
+            raise FormatError(f"checkpoint tensor {prefix + name!r} has shape "
+                              f"{found[name].shape}, its parameter {view.shape}")
+        view[...] = found[name]
+    return flat
 
 
 def _truncate_metrics(path: Path, step: int) -> None:

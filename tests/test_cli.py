@@ -133,11 +133,14 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["probe", "--layers", "2,x"],
     ["probe", "--layers", ","],
     ["probe", "--layers", ""],
+    ["probe", "--layers", "9"],
+    ["diagnose", "--which", "project", "--diag.utterance=99"],
+    ["synth", "--data.num_classes=70000"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_bad_value_exits_before_any_output(tmp_path, corpus_dir, run_dir, capsys, argv):
     data = ["--data", str(corpus_dir / "features.bin")]
     ckpt = ["--checkpoint", str(run_dir / "final.ckpt")]
-    inputs = {"pretrain": data, "diagnose": ckpt + data,
+    inputs = {"synth": [], "pretrain": data, "diagnose": ckpt + data,
               "probe": ckpt + data + ["--labels", str(corpus_dir / "labels.bin")]}
     out = tmp_path / "out"
     # a short run comes first, so a case that slips through ends quickly

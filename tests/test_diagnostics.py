@@ -109,6 +109,16 @@ def test_decomposition_sum_identity(float64):
     decomp.assert_sum_identity()
 
 
+def test_decomposition_leaves_the_store_bound_to_its_buffer(float64):
+    store = desk_store(seed=5)
+    before = {n: p.data for n, p in store.named_parameters()}
+    values = store.buffer.copy()
+    gradient_decomposition(store, small_corpus().sequences[:2], n_layers=3)
+    store.check_layout()
+    assert all(p.data is before[n] and p.grad is None for n, p in store.named_parameters())
+    np.testing.assert_array_equal(store.buffer, values)
+
+
 def test_decomposition_matches_finite_difference(float64):
     # independent oracle: central differences on the shared-group loss
     store = desk_store(seed=6)

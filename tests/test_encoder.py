@@ -361,6 +361,75 @@ def test_param_count_paper_scale_reported():
           f"(reference 33.7M)")
 
 
+# ---- flat parameter buffer --------------------------------------------------
+
+
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "unshared"])
+def test_parameters_are_views_of_the_store_buffer(share):
+    store = desk_store(seed=2, share_params=share)
+    offset = 0
+    for name, p in store.named_parameters():
+        assert p.data.base is store.buffer and p.data.dtype == store.buffer.dtype
+        span = store.span(name)
+        assert span == slice(offset, offset + p.data.size)  # checkpoint order, no gaps
+        np.testing.assert_array_equal(store.buffer[span], p.data.ravel())
+        offset = span.stop
+    assert offset == store.buffer.size
+
+
+def test_store_init_values_survive_the_copy_into_the_buffer():
+    cfg = ConformerConfig(share_params=False)
+    shapes = encoder.param_shapes(cfg)
+    init_rng = substream(1, "init")
+    # the same draws ParameterStore.init makes, kept as separate arrays
+    loose = {n: encoder._init_tensor(n, shape, init_rng).data for n, shape in shapes.items()}
+    store = ParameterStore.init(cfg, substream(1, "init"))
+    for name, p in store.params.items():
+        np.testing.assert_array_equal(p.data, loose[name])
+
+
+def test_prefix_spans_are_contiguous_past_ten_layers():
+    store = desk_store(share_params=False, max_layers=11)
+    names = [n for n, _ in store.named_parameters()]
+    for i in (1, 10):
+        span = store.span(f"layer.{i}.")
+        inside = [n for n in names if n.startswith(f"layer.{i}.")]
+        assert span.stop - span.start == sum(store.params[n].data.size for n in inside)
+        assert all(store.span(n).start >= span.start and store.span(n).stop <= span.stop
+                   for n in inside)
+    with pytest.raises(ContractError):
+        store.span("layer.11.")
+
+
+def test_flat_grad_gathers_in_layout_with_zeros_for_missing():
+    store = desk_store(seed=3, share_params=False, max_layers=2)
+    r = rng(4)
+    for i, (name, p) in enumerate(store.named_parameters()):
+        p.grad = r.normal(size=p.data.shape).astype(p.data.dtype) if i % 3 else None
+    expect = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel()
+                             for _, p in store.named_parameters()])
+    np.testing.assert_array_equal(store.flat_grad(), expect)
+    views = store.unflatten(store.flat_grad())
+    assert list(views) == [n for n, _ in store.named_parameters()]
+    assert all(views[n].shape == p.data.shape for n, p in store.named_parameters())
+
+
+def test_detached_parameter_is_a_contract_error():
+    store = desk_store()
+    store.check_layout()
+    store.params["predictor.b"].data = store.params["predictor.b"].data.copy()
+    with pytest.raises(ContractError, match="predictor.b"):
+        store.check_layout()
+
+
+def test_mixed_dtype_parameters_rejected():
+    params = {"a": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)}
+    with ad.precision("float64"):
+        params["b"] = Tensor(np.zeros(2), requires_grad=True)
+    with pytest.raises(ContractError, match="dtype"):
+        ParameterStore(None, params)
+
+
 # ---- checkpoints ------------------------------------------------------------
 
 

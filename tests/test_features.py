@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharedformer.diagnostics import linear_probe
-from sharedformer.errors import ConfigError, FormatError, InputError
+from sharedformer.errors import ConfigError, ContractError, FormatError, InputError
 from sharedformer.features import (FeatureSequence, LabeledCorpus, load_features,
                                    load_labels, save_features, save_labels,
                                    synth_corpus)
@@ -112,6 +112,27 @@ def test_label_round_trip(tmp_path):
     assert num_classes == 3
     for seq, lab in zip(corpus.sequences, corpus.labels):
         np.testing.assert_array_equal(labels[seq.utterance_id], lab)
+
+
+def test_label_round_trip_at_the_u16_limit(tmp_path):
+    seqs = random_sequences(0, 2)
+    labels = [np.full(s.num_frames, 65535, dtype=np.int64) for s in seqs]
+    labels[0][0] = 0
+    path = tmp_path / "l.bin"
+    save_labels(LabeledCorpus(seqs, labels, 65536), path)
+    loaded, num_classes = load_labels(path)
+    assert num_classes == 65536
+    for seq, lab in zip(seqs, labels):
+        np.testing.assert_array_equal(loaded[seq.utterance_id], lab)
+
+
+def test_label_beyond_u16_is_refused_not_wrapped(tmp_path):
+    corpus = synth_corpus(0, 20, (40, 60), 4, 70000)
+    assert max(int(lab.max()) for lab in corpus.labels) >= 65536
+    path = tmp_path / "l.bin"
+    with pytest.raises(ContractError, match="65535"):
+        save_labels(corpus, path)
+    assert not path.exists()
 
 
 def _label_file(path, records):

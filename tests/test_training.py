@@ -6,7 +6,7 @@ import pytest
 from sharedformer import autodiff as ad
 from sharedformer.autodiff import Tensor
 from sharedformer.encoder import (ConformerConfig, ParameterStore, forward,
-                                  load_checkpoint)
+                                  load_checkpoint, save_checkpoint, store_from_checkpoint)
 from sharedformer.errors import ConfigError, ContractError, DivergenceError, FormatError
 from sharedformer.features import synth_corpus
 from sharedformer.masking import MaskConfig, MaskPlan, mask_utterance
@@ -128,11 +128,7 @@ def test_noam_step_contract():
 
 
 def _scalar_store(value):
-    store = ParameterStore.__new__(ParameterStore)
-    store.config = None
-    store.params = {"w": Tensor(np.array([value]), requires_grad=True, name="w")}
-    store.block_applications = 0
-    return store
+    return ParameterStore(None, {"w": Tensor(np.array([value]), requires_grad=True, name="w")})
 
 
 def test_adam_zero_gradients_leave_params(float64):
@@ -173,6 +169,84 @@ def test_adam_nan_gradient_names_parameter(float64):
     store = _scalar_store(1.0)
     store.params["w"].grad = np.array([np.nan])
     with pytest.raises(DivergenceError, match="'w'"):
+        adam_step(AdamState(), store, lr=0.1)
+
+
+def _reference_adam(moments, named, t, lr, beta1=0.9, beta2=0.98, eps=1e-9):
+    """Per-tensor Adam loop, the reference the whole-buffer update must equal bitwise."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, p in named:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m, v = moments.setdefault(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "unshared"])
+def test_adam_step_matches_per_tensor_loop_bitwise(precision, share):
+    cfg = ConformerConfig(share_params=share)
+    with ad.precision(precision):
+        store = ParameterStore.init(cfg, substream(0, "init"))
+        loose = {n: Tensor(p.data.copy(), requires_grad=True, name=n)
+                 for n, p in store.named_parameters()}
+    named = sorted(loose.items())
+    state, moments = AdamState(), {}
+    r = rng(9)
+    for t in (1, 2, 3):
+        for i, (name, p) in enumerate(store.named_parameters()):
+            grad = r.normal(size=p.data.shape).astype(precision) if (i + t) % 4 else None
+            p.grad, loose[name].grad = grad, grad
+        lr = noam_lr(t, 2, cfg.model_dim, 0.5)
+        adam_step(state, store, lr)
+        _reference_adam(moments, named, t, lr)
+        m, v = store.unflatten(state.m), store.unflatten(state.v)
+        for name, p in named:
+            np.testing.assert_array_equal(store.params[name].data, p.data)
+            np.testing.assert_array_equal(m[name], moments[name][0])
+            np.testing.assert_array_equal(v[name], moments[name][1])
+    assert state.step == 3 and state.m.dtype == np.dtype(precision)
+
+
+@pytest.mark.parametrize("clip", [0.5, 100.0], ids=["norm-above-clip", "norm-below-clip"])
+def test_adam_grad_clip_matches_hand_recurrence(float64, clip):
+    b1, b2, eps, lr = 0.9, 0.98, 1e-9, 0.05
+
+    def two_tensor_store():
+        return ParameterStore(None, {"a": Tensor(np.array([1.0, -2.0]), requires_grad=True),
+                                     "b": Tensor(np.array([0.5]), requires_grad=True)})
+
+    store, unclipped = two_tensor_store(), two_tensor_store()
+    state, unclipped_state = AdamState(), AdamState()
+    w, m, v = np.array([1.0, -2.0, 0.5]), np.zeros(3), np.zeros(3)
+    # global norms 13, 0.37 and 3: with clip 0.5 steps 1 and 3 are clipped
+    for t, g in enumerate(([3.0, -4.0, 12.0], [0.1, 0.3, -0.2], [-2.0, 1.0, 2.0]), start=1):
+        g = np.array(g)
+        for s, st in ((store, state), (unclipped, unclipped_state)):
+            s.params["a"].grad, s.params["b"].grad = g[:2].copy(), g[2:].copy()
+            adam_step(st, s, lr, b1, b2, eps, grad_clip=clip if s is store else 0.0)
+        norm = np.sqrt(np.sum(g * g))
+        if norm > clip:
+            g = g * (clip / norm)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        w = w - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        np.testing.assert_allclose(store.buffer, w, atol=1e-12)
+    if clip > 13.0:  # a norm below the clip leaves the update unchanged
+        np.testing.assert_array_equal(store.buffer, unclipped.buffer)
+    else:
+        assert np.abs(store.buffer - unclipped.buffer).max() > 1e-3
+
+
+def test_adam_rejects_a_detached_parameter(float64):
+    store = _scalar_store(1.0)
+    store.params["w"].data = np.array([2.0])
+    store.params["w"].grad = np.array([0.5])
+    with pytest.raises(ContractError, match="'w'"):
         adam_step(AdamState(), store, lr=0.1)
 
 
@@ -220,6 +294,39 @@ def test_resume_from_best_matches_uninterrupted(tmp_path):
           resume_from=tmp_path / "best.ckpt")
     assert (tmp_path / "metrics.jsonl").read_bytes() == metrics
     assert (tmp_path / "final.ckpt").read_bytes() == final
+
+
+def test_step_zero_checkpoint_holds_no_adam_tensors(tmp_path):
+    corpus = small_corpus()
+    train(corpus, ConformerConfig(), quick_train_config(max_steps=0), out_dir=tmp_path / "zero")
+    cfg, tensors = load_checkpoint(tmp_path / "zero/final.ckpt")
+    assert cfg["train.step"] == "0"
+    assert not [n for n in tensors if n.startswith("adam.")]
+    result = train(corpus, ConformerConfig(), quick_train_config(max_steps=2),
+                   out_dir=tmp_path / "two")
+    _, tensors = load_checkpoint(tmp_path / "two/final.ckpt")
+    for prefix in ("adam.m.", "adam.v."):
+        assert sorted(n[len(prefix):] for n in tensors if n.startswith(prefix)) == \
+            sorted(result.store.params)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda adam: adam.pop("adam.v.predictor.b"),
+    lambda adam: adam.update({"adam.m.predictor.b": np.zeros(3, dtype=np.float32)}),
+], ids=["missing", "wrong-shape"])
+def test_resume_rejects_adam_tensors_that_miss_the_layout(tmp_path, edit):
+    corpus = small_corpus()
+    cfg = quick_train_config(max_steps=2)
+    train(corpus, ConformerConfig(), cfg, out_dir=tmp_path)
+    ck_cfg, tensors = load_checkpoint(tmp_path / "final.ckpt")
+    adam = {n: a for n, a in tensors.items() if n.startswith("adam.")}
+    edit(adam)
+    extra_cfg = {k: v for k, v in ck_cfg.items() if k.startswith("train.")}
+    save_checkpoint(tmp_path / "bad.ckpt", store_from_checkpoint(ck_cfg, tensors),
+                    extra_cfg, adam)
+    with pytest.raises(FormatError, match="predictor.b"):
+        train(corpus, ConformerConfig(), quick_train_config(max_steps=4),
+              resume_from=tmp_path / "bad.ckpt")
 
 
 def test_resume_rejects_malformed_metrics_row(tmp_path):
