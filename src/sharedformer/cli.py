@@ -22,7 +22,7 @@ from .errors import (ConfigError, ContractError, DimensionError,
                      SharedformerError)
 from .features import (LabeledCorpus, load_features, load_labels, save_features,
                        save_labels, synth_corpus)
-from .training import parse_depth, train
+from .training import parse_depth, split_corpus, train
 
 
 def _split_overrides(argv: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
@@ -86,9 +86,8 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def cmd_pretrain(args, cfg: RunConfig) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_echo(out)
     if args.preset == "paper":
+        cfg.write_echo(out)
         counts = param_count(cfg.model)
         rep = flop_report(cfg.model, cfg.diag.flop_frames)
         rows = [[k, v] for k, v in counts.items()]
@@ -99,6 +98,12 @@ def cmd_pretrain(args, cfg: RunConfig) -> int:
         print("paper preset is config-emit only: wrote resolved config and scale report")
         return 0
     corpus = _load_corpus(args.data)
+    # refuse a bad split or a missing resume file before --out exists
+    split_corpus(corpus, cfg.train.seed, cfg.train.val_fraction)
+    if args.resume:
+        with open(args.resume, "rb"):  # train reads it; a missing file is exit 3
+            pass
+    cfg.write_echo(out)
     result = train(corpus, cfg.model, cfg.train, cfg.mask,
                    out_dir=out, resume_from=args.resume)
     print(f"trained to step {result.final_step}; best validation loss "

@@ -34,6 +34,8 @@ class DataSection:
     def __post_init__(self):
         if self.num_classes > MAX_CLASSES:
             raise ConfigError(f"num_classes must be <= {MAX_CLASSES}, got {self.num_classes}")
+        if not 0.0 <= self.noise_sigma < float("inf"):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -97,7 +99,7 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal; '%' is text
     parser.optionxform = str
     try:
         read = parser.read(path, encoding="utf-8")

@@ -5,6 +5,8 @@ convolution module, half-step FF, final layer norm, residuals throughout.
 Depth is chosen per call, the same shared parameter group being applied N
 times when sharing is on. A traced forward keeps every per-layer embedding
 for the diagnostics suite; shallow inference is just a prefix of the stack.
+Every layer runs on one zero-padded (B, T_max, d) batch; one (T, D) utterance
+is reshaped into a batch of one at `forward`'s entry and back at its exit.
 
 Checkpoint format (little-endian): magic "LCCK", u32 version=1, u32 config
 byte length + utf-8 key=value lines, u64 tensor count, then per tensor u32
@@ -261,10 +263,6 @@ def relative_position_bias(T: int, head_dim: int, dtype) -> np.ndarray:
     return table[:T, :T]
 
 
-def _position_bias(cfg: ConformerConfig, T: int, dtype) -> np.ndarray | None:
-    return relative_position_bias(T, cfg.head_dim, dtype) if cfg.pos_bias == "relative-bias" else None
-
-
 @dataclass
 class Padding:
     """Real frame counts of a padded (B, T_max, ...) batch.
@@ -291,61 +289,54 @@ def _feed_forward(x: Tensor, g: dict[str, Tensor], which: str) -> Tensor:
 
 
 def _attention(x: Tensor, g: dict[str, Tensor], cfg: ConformerConfig,
-               train_mode: bool, rng, pad: Padding | None) -> Tensor:
-    lead, T = x.shape[:-2], x.shape[-2]
+               train_mode: bool, rngs, pad: Padding) -> Tensor:
+    B, T, _ = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
-    nl = len(lead)
     n = ad.layer_norm(x, g["attn.norm.gamma"], g["attn.norm.beta"])
-    split = tuple(range(nl)) + (nl + 1, nl, nl + 2)  # (..., T, h, dh) <-> (..., h, T, dh)
 
     def heads(t: Tensor) -> Tensor:
-        return t.reshape(*lead, T, h, dh).transpose(split)
+        return t.reshape(B, T, h, dh).transpose((0, 2, 1, 3))
 
     # scale q (T x dh per head), not the T x T logits: same product, fewer multiplies
     q = heads(ad.matmul(n, g["attn.wq"], g["attn.bq"])) * (1.0 / np.sqrt(dh))
     k = heads(n @ g["attn.wk"])
     v = heads(ad.matmul(n, g["attn.wv"], g["attn.bv"]))
-    lengths = [T] if pad is None else pad.lengths
+    bias = relative_position_bias(T, dh, x.data.dtype) if cfg.pos_bias == "relative-bias" else None
     keep = None
     if train_mode and cfg.dropout > 0.0:
-        if rng is None:
-            raise ContractError("train_mode attention needs an rng for dropout")
         # each slot draws its (h, T_b, T_b) block from its own generator, so a
         # slot sees the same draws as it would alone
-        rngs = [rng] if pad is None else rng
-        keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, lengths)]
-    ctx = ad.attention(q, k, v, _position_bias(cfg, T, x.data.dtype), keep,
-                       1.0 / (1.0 - cfg.dropout), lengths)
-    ctx = ctx.transpose(split).reshape(*lead, T, cfg.model_dim)
+        keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, pad.lengths)]
+    ctx = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - cfg.dropout), pad.lengths)
+    ctx = ctx.transpose((0, 2, 1, 3)).reshape(B, T, cfg.model_dim)
     return ad.matmul(ctx, g["attn.wo"], g["attn.bo"])
 
 
-def _conv_module(x: Tensor, g: dict[str, Tensor], pad: Padding | None) -> Tensor:
+def _conv_module(x: Tensor, g: dict[str, Tensor], pad: Padding) -> Tensor:
     d = x.shape[-1]
     h = ad.layer_norm(x, g["conv.norm.gamma"], g["conv.norm.beta"])
     h = ad.matmul(h, g["conv.pw1"], g["conv.pb1"])
     h = h[..., :d] * ad.sigmoid(h[..., d:])  # GLU
-    if pad is not None and pad.frame_mask is not None:
+    if pad.frame_mask is not None:
         h = h * Tensor(pad.frame_mask)  # padded frames must not leak into real ones
     h = ad.depthwise_conv1d(h, g["conv.dw"])
     h = ad.swish(h)
     return ad.matmul(h, g["conv.pw2"], g["conv.pb2"])
 
 
-def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
-                    train_mode: bool = False, rng=None,
-                    pad: Padding | None = None) -> Tensor:
-    """One block on a (T, d) utterance, or on a (B, T_max, d) batch with its `pad`.
+def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig, pad: Padding,
+                    train_mode: bool = False, rngs=None) -> Tensor:
+    """One block on a padded (B, T_max, d) batch whose real frame counts are `pad`.
 
-    In train mode `rng` drives attention dropout: one generator for an
-    utterance, one per slot for a batch.
+    In train mode `rngs` is a list of one attention-dropout generator per slot.
     """
-    rank = 2 if pad is None else 3
-    if x.data.ndim != rank or x.shape[-1] != cfg.model_dim:
-        want = "T" if pad is None else f"{len(pad.lengths)} x T_max"
-        raise ContractError(f"block input must be {want} x {cfg.model_dim}, got {x.shape}")
+    B = len(pad.lengths)
+    if x.data.ndim != 3 or x.shape[0] != B or x.shape[2] != cfg.model_dim:
+        raise ContractError(f"block input must be {B} x T_max x {cfg.model_dim}, got {x.shape}")
+    if train_mode and (not isinstance(rngs, list) or len(rngs) != B):
+        raise ContractError(f"train mode needs a list of {B} dropout generators, one per slot")
     h = x + 0.5 * _feed_forward(x, group, "ff1")
-    h = h + _attention(h, group, cfg, train_mode, rng, pad)
+    h = h + _attention(h, group, cfg, train_mode, rngs, pad)
     h = h + _conv_module(h, group, pad)
     h = h + 0.5 * _feed_forward(h, group, "ff2")
     return ad.layer_norm(h, group["out.norm.gamma"], group["out.norm.beta"])
@@ -357,37 +348,39 @@ def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
 def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
             collect_trace: bool = False, train_mode: bool = False, rng=None,
             lengths: list[int] | None = None) -> tuple[Tensor, LayerTrace | None]:
-    """Encoder stack over one (T, D) utterance or a padded (B, T_max, D) batch.
+    """Encoder stack over a zero-padded (B, T_max, D) batch.
 
-    A batch's `lengths` gives each slot's real frame count (default: all
-    T_max); padded frames never reach a real frame's output. In train mode
-    `rng` is one dropout generator for an utterance, one per slot for a batch.
+    `lengths` gives each slot's real frame count (default: all T_max); padded
+    frames never reach a real frame's output. In train mode `rng` is a list of
+    one dropout generator per slot. One (T, D) utterance with one generator
+    runs as a batch of one; its embedding and trace entries come back as (T, d).
     """
     cfg = store.config
     if not (0 <= n_layers <= cfg.max_layers):
         raise ContractError(f"n_layers {n_layers} outside [0, {cfg.max_layers}]")
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    pad = None
-    if x.data.ndim == 3 and x.shape[2] == cfg.input_dim:
-        B, T = x.shape[:2]
-        lengths = [T] * B if lengths is None else [int(n) for n in lengths]
-        if len(lengths) != B or not all(1 <= n <= T for n in lengths):
-            raise ContractError(f"lengths {lengths} do not fit a batch of {B} x {T} frames")
-        if train_mode and rng is not None and (
-                isinstance(rng, np.random.Generator) or len(rng) != B):
-            raise ContractError(f"a batch of {B} needs one dropout generator per slot")
-        pad = Padding.of(lengths, T, x.data.dtype)
-    elif x.data.ndim != 2 or x.shape[1] != cfg.input_dim or lengths is not None:
-        raise ContractError(f"input must be T x {cfg.input_dim}, or B x T_max x "
-                            f"{cfg.input_dim} with lengths, got {x.shape}")
+    single = x.data.ndim == 2
+    if single:
+        x, rng = x.reshape(1, *x.shape), (None if rng is None else [rng])
+    if x.data.ndim != 3 or x.shape[2] != cfg.input_dim:
+        raise ContractError(f"input must be T x D or B x T_max x D, D = {cfg.input_dim}; "
+                            f"got {x.shape}")
+    B, T = x.shape[:2]
+    lengths = [T] * B if lengths is None else [int(n) for n in lengths]
+    if len(lengths) != B or not all(1 <= n <= T for n in lengths):
+        raise ContractError(f"lengths {lengths} do not fit a batch of {B} x {T} frames")
+    pad = Padding.of(lengths, T, x.data.dtype)
     h = ad.matmul(x, store.params["frontend.w"], store.params["frontend.b"])
     trace = [h.data.copy()] if collect_trace else None
     for i in range(n_layers):
-        store.block_applications += 1 if pad is None else len(pad.lengths)
-        h = conformer_block(h, store.layer_group(i), cfg, train_mode, rng, pad)
+        store.block_applications += B
+        h = conformer_block(h, store.layer_group(i), cfg, pad, train_mode, rng)
         if collect_trace:
             trace.append(h.data.copy())
+    if single:
+        h = h.reshape(*h.shape[1:])
+        trace = None if trace is None else [e[0] for e in trace]
     return h, (LayerTrace(trace) if collect_trace else None)
 
 

@@ -56,6 +56,12 @@ class TrainConfig:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.validation_every < 1:
             raise ConfigError(f"validation_every must be >= 1, got {self.validation_every}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if not 0.0 < self.peak_scale < np.inf:
+            raise ConfigError(f"peak_scale must be finite and > 0, got {self.peak_scale}")
+        if not 0.0 <= self.grad_clip < np.inf:
+            raise ConfigError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
         parse_depth(self.depth)
         if self.loss_mode not in ("all-frames", "masked-only"):
             raise ConfigError(f"loss_mode must be 'all-frames' or 'masked-only', got {self.loss_mode!r}")
@@ -93,30 +99,23 @@ def predictor_apply(embeddings: Tensor, store: ParameterStore) -> Tensor:
     return ad.matmul(embeddings, store.params["predictor.w"], store.params["predictor.b"])
 
 
-def mpc_loss(pred: Tensor, target, plan: MaskPlan | list[MaskPlan] | None = None,
+def mpc_loss(pred: Tensor, target, plans: list[MaskPlan] | None = None,
              mode: str = "all-frames", lengths: list[int] | None = None) -> Tensor:
-    """Mean L1 distance between prediction and clean frames.
+    """Mean L1 distance between a padded (B, T_max, D) prediction and the clean frames.
 
-    A (T, D) prediction is averaged over its frames, or over the plan's masked
-    frames in masked-only mode. A padded (B, T_max, D) batch, with `lengths`
-    real frames and one plan per slot, gives the mean over utterances of each
-    utterance's loss; padded frames carry no weight.
+    Each slot's loss is its mean over its `lengths` real frames (default: all
+    T_max), or over its plan's masked frames in masked-only mode, which needs
+    one plan per slot. The result is the mean over slots; padded frames carry
+    no weight.
     """
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    if pred.shape != target.shape:
-        raise ContractError(f"prediction {pred.shape} vs target {target.shape}")
+    if pred.data.ndim != 3 or pred.shape != target.shape:
+        raise ContractError(f"prediction {pred.shape} vs target {target.shape}, need B x T_max x D")
     if mode not in ("all-frames", "masked-only"):
         raise ContractError(f"unknown loss mode {mode!r}")
-    plans = plan if pred.data.ndim == 3 else [plan]
-    if mode == "masked-only" and (plans is None or any(p is None or p.num_masked == 0
-                                                       for p in plans)):
-        raise ContractError("masked-only loss needs a plan with at least one masked frame")
-    if pred.data.ndim == 2:
-        if mode == "all-frames":
-            return (pred - target).abs().mean()
-        rows = plan.mask_rows()
-        return (pred[rows] - target[rows]).abs().mean()
     B, T, D = pred.shape
+    if mode == "masked-only" and (plans is None or len(plans) != B
+                                  or any(p.num_masked == 0 for p in plans)):
+        raise ContractError("masked-only loss needs one plan per slot, each with a masked frame")
     weight = np.zeros((B, T, 1))
     for b, n in enumerate([T] * B if lengths is None else lengths):
         if mode == "all-frames":

@@ -128,6 +128,19 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["pretrain", "--model.min_layers=2"],
     ["pretrain", "--model.num_heads=0"],
     ["pretrain", "--model.ff_dim=0"],
+    ["pretrain", "--train.val_fraction=nan"],
+    ["pretrain", "--train.val_fraction=0"],
+    ["pretrain", "--train.val_fraction=1"],
+    ["pretrain", "--train.peak_scale=0"],
+    ["pretrain", "--train.peak_scale=-1"],
+    ["pretrain", "--train.peak_scale=inf"],
+    ["pretrain", "--train.peak_scale=nan"],
+    ["pretrain", "--train.grad_clip=-1"],
+    ["pretrain", "--train.grad_clip=inf"],
+    ["pretrain", "--train.grad_clip=nan"],
+    ["synth", "--data.noise_sigma=nan"],
+    ["synth", "--data.noise_sigma=-0.1"],
+    ["synth", "--data.noise_sigma=inf"],
     ["diagnose", "--which", "grads", "--diag.grad_depth=0"],
     ["diagnose", "--which", "project", "--diag.utterance=-1"],
     ["probe", "--layers", "2,x"],
@@ -159,6 +172,22 @@ def test_pretrain_outputs(run_dir):
     rows = [json.loads(l) for l in (run_dir / "metrics.jsonl").read_text().splitlines()]
     assert [r["step"] for r in rows] == [1, 2, 3, 4]
     assert all(np.isfinite(r["train_loss"]) for r in rows)
+
+
+@pytest.mark.parametrize("case", ["missing-data", "missing-resume", "no-training-utterance"])
+def test_rejected_pretrain_input_leaves_no_output(tmp_path, corpus_dir, capsys, case):
+    data = str(corpus_dir / "features.bin")
+    argv, code, prefix = {
+        "missing-data": (["--data", str(tmp_path / "missing.bin")], 3, "I/O error: "),
+        "missing-resume": (["--data", data, "--resume", str(tmp_path / "missing.ckpt")],
+                           3, "I/O error: "),
+        # 14 utterances at a 0.99 validation fraction leave none to train on
+        "no-training-utterance": (["--data", data, "--train.val_fraction=0.99"], 2, "error: "),
+    }[case]
+    out = tmp_path / "out"
+    assert main(["pretrain", *argv, *QUICK, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+    assert not out.exists()
 
 
 def test_pretrain_without_data_is_input_error(tmp_path, capsys):

@@ -129,7 +129,7 @@ def test_decomposition_matches_finite_difference(float64):
     from sharedformer.masking import MaskConfig, apply_masks, plan_masks
     from sharedformer.rng import utterance_seed
     from sharedformer.encoder import forward
-    from sharedformer.training import mpc_loss, predictor_apply
+    from sharedformer.training import predictor_apply
     from sharedformer.autodiff import Tensor
 
     mask_cfg = MaskConfig()
@@ -141,7 +141,8 @@ def test_decomposition_matches_finite_difference(float64):
             plan = plan_masks(seq.num_frames, mask_cfg.block_len, mask_cfg.ratio, r)
             corrupted = apply_masks(seq, plan, mask_cfg, r)
             emb, _ = forward(Tensor(corrupted.frames), store, 3)
-            total += float(mpc_loss(predictor_apply(emb, store), seq.frames, plan).data)
+            # the utterance's L1 mean over all its frames
+            total += float(np.abs(predictor_apply(emb, store).data - seq.frames).mean())
         return total / len(batch)
 
     eps = 1e-5

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,9 @@ def test_block_preserves_shape(float64):
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(0, "init"))
     for T in (1, 4, 11):
-        x = Tensor(rng(T).normal(size=(T, cfg.model_dim)))
-        out = conformer_block(x, store.layer_group(0), cfg)
-        assert out.shape == (T, cfg.model_dim)
+        x = Tensor(rng(T).normal(size=(T, cfg.model_dim))[None])
+        out = conformer_block(x, store.layer_group(0), cfg, Padding.of([T], T, np.float64))
+        assert out.shape == (1, T, cfg.model_dim)
 
 
 def _tensors_created(fn):
@@ -65,9 +67,10 @@ def _tensors_created(fn):
 @pytest.mark.parametrize("train_mode,count", [(False, 42), (True, 42)])
 def test_block_graph_size(train_mode, count):
     store = desk_store()
-    x = Tensor(rng(0).normal(size=(20, 16)))
+    x = Tensor(rng(0).normal(size=(20, 16))[None])
+    pad = Padding.of([20], 20, x.data.dtype)
     assert _tensors_created(lambda: conformer_block(
-        x, store.layer_group(0), store.config, train_mode, rng(1))) == count
+        x, store.layer_group(0), store.config, pad, train_mode, [rng(1)])) == count
 
 
 def test_block_zero_weights_reduces_to_layer_norm(float64):
@@ -77,8 +80,8 @@ def test_block_zero_weights_reduces_to_layer_norm(float64):
     for name, p in group.items():
         if not name.endswith(("norm.gamma", "norm.beta")):
             p.data[:] = 0.0
-    x = Tensor(rng(5).normal(size=(9, cfg.model_dim)))
-    out = conformer_block(x, group, cfg, train_mode=False)
+    x = Tensor(rng(5).normal(size=(9, cfg.model_dim))[None])
+    out = conformer_block(x, group, cfg, Padding.of([9], 9, np.float64), train_mode=False)
     expect = ad.layer_norm(x, group["out.norm.gamma"], group["out.norm.beta"])
     np.testing.assert_allclose(out.data, expect.data, atol=1e-12)
 
@@ -87,11 +90,12 @@ def test_block_gradient_finite_difference(float64):
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(1, "init"))
     group = store.layer_group(0)
-    x = rng(2).normal(size=(4, cfg.model_dim))
-    coeff = Tensor(rng(3).normal(size=(4, cfg.model_dim)))
+    x = rng(2).normal(size=(4, cfg.model_dim))[None]
+    coeff = Tensor(rng(3).normal(size=(4, cfg.model_dim))[None])
+    pad = Padding.of([4], 4, np.float64)
 
     def f():
-        return (conformer_block(Tensor(x), group, cfg) * coeff).sum()
+        return (conformer_block(Tensor(x), group, cfg, pad) * coeff).sum()
 
     assert ad.grad_check(f, list(group.values()), eps=1e-6) <= 1e-4
 
@@ -123,7 +127,8 @@ def test_attention_rows_sum_to_one(float64, monkeypatch):
     monkeypatch.setattr("sharedformer.encoder.ad.attention", spy)
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(4, "init"))
-    conformer_block(Tensor(rng(0).normal(size=(7, cfg.model_dim))), store.layer_group(0), cfg)
+    conformer_block(Tensor(rng(0).normal(size=(7, cfg.model_dim))[None]), store.layer_group(0),
+                    cfg, Padding.of([7], 7, np.float64))
     assert recorded
     for q, k, v_shape, args, kwargs in recorded:
         # with v = 1 each output is the sum of its row of attention weights
@@ -241,6 +246,63 @@ def test_prefix_property_bitwise(float64):
     _, shallow = forward(x, store, 5, collect_trace=True)
     for i in range(6):
         np.testing.assert_array_equal(deep.embeddings[i], shallow.embeddings[i])
+
+
+# ---- one rank ---------------------------------------------------------------
+
+
+def _assert_batch_of_one(one, one_trace, batch, batch_trace, T):
+    assert one.shape == (T, 16) and batch.shape == (1, T, 16)
+    np.testing.assert_array_equal(one.data, batch.data[0])
+    assert one_trace.depth == batch_trace.depth
+    for a, b in zip(one_trace.embeddings, batch_trace.embeddings):
+        assert a.shape == (T, 16)
+        np.testing.assert_array_equal(a, b[0])
+
+
+@pytest.mark.parametrize("graph", [True, False], ids=["graph", "no_grad"])
+def test_single_utterance_is_a_batch_of_one(float64, graph):
+    store = desk_store()
+    x = rng(7).normal(size=(13, 16))
+    with contextlib.nullcontext() if graph else ad.no_grad():
+        one, one_trace = forward(Tensor(x), store, 6, collect_trace=True)
+        batch, batch_trace = forward(Tensor(x[None]), store, 6, collect_trace=True)
+    _assert_batch_of_one(one, one_trace, batch, batch_trace, 13)
+
+
+def test_single_utterance_train_mode_wraps_its_generator(float64):
+    store = desk_store()
+    x = rng(8).normal(size=(11, 16))
+    coeff = rng(9).normal(size=(11, 16))
+    runs = []
+    for inp, dropout, c in ((x, substream(0, "dropout", 1, 0), coeff),
+                            (x[None], [substream(0, "dropout", 1, 0)], coeff[None])):
+        store.zero_grad()
+        out, trace = forward(Tensor(inp), store, 5, collect_trace=True, train_mode=True,
+                             rng=dropout)
+        (out * Tensor(c)).sum().backward()
+        runs.append((out, trace, {n: p.grad.copy() for n, p in store.named_parameters()
+                                  if p.grad is not None}))
+    (one, one_trace, one_grads), (batch, batch_trace, batch_grads) = runs
+    _assert_batch_of_one(one, one_trace, batch, batch_trace, 11)
+    assert one_grads.keys() == batch_grads.keys()
+    for name, g in one_grads.items():
+        np.testing.assert_array_equal(g, batch_grads[name], err_msg=name)
+
+
+def test_block_rejects_rank_two_input():
+    store = desk_store()
+    with pytest.raises(ContractError):
+        conformer_block(Tensor(np.zeros((20, 16), np.float32)), store.layer_group(0),
+                        store.config, Padding.of([20], 20, np.float32))
+
+
+def test_batch_needs_one_dropout_generator_per_slot():
+    store = desk_store()
+    x = Tensor(np.zeros((2, 5, 16), np.float32))
+    for dropout in (rng(0), [rng(0)]):
+        with pytest.raises(ContractError):
+            forward(x, store, 1, train_mode=True, rng=dropout)
 
 
 # ---- depth sampling ---------------------------------------------------------

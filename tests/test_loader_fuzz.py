@@ -1,22 +1,30 @@
-"""Mutated feature, label and checkpoint files raise only the package's own errors.
+"""Mutated feature, label, checkpoint and config files raise only the package's own errors.
 
-Each example takes a valid file, applies one to three truncations, bit flips
-or byte overwrites, and loads the result. A loader may accept the mutated
-bytes or raise a ``SharedformerError`` subclass (the CLI maps those to exit
-codes); any other exception is a bare traceback and fails the test.
+Each binary example takes a valid file, applies one to three truncations, bit
+flips or byte overwrites, and loads the result. A loader may accept the
+mutated bytes or raise a ``SharedformerError`` subclass (the CLI maps those to
+exit codes); any other exception is a bare traceback and fails the test.
+
+Config files are generated from the schema itself: every section and key,
+with values drawn from valid tokens, non-finite and huge numbers, empty
+strings and raw bytes, and keys that may repeat. They are only parsed and
+validated; nothing is built from them, since their sizes are unbounded.
 """
 
+import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sharedformer import codec
+from sharedformer.config import SECTIONS, RunConfig, load_config
 from sharedformer.encoder import (CHECKPOINT_MAGIC, ConformerConfig, ParameterStore,
                                   load_checkpoint, save_checkpoint, store_from_checkpoint)
-from sharedformer.errors import FormatError, SharedformerError
+from sharedformer.errors import ConfigError, FormatError, SharedformerError
 from sharedformer.features import (load_features, load_labels, save_features,
                                    save_labels, synth_corpus)
 
@@ -112,3 +120,64 @@ def test_implausible_tensor_shape_is_format_error(tmp_path, dims):
                      + b"\0" * 4 * size)
     with pytest.raises(FormatError, match="implausible"):
         load_checkpoint(path)
+
+
+# ---- config files ------------------------------------------------------------
+
+SCHEMA = {name: fields(getattr(RunConfig(), name)) for name in SECTIONS}
+
+TOKENS = ["0", "1", "2", "7", "0.1", "0.3", "0.49", "true", "false", "maybe", "zero", "tera",
+          "none", "relative-bias", "uniform:2:8", "fixed:3", "all-frames", "masked-only",
+          "float32", "float64", "nan", "inf", "-inf", "NaN", "-nan", "1e400", "", " ",
+          "-1", "-0.0", "5%", "%(seed)s", str(2 ** 64), str(-2 ** 63), "9" * 5000]
+
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "-nan", "1e400"]
+
+TYPED = {
+    "float": st.one_of(st.sampled_from(NON_FINITE), st.floats().map(repr)),
+    "int": st.integers(-(1 << 80), 1 << 80).map(str),
+    "bool": st.sampled_from(["true", "false", "True", "0", "1"]),
+    "str": st.sampled_from(TOKENS),
+}
+
+FIELDS = [(name, f) for name, schema in SCHEMA.items() for f in schema]
+
+
+def _entry(field):
+    """One (section, key, raw value) line; the value is the key's default 3 times in 5."""
+    name, f = field
+    default = st.just(str(getattr(getattr(RunConfig(), name), f.name)).encode())
+    odd = st.one_of(TYPED[f.type].map(str.encode), st.sampled_from(TOKENS).map(str.encode),
+                    st.binary(max_size=6))  # raw bytes: non-UTF-8, newlines, brackets, '%'
+    return st.tuples(st.just(name), st.just(f.name), st.one_of(default, default, default,
+                                                               odd, odd))
+
+
+ENTRIES = st.lists(st.sampled_from(FIELDS).flatmap(_entry), max_size=6)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@settings(max_examples=500, deadline=None)
+@given(entries=ENTRIES)
+@example(entries=[("train", "val_fraction", b"nan")])
+@example(entries=[("data", "seed", b"5%")])
+def test_fuzzed_config_raises_only_config_error(config_dir, entries):
+    lines: dict[str, list[bytes]] = {}
+    for name, key, value in entries:  # a key may repeat within its section
+        lines.setdefault(name, []).append(key.encode() + b"=" + value)
+    path = config_dir / "fuzzed.ini"
+    path.write_bytes(b"".join(b"[" + name.encode() + b"]\n" + b"\n".join(body) + b"\n"
+                              for name, body in lines.items()))
+    try:
+        cfg = load_config(path)
+        cfg.validate()
+    except ConfigError:
+        return
+    for name, schema in SCHEMA.items():
+        for f in schema:
+            if f.type == "float":
+                assert math.isfinite(getattr(getattr(cfg, name), f.name)), f"{name}.{f.name}"

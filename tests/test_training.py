@@ -50,8 +50,8 @@ def test_predictor_identity(float64):
 
 def test_predictor_gradient(float64):
     store = ParameterStore.init(ConformerConfig(), substream(0, "init"))
-    x = rng(2).normal(size=(4, 16))
-    target = rng(3).normal(size=(4, 16))
+    x = rng(2).normal(size=(4, 16))[None]
+    target = rng(3).normal(size=(4, 16))[None]
     params = [store.params["predictor.w"], store.params["predictor.b"]]
     err = ad.grad_check(lambda: mpc_loss(predictor_apply(Tensor(x), store), target),
                         params, eps=1e-6)
@@ -68,34 +68,44 @@ def test_predictor_shape_contract(float64):
 
 
 def test_loss_zero_when_equal(float64):
-    x = rng(0).normal(size=(6, 4))
+    x = rng(0).normal(size=(6, 4))[None]
     assert float(mpc_loss(Tensor(x), x).data) == 0.0
 
 
 def test_loss_constant_offset(float64):
-    x = rng(1).normal(size=(6, 4))
+    x = rng(1).normal(size=(6, 4))[None]
     loss = mpc_loss(Tensor(x + 0.5), x)
     np.testing.assert_allclose(float(loss.data), 0.5, atol=1e-12)
 
 
 def test_loss_masked_only_full_plan_equals_all_frames(float64):
-    x = rng(2).normal(size=(14, 4))
-    pred = Tensor(rng(3).normal(size=(14, 4)))
-    plan = MaskPlan([(0, 7), (7, 7)], 14)
-    a = float(mpc_loss(pred, x, plan, "all-frames").data)
-    b = float(mpc_loss(pred, x, plan, "masked-only").data)
+    x = rng(2).normal(size=(14, 4))[None]
+    pred = Tensor(rng(3).normal(size=(14, 4))[None])
+    plans = [MaskPlan([(0, 7), (7, 7)], 14)]
+    a = float(mpc_loss(pred, x, plans, "all-frames").data)
+    b = float(mpc_loss(pred, x, plans, "masked-only").data)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_loss_masked_only_needs_masked_frames(float64):
-    x = np.zeros((5, 3))
+    x = np.zeros((1, 5, 3))
     with pytest.raises(ContractError):
-        mpc_loss(Tensor(x), x, MaskPlan([], 5), "masked-only")
+        mpc_loss(Tensor(x), x, [MaskPlan([], 5)], "masked-only")
+    with pytest.raises(ContractError):
+        mpc_loss(Tensor(x), x, None, "masked-only")
 
 
 def test_loss_shape_contract(float64):
     with pytest.raises(ContractError):
-        mpc_loss(Tensor(np.zeros((3, 2))), np.zeros((2, 3)))
+        mpc_loss(Tensor(np.zeros((1, 3, 2))), np.zeros((1, 2, 3)))
+
+
+def test_loss_rejects_rank_two_input(float64):
+    x = np.zeros((6, 4))
+    with pytest.raises(ContractError):
+        mpc_loss(Tensor(x), x)
+    with pytest.raises(ContractError):
+        mpc_loss(Tensor(x), x, [MaskPlan([(0, 3)], 6)], "masked-only")
 
 
 # ---- schedule ---------------------------------------------------------------
@@ -415,7 +425,10 @@ def test_batched_loss_matches_per_utterance(float64, share, mode):
     for slot, (seq, (plan, corrupted)) in enumerate(zip(seqs, masked)):
         emb, _ = forward(Tensor(corrupted.frames), store, depth, train_mode=True,
                          rng=_dropout_rngs(len(seqs))[slot])
-        part = mpc_loss(predictor_apply(emb, store), seq.frames, plan, mode) * (1.0 / len(seqs))
+        # this utterance's L1 mean over its frames, or over its masked frames
+        rows = slice(None) if mode == "all-frames" else plan.mask_rows()
+        err = predictor_apply(emb, store)[rows] - Tensor(seq.frames[rows])
+        part = err.abs().mean() * (1.0 / len(seqs))
         part.backward()
         total += float(part.data)
     per_utt = {n: p.grad for n, p in store.named_parameters() if p.grad is not None}
