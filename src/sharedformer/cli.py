@@ -22,7 +22,7 @@ from .errors import (ConfigError, ContractError, DimensionError,
                      SharedformerError)
 from .features import (LabeledCorpus, load_features, load_labels, save_features,
                        save_labels, synth_corpus)
-from .training import parse_depth, split_corpus, train
+from .training import check_depth, parse_depth, split_corpus, train
 
 
 def _split_overrides(argv: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
@@ -98,11 +98,11 @@ def cmd_pretrain(args, cfg: RunConfig) -> int:
         print("paper preset is config-emit only: wrote resolved config and scale report")
         return 0
     corpus = _load_corpus(args.data)
-    # refuse a bad split or a missing resume file before --out exists
+    # refuse a bad split or a bad resume checkpoint before --out exists;
+    # train reads the checkpoint again
     split_corpus(corpus, cfg.train.seed, cfg.train.val_fraction)
     if args.resume:
-        with open(args.resume, "rb"):  # train reads it; a missing file is exit 3
-            pass
+        check_depth(*parse_depth(cfg.train.depth), _load_store(args.resume).config.max_layers)
     cfg.write_echo(out)
     result = train(corpus, cfg.model, cfg.train, cfg.mask,
                    out_dir=out, resume_from=args.resume)

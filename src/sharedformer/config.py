@@ -99,7 +99,10 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)  # values are literal; '%' is text
+    # values are literal ('%' is text), and no header can name the default
+    # section, so a [DEFAULT] section is rejected as unknown, not copied into
+    # every other section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     parser.optionxform = str
     try:
         read = parser.read(path, encoding="utf-8")

@@ -278,34 +278,44 @@ def linear_probe(train_x: np.ndarray, train_y: np.ndarray,
     """Affine softmax classifier on frozen features, full-batch gradient descent.
 
     Deterministic: zero init, fixed step budget, train-split standardization.
+    The loop is class-major: features are (d, n) and logits (C, n), so the
+    softmax max and sum run across C rows of length n, not along a short
+    trailing class axis.
     """
+    for split, y in (("train", train_y), ("test", test_y)):
+        if y.size and (y.min() < 0 or y.max() >= num_classes):
+            raise ContractError(f"probe {split} labels must lie in [0, {num_classes - 1}], "
+                                f"found [{y.min()}, {y.max()}]")
     if len(np.unique(train_y)) < 2:
         raise ContractError("probe needs at least two classes in the training labels")
     config = config or ProbeConfig()
     mu = train_x.mean(axis=0)
     sd = np.maximum(train_x.std(axis=0), 1e-8)
-    xtr = ((train_x - mu) / sd).astype(np.float64)
-    xte = ((test_x - mu) / sd).astype(np.float64)
-    n, d = xtr.shape
-    w = np.zeros((d, num_classes))
-    b = np.zeros(num_classes)
+    xtr = np.ascontiguousarray(((train_x - mu) / sd).T, dtype=np.float64)  # (d, n)
+    xte = ((test_x - mu) / sd).astype(np.float64, copy=False)
+    d, n = xtr.shape
+    w = np.zeros((num_classes, d))
+    b = np.zeros((num_classes, 1))
     vw = np.zeros_like(w)
     vb = np.zeros_like(b)
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), train_y] = 1.0
+    onehot = np.zeros((num_classes, n))
+    onehot[train_y, np.arange(n)] = 1.0
+    ones = np.ones((n, 1))
     for _ in range(config.steps):
-        logits = xtr @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        gl = (p - onehot) / n
-        gw = xtr.T @ gl
-        gb = gl.sum(axis=0)
+        # z holds the logits, then the softmax, then the logit gradient
+        z = w @ xtr + b
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        z /= z.sum(axis=0)
+        z -= onehot
+        z /= n
+        gw = z @ xtr.T
+        gb = z @ ones  # a BLAS row sum, as in autodiff._sum_rows
         vw = config.momentum * vw - config.lr * gw
         vb = config.momentum * vb - config.lr * gb
         w += vw
         b += vb
-    pred = np.argmax(xte @ w + b, axis=1)
+    pred = np.argmax(xte @ w.T + b.T, axis=1)
     acc = float(np.mean(pred == test_y))
     per_class = []
     for c in range(num_classes):

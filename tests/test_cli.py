@@ -8,6 +8,7 @@ from sharedformer.cli import main
 from sharedformer.config import PRESETS, RunConfig, apply_preset, load_config
 from sharedformer.encoder import (ConformerConfig, ParameterStore, load_checkpoint,
                                   save_checkpoint, store_from_checkpoint)
+from sharedformer.errors import ConfigError
 from sharedformer.features import FeatureSequence, load_features, save_features
 
 QUICK = [
@@ -97,7 +98,9 @@ def test_threads_key_in_config_file_is_unknown(tmp_path, capsys):
     b"[train]\nmax_steps\n",
     b"[train]\nmax_steps=2\xff\n",
     b"[train]\nmax_steps=2\nmax_steps=3\n",
-], ids=["duplicate-section", "no-section-header", "no-equals", "non-utf8", "duplicate-option"])
+    b"[DEFAULT]\nseed=5\n[train]\nmax_steps=2\n[data]\nnum_utts=2\n",
+], ids=["duplicate-section", "no-section-header", "no-equals", "non-utf8", "duplicate-option",
+        "default-section"])
 def test_malformed_config_file_is_input_error(tmp_path, capsys, text):
     ini = tmp_path / "run.ini"
     ini.write_bytes(text)
@@ -105,6 +108,13 @@ def test_malformed_config_file_is_input_error(tmp_path, capsys, text):
     assert main(["--config", str(ini), "synth", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_default_section_is_an_unknown_section(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[DEFAULT]\nseed=5\n[train]\nmax_steps=2\n[data]\nnum_utts=2\n")
+    with pytest.raises(ConfigError, match="DEFAULT"):
+        load_config(ini)
 
 
 @pytest.mark.parametrize("preset", [None, *PRESETS])
@@ -174,15 +184,23 @@ def test_pretrain_outputs(run_dir):
     assert all(np.isfinite(r["train_loss"]) for r in rows)
 
 
-@pytest.mark.parametrize("case", ["missing-data", "missing-resume", "no-training-utterance"])
+@pytest.mark.parametrize("case", ["missing-data", "missing-resume", "no-training-utterance",
+                                  "bad-magic", "too-shallow"])
 def test_rejected_pretrain_input_leaves_no_output(tmp_path, corpus_dir, capsys, case):
     data = str(corpus_dir / "features.bin")
+    (tmp_path / "random.ckpt").write_bytes(np.random.default_rng(0).bytes(100))
+    four = ParameterStore.init(ConformerConfig(max_layers=4), np.random.default_rng(0))
+    save_checkpoint(tmp_path / "four.ckpt", four)
     argv, code, prefix = {
         "missing-data": (["--data", str(tmp_path / "missing.bin")], 3, "I/O error: "),
         "missing-resume": (["--data", data, "--resume", str(tmp_path / "missing.ckpt")],
                            3, "I/O error: "),
         # 14 utterances at a 0.99 validation fraction leave none to train on
         "no-training-utterance": (["--data", data, "--train.val_fraction=0.99"], 2, "error: "),
+        "bad-magic": (["--data", data, "--resume", str(tmp_path / "random.ckpt")], 2, "error: "),
+        # a 4-layer checkpoint cannot train at depths up to 8
+        "too-shallow": (["--data", data, "--resume", str(tmp_path / "four.ckpt"),
+                         "--train.depth=uniform:2:8"], 2, "error: "),
     }[case]
     out = tmp_path / "out"
     assert main(["pretrain", *argv, *QUICK, "--out", str(out)]) == code

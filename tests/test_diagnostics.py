@@ -347,6 +347,75 @@ def test_probe_single_class_contract():
         linear_probe(x, np.zeros(20, dtype=np.int64), x, np.zeros(20, dtype=np.int64), 2)
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("label", [3, -1], ids=["equal-to-num-classes", "negative"])
+def test_probe_rejects_label_outside_class_range(split, label):
+    x = rng(0).normal(size=(30, 4))
+    y = np.arange(30) % 3
+    bad = y.copy()
+    bad[7] = label
+    ytr, yte = (bad, y) if split == "train" else (y, bad)
+    with pytest.raises(ContractError, match=split):
+        linear_probe(x, ytr, x, yte, 3, config=ProbeConfig(steps=5))
+
+
+def _row_major_probe(train_x, train_y, test_x, test_y, num_classes, config):
+    """Reference: the probe's gradient descent with (n, C) logits and per-row reductions."""
+    mu = train_x.mean(axis=0)
+    sd = np.maximum(train_x.std(axis=0), 1e-8)
+    xtr = ((train_x - mu) / sd).astype(np.float64)
+    xte = ((test_x - mu) / sd).astype(np.float64)
+    n, d = xtr.shape
+    w = np.zeros((d, num_classes))
+    b = np.zeros(num_classes)
+    vw = np.zeros_like(w)
+    vb = np.zeros_like(b)
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), train_y] = 1.0
+    for _ in range(config.steps):
+        logits = xtr @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        gl = (p - onehot) / n
+        gw = xtr.T @ gl
+        gb = gl.sum(axis=0)
+        vw = config.momentum * vw - config.lr * gw
+        vb = config.momentum * vb - config.lr * gb
+        w += vw
+        b += vb
+    pred = np.argmax(xte @ w + b, axis=1)
+    per_class = [float(np.mean(pred[test_y == c] == c)) if (test_y == c).any() else float("nan")
+                 for c in range(num_classes)]
+    return float(np.mean(pred == test_y)), per_class
+
+
+def _uninformative_data():
+    return (rng(3).normal(size=(400, 8)), rng(4).integers(0, 4, size=400),
+            rng(5).normal(size=(400, 8)), rng(6).integers(0, 4, size=400))
+
+
+def _forty_class_odd_n_data():
+    xtr, ytr, xte, yte = _blob_data(11, 13, 40, 12, spread=1.0)
+    return xtr[:-1], ytr[:-1], xte, yte  # 519 training frames
+
+
+@pytest.mark.parametrize("make, num_classes", [
+    (lambda: _blob_data(0, 100, 4, 8, spread=6.0), 4),
+    (_uninformative_data, 4),
+    (_forty_class_odd_n_data, 40),
+], ids=["separable-blobs", "uninformative", "forty-classes-odd-n"])
+def test_probe_matches_row_major_reference(make, num_classes):
+    # tolerance: none. Only the BLAS accumulation order of the class-major
+    # loop differs, which moves weights in the last bits but no prediction.
+    xtr, ytr, xte, yte = make()
+    config = ProbeConfig()
+    res = linear_probe(xtr, ytr, xte, yte, num_classes, config=config)
+    acc, per_class = _row_major_probe(xtr, ytr, xte, yte, num_classes, config)
+    assert res.accuracy == acc
+    assert res.per_class_accuracy == per_class
+
+
 def test_probe_split_disjoint_and_covering():
     corpus = small_corpus(n=25)
     train_idx, test_idx = probe_split(corpus, seed=0)
