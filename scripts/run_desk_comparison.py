@@ -16,12 +16,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sharedformer.diagnostics import (collect_traces, gradient_decomposition,
-                                      layer_transitions, sli_sweep,
-                                      write_report)
+from sharedformer.config import DataSection, DiagSection
+from sharedformer.diagnostics import (collect_traces, flop_report,
+                                      gradient_decomposition, layer_transitions,
+                                      sli_sweep, write_report)
 from sharedformer.encoder import ConformerConfig
 from sharedformer.features import synth_corpus
-from sharedformer.training import TrainConfig, split_corpus, train
+from sharedformer.training import TrainConfig, parse_depth, split_corpus, train
 
 
 def main():
@@ -29,12 +30,14 @@ def main():
     ap.add_argument("--out", required=True, help="output directory")
     ap.add_argument("--steps", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--corpus-seed", type=int, default=7)
+    ap.add_argument("--corpus-seed", type=int, default=DataSection().seed)
     ap.add_argument("--probe-layers", default="2,3,4,5,6,7,8")
     args = ap.parse_args()
 
     out = Path(args.out)
-    corpus = synth_corpus(args.corpus_seed, 300, (40, 100), 16, 4)
+    d = DataSection()
+    corpus = synth_corpus(args.corpus_seed, d.num_utts, (d.t_min, d.t_max), d.dim,
+                          d.num_classes, d.noise_sigma)
     eval_idx = split_corpus(corpus, args.seed, 0.1)[1]
 
     variants = {
@@ -83,8 +86,11 @@ def main():
         accs = " ".join(f"M={m}:{a:.3f}" for m, a in sorted(s["probe"].items()))
         print(f"  probe accuracy {accs}")
     a, b = summary["shared_u28"], summary["unshared_8"]
+    model_cfg, depth = variants["shared_u28"]
+    expected = flop_report(model_cfg, DiagSection().flop_frames).expected_training_ratio(
+        *parse_depth(depth))
     print(f"\ntraining compute ratio (shared/unshared): "
-          f"{a['cum_layer_apps'] / b['cum_layer_apps']:.4f} (expected 0.625)")
+          f"{a['cum_layer_apps'] / b['cum_layer_apps']:.4f} (expected {expected})")
     print(f"layer-consistency gap: {a['mean_cosine_2_8'] - b['mean_cosine_2_8']:+.4f} "
           f"(positive means sharing + depth sampling raised consistency)")
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import RunConfig, apply_override, apply_preset, load_config
+from .config import PRESETS, RunConfig, apply_override, apply_preset, load_config
 from .diagnostics import (collect_traces, flop_report, gradient_decomposition,
                           layer_transitions, project_2d, sli_sweep, write_report)
 from .encoder import load_checkpoint, param_count, store_from_checkpoint
@@ -65,6 +66,12 @@ def _load_store(path):
     return store_from_checkpoint(ck_cfg, tensors)
 
 
+def _check_dim(corpus: LabeledCorpus, input_dim: int) -> None:
+    if corpus.sequences and corpus.sequences[0].dim != input_dim:
+        raise ContractError(f"feature dim mismatch: the model expects {input_dim}, "
+                            f"the corpus has {corpus.sequences[0].dim}")
+
+
 # ---- subcommands -------------------------------------------------------------
 
 
@@ -85,24 +92,14 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 
 def cmd_pretrain(args, cfg: RunConfig) -> int:
-    out = Path(args.out)
-    if args.preset == "paper":
-        cfg.write_echo(out)
-        counts = param_count(cfg.model)
-        rep = flop_report(cfg.model, cfg.diag.flop_frames)
-        rows = [[k, v] for k, v in counts.items()]
-        rows.append(["sli_block_ratio_m5", rep.sli_ratio_at(5)])
-        rows.append(["expected_training_ratio",
-                     rep.expected_training_ratio(*parse_depth(cfg.train.depth))])
-        write_report(out / "paper_scale_report", ["quantity", "value"], rows)
-        print("paper preset is config-emit only: wrote resolved config and scale report")
-        return 0
     corpus = _load_corpus(args.data)
-    # refuse a bad split or a bad resume checkpoint before --out exists;
-    # train reads the checkpoint again
+    # refuse a bad split, a bad resume checkpoint or a corpus of the wrong
+    # feature dim before --out exists; train reads the checkpoint again
     split_corpus(corpus, cfg.train.seed, cfg.train.val_fraction)
-    if args.resume:
-        check_depth(*parse_depth(cfg.train.depth), _load_store(args.resume).config.max_layers)
+    model_cfg = _load_store(args.resume).config if args.resume else cfg.model
+    check_depth(*parse_depth(cfg.train.depth), model_cfg.max_layers)
+    _check_dim(corpus, model_cfg.input_dim)
+    out = Path(args.out)
     cfg.write_echo(out)
     result = train(corpus, cfg.model, cfg.train, cfg.mask,
                    out_dir=out, resume_from=args.resume)
@@ -119,8 +116,14 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
         model_cfg = _load_store(args.checkpoint).config if args.checkpoint else cfg.model
         rep = flop_report(model_cfg, cfg.diag.flop_frames)
         low, high = parse_depth(cfg.train.depth)
+        shared, unshared = (param_count(replace(model_cfg, share_params=share))["total_encoder"]
+                            for share in (True, False))
         rows2 = [["expected_training_ratio", rep.expected_training_ratio(low, high)],
-                 ["sli_ratio_min_layers", rep.sli_ratio_at(low)]]
+                 ["sli_ratio_min_layers", rep.sli_ratio_at(low)],
+                 ["params_per_layer", param_count(model_cfg)["per_layer"]],
+                 ["params_encoder_shared", shared],
+                 ["params_encoder_unshared", unshared],
+                 ["param_reduction", unshared / shared]]
         rows = [[n, rep.flops(n), rep.block_flops(n)]
                 for n in range(1, model_cfg.max_layers + 1)]
         cfg.write_echo(out)
@@ -133,10 +136,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
         raise InputError(f"diagnose --which={args.which} needs --checkpoint and --data")
     store = _load_store(args.checkpoint)
     corpus = _load_corpus(args.data)
-    if corpus.sequences and corpus.sequences[0].dim != store.config.input_dim:
-        raise ContractError(
-            f"feature dim mismatch: checkpoint expects {store.config.input_dim}, "
-            f"found {corpus.sequences[0].dim}")
+    _check_dim(corpus, store.config.input_dim)
     if args.which == "transitions":
         idx = list(range(len(corpus.sequences)))
         traces = collect_traces(store, corpus, idx, cfg.mask, batch_size=cfg.train.batch_size)
@@ -217,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parameter-shared Conformer pretraining with sampled depth, "
                     "shallow inference, and layer-similarity diagnostics.")
     p.add_argument("--config", help="config file ([section] key=value lines)")
-    p.add_argument("--preset", help="named preset: desk-shared-u28, desk-unshared-8, paper")
+    p.add_argument("--preset", help=f"named preset: {', '.join(PRESETS)}")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate the synthetic labeled corpus")
     s.add_argument("--out", required=True)
 
     s = sub.add_parser("pretrain", help="run masked-reconstruction pretraining")
-    s.add_argument("--data", help="feature file")
+    s.add_argument("--data", required=True, help="feature file")
     s.add_argument("--out", required=True)
     s.add_argument("--resume", help="checkpoint to resume from")
 
@@ -252,12 +252,12 @@ _HANDLERS = {"synth": cmd_synth, "pretrain": cmd_pretrain,
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     plain, overrides = _split_overrides(argv)
-    parser = build_parser()
-    args = parser.parse_args(plain)
+    try:
+        args = build_parser().parse_args(plain)
+    except SystemExit as e:  # argparse rejected the command line (exit 2) or printed --help
+        return e.code
     try:
         cfg = _build_config(args, overrides)
-        if args.command == "pretrain" and args.preset != "paper" and not args.data:
-            raise InputError("pretrain needs --data (or --preset paper for config-emit mode)")
         return _HANDLERS[args.command](args, cfg)
     except (InputError, ContractError, ConfigError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)

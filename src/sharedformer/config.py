@@ -122,7 +122,8 @@ PRESETS = {
     "desk-shared-u28": {"model.share_params": "true", "train.depth": "uniform:2:8"},
     # desk-scale baseline: independent layers, fixed full depth
     "desk-unshared-8": {"model.share_params": "false", "train.depth": "fixed:8"},
-    # full-scale architecture constants; emitted for reporting, not desk training
+    # the paper's full-scale shape, reported by `--preset paper diagnose
+    # --which flops`; too large for desk training
     "paper": {
         "model.input_dim": "80", "model.model_dim": "512", "model.num_heads": "4",
         "model.ff_dim": "2048", "model.conv_kernel": "15", "model.max_layers": "8",

@@ -313,19 +313,23 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             # multiple, so a shorter run logs a prefix of the longer run's rows
             if step % cfg.validation_every == 0:
                 val = validation_loss(store, corpus, val_idx, cfg, mask_cfg)
-                if val < best_val:
-                    best_val = val
-                    best_step = step
-                    if out_dir is not None:
-                        _save_train_checkpoint(out_dir / "best.ckpt", store, adam, step,
-                                               best_val, best_step, cfg, cum_layer_apps)
 
             row = {"step": step, "sampled_depth": n_layers, "lr": lr,
                    "train_loss": train_loss, "val_loss": val,
                    "cum_layer_apps": cum_layer_apps}
             metrics.append(row)
+            # the row leaves the process before any checkpoint of its step, so
+            # no checkpoint on disk is ahead of the rows a resume continues
             if metrics_file is not None:
                 metrics_file.write(json.dumps(row) + "\n")
+                metrics_file.flush()
+
+            if val is not None and val < best_val:
+                best_val = val
+                best_step = step
+                if out_dir is not None:
+                    _save_train_checkpoint(out_dir / "best.ckpt", store, adam, step,
+                                           best_val, best_step, cfg, cum_layer_apps)
     finally:
         if metrics_file is not None:
             metrics_file.close()
@@ -380,14 +384,25 @@ def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],
 
 
 def _truncate_metrics(path: Path, step: int) -> None:
-    """Cut a metrics file in place to its complete rows up to and including ``step``."""
-    offset = 0
+    """Cut a metrics file in place to its complete rows up to and including ``step``.
+
+    A file whose complete rows end before ``step`` has lost rows the
+    checkpoint already covers; it is rejected and left as it is.
+    """
+    offset = last = 0
     with open(path, "r+b") as f:
         for line in f:
+            if not line.endswith(b"\n"):
+                break
             try:
-                if not line.endswith(b"\n") or json.loads(line)["step"] > step:
+                row_step = json.loads(line)["step"]
+                if row_step > step:
                     break
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}: malformed row at byte {offset}") from exc
             offset += len(line)
+            last = row_step
+        if last < step:
+            raise FormatError(f"{path}: rows end at step {last}, before the resume "
+                              f"checkpoint's step {step}")
         f.truncate(offset)

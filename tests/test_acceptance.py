@@ -10,12 +10,14 @@ machine with more than one core the runs overlap in time.
 """
 
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sharedformer import autodiff as ad
 from sharedformer.autodiff import Tensor
+from sharedformer.config import RunConfig, apply_preset
 from sharedformer.diagnostics import (collect_traces, flop_report,
                                       gradient_decomposition,
                                       layer_transitions, layer_embeddings,
@@ -185,14 +187,14 @@ def test_criterion_3_parameter_arithmetic(report):
         ratios[H] = layer_unshared / layer_shared
     ok = len(shared_totals) == 1 and all(ratios[H] == H for H in (2, 5, 8))
 
-    paper_cfg = dict(input_dim=80, model_dim=512, num_heads=4, ff_dim=2048,
-                     conv_kernel=15, max_layers=8)
-    shared_m = param_count(ConformerConfig(**paper_cfg))["per_layer"] / 1e6
-    unshared_m = param_count(ConformerConfig(share_params=False, **paper_cfg))
-    unshared_m = unshared_m["total_encoder"] / 1e6
+    paper = RunConfig()
+    apply_preset(paper, "paper")
+    shared_p = param_count(paper.model)
+    unshared_p = param_count(replace(paper.model, share_params=False))
     report(3, "parameter arithmetic", ok,
-           f"layer ratios {ratios}; full-scale per-layer {shared_m:.2f}M "
-           f"(reference 4.3M), unshared encoder {unshared_m:.2f}M (reference 33.7M)")
+           f"layer ratios {ratios}; paper preset per-layer {shared_p['per_layer'] / 1e6:.2f}M, "
+           f"param_reduction {unshared_p['total_encoder'] / shared_p['total_encoder']:.3f}x "
+           f"(paper: 7.8x)")
     assert ok
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from sharedformer.autodiff import Tensor
 from sharedformer.cli import main
 from sharedformer.config import PRESETS, RunConfig, apply_preset, load_config
 from sharedformer.encoder import (ConformerConfig, ParameterStore, load_checkpoint,
-                                  save_checkpoint, store_from_checkpoint)
+                                  param_count, save_checkpoint, store_from_checkpoint)
 from sharedformer.errors import ConfigError
 from sharedformer.features import FeatureSequence, load_features, save_features
 
@@ -185,12 +186,15 @@ def test_pretrain_outputs(run_dir):
 
 
 @pytest.mark.parametrize("case", ["missing-data", "missing-resume", "no-training-utterance",
-                                  "bad-magic", "too-shallow"])
+                                  "bad-magic", "too-shallow", "dim-mismatch",
+                                  "resume-dim-mismatch"])
 def test_rejected_pretrain_input_leaves_no_output(tmp_path, corpus_dir, capsys, case):
     data = str(corpus_dir / "features.bin")
     (tmp_path / "random.ckpt").write_bytes(np.random.default_rng(0).bytes(100))
     four = ParameterStore.init(ConformerConfig(max_layers=4), np.random.default_rng(0))
     save_checkpoint(tmp_path / "four.ckpt", four)
+    wide = ParameterStore.init(ConformerConfig(input_dim=20), np.random.default_rng(0))
+    save_checkpoint(tmp_path / "wide.ckpt", wide)
     argv, code, prefix = {
         "missing-data": (["--data", str(tmp_path / "missing.bin")], 3, "I/O error: "),
         "missing-resume": (["--data", data, "--resume", str(tmp_path / "missing.ckpt")],
@@ -201,6 +205,11 @@ def test_rejected_pretrain_input_leaves_no_output(tmp_path, corpus_dir, capsys, 
         # a 4-layer checkpoint cannot train at depths up to 8
         "too-shallow": (["--data", data, "--resume", str(tmp_path / "four.ckpt"),
                          "--train.depth=uniform:2:8"], 2, "error: "),
+        # the corpus has 16-dim frames; the model's input_dim comes from the
+        # config, or from the checkpoint on resume
+        "dim-mismatch": (["--data", data, "--model.input_dim=20"], 2, "error: "),
+        "resume-dim-mismatch": (["--data", data, "--resume", str(tmp_path / "wide.ckpt")],
+                                2, "error: "),
     }[case]
     out = tmp_path / "out"
     assert main(["pretrain", *argv, *QUICK, "--out", str(out)]) == code
@@ -273,18 +282,6 @@ def test_pretrain_checkpoint_write_failure_is_io_error(tmp_path, corpus_dir, mon
     assert not list(tmp_path.glob("*.ckpt*"))
 
 
-def test_pretrain_paper_preset_emits_config_only(tmp_path, capsys):
-    code = main(["--preset", "paper", "pretrain", "--out", str(tmp_path)])
-    assert code == 0
-    assert not (tmp_path / "final.ckpt").exists()
-    echo = (tmp_path / "resolved_config.ini").read_text()
-    assert "model_dim=512" in echo and "warmup_steps=8000" in echo
-    report = {json.loads(l)["quantity"]: json.loads(l)["value"]
-              for l in (tmp_path / "paper_scale_report.jsonl").read_text().splitlines()}
-    assert report["expected_training_ratio"] == pytest.approx(0.625)
-    assert report["total_encoder"] > 1e6
-
-
 def test_pretrain_resume_continues(tmp_path, corpus_dir, run_dir):
     out = tmp_path / "resumed"
     code = main(["pretrain", "--data", str(corpus_dir / "features.bin"),
@@ -325,6 +322,36 @@ def test_diagnose_flops_from_defaults(tmp_path):
               for l in (tmp_path / "flop_ratios.jsonl").read_text().splitlines()}
     assert ratios["expected_training_ratio"] == pytest.approx(0.625)
     assert ratios["sli_ratio_min_layers"] == pytest.approx(0.25)
+
+
+def test_paper_preset_flops_report_is_the_paper_table(tmp_path):
+    assert main(["--preset", "paper", "diagnose", "--which", "flops",
+                 "--out", str(tmp_path)]) == 0
+    assert "model_dim=512" in (tmp_path / "resolved_config.ini").read_text()
+    rows = [json.loads(l) for l in (tmp_path / "flops.jsonl").read_text().splitlines()]
+    assert [r["layers"] for r in rows] == list(range(1, 9))
+    block = {r["layers"]: r["block_macs"] for r in rows}
+    assert block[5] / block[8] == 0.625  # shallow inference at M = 5 against full depth
+    ratios = {json.loads(l)["quantity"]: json.loads(l)["value"]
+              for l in (tmp_path / "flop_ratios.jsonl").read_text().splitlines()}
+    assert ratios["expected_training_ratio"] == pytest.approx(0.625)
+    assert ratios["sli_ratio_min_layers"] == pytest.approx(0.25)
+    cfg = RunConfig()
+    apply_preset(cfg, "paper")
+    shared = param_count(cfg.model)
+    unshared = param_count(replace(cfg.model, share_params=False))
+    assert ratios["params_per_layer"] == shared["per_layer"]
+    assert ratios["params_encoder_shared"] == shared["total_encoder"]
+    assert ratios["params_encoder_unshared"] == unshared["total_encoder"]
+    assert ratios["param_reduction"] == pytest.approx(
+        unshared["total_encoder"] / shared["total_encoder"])
+
+
+def test_paper_preset_pretrain_without_data_exits_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--preset", "paper", "pretrain", "--out", str(out)]) == 2
+    assert "--data" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_diagnose_flops_follow_train_depth(tmp_path):

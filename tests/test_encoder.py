@@ -1,4 +1,5 @@
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sharedformer import autodiff as ad
 from sharedformer import encoder
 from sharedformer.autodiff import Tensor
+from sharedformer.config import RunConfig, apply_preset
 from sharedformer.encoder import (ConformerConfig, Padding, ParameterStore, _attention,
                                   conformer_block, forward, load_checkpoint,
                                   param_count, relative_position_bias, sample_depth,
@@ -408,19 +410,17 @@ def test_param_count_matches_store():
 
 
 def test_param_count_paper_scale_reported():
-    cfg = ConformerConfig(input_dim=80, model_dim=512, num_heads=4, ff_dim=2048,
-                          conv_kernel=15, max_layers=8)
-    counts = param_count(cfg)
-    unshared = param_count(ConformerConfig(input_dim=80, model_dim=512, num_heads=4,
-                                           ff_dim=2048, conv_kernel=15, max_layers=8,
-                                           share_params=False))
+    paper = RunConfig()
+    apply_preset(paper, "paper")
+    counts = param_count(paper.model)
+    unshared = param_count(replace(paper.model, share_params=False))
     # the layer-parameter portion shrinks by exactly the layer count
     ratio = (unshared["total_encoder"] - unshared["frontend"]) / (
         counts["total_encoder"] - counts["frontend"])
     assert ratio == 8.0
-    print(f"paper-scale per_layer={counts['per_layer'] / 1e6:.2f}M "
-          f"(reference 4.3M), unshared encoder={unshared['total_encoder'] / 1e6:.2f}M "
-          f"(reference 33.7M)")
+    print(f"paper-scale per_layer={counts['per_layer'] / 1e6:.2f}M, "
+          f"param_reduction={unshared['total_encoder'] / counts['total_encoder']:.3f}x "
+          f"(paper: 7.8x)")
 
 
 # ---- flat parameter buffer --------------------------------------------------

@@ -351,6 +351,40 @@ def test_resume_rejects_malformed_metrics_row(tmp_path):
     assert path.read_bytes() == b'{"step": 1}\nnot json\n'
 
 
+def test_rows_reach_the_file_before_each_checkpoint_of_their_step(tmp_path, monkeypatch):
+    from sharedformer import training
+    original = training._save_train_checkpoint
+    seen = []
+
+    def spy(path, store, adam, step, *args):
+        rows = (tmp_path / "metrics.jsonl").read_text().splitlines()
+        seen.append((path.name, step, json.loads(rows[-1])["step"] if rows else 0))
+        return original(path, store, adam, step, *args)
+
+    monkeypatch.setattr(training, "_save_train_checkpoint", spy)
+    train(small_corpus(), ConformerConfig(), quick_train_config(max_steps=8, validation_every=3),
+          out_dir=tmp_path)
+    assert "best.ckpt" in [name for name, _, _ in seen]
+    assert all(step == last_row for _, step, last_row in seen)
+
+
+@pytest.mark.parametrize("keep", [0, 1], ids=["empty", "one-row-then-a-partial-row"])
+def test_resume_rejects_rows_that_end_before_the_checkpoint(tmp_path, keep):
+    corpus = small_corpus()
+    cfg = quick_train_config(max_steps=8, validation_every=3)
+    train(corpus, ConformerConfig(), cfg, out_dir=tmp_path)
+    path = tmp_path / "metrics.jsonl"
+    rows = path.read_bytes().splitlines(keepends=True)
+    text = b"".join(rows[:keep]) + (b'{"step": 2' if keep else b"")
+    path.write_bytes(text)
+    best_cfg, _ = load_checkpoint(tmp_path / "best.ckpt")
+    assert int(best_cfg["train.step"]) > 1
+    with pytest.raises(FormatError, match="before the resume checkpoint"):
+        train(corpus, ConformerConfig(), cfg, out_dir=tmp_path,
+              resume_from=tmp_path / "best.ckpt")
+    assert path.read_bytes() == text
+
+
 def test_cumulative_layer_applications(tmp_path):
     cfg = quick_train_config(max_steps=50, depth="uniform:2:8")
     result = train(small_corpus(), ConformerConfig(), cfg)
