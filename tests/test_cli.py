@@ -347,11 +347,22 @@ def test_paper_preset_flops_report_is_the_paper_table(tmp_path):
         unshared["total_encoder"] / shared["total_encoder"])
 
 
-def test_paper_preset_pretrain_without_data_exits_before_any_output(tmp_path, capsys):
+def test_pretrain_paper_preset_emits_config_only(tmp_path, capsys):
+    # The paper preset trains nothing here: pretrain without --data writes nothing,
+    # and the preset's config and analytic report come from diagnose --which flops.
     out = tmp_path / "out"
     assert main(["--preset", "paper", "pretrain", "--out", str(out)]) == 2
     assert "--data" in capsys.readouterr().err
     assert not out.exists()
+    assert main(["--preset", "paper", "diagnose", "--which", "flops",
+                 "--out", str(tmp_path)]) == 0
+    assert not list(tmp_path.glob("*.ckpt*"))
+    echo = (tmp_path / "resolved_config.ini").read_text()
+    assert "model_dim=512" in echo and "warmup_steps=8000" in echo
+    report = {json.loads(l)["quantity"]: json.loads(l)["value"]
+              for l in (tmp_path / "flop_ratios.jsonl").read_text().splitlines()}
+    assert report["expected_training_ratio"] == pytest.approx(0.625)
+    assert report["params_encoder_shared"] > 1e6
 
 
 def test_diagnose_flops_follow_train_depth(tmp_path):

@@ -1,10 +1,28 @@
-"""Smoke tests for the experiment scripts under scripts/."""
+"""Smoke tests for the experiment scripts under scripts/ and the paper-scale report,
+each run as its own process."""
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def test_report_paper_scale_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "sharedformer.cli", "--preset", "paper",
+                    "diagnose", "--which", "flops", "--out", str(tmp_path)],
+                   env=env, capture_output=True, text=True, check=True, timeout=120)
+    block = {json.loads(l)["layers"]: json.loads(l)["block_macs"]
+             for l in (tmp_path / "flops.jsonl").read_text().splitlines()}
+    assert block[5] / block[8] == 0.625  # shallow inference M=5 vs full
+    ratios = {json.loads(l)["quantity"]: json.loads(l)["value"]
+              for l in (tmp_path / "flop_ratios.jsonl").read_text().splitlines()}
+    assert ratios["expected_training_ratio"] == 0.625  # uniform depth sampling U(2,8)
 
 
 def test_run_desk_comparison_runs(tmp_path):
