@@ -23,7 +23,7 @@ from .errors import (ConfigError, ContractError, DimensionError,
                      SharedformerError)
 from .features import (LabeledCorpus, load_features, load_labels, save_features,
                        save_labels, synth_corpus)
-from .training import check_depth, parse_depth, split_corpus, train
+from .training import parse_depth, train
 
 
 def _split_overrides(argv: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
@@ -61,17 +61,6 @@ def _load_corpus(path, labels_path=None) -> LabeledCorpus:
     return LabeledCorpus(sequences, labels, num_classes)
 
 
-def _load_store(path):
-    ck_cfg, tensors = load_checkpoint(path)
-    return store_from_checkpoint(ck_cfg, tensors)
-
-
-def _check_dim(corpus: LabeledCorpus, input_dim: int) -> None:
-    if corpus.sequences and corpus.sequences[0].dim != input_dim:
-        raise ContractError(f"feature dim mismatch: the model expects {input_dim}, "
-                            f"the corpus has {corpus.sequences[0].dim}")
-
-
 # ---- subcommands -------------------------------------------------------------
 
 
@@ -93,16 +82,8 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def cmd_pretrain(args, cfg: RunConfig) -> int:
     corpus = _load_corpus(args.data)
-    # refuse a bad split, a bad resume checkpoint or a corpus of the wrong
-    # feature dim before --out exists; train reads the checkpoint again
-    split_corpus(corpus, cfg.train.seed, cfg.train.val_fraction)
-    model_cfg = _load_store(args.resume).config if args.resume else cfg.model
-    check_depth(*parse_depth(cfg.train.depth), model_cfg.max_layers)
-    _check_dim(corpus, model_cfg.input_dim)
-    out = Path(args.out)
-    cfg.write_echo(out)
-    result = train(corpus, cfg.model, cfg.train, cfg.mask,
-                   out_dir=out, resume_from=args.resume)
+    result = train(corpus, cfg.model, cfg.train, cfg.mask, out_dir=Path(args.out),
+                   resume_from=args.resume, echo=cfg.echo())
     print(f"trained to step {result.final_step}; best validation loss "
           f"{result.best_val_loss:.6f} at step {result.best_step}")
     return 0
@@ -113,7 +94,9 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
     # so a rejected run leaves no output directory behind
     out = Path(args.out)
     if args.which == "flops":
-        model_cfg = _load_store(args.checkpoint).config if args.checkpoint else cfg.model
+        model_cfg = cfg.model
+        if args.checkpoint:
+            model_cfg = store_from_checkpoint(*load_checkpoint(args.checkpoint)).config
         rep = flop_report(model_cfg, cfg.diag.flop_frames)
         low, high = parse_depth(cfg.train.depth)
         shared, unshared = (param_count(replace(model_cfg, share_params=share))["total_encoder"]
@@ -134,9 +117,10 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
     if not args.checkpoint or not args.data:
         raise InputError(f"diagnose --which={args.which} needs --checkpoint and --data")
-    store = _load_store(args.checkpoint)
+    ck_cfg, tensors = load_checkpoint(args.checkpoint)
+    store = store_from_checkpoint(ck_cfg, tensors)
     corpus = _load_corpus(args.data)
-    _check_dim(corpus, store.config.input_dim)
+    corpus.check_dim(store.config.input_dim)
     if args.which == "transitions":
         idx = list(range(len(corpus.sequences)))
         traces = collect_traces(store, corpus, idx, cfg.mask, batch_size=cfg.train.batch_size)
@@ -150,7 +134,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
     if args.which == "grads":
         with ad.precision("float64"):
-            store64 = _load_store(args.checkpoint)
+            store64 = store_from_checkpoint(ck_cfg, tensors)
             batch = corpus.sequences[:cfg.train.batch_size]
             decomp = gradient_decomposition(store64, batch, cfg.diag.grad_depth, cfg.mask)
             decomp.assert_sum_identity()
@@ -193,7 +177,7 @@ def cmd_probe(args, cfg: RunConfig) -> int:
         raise InputError(f"--layers must be comma-separated integers, got {args.layers!r}") from None
     if not layers:
         raise InputError(f"--layers names no depth, got {args.layers!r}")
-    store = _load_store(args.checkpoint)
+    store = store_from_checkpoint(*load_checkpoint(args.checkpoint))
     corpus = _load_corpus(args.data, args.labels)
     if len(set(layers)) != len(layers):
         print("warning: duplicate layer entries removed", file=sys.stderr)

@@ -32,6 +32,8 @@ class DataSection:
     noise_sigma: float = 0.1
 
     def __post_init__(self):
+        if self.num_utts < 0:
+            raise ConfigError(f"num_utts must be >= 0, got {self.num_utts}")
         if self.num_classes > MAX_CLASSES:
             raise ConfigError(f"num_classes must be <= {MAX_CLASSES}, got {self.num_classes}")
         if not 0.0 <= self.noise_sigma < float("inf"):
@@ -49,6 +51,10 @@ class DiagSection:
     def __post_init__(self):
         if self.utterance < 0:
             raise ConfigError(f"utterance must be >= 0, got {self.utterance}")
+        if self.frame_start < 0:
+            raise ConfigError(f"frame_start must be >= 0, got {self.frame_start}")
+        if self.flop_frames < 1:
+            raise ConfigError(f"flop_frames must be >= 1, got {self.flop_frames}")
         if self.grad_depth < 1:
             raise ConfigError(f"grad_depth must be >= 1, got {self.grad_depth}")
 

@@ -58,6 +58,12 @@ class LabeledCorpus:
             if self.num_classes and lab.size and int(lab.max()) >= self.num_classes:
                 raise InputError(f"label id >= num_classes in {seq.utterance_id!r}")
 
+    def check_dim(self, input_dim: int) -> None:
+        """Reject a corpus whose frames a model of `input_dim` inputs cannot read."""
+        if self.sequences and self.sequences[0].dim != input_dim:
+            raise ContractError(f"feature dim mismatch: the model expects {input_dim}, "
+                                f"the corpus has {self.sequences[0].dim}")
+
 
 # ---- binary round trips ------------------------------------------------------
 
@@ -82,6 +88,9 @@ def load_features(path) -> list[FeatureSequence]:
         T, D, shift = r.unpack("IIf", "shape")
         if T < 1 or D < 1 or T * D > 1 << 30:
             raise FormatError(f"implausible shape {T}x{D}", offset=r.off - 12)
+        if out and D != out[0].dim:
+            raise FormatError(f"utterance {uid!r} has feature dim {D}, the first "
+                              f"utterance {out[0].dim}", offset=r.off - 8)
         frames = np.frombuffer(r.take(4 * T * D, "frame data"), dtype="<f4").reshape(T, D)
         out.append(FeatureSequence(uid, frames.copy(), shift))
     return out

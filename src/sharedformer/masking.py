@@ -43,7 +43,6 @@ class MaskConfig:
 class MaskPlan:
     blocks: list[tuple[int, int]]  # (start, length), sorted, non-overlapping
     total_frames: int
-    degenerate: bool = False
 
     def __post_init__(self):
         prev_end = 0
@@ -80,7 +79,6 @@ def plan_masks(T: int, block_len: int = 7, ratio: float = 0.15,
     if rng is None:
         rng = np.random.default_rng(0)
     num_blocks = max(1, math.floor(ratio * T / block_len + 0.5))
-    degenerate = num_blocks * block_len > T
 
     # sample where a full block fits; truncation only happens when T < block_len
     start_limit = max(1, T - block_len + 1)
@@ -102,11 +100,9 @@ def plan_masks(T: int, block_len: int = 7, ratio: float = 0.15,
                 pos += block_len
             else:
                 pos += 1
-        if len(starts) < num_blocks:
-            degenerate = True
 
     blocks = [(s, min(block_len, T - s)) for s in sorted(starts)]
-    return MaskPlan(blocks, T, degenerate=degenerate)
+    return MaskPlan(blocks, T)
 
 
 def apply_masks(x: FeatureSequence, plan: MaskPlan, cfg: MaskConfig | None = None,

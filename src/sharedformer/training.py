@@ -233,14 +233,19 @@ def validation_loss(store: ParameterStore, corpus: LabeledCorpus, val_idx: list[
 
 def train(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainConfig,
           mask_cfg: MaskConfig | None = None, out_dir: str | Path | None = None,
-          resume_from: str | Path | None = None) -> TrainResult:
+          resume_from: str | Path | None = None, echo: str | None = None) -> TrainResult:
+    """Pretrain; every input is checked before `out_dir` is written.
+
+    The directory is written in one order: the metrics file cut back to the
+    resume step, `echo` as resolved_config.ini, then rows and checkpoints.
+    """
     with ad.precision(cfg.precision):
-        return _train_impl(corpus, model_cfg, cfg, mask_cfg, out_dir, resume_from)
+        return _train_impl(corpus, model_cfg, cfg, mask_cfg, out_dir, resume_from, echo)
 
 
 def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainConfig,
                 mask_cfg: MaskConfig | None, out_dir: str | Path | None,
-                resume_from: str | Path | None) -> TrainResult:
+                resume_from: str | Path | None, echo: str | None) -> TrainResult:
     mask_cfg = mask_cfg or MaskConfig()
 
     train_idx, val_idx = split_corpus(corpus, cfg.seed, cfg.val_fraction)
@@ -264,6 +269,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
         store = ParameterStore.init(model_cfg, substream(cfg.seed, "init"))
     low, high = parse_depth(cfg.depth)
     check_depth(low, high, store.config.max_layers)
+    corpus.check_dim(store.config.input_dim)
 
     out_dir = Path(out_dir) if out_dir is not None else None
     metrics_file = None
@@ -274,6 +280,8 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
         # the checkpoint step, so the file matches an uninterrupted run's
         if resume_from is not None and path.exists():
             _truncate_metrics(path, start_step)
+        if echo is not None:
+            (out_dir / "resolved_config.ini").write_text(echo, encoding="utf-8")
         metrics_file = open(path, "a" if resume_from is not None else "w",
                             encoding="utf-8")
 

@@ -330,9 +330,9 @@ def test_criterion_10_format_round_trips(tmp_path, report):
     for seed in range(50):
         r = np.random.default_rng(seed)
         n = int(r.integers(1, 5))
+        dim = int(r.integers(2, 30))  # a feature file holds one dim
         seqs = [FeatureSequence(f"rt-{seed}-{i}",
-                                r.normal(size=(int(r.integers(1, 40)),
-                                               int(r.integers(2, 30)))).astype(np.float32))
+                                r.normal(size=(int(r.integers(1, 40)), dim)).astype(np.float32))
                 for i in range(n)]
         num_classes = int(r.integers(2, 9))
         labels = [r.integers(0, num_classes, size=s.num_frames).astype(np.int64)

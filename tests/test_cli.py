@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,9 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["probe", "--layers", "9"],
     ["diagnose", "--which", "project", "--diag.utterance=99"],
     ["synth", "--data.num_classes=70000"],
+    ["synth", "--data.num_utts=-3"],
+    ["diagnose", "--which", "project", "--diag.frame_start=-5"],
+    ["diagnose", "--which", "flops", "--diag.flop_frames=-4"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_bad_value_exits_before_any_output(tmp_path, corpus_dir, run_dir, capsys, argv):
     data = ["--data", str(corpus_dir / "features.bin")]
@@ -215,6 +219,42 @@ def test_rejected_pretrain_input_leaves_no_output(tmp_path, corpus_dir, capsys, 
     assert main(["pretrain", *argv, *QUICK, "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(prefix)
     assert not out.exists()
+
+
+def test_rejected_resume_leaves_the_run_directory_as_it_was(tmp_path, corpus_dir, capsys):
+    out = tmp_path / "out"
+    data = ["--data", str(corpus_dir / "features.bin")]
+    quick = [*QUICK[:-1], "--train.validation_every=3"]
+    assert main(["pretrain", *data, *quick, "--train.max_steps=12", "--out", str(out)]) == 0
+    (out / "metrics.jsonl").write_bytes(b"")
+    echo = (out / "resolved_config.ini").read_bytes()
+    assert b"max_steps=12" in echo
+    # the empty file has lost the rows up to the checkpoint's step
+    code = main(["pretrain", *data, *quick, "--train.max_steps=16", "--out", str(out),
+                 "--resume", str(out / "best.ckpt")])
+    assert code == 2
+    assert "before the resume checkpoint" in capsys.readouterr().err
+    assert (out / "resolved_config.ini").read_bytes() == echo
+    assert (out / "metrics.jsonl").read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", ["pretrain", "diagnose"])
+def test_one_checkpoint_read_per_command(tmp_path, corpus_dir, run_dir, monkeypatch, command):
+    from sharedformer import cli, training
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(cli, "load_checkpoint", counted)
+    monkeypatch.setattr(training, "load_checkpoint", counted)
+    ckpt, data = str(run_dir / "final.ckpt"), str(corpus_dir / "features.bin")
+    argv = {"pretrain": ["pretrain", "--resume", ckpt, *QUICK, "--train.max_steps=6"],
+            "diagnose": ["diagnose", "--which", "grads", "--checkpoint", ckpt,
+                         "--diag.grad_depth=2", "--train.batch_size=2"]}[command]
+    assert main([*argv, "--data", data, "--out", str(tmp_path / "out")]) == 0
+    assert reads == [ckpt]
 
 
 def test_pretrain_without_data_is_input_error(tmp_path, capsys):
@@ -300,6 +340,85 @@ def test_pretrain_depth_range_may_start_at_zero(tmp_path, corpus_dir, depth):
     rows = [json.loads(l) for l in (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert [r["step"] for r in rows] == [1, 2, 3, 4]
     assert all(0 <= r["sampled_depth"] <= 3 for r in rows)
+
+
+KILLED = 86  # the exit status of a child stopped at its I/O boundary
+
+
+def _pretrain_killed_at(argv, k):
+    """Run `main(argv)` in a forked child that dies by os._exit at I/O boundary k.
+
+    The boundaries are, in order: after each metrics row is flushed, after
+    each checkpoint's .tmp file is written but before its os.replace, and
+    after each os.replace. Like a SIGKILL, os._exit skips every buffer flush
+    and `finally` block. Returns the child's exit status: KILLED, the status
+    of a run that ended before boundary k, or 70 if the child raised.
+    """
+    pid = os.fork()
+    if pid:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:  # the child: patched here only, and never returns to pytest
+        from sharedformer import training
+        passed = 0
+
+        def boundary():
+            nonlocal passed
+            passed += 1
+            if passed == k:
+                os._exit(KILLED)
+
+        class Rows:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, text):
+                self.f.write(text)
+
+            def flush(self):
+                self.f.flush()
+                boundary()
+
+            def close(self):
+                self.f.close()
+
+        replace_file = os.replace
+
+        def replace_then_die(src, dst):
+            boundary()
+            replace_file(src, dst)
+            boundary()
+
+        training.open = lambda *args, **kwargs: Rows(open(*args, **kwargs))
+        os.replace = replace_then_die
+        os._exit(main(argv))
+    finally:
+        os._exit(70)
+
+
+def test_killed_pretrain_resumes_to_the_same_bytes(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "corpus"), "--data.num_utts=20",
+                 "--data.t_min=15", "--data.t_max=25"]) == 0
+    argv = ["pretrain", "--data", str(tmp_path / "corpus/features.bin"), *QUICK[4:-1],
+            "--train.max_steps=8", "--train.validation_every=2"]
+    assert main([*argv, "--out", str(tmp_path / "ref")]) == 0
+    files = ("metrics.jsonl", "best.ckpt", "final.ckpt")
+    ref = {name: (tmp_path / "ref" / name).read_bytes() for name in files}
+    for k in range(1, 100):  # one child at a time, each killed one boundary later
+        out = tmp_path / f"k{k}"
+        status = _pretrain_killed_at([*argv, "--out", str(out)], k)
+        if status == 0:  # the run ended before boundary k
+            break
+        assert status == KILLED, f"boundary {k}: exit status {status}"
+        saved = [p for p in (out / "best.ckpt", out / "final.ckpt") if p.exists()]
+        newest = max(saved, key=lambda p: int(load_checkpoint(p)[0]["train.step"]), default=None)
+        resume = ["--resume", str(newest)] if newest else []
+        assert main([*argv, "--out", str(out), *resume]) == 0, f"boundary {k}"
+        for name in files:
+            assert (out / name).read_bytes() == ref[name], f"boundary {k}: {name}"
+    else:
+        pytest.fail("the run never ended")
+    rows = len(ref["metrics.jsonl"].splitlines())
+    assert k - 1 >= rows + 2 * 2  # each row, and both boundaries of best.ckpt and final.ckpt
 
 
 def test_checkpoint_with_min_layers_line_still_loads(tmp_path, run_dir):
@@ -505,6 +624,7 @@ def test_mixed_feature_dims_is_input_error(tmp_path, run_dir, capsys, command):
                  "--train.max_steps=2", "--train.batch_size=6", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "feature dim" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---- malformed checkpoints ---------------------------------------------------

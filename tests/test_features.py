@@ -17,10 +17,12 @@ def rng(seed):
 
 
 def random_sequences(seed, n):
+    """n utterances of random lengths, all of one random feature dim, as a file holds them."""
     r = rng(seed)
+    dim = int(r.integers(1, 12))
     return [
         FeatureSequence(f"utt-{seed}-{i}", r.normal(size=(int(r.integers(1, 40)),
-                                                          int(r.integers(1, 12)))).astype(np.float32))
+                                                          dim)).astype(np.float32))
         for i in range(n)
     ]
 
@@ -58,6 +60,19 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(FormatError):
         load_features(path)
+
+
+def test_mixed_feature_dims_rejected_at_the_odd_utterance(tmp_path):
+    seqs = [FeatureSequence(f"u{i}", np.zeros((3, 12 if i == 2 else 16), dtype=np.float32))
+            for i in range(4)]
+    path = tmp_path / "mixed.bin"
+    save_features(seqs, path)
+    with pytest.raises(FormatError, match="feature dim") as e:
+        load_features(path)
+    assert "'u2'" in str(e.value)
+    # the header, two 16-dim records, u2's id and T precede u2's D
+    record = 4 + 2 + 12 + 3 * 16 * 4
+    assert e.value.offset == 12 + 2 * record + 4 + 2 + 4
 
 
 def test_truncated_payload_reports_offset(tmp_path):
