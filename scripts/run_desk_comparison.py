@@ -52,7 +52,7 @@ def main():
         result = train(corpus, model_cfg, cfg, out_dir=out / tag)
 
         traces = collect_traces(result.store, corpus, eval_idx)
-        report = layer_transitions(traces, model_tag=tag)
+        report = layer_transitions(traces)
         rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
                 for i in range(len(report.l2_mean))]
         write_report(out / tag / "transitions",

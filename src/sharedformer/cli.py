@@ -17,7 +17,8 @@ from . import autodiff as ad
 from .config import PRESETS, RunConfig, apply_override, apply_preset, load_config
 from .diagnostics import (collect_traces, flop_report, gradient_decomposition,
                           layer_transitions, project_2d, sli_sweep, write_report)
-from .encoder import load_checkpoint, param_count, store_from_checkpoint
+from .encoder import (Checkpoint, ConformerConfig, load_checkpoint, param_count,
+                      store_from_checkpoint)
 from .errors import (ConfigError, ContractError, DimensionError,
                      DivergenceError, InputError, InvariantError,
                      SharedformerError)
@@ -64,7 +65,7 @@ def _load_corpus(path, labels_path=None) -> LabeledCorpus:
 # ---- subcommands -------------------------------------------------------------
 
 
-def cmd_synth(args, cfg: RunConfig) -> int:
+def cmd_synth(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     d = cfg.data
     corpus = synth_corpus(d.seed, d.num_utts, (d.t_min, d.t_max), d.dim,
                           d.num_classes, d.noise_sigma)
@@ -80,51 +81,47 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_pretrain(args, cfg: RunConfig) -> int:
+def cmd_pretrain(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     corpus = _load_corpus(args.data)
     result = train(corpus, cfg.model, cfg.train, cfg.mask, out_dir=Path(args.out),
-                   resume_from=args.resume, echo=cfg.echo())
-    print(f"trained to step {result.final_step}; best validation loss "
+                   resume_from=ckpt, echo=cfg.echo())
+    print(f"trained to step {cfg.train.max_steps}; best validation loss "
           f"{result.best_val_loss:.6f} at step {result.best_step}")
     return 0
 
 
-def cmd_diagnose(args, cfg: RunConfig) -> int:
+def cmd_diagnose(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     # each branch creates --out only once its checks and its computation pass,
     # so a rejected run leaves no output directory behind
     out = Path(args.out)
     if args.which == "flops":
-        model_cfg = cfg.model
-        if args.checkpoint:
-            model_cfg = store_from_checkpoint(*load_checkpoint(args.checkpoint)).config
-        rep = flop_report(model_cfg, cfg.diag.flop_frames)
+        rep = flop_report(cfg.model, cfg.diag.flop_frames)
         low, high = parse_depth(cfg.train.depth)
-        shared, unshared = (param_count(replace(model_cfg, share_params=share))["total_encoder"]
+        shared, unshared = (param_count(replace(cfg.model, share_params=share))["total_encoder"]
                             for share in (True, False))
         rows2 = [["expected_training_ratio", rep.expected_training_ratio(low, high)],
                  ["sli_ratio_min_layers", rep.sli_ratio_at(low)],
-                 ["params_per_layer", param_count(model_cfg)["per_layer"]],
+                 ["params_per_layer", param_count(cfg.model)["per_layer"]],
                  ["params_encoder_shared", shared],
                  ["params_encoder_unshared", unshared],
                  ["param_reduction", unshared / shared]]
         rows = [[n, rep.flops(n), rep.block_flops(n)]
-                for n in range(1, model_cfg.max_layers + 1)]
+                for n in range(1, cfg.model.max_layers + 1)]
         cfg.write_echo(out)
         write_report(out / "flops", ["layers", "total_macs", "block_macs"], rows)
         write_report(out / "flop_ratios", ["quantity", "value"], rows2)
-        print(f"wrote FLOP report for {model_cfg.max_layers}-layer model to {out}")
+        print(f"wrote FLOP report for {cfg.model.max_layers}-layer model to {out}")
         return 0
 
-    if not args.checkpoint or not args.data:
+    if ckpt is None or not args.data:
         raise InputError(f"diagnose --which={args.which} needs --checkpoint and --data")
-    ck_cfg, tensors = load_checkpoint(args.checkpoint)
-    store = store_from_checkpoint(ck_cfg, tensors)
+    store = store_from_checkpoint(*ckpt)
     corpus = _load_corpus(args.data)
     corpus.check_dim(store.config.input_dim)
     if args.which == "transitions":
         idx = list(range(len(corpus.sequences)))
         traces = collect_traces(store, corpus, idx, cfg.mask, batch_size=cfg.train.batch_size)
-        report = layer_transitions(traces, model_tag=str(args.checkpoint))
+        report = layer_transitions(traces)
         rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
                 for i in range(len(report.l2_mean))]
         cfg.write_echo(out)
@@ -134,7 +131,7 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
 
     if args.which == "grads":
         with ad.precision("float64"):
-            store64 = store_from_checkpoint(ck_cfg, tensors)
+            store64 = store_from_checkpoint(*ckpt)
             batch = corpus.sequences[:cfg.train.batch_size]
             decomp = gradient_decomposition(store64, batch, cfg.diag.grad_depth, cfg.mask)
             decomp.assert_sum_identity()
@@ -151,33 +148,30 @@ def cmd_diagnose(args, cfg: RunConfig) -> int:
         print(f"gradient decomposition over {len(decomp.norms)} layers written to {out}")
         return 0
 
-    if args.which == "project":
-        idx = [cfg.diag.utterance]
-        if idx[0] >= len(corpus.sequences):
-            raise InputError(f"diag.utterance={idx[0]} but corpus has {len(corpus.sequences)} utterances")
-        trace = collect_traces(store, corpus, idx, cfg.mask)[0]
-        end = min(cfg.diag.frame_end, trace.embeddings[0].shape[0])
-        proj = project_2d(trace, (cfg.diag.frame_start, end))
-        rows = []
-        for layer, coords in enumerate(proj.coords):
-            for frame, (pc1, pc2) in enumerate(coords):
-                rows.append([layer, cfg.diag.frame_start + frame, float(pc1), float(pc2)])
-        cfg.write_echo(out)
-        write_report(out / "projection", ["layer", "frame", "pc1", "pc2"], rows)
-        print(f"wrote 2-D projection ({len(rows)} points, degenerate={proj.degenerate}) to {out}")
-        return 0
-
-    raise InputError(f"unknown diagnostic {args.which!r}")
+    idx = [cfg.diag.utterance]
+    if idx[0] >= len(corpus.sequences):
+        raise InputError(f"diag.utterance={idx[0]} but corpus has {len(corpus.sequences)} utterances")
+    trace = collect_traces(store, corpus, idx, cfg.mask)[0]
+    end = min(cfg.diag.frame_end, trace.embeddings[0].shape[0])
+    proj = project_2d(trace, (cfg.diag.frame_start, end))
+    rows = []
+    for layer, coords in enumerate(proj.coords):
+        for frame, (pc1, pc2) in enumerate(coords):
+            rows.append([layer, cfg.diag.frame_start + frame, float(pc1), float(pc2)])
+    cfg.write_echo(out)
+    write_report(out / "projection", ["layer", "frame", "pc1", "pc2"], rows)
+    print(f"wrote 2-D projection ({len(rows)} points, degenerate={proj.degenerate}) to {out}")
+    return 0
 
 
-def cmd_probe(args, cfg: RunConfig) -> int:
+def cmd_probe(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     try:
         layers = [int(tok) for tok in args.layers.split(",") if tok.strip()]
     except ValueError:
         raise InputError(f"--layers must be comma-separated integers, got {args.layers!r}") from None
     if not layers:
         raise InputError(f"--layers names no depth, got {args.layers!r}")
-    store = store_from_checkpoint(*load_checkpoint(args.checkpoint))
+    store = store_from_checkpoint(*ckpt)
     corpus = _load_corpus(args.data, args.labels)
     if len(set(layers)) != len(layers):
         print("warning: duplicate layer entries removed", file=sys.stderr)
@@ -210,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("pretrain", help="run masked-reconstruction pretraining")
     s.add_argument("--data", required=True, help="feature file")
     s.add_argument("--out", required=True)
-    s.add_argument("--resume", help="checkpoint to resume from")
+    s.add_argument("--resume", dest="checkpoint", help="checkpoint to resume from")
 
     s = sub.add_parser("diagnose", help="run one diagnostic and write reports")
     s.add_argument("--checkpoint")
@@ -242,7 +236,11 @@ def main(argv: list[str] | None = None) -> int:
         return e.code
     try:
         cfg = _build_config(args, overrides)
-        return _HANDLERS[args.command](args, cfg)
+        ckpt = None
+        if getattr(args, "checkpoint", None) is not None:  # the command's one read of it
+            ckpt = load_checkpoint(args.checkpoint)
+            cfg.model = ConformerConfig.from_dict(ckpt[0])  # --model.* is for a fresh model
+        return _HANDLERS[args.command](args, cfg, ckpt)
     except (InputError, ContractError, ConfigError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from .encoder import ConformerConfig, parse_field
 from .errors import ConfigError
 from .features import MAX_CLASSES
 from .masking import MaskConfig
-from .training import TrainConfig, check_depth, parse_depth
+from .training import TrainConfig, parse_depth  # noqa: F401 (re-exported with the schema)
 
 SECTIONS = ("data", "mask", "model", "train", "diag")
 
@@ -67,27 +67,23 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     diag: DiagSection = field(default_factory=DiagSection)
 
-    def section(self, name: str):
-        if name not in SECTIONS:
-            raise ConfigError(f"unknown config section {name!r}")
-        return getattr(self, name)
-
     def set_key(self, section: str, key: str, raw: str) -> None:
-        obj = self.section(section)
+        if section not in SECTIONS:
+            raise ConfigError(f"unknown config section {section!r}")
+        obj = getattr(self, section)
         match = {f.name: f for f in fields(obj)}
         if key not in match:
             raise ConfigError(f"unknown config key {section}.{key}")
         setattr(obj, key, parse_field(match[key], raw, f"{section}.{key}"))
 
     def validate(self) -> None:
-        """Check every section, and the depth range against the model.
+        """Check each section; depth-against-model checks run where a depth is used.
 
         Keys are set one at a time, so each section's own checks run again
         here, once the config file, preset and overrides are all applied.
         """
         for name in SECTIONS:
             replace(getattr(self, name))  # re-runs the section's __post_init__
-        check_depth(*parse_depth(self.train.depth), self.model.max_layers)
 
     def echo(self) -> str:
         lines = []

@@ -66,7 +66,6 @@ def _traced_passes(store: ParameterStore, frames: list[np.ndarray], depth: int,
 class ConsistencyReport:
     l2_mean: list[float]       # entry i: transition i -> i+1
     cos_mean: list[float]
-    model_tag: str
     num_frames: int
 
     def mean_cosine(self, from_layer: int = 0) -> float:
@@ -74,7 +73,7 @@ class ConsistencyReport:
         return float(np.mean(vals))
 
 
-def layer_transitions(traces: list[LayerTrace], model_tag: str = "") -> ConsistencyReport:
+def layer_transitions(traces: list[LayerTrace]) -> ConsistencyReport:
     """Frame-wise L2 distance and cosine similarity between consecutive layers,
     averaged over all frames of all traces."""
     if not traces:
@@ -99,7 +98,6 @@ def layer_transitions(traces: list[LayerTrace], model_tag: str = "") -> Consiste
     return ConsistencyReport(
         l2_mean=[float(v / total) for v in l2_sums],
         cos_mean=[float(v / total) for v in cos_sums],
-        model_tag=model_tag,
         num_frames=total,
     )
 

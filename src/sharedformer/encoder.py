@@ -67,8 +67,13 @@ class ConformerConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, str]) -> "ConformerConfig":
-        return cls(**{f.name: parse_field(f, d[f.name], f"model.{f.name}")
-                      for f in fields(cls) if f.name in d})
+        """The model a checkpoint's config block describes; it must name every key."""
+        values = {f.name: parse_field(f, d[f.name], f"model.{f.name}")
+                  for f in fields(cls) if f.name in d}
+        missing = [f.name for f in fields(cls) if f.name not in values]
+        if missing:
+            raise FormatError(f"checkpoint config lacks model key {missing[0]!r}")
+        return cls(**values)
 
 
 _BOOLS = {"true": True, "True": True, "1": True, "false": False, "False": False, "0": False}
@@ -458,7 +463,10 @@ def save_checkpoint(path, store: ParameterStore, extra_config: dict[str, str] | 
         raise
 
 
-def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+Checkpoint = tuple[dict[str, str], dict[str, np.ndarray]]  # config block, named tensors
+
+
+def load_checkpoint(path) -> Checkpoint:
     r = codec.Reader(path, "checkpoint")
     r.header(CHECKPOINT_MAGIC)
     config: dict[str, str] = {}

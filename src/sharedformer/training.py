@@ -25,8 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import (ConformerConfig, ParameterStore, forward, load_checkpoint,
-                      pad_batch, sample_depth, save_checkpoint, store_from_checkpoint)
+from .encoder import (Checkpoint, ConformerConfig, ParameterStore, forward, pad_batch,
+                      sample_depth, save_checkpoint, store_from_checkpoint)
 from .errors import ConfigError, ContractError, DivergenceError, FormatError
 from .features import FeatureSequence, LabeledCorpus
 from .masking import MaskConfig, MaskPlan, mask_utterance
@@ -45,7 +45,6 @@ class TrainConfig:
     loss_mode: str = "all-frames"  # "all-frames" | "masked-only"
     val_fraction: float = 0.1
     grad_clip: float = 0.0  # max global norm; 0 disables
-    precision: str = "float32"
 
     def __post_init__(self):
         if self.warmup_steps < 1:
@@ -65,8 +64,6 @@ class TrainConfig:
         parse_depth(self.depth)
         if self.loss_mode not in ("all-frames", "masked-only"):
             raise ConfigError(f"loss_mode must be 'all-frames' or 'masked-only', got {self.loss_mode!r}")
-        if self.precision not in ("float32", "float64"):
-            raise ConfigError(f"precision must be 'float32' or 'float64', got {self.precision!r}")
 
 
 def parse_depth(spec: str) -> tuple[int, int]:
@@ -186,7 +183,6 @@ class TrainResult:
     metrics: list[dict]
     best_step: int
     best_val_loss: float
-    final_step: int
     cum_layer_apps: int
 
 
@@ -233,19 +229,20 @@ def validation_loss(store: ParameterStore, corpus: LabeledCorpus, val_idx: list[
 
 def train(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainConfig,
           mask_cfg: MaskConfig | None = None, out_dir: str | Path | None = None,
-          resume_from: str | Path | None = None, echo: str | None = None) -> TrainResult:
-    """Pretrain; every input is checked before `out_dir` is written.
+          resume_from: Checkpoint | None = None, echo: str | None = None) -> TrainResult:
+    """Pretrain in float32; every input is checked before `out_dir` is written.
 
-    The directory is written in one order: the metrics file cut back to the
+    A `resume_from` checkpoint's model config must be `model_cfg`. The
+    directory is written in one order: the metrics file cut back to the
     resume step, `echo` as resolved_config.ini, then rows and checkpoints.
     """
-    with ad.precision(cfg.precision):
+    with ad.precision("float32"):
         return _train_impl(corpus, model_cfg, cfg, mask_cfg, out_dir, resume_from, echo)
 
 
 def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainConfig,
                 mask_cfg: MaskConfig | None, out_dir: str | Path | None,
-                resume_from: str | Path | None, echo: str | None) -> TrainResult:
+                resume_from: Checkpoint | None, echo: str | None) -> TrainResult:
     mask_cfg = mask_cfg or MaskConfig()
 
     train_idx, val_idx = split_corpus(corpus, cfg.seed, cfg.val_fraction)
@@ -256,8 +253,10 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
     best_step = 0
     cum_layer_apps = 0
     if resume_from is not None:
-        ck_cfg, tensors = load_checkpoint(resume_from)
+        ck_cfg, tensors = resume_from
         store = store_from_checkpoint(ck_cfg, tensors)
+        if store.config != model_cfg:
+            raise ContractError(f"model {model_cfg} is not the resume checkpoint's {store.config}")
         adam.m = _adam_moment(store, tensors, "adam.m.")
         adam.v = _adam_moment(store, tensors, "adam.v.")
         start_step = int(ck_cfg.get("train.step", "0"))
@@ -345,7 +344,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
     if out_dir is not None:
         _save_train_checkpoint(out_dir / "final.ckpt", store, adam, cfg.max_steps,
                                best_val, best_step, cfg, cum_layer_apps)
-    return TrainResult(store, metrics, best_step, best_val, cfg.max_steps, cum_layer_apps)
+    return TrainResult(store, metrics, best_step, best_val, cum_layer_apps)
 
 
 # ---- train-state checkpointing ----------------------------------------------

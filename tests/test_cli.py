@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from sharedformer.cli import main
 from sharedformer.config import PRESETS, RunConfig, apply_preset, load_config
 from sharedformer.encoder import (ConformerConfig, ParameterStore, load_checkpoint,
                                   param_count, save_checkpoint, store_from_checkpoint)
-from sharedformer.errors import ConfigError
+from sharedformer.errors import ConfigError, FormatError
 from sharedformer.features import FeatureSequence, load_features, save_features
 
 QUICK = [
@@ -238,9 +239,9 @@ def test_rejected_resume_leaves_the_run_directory_as_it_was(tmp_path, corpus_dir
     assert (out / "metrics.jsonl").read_bytes() == b""
 
 
-@pytest.mark.parametrize("command", ["pretrain", "diagnose"])
+@pytest.mark.parametrize("command", ["pretrain", "diagnose", "probe", "flops"])
 def test_one_checkpoint_read_per_command(tmp_path, corpus_dir, run_dir, monkeypatch, command):
-    from sharedformer import cli, training
+    from sharedformer import cli
     reads = []
 
     def counted(path):
@@ -248,13 +249,85 @@ def test_one_checkpoint_read_per_command(tmp_path, corpus_dir, run_dir, monkeypa
         return load_checkpoint(path)
 
     monkeypatch.setattr(cli, "load_checkpoint", counted)
-    monkeypatch.setattr(training, "load_checkpoint", counted)
     ckpt, data = str(run_dir / "final.ckpt"), str(corpus_dir / "features.bin")
     argv = {"pretrain": ["pretrain", "--resume", ckpt, *QUICK, "--train.max_steps=6"],
             "diagnose": ["diagnose", "--which", "grads", "--checkpoint", ckpt,
-                         "--diag.grad_depth=2", "--train.batch_size=2"]}[command]
+                         "--diag.grad_depth=2", "--train.batch_size=2"],
+            "probe": ["probe", "--checkpoint", ckpt, "--layers", "2",
+                      "--labels", str(corpus_dir / "labels.bin")],
+            "flops": ["diagnose", "--which", "flops", "--checkpoint", ckpt]}[command]
     assert main([*argv, "--data", data, "--out", str(tmp_path / "out")]) == 0
     assert reads == [ckpt]
+
+
+WIDE = ["--model.model_dim=32", "--model.ff_dim=64"]
+
+
+@pytest.fixture(scope="module")
+def wide_run(tmp_path_factory, corpus_dir):
+    """A 6-step run of a 32-dim model, which the config's defaults do not describe."""
+    out = tmp_path_factory.mktemp("wide")
+    assert main(["pretrain", "--data", str(corpus_dir / "features.bin"), "--out", str(out),
+                 *QUICK, *WIDE, "--train.max_steps=6"]) == 0
+    return out
+
+
+def test_resume_runs_the_checkpoint_model_without_its_flags(tmp_path, corpus_dir):
+    data = ["--data", str(corpus_dir / "features.bin")]
+    quick = [*QUICK[:-1], "--train.validation_every=3"]
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["pretrain", *data, *quick, *WIDE, "--train.max_steps=12",
+                 "--out", str(full)]) == 0
+    assert main(["pretrain", *data, *quick, *WIDE, "--train.max_steps=6",
+                 "--out", str(part)]) == 0
+    # the resume names no --model.* flag: the checkpoint's model runs, with
+    # its learning rate schedule, and the echo shows it
+    assert main(["pretrain", *data, *quick, "--train.max_steps=12", "--out", str(part),
+                 "--resume", str(part / "final.ckpt")]) == 0
+    for name in ("metrics.jsonl", "best.ckpt", "final.ckpt", "resolved_config.ini"):
+        assert (part / name).read_bytes() == (full / name).read_bytes(), name
+    assert load_config(part / "resolved_config.ini").model.model_dim == 32
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "--which", "transitions"],
+    ["diagnose", "--which", "grads", "--diag.grad_depth=2", "--train.batch_size=2"],
+    ["diagnose", "--which", "project", "--diag.frame_end=10"],
+    ["diagnose", "--which", "flops"],
+    ["probe", "--layers", "2,8", "--labels", "LABELS"],
+    ["pretrain", *QUICK, "--train.max_steps=8", "--resume"],
+], ids=lambda argv: " ".join(argv[:3]) if argv[0] == "diagnose" else argv[0])
+def test_checkpoint_commands_echo_the_checkpoint_model(tmp_path, corpus_dir, wide_run, argv):
+    ckpt = wide_run / "final.ckpt"
+    flag = [] if argv[-1] == "--resume" else ["--checkpoint"]
+    argv = [str(corpus_dir / "labels.bin") if a == "LABELS" else a for a in argv]
+    out = tmp_path / "out"
+    assert main([*argv, *flag, str(ckpt), "--data", str(corpus_dir / "features.bin"),
+                 "--out", str(out)]) == 0
+    model = ConformerConfig.from_dict(load_checkpoint(ckpt)[0])
+    assert model.model_dim == 32
+    assert load_config(out / "resolved_config.ini").model == model
+
+
+def test_depth_is_checked_against_the_checkpoint_model(tmp_path, corpus_dir):
+    data = ["--data", str(corpus_dir / "features.bin")]
+    deep = ["--train.depth=uniform:2:12", "--train.max_steps=2"]
+    out = tmp_path / "deep"
+    assert main(["pretrain", *data, *QUICK, "--model.max_layers=12", *deep,
+                 "--out", str(out)]) == 0
+    # 12 layers come from the checkpoint, not from a repeated --model.max_layers
+    assert main(["pretrain", *data, *QUICK, *deep[:1], "--train.max_steps=4",
+                 "--out", str(out), "--resume", str(out / "final.ckpt")]) == 0
+    # the default train.depth (up to 8) is no reason to reject a 4-layer
+    # checkpoint in a command that trains nothing
+    four = ParameterStore.init(ConformerConfig(max_layers=4), np.random.default_rng(0))
+    save_checkpoint(tmp_path / "four.ckpt", four)
+    ckpt = ["--checkpoint", str(tmp_path / "four.ckpt"), *data]
+    assert main(["probe", *ckpt, "--labels", str(corpus_dir / "labels.bin"),
+                 "--layers", "2,4", "--out", str(tmp_path / "probe")]) == 0
+    assert main(["diagnose", "--which", "transitions", *ckpt,
+                 "--out", str(tmp_path / "transitions")]) == 0
+    assert len((tmp_path / "transitions/transitions.csv").read_text().splitlines()) == 1 + 4
 
 
 def test_pretrain_without_data_is_input_error(tmp_path, capsys):
@@ -637,6 +710,28 @@ def test_checkpoint_with_zero_heads_is_input_error(tmp_path, corpus_dir, run_dir
                  "--data", str(corpus_dir / "features.bin"), "--out", str(tmp_path / "d")])
     assert code == 2
     assert "num_heads" in capsys.readouterr().err
+
+
+def test_checkpoint_lacking_a_model_key_is_input_error(tmp_path, corpus_dir, capsys):
+    save_checkpoint(tmp_path / "four-heads.ckpt",
+                    ParameterStore.init(ConformerConfig(num_heads=4), np.random.default_rng(0)))
+    # cut the num_heads= line from the config block; no tensor shape depends
+    # on the head count, so only the config block can tell
+    data = (tmp_path / "four-heads.ckpt").read_bytes()
+    (size,) = struct.unpack_from("<I", data, 8)
+    lines = data[12:12 + size].decode().splitlines(keepends=True)
+    assert "num_heads=4\n" in lines
+    block = "".join(l for l in lines if l != "num_heads=4\n").encode()
+    ckpt = tmp_path / "no-heads.ckpt"
+    ckpt.write_bytes(data[:8] + struct.pack("<I", len(block)) + block + data[12 + size:])
+    with pytest.raises(FormatError, match="num_heads"):
+        store_from_checkpoint(*load_checkpoint(ckpt))
+    out = tmp_path / "out"
+    code = main(["diagnose", "--which", "transitions", "--checkpoint", str(ckpt),
+                 "--data", str(corpus_dir / "features.bin"), "--out", str(out)])
+    assert code == 2
+    assert "num_heads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _doctored_checkpoint(run_dir, path, edit):

@@ -75,8 +75,7 @@ def test_transitions_frame_weighted_average():
 
 
 def test_transitions_mean_cosine_from_layer():
-    report = ConsistencyReport(l2_mean=[1, 1, 1], cos_mean=[0.0, 0.4, 0.8],
-                               model_tag="x", num_frames=1)
+    report = ConsistencyReport(l2_mean=[1, 1, 1], cos_mean=[0.0, 0.4, 0.8], num_frames=1)
     assert report.mean_cosine(1) == pytest.approx(0.6)
 
 
@@ -92,7 +91,7 @@ def test_transitions_on_trained_shapes(float64):
     store = desk_store()
     corpus = small_corpus()
     traces = collect_traces(store, corpus, [0, 1, 2])
-    report = layer_transitions(traces, model_tag="desk")
+    report = layer_transitions(traces)
     assert len(report.l2_mean) == 8 and len(report.cos_mean) == 8
     assert all(-1.0 - 1e-9 <= c <= 1.0 + 1e-9 for c in report.cos_mean)
 

@@ -539,4 +539,5 @@ def test_config_from_dict_rejects_malformed_values():
         ConformerConfig.from_dict({"share_params": "maybe"})
     with pytest.raises(ConfigError):
         ConformerConfig.from_dict({"model_dim": "16.5"})
-    assert ConformerConfig.from_dict({"share_params": "False"}).share_params is False
+    full = ConformerConfig().to_dict()
+    assert ConformerConfig.from_dict({**full, "share_params": "False"}).share_params is False

@@ -284,7 +284,7 @@ def test_resume_matches_uninterrupted(tmp_path):
     train(corpus, ConformerConfig(), quick_train_config(max_steps=18),
           out_dir=tmp_path / "part")
     train(corpus, ConformerConfig(), quick_train_config(max_steps=30),
-          out_dir=tmp_path / "part", resume_from=tmp_path / "part/final.ckpt")
+          out_dir=tmp_path / "part", resume_from=load_checkpoint(tmp_path / "part/final.ckpt"))
     assert (tmp_path / "full/final.ckpt").read_bytes() == (tmp_path / "part/final.ckpt").read_bytes()
     full = [json.loads(l) for l in (tmp_path / "full/metrics.jsonl").read_text().splitlines()]
     part = [json.loads(l) for l in (tmp_path / "part/metrics.jsonl").read_text().splitlines()]
@@ -301,7 +301,7 @@ def test_resume_from_best_matches_uninterrupted(tmp_path):
     best_cfg, _ = load_checkpoint(tmp_path / "best.ckpt")
     assert int(best_cfg["train.step"]) < 8  # the resume replays logged steps
     train(corpus, ConformerConfig(), cfg, out_dir=tmp_path,
-          resume_from=tmp_path / "best.ckpt")
+          resume_from=load_checkpoint(tmp_path / "best.ckpt"))
     assert (tmp_path / "metrics.jsonl").read_bytes() == metrics
     assert (tmp_path / "final.ckpt").read_bytes() == final
 
@@ -336,7 +336,18 @@ def test_resume_rejects_adam_tensors_that_miss_the_layout(tmp_path, edit):
                     extra_cfg, adam)
     with pytest.raises(FormatError, match="predictor.b"):
         train(corpus, ConformerConfig(), quick_train_config(max_steps=4),
-              resume_from=tmp_path / "bad.ckpt")
+              resume_from=load_checkpoint(tmp_path / "bad.ckpt"))
+
+
+def test_resume_rejects_a_model_config_other_than_the_checkpoint_s(tmp_path):
+    corpus = small_corpus()
+    cfg = quick_train_config(max_steps=2)
+    train(corpus, ConformerConfig(), cfg, out_dir=tmp_path)
+    metrics = (tmp_path / "metrics.jsonl").read_bytes()
+    with pytest.raises(ContractError, match="model_dim"):
+        train(corpus, ConformerConfig(model_dim=32), quick_train_config(max_steps=4),
+              out_dir=tmp_path, resume_from=load_checkpoint(tmp_path / "final.ckpt"))
+    assert (tmp_path / "metrics.jsonl").read_bytes() == metrics
 
 
 def test_resume_rejects_malformed_metrics_row(tmp_path):
@@ -347,7 +358,7 @@ def test_resume_rejects_malformed_metrics_row(tmp_path):
     path.write_bytes(b'{"step": 1}\nnot json\n')
     with pytest.raises(FormatError):
         train(corpus, ConformerConfig(), cfg, out_dir=tmp_path,
-              resume_from=tmp_path / "final.ckpt")
+              resume_from=load_checkpoint(tmp_path / "final.ckpt"))
     assert path.read_bytes() == b'{"step": 1}\nnot json\n'
 
 
@@ -381,7 +392,7 @@ def test_resume_rejects_rows_that_end_before_the_checkpoint(tmp_path, keep):
     assert int(best_cfg["train.step"]) > 1
     with pytest.raises(FormatError, match="before the resume checkpoint"):
         train(corpus, ConformerConfig(), cfg, out_dir=tmp_path,
-              resume_from=tmp_path / "best.ckpt")
+              resume_from=load_checkpoint(tmp_path / "best.ckpt"))
     assert path.read_bytes() == text
 
 
@@ -415,8 +426,6 @@ def test_train_config_contracts():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(depth="linear")
-    with pytest.raises(ConfigError):
-        TrainConfig(precision="float16")
 
 
 def test_depth_range_beyond_model_rejected_before_step_one(tmp_path):
