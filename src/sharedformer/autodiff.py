@@ -16,7 +16,9 @@ depthwise convolution runs along axis -2. The weight form takes an optional
 (m,) bias operand, added in place to the product, so an affine projection is
 one graph node. `attention` is one node too: softmax(q k^T + bias) v with
 optional boolean dropout masks, computed per slot on that slot's real
-frames of a padded batch, with a closed-form backward. Inside `no_grad()`
+frames of a padded batch, in L2-sized tiles of query rows (a ones column
+on v gives the row sums, and the row-max shift runs only where a tile's
+maxima leave a safe band), with a closed-form backward. Inside `no_grad()`
 ops keep no parents and no backward closure, so a forward-only pass builds
 no graph.
 
@@ -402,6 +404,26 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(y, (x,), backward)
 
 
+# Query rows per attention tile: a tile's (h, rows, T_b) logits take at most
+# about this many bytes, so every pass over a tile runs from L2 (2 MiB per
+# core on the machine the budget was measured on). At 2 float32 heads a slot
+# of up to 256 frames is one tile.
+_TILE_BYTES = 512 * 1024
+# exp may skip the row-max shift when every row max of a tile lies in
+# [-_BAND, _BAND]. Above the band a row sum could overflow: within it every
+# term is at most e^20 (4.9e8), so a row sum stays below the float32 limit
+# e^88.7 for any T_b < 1e29, with room left for the products with v and, in
+# the backward, with dO V^T. Below the band the terms that exp flushes to
+# zero would stop being negligible: within it the largest term is at least
+# e^-20, and a term lost to underflow (logit < -87.3, the smallest normal
+# float32) is under e^-67 of it, so even T_b < 1e22 of them sum to far below
+# float32 rounding (2^-24). float64's limits are wider on both sides.
+# Slots shorter than _BAND_MIN_FRAMES always shift: there the check (about
+# 3 us) costs as much as the subtract pass it saves.
+_BAND = 20.0
+_BAND_MIN_FRAMES = 64
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
               keep: Sequence[np.ndarray] | None = None, keep_scale: float = 1.0,
               lengths: Sequence[int] | None = None) -> Tensor:
@@ -409,16 +431,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
 
     q and k are (..., h, T, dh) and v is (..., h, T, dv). Each leading index is
     a slot whose first `lengths[b]` frames are real (default: all T), and only
-    its real (h, T_b, T_b) block is computed: logits plus `bias[:T_b, :T_b]`
-    of a constant (T, T) bias, exp after one row-max shift, then the optional
-    boolean `keep[b]` (h, T_b, T_b) drops weights (inverted dropout, the kept
-    ones scaled by `keep_scale`). The weights are never normalised: the
-    (h, T_b, dv) output is divided by the row sums instead. Padded query rows
-    output zeros and padded keys get no weight.
+    its real (h, T_b, T_b) block is computed, in tiles of query rows whose
+    (h, rows, T_b) logits fit `_TILE_BYTES`, so a long slot's passes run from
+    L2: logits plus `bias[:T_b, :T_b]` of a constant (T, T) bias, the row
+    maxima, a shift by them unless the tile's maxima all lie in the safe band
+    [-_BAND, _BAND] (softmax is shift-invariant; checked only on slots of at
+    least `_BAND_MIN_FRAMES`), exp, then the optional boolean `keep[b]`
+    (h, T_b, T_b) drops weights (inverted dropout, the kept ones scaled by
+    `keep_scale`). The weights are never normalised: the (h, rows, dv) output
+    is divided by the row sums instead. Without dropout v carries an extra
+    ones column, so one product gives the numerator and the row sums; with
+    dropout the row sums are taken before the mask. Padded query rows output
+    zeros and padded keys get no weight.
 
-    A graph saves each slot's exp'd block e and its row sums s; the softmax
-    is P = e / s and the dropped weights W = P * keep * scale. The backward
-    is the closed form dV = W^T dO,
+    A graph writes each tile into the slot's whole exp'd block e and saves it
+    with its row sums s; the softmax is P = e / s (whatever shift each row
+    took) and the dropped weights W = P * keep * scale. The backward is the
+    closed form dV = W^T dO,
     dP = (dO V^T) * keep * scale, dS = P * (dP - rowsum(dP * P)), dQ = dS K,
     dK = dS^T Q, where rowsum(dP * P) = rowsum(dO * O) needs no T x T pass
     (Rabe & Staats, arXiv 2112.05682; Dao et al., FlashAttention,
@@ -446,21 +475,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
     out = np.zeros((n, h, T, dv), dtype=q.data.dtype)
     graph = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     saved = []
+    vs = v3
+    if keep is None:  # a ones column: one product gives the numerator and the row sums
+        vs = np.empty((n, h, T, dv + 1), v3.dtype)
+        vs[..., :dv] = v3
+        vs[..., dv] = 1.0
+    tile_cells = max(1, _TILE_BYTES // (h * out.itemsize))  # rows x T_b per tile
     for b, tb in enumerate(lengths):
-        e = q3[b, :, :tb] @ np.swapaxes(k3[b, :, :tb], -1, -2)
-        if bias is not None:
-            e += bias[:tb, :tb]
-        e -= np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
-        np.exp(e, out=e)
-        s = _sum_last(e)
-        w = e
-        if keep is not None:  # a graph keeps e whole for the backward
-            w = e * keep[b] if graph else np.multiply(e, keep[b], out=e)
-        o = np.divide(w @ v3[b, :, :tb], s, out=out[b, :, :tb])
-        if keep is not None:
-            o *= scale
+        kt = np.swapaxes(k3[b, :, :tb], -1, -2)
+        vb = vs[b, :, :tb]
+        rows = max(1, tile_cells // tb)
+        # a graph keeps the whole exp'd block and the row sums for the backward
+        e_all = np.empty((h, tb, tb), out.dtype) if graph and rows < tb else None
+        s_all = np.empty((h, tb, 1), out.dtype) if graph else None
+        for r0 in range(0, tb, rows):
+            r1 = min(r0 + rows, tb)
+            qt = q3[b, :, r0:r1]
+            e = qt @ kt if e_all is None else np.matmul(qt, kt, out=e_all[:, r0:r1])
+            if bias is not None:
+                e += bias[r0:r1, :tb]
+            mx = np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
+            if tb < _BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND:  # NaN, -inf: shift
+                e -= mx
+            np.exp(e, out=e)
+            o = out[b, :, r0:r1]
+            if keep is None:
+                p = e @ vb
+                s = p[..., dv:]
+                np.divide(p[..., :dv], s, out=o)
+            else:
+                s = _sum_last(e)  # the row sums before dropout
+                kb = keep[b][:, r0:r1]
+                np.divide((e * kb if graph else np.multiply(e, kb, out=e)) @ vb, s, out=o)
+                o *= scale
+            if graph:
+                s_all[:, r0:r1] = s
         if graph:
-            saved.append((e, s))
+            saved.append((e if e_all is None else e_all, s_all))
 
     def backward(g):
         g3 = g.reshape(n, h, T, dv)

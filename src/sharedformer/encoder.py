@@ -255,16 +255,19 @@ _pos_bias_cache: dict[tuple[int, str], np.ndarray] = {}
 def relative_position_bias(T: int, head_dim: int, dtype) -> np.ndarray:
     """Fixed sinusoidal bias over relative frame offsets, added to attn logits.
 
-    Entry (i, j) depends only on i - j, so one table per head size and dtype,
-    grown to the longest T asked for, serves every shorter T as a view.
+    Entry (i, j) depends only on i - j, so the (T, T) table is a read-only
+    view over the 2T - 1 offsets: row i of the reversed sliding window over
+    f(T-1), ..., f(1-T) starts at offset i and ends at i - (T - 1). One table
+    per head size and dtype, grown to the longest T asked for, serves every
+    shorter T as a view.
     """
     key = (head_dim, np.dtype(dtype).str)
     table = _pos_bias_cache.get(key)
     if table is None or table.shape[0] < T:
-        delta = np.arange(T)[:, None] - np.arange(T)[None, :]
+        delta = np.arange(T - 1, -T, -1)
         freqs = 1.0 / (10000.0 ** (2 * np.arange(head_dim // 2) / head_dim))
-        bias = np.sin(delta[..., None] * freqs).mean(axis=-1) / np.sqrt(head_dim)
-        table = _pos_bias_cache[key] = bias.astype(dtype)
+        f = (np.sin(delta[:, None] * freqs).mean(axis=-1) / np.sqrt(head_dim)).astype(dtype)
+        table = _pos_bias_cache[key] = np.lib.stride_tricks.sliding_window_view(f, T)[::-1]
     return table[:T, :T]
 
 

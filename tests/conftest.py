@@ -18,3 +18,36 @@ def _reset_dtype():
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+def _lbfgs_logistic_accuracy(train_x, train_y, test_x, test_y, C):
+    """Held-out accuracy of L2-regularised multinomial logistic regression.
+
+    Minimises C * sum_i CE(W x_i + b, y_i) + |W|^2 / 2 with an unpenalised
+    intercept, the objective of scikit-learn's LogisticRegression(C=C), by
+    one scipy L-BFGS fit; the objective is divided by C n to keep it O(1).
+    """
+    from scipy.optimize import minimize
+
+    classes = np.unique(train_y)
+    onehot = (train_y[:, None] == classes).astype(np.float64)
+    (n, d), k = train_x.shape, len(classes)
+
+    def objective(theta):
+        w, b = theta[:d * k].reshape(d, k), theta[d * k:]
+        z = train_x @ w + b
+        z -= z.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        g = (np.exp(logp) - onehot) / n
+        loss = -np.sum(onehot * logp) / n + np.sum(w * w) / (2 * C * n)
+        return loss, np.concatenate(((train_x.T @ g + w / (C * n)).ravel(), g.sum(axis=0)))
+
+    fit = minimize(objective, np.zeros(k * (d + 1)), jac=True, method="L-BFGS-B",
+                   options={"maxiter": 2000})
+    w, b = fit.x[:d * k].reshape(d, k), fit.x[d * k:]
+    return float(np.mean(classes[np.argmax(test_x @ w + b, axis=1)] == test_y))
+
+
+@pytest.fixture
+def logistic_oracle():
+    return _lbfgs_logistic_accuracy

@@ -257,22 +257,20 @@ def test_criterion_6_layer_consistency(corpus, model_a, model_b, report):
 # ---- criterion 7: shallow-inference stability --------------------------------
 
 
-def test_criterion_7_sli_stability(corpus, model_a, report):
+def test_criterion_7_sli_stability(corpus, model_a, report, logistic_oracle):
     store = model_a[0].store
     results = {r.layer: r.accuracy for r in sli_sweep(store, corpus, [5, 8], seed=0)}
     drop = results[8] - results[5]
+    assert abs(drop) <= 0.05, f"M=5 acc {results[5]:.4f}, M=8 acc {results[8]:.4f}"
 
-    # brute-force oracle on the identical frozen embeddings
-    sklearn = pytest.importorskip("sklearn.linear_model")
+    # L-BFGS oracle on the identical frozen embeddings
     train_idx, test_idx = probe_split(corpus, 0)
     oracle = {}
     for m in (5, 8):
         xtr, ytr = layer_embeddings(store, corpus, train_idx, m)
         xte, yte = layer_embeddings(store, corpus, test_idx, m)
         mu, sd = xtr.mean(axis=0), np.maximum(xtr.std(axis=0), 1e-8)
-        ref = sklearn.LogisticRegression(C=1e4, max_iter=2000)
-        ref.fit((xtr - mu) / sd, ytr)
-        oracle[m] = ref.score((xte - mu) / sd, yte)
+        oracle[m] = logistic_oracle((xtr - mu) / sd, ytr, (xte - mu) / sd, yte, C=1e4)
     oracle_gap = max(abs(results[m] - oracle[m]) for m in (5, 8))
 
     ok = abs(drop) <= 0.05 and oracle_gap <= 0.02

@@ -178,6 +178,106 @@ def test_attention_graph_and_no_grad_forward_agree(float64):
     np.testing.assert_array_equal(graph.data, plain.data)
 
 
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Tiles of a few query rows (6 at 13 float32 frames, 3 at 13 float64
+    frames, with a shorter last tile), and the band check on every slot."""
+    monkeypatch.setattr(ad, "_TILE_BYTES", 700)
+    monkeypatch.setattr(ad, "_BAND_MIN_FRAMES", 1)
+
+
+def _brute_attention(q, k, v, bias, keep, scale, lengths):
+    """Per slot, in float64: logits, max-shifted softmax, dropout, weights @ v."""
+    q, k, v = (np.asarray(t, np.float64).reshape((-1,) + t.shape[-3:]) for t in (q, k, v))
+    out = np.zeros(v.shape)
+    for b, t in enumerate(lengths or [q.shape[-2]] * len(q)):
+        logits = q[b, :, :t] @ np.swapaxes(k[b, :, :t], -1, -2) + bias[:t, :t]
+        p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        if keep is not None:
+            p = p * keep[b] * scale
+        out[b, :, :t] = p @ v[b, :, :t]
+    return out
+
+
+_TILED = pytest.mark.parametrize("lengths,p", [(None, 0.0), ([13, 7], 0.0), ([13, 7], 0.3)],
+                                 ids=["unpadded", "padded", "dropout"])
+
+
+@_TILED
+def test_attention_tiles_match_brute_force(float64, small_tiles, lengths, p):
+    q, k, v, bias, _ = _attention_inputs(10, T=13)
+    keep = _keep_masks(11, 2, lengths, p) if p else None
+    out = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), lengths)
+    ref = _brute_attention(q.data, k.data, v.data, bias, keep, 1.0 / (1.0 - p), lengths)
+    np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+
+
+@_TILED
+def test_attention_tiles_finite_difference(float64, small_tiles, lengths, p):
+    lengths = lengths and [9, 5]
+    q, k, v, bias, coeff = _attention_inputs(12, T=9)
+    keep = _keep_masks(13, 2, lengths, p) if p else None
+
+    def f():
+        return (ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), lengths) * coeff).sum()
+
+    assert ad.grad_check(f, [q, k, v], eps=1e-6) <= 1e-7
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_attention_tiled_padded_slot_equals_slot_alone(small_tiles, p):
+    q, k, v, bias, _ = _attention_inputs(14, T=13)
+    bias = bias.astype(np.float32)
+    lengths = [13, 11]
+    keep = _keep_masks(15, 2, lengths, p) if p else None
+    with ad.no_grad():
+        out = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), lengths)
+        alone = ad.attention(*(Tensor(t.data[1:, :, :11]) for t in (q, k, v)), bias[:11, :11],
+                             keep and keep[1:], 1.0 / (1.0 - p))
+    np.testing.assert_array_equal(out.data[1:, :, :11], alone.data)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_attention_tiled_graph_and_no_grad_agree(small_tiles, p):
+    q, k, v, bias, _ = _attention_inputs(16, T=13)
+    bias = bias.astype(np.float32)
+    keep = _keep_masks(17, 2, [13, 8], p) if p else None
+    graph = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), [13, 8])
+    with ad.no_grad():
+        plain = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), [13, 8])
+    np.testing.assert_array_equal(graph.data, plain.data)
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("gain", [40.0, 400.0])
+def test_attention_large_logits_take_the_shift(small_tiles, precision, gain):
+    # row maxima far outside the band: exp without the shift would overflow
+    q, k, v, bias, _ = _attention_inputs(18, T=13)
+    with ad.precision(precision):
+        q, k, v = (Tensor(t.data * (gain if t is q else 1.0)) for t in (q, k, v))
+        bias = (gain * bias).astype(precision)
+        out = ad.attention(q, k, v, bias, lengths=[13, 9])
+    ref = _brute_attention(q.data, k.data, v.data, bias, None, 1.0, [13, 9])
+    assert np.all(np.isfinite(out.data))
+    np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-3 if precision == "float32" else 1e-10)
+
+
+@pytest.mark.parametrize("top", [-19.5, 19.5, -25.0, 25.0, -300.0, 300.0])
+def test_attention_row_maxima_near_the_band(small_tiles, top):
+    # logits = bias: each row's maximum is `top`, the rest spread far below it,
+    # down to terms whose exp flushes to zero without the shift
+    T = 13
+    spread = rng(19).uniform(-200.0, -0.5, size=(T, T))
+    spread[np.arange(T), rng(20).integers(0, T, size=T)] = 0.0
+    bias = (top + spread).astype(np.float32)
+    zeros = Tensor(np.zeros((1, 2, T, 3), np.float32))
+    v = rng(21).normal(size=(1, 2, T, 4)).astype(np.float32)
+    out = ad.attention(zeros, zeros, Tensor(v), bias)
+    ref = _brute_attention(zeros.data, zeros.data, v, bias, None, 1.0, None)
+    np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-6)
+
+
 def test_attention_contract():
     q, k, v, bias, _ = _attention_inputs(7)
     with pytest.raises(DimensionError):

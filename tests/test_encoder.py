@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,29 @@ def test_position_bias_one_table_grown_to_longest(monkeypatch):
                                       _position_bias_formula(T, 8, np.float32))
     assert len(encoder._pos_bias_cache) == 1
     assert next(iter(encoder._pos_bias_cache.values())).shape == (250, 250)
+
+
+def test_position_bias_builds_in_linear_memory(monkeypatch):
+    monkeypatch.setattr(encoder, "_pos_bias_cache", {})
+    T = 800
+    tracemalloc.start()
+    try:
+        relative_position_bias(T, 8, np.float32)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a (T, T) float32 table alone would be 4 T^2 = 2.56 MB
+    assert peak < 320 * T and kept < 16 * T
+
+
+def test_position_bias_table_is_read_only(monkeypatch):
+    monkeypatch.setattr(encoder, "_pos_bias_cache", {})
+    table = relative_position_bias(30, 8, np.float64)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[3, 1] = 0.0
+    np.testing.assert_array_equal(relative_position_bias(30, 8, np.float64),
+                                  _position_bias_formula(30, 8, np.float64))
 
 
 # ---- stack ------------------------------------------------------------------
