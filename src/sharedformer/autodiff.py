@@ -18,9 +18,16 @@ one graph node. `attention` is one node too: softmax(q k^T + bias) v with
 optional boolean dropout masks, computed per slot on that slot's real
 frames of a padded batch, in L2-sized tiles of query rows (a ones column
 on v gives the row sums, and the row-max shift runs only where a tile's
-maxima leave a safe band), with a closed-form backward. Inside `no_grad()`
-ops keep no parents and no backward closure, so a forward-only pass builds
-no graph.
+maxima leave a safe band), with a closed-form backward.
+
+Each module of a Conformer block, its residual included, is one node as
+well: `feed_forward`, `self_attention` (whose core is `attention`'s) and
+`conv_module`. They and the primitive ops share every formula through
+private numpy helpers (`_norm`, `_affine`, `_conv`, `_attend`, the sigmoid
+and swish derivatives, ...), and a module node runs its chain's float
+operations in the chain's order, so it is bitwise equal to the chain of
+primitive ops it replaces. Inside `no_grad()` ops keep no parents and no
+backward closure, so a forward-only pass builds no graph.
 
 Precision is a process-global setting: float32 for training speed, float64 for
 finite-difference verification. Tensors keep the dtype they were created with.
@@ -320,88 +327,123 @@ def _expand_reduced(g, shape, axis, keepdims):
     return np.broadcast_to(g, shape)
 
 
-# ---- linear algebra ---------------------------------------------------------
+# ---- shared kernels ---------------------------------------------------------
+# Each formula exists once, in these numpy helpers. The primitive ops and the
+# fused Conformer module nodes below both call them, so a module node runs the
+# very float operations, in the same order, as its chain of primitive ops.
+# A *_grads helper given Tensor parameters accumulates their gradients and
+# returns the input's.
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Matrix product of (..., n, k) by a (k, m) weight, or of two equal-rank
-    operands whose leading (batch/head) dims match.
+def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """a @ w, plus b added in place to every row when given."""
+    out = a @ w
+    if b is not None:
+        out += b
+    return out
 
-    The weight form takes an optional (m,) `bias`, added to every row.
+
+def _affine_grads(g: np.ndarray, a: np.ndarray, w: Tensor, b: Tensor | None) -> None:
+    """Accumulate the (k, m) weight's and (m,) bias's gradients of a @ w + b.
+
+    Both serve every row, so they are taken from one (-1, m) view of g.
     """
-    a, b = Tensor._wrap(a), Tensor._wrap(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or (b.data.ndim != 2 and a.data.ndim != b.data.ndim):
-        raise DimensionError(f"matmul expects (..., n, k) @ (k, m) or equal-rank operands, "
-                             f"got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    if a.data.ndim == b.data.ndim and a.data.shape[:-2] != b.data.shape[:-2]:
-        raise DimensionError(f"matmul batch dimensions disagree: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-    parents = (a, b)
-    if bias is not None:
-        bias = Tensor._wrap(bias)
-        if b.data.ndim != 2 or bias.data.shape != b.data.shape[1:]:
-            raise DimensionError(f"matmul bias must be ({b.data.shape[-1]},) with a (k, m) "
-                                 f"weight, got {a.shape} @ {b.shape} + {bias.shape}")
-        out += bias.data
-        parents = (a, b, bias)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
-        if b.data.ndim == 2:  # weight and bias shared by every row: one (-1, m) view
-            k, m = b.data.shape
-            g2 = g.reshape(-1, m)
-            if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, k).T @ g2)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(_sum_rows(g2))
-        elif b.requires_grad:
-            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
-
-    return Tensor._result(out, parents, backward)
+    k, m = w.data.shape
+    g2 = g.reshape(-1, m)
+    if w.requires_grad:
+        w._accumulate(a.reshape(-1, k).T @ g2)
+    if b is not None and b.requires_grad:
+        b._accumulate(_sum_rows(g2))
 
 
-# ---- nonlinearities ---------------------------------------------------------
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * s * (1.0 - s))
-
-    return Tensor._result(s, (x,), backward)
+def _swish(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, s): y = x * s, s = sigmoid(x)."""
+    s = _sigmoid(x)
+    return x * s, s
 
 
-def swish(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    y = x.data * s
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (s + y * (1.0 - s)))
-
-    return Tensor._result(y, (x,), backward)
+def _sigmoid_grad(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return g * s * (1.0 - s)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along `axis` (max-subtraction), computed in one buffer."""
-    if x.data.ndim == 0 or x.data.shape[axis] == 0:
-        raise DimensionError("softmax requires a non-empty axis")
-    y = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= _sum_along(y, axis)
+def _swish_grad(g: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The input gradient of `_swish`'s y = x * s."""
+    return g * (s + y * (1.0 - s))
 
-    def backward(g):
-        if x.requires_grad:
-            gx = g * y
-            gx -= y * _sum_along(gx, axis)
-            x._accumulate(gx)
 
-    return Tensor._result(y, (x,), backward)
+def _norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+          eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis: (y, xhat, inv), y = xhat * gamma + beta.
+
+    The input is centred once and the variance taken from the centred values.
+    """
+    d = x.shape[-1]
+    if d < 2:
+        raise DimensionError(f"layer_norm needs last dim >= 2, got {d}")
+    xhat = x - _sum_last(x, 1.0 / d)
+    inv = _sum_last(np.square(xhat), 1.0 / d)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    y = xhat * gamma
+    y += beta
+    return y, xhat, inv
+
+
+def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor,
+                beta: Tensor, need_x: bool) -> np.ndarray | None:
+    d = xhat.shape[-1]
+    gxhat = g * xhat
+    if gamma.requires_grad:
+        gamma._accumulate(_sum_rows(gxhat.reshape(-1, d)))
+    if beta.requires_grad:
+        beta._accumulate(_sum_rows(g.reshape(-1, d)))
+    if not need_x:
+        return None
+    # (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)) * inv
+    gxhat *= gamma.data
+    gx = g * gamma.data
+    gx -= _sum_last(gx, 1.0 / d)
+    gx -= xhat * _sum_last(gxhat, 1.0 / d)
+    gx *= inv
+    return gx
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Depthwise 'same' convolution along axis -2: (y, the zero-padded input)."""
+    k, d = kernel.shape
+    if k % 2 == 0:
+        raise ConfigError(f"depthwise kernel length must be odd, got {k}")
+    T = x.shape[-2]
+    pad = k // 2
+    xpad = np.zeros(x.shape[:-2] + (T + k - 1, d), dtype=x.dtype)
+    xpad[..., pad:pad + T, :] = x
+    y = np.zeros_like(x)
+    for j in range(k):
+        y += kernel[j] * xpad[..., j:j + T, :]
+    return y, xpad
+
+
+def _conv_grads(g: np.ndarray, xpad: np.ndarray, kernel: Tensor,
+                need_x: bool) -> np.ndarray | None:
+    k, d = kernel.data.shape
+    T = g.shape[-2]
+    if kernel.requires_grad:
+        gk = np.empty_like(kernel.data)
+        for j in range(k):
+            gk[j] = _sum_rows((xpad[..., j:j + T, :] * g).reshape(-1, d))
+        kernel._accumulate(gk)
+    if not need_x:
+        return None
+    gpad = np.zeros_like(xpad)
+    for j in range(k):
+        gpad[..., j:j + T, :] += kernel.data[j] * g
+    return gpad[..., k // 2:k // 2 + T, :]
 
 
 # Query rows per attention tile: a tile's (h, rows, T_b) logits take at most
@@ -424,43 +466,9 @@ _BAND = 20.0
 _BAND_MIN_FRAMES = 64
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
-              keep: Sequence[np.ndarray] | None = None, keep_scale: float = 1.0,
-              lengths: Sequence[int] | None = None) -> Tensor:
-    """softmax(q k^T + bias) v as one node, computed per slot on its real frames.
-
-    q and k are (..., h, T, dh) and v is (..., h, T, dv). Each leading index is
-    a slot whose first `lengths[b]` frames are real (default: all T), and only
-    its real (h, T_b, T_b) block is computed, in tiles of query rows whose
-    (h, rows, T_b) logits fit `_TILE_BYTES`, so a long slot's passes run from
-    L2: logits plus `bias[:T_b, :T_b]` of a constant (T, T) bias, the row
-    maxima, a shift by them unless the tile's maxima all lie in the safe band
-    [-_BAND, _BAND] (softmax is shift-invariant; checked only on slots of at
-    least `_BAND_MIN_FRAMES`), exp, then the optional boolean `keep[b]`
-    (h, T_b, T_b) drops weights (inverted dropout, the kept ones scaled by
-    `keep_scale`). The weights are never normalised: the (h, rows, dv) output
-    is divided by the row sums instead. Without dropout v carries an extra
-    ones column, so one product gives the numerator and the row sums; with
-    dropout the row sums are taken before the mask. Padded query rows output
-    zeros and padded keys get no weight.
-
-    A graph writes each tile into the slot's whole exp'd block e and saves it
-    with its row sums s; the softmax is P = e / s (whatever shift each row
-    took) and the dropped weights W = P * keep * scale. The backward is the
-    closed form dV = W^T dO,
-    dP = (dO V^T) * keep * scale, dS = P * (dP - rowsum(dP * P)), dQ = dS K,
-    dK = dS^T Q, where rowsum(dP * P) = rowsum(dO * O) needs no T x T pass
-    (Rabe & Staats, arXiv 2112.05682; Dao et al., FlashAttention,
-    arXiv 2205.14135).
-    """
-    q, k, v = Tensor._wrap(q), Tensor._wrap(k), Tensor._wrap(v)
-    shape = q.data.shape
-    if len(shape) < 3 or k.data.shape != shape or v.data.shape[:-1] != shape[:-1]:
-        raise DimensionError(f"attention expects q, k (..., h, T, dh) and v (..., h, T, dv), "
-                             f"got {q.shape}, {k.shape}, {v.shape}")
-    h, T, dh = shape[-3:]
-    dv = v.data.shape[-1]
-    n = math.prod(shape[:-3])
+def _slot_lengths(n: int, h: int, T: int, bias: np.ndarray | None,
+                  keep: Sequence[np.ndarray] | None, lengths: Sequence[int] | None) -> list[int]:
+    """Each of the n slots' real frame count (default T), checked with bias and keep."""
     lengths = [T] * n if lengths is None else [int(t) for t in lengths]
     if len(lengths) != n or not all(1 <= t <= T for t in lengths):
         raise ContractError(f"attention lengths {lengths} do not fit {n} slots of {T} frames")
@@ -470,10 +478,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
             m.shape != (h, t, t) for m, t in zip(keep, lengths))):
         raise DimensionError(f"attention keep masks must be (h, T_b, T_b) per slot "
                              f"for lengths {lengths}")
-    scale = keep_scale if keep is not None else 1.0
-    q3, k3, v3 = (t.data.reshape(n, h, T, -1) for t in (q, k, v))
-    out = np.zeros((n, h, T, dv), dtype=q.data.dtype)
-    graph = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    return lengths
+
+
+def _attend(q3: np.ndarray, k3: np.ndarray, v3: np.ndarray, bias, keep, scale: float,
+            lengths: list[int], graph: bool) -> tuple[np.ndarray, list]:
+    """`attention`'s forward on (n, h, T, d) arrays: (out, what the backward keeps).
+
+    Nothing is kept unless `graph`; `scale` is the kept weights' scale.
+    """
+    n, h, T, _ = q3.shape
+    dv = v3.shape[-1]
+    out = np.zeros((n, h, T, dv), dtype=q3.dtype)
     saved = []
     vs = v3
     if keep is None:  # a ones column: one product gives the numerator and the row sums
@@ -512,66 +528,172 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
                 s_all[:, r0:r1] = s
         if graph:
             saved.append((e if e_all is None else e_all, s_all))
+    return out, saved
+
+
+def _attend_grads(g3: np.ndarray, q3: np.ndarray, k3: np.ndarray, v3: np.ndarray,
+                  out: np.ndarray, saved: list, keep, scale: float, lengths: list[int],
+                  need: tuple[bool, bool, bool]) -> list[np.ndarray | None]:
+    """`attention`'s backward: the (n, h, T, d) gradients of q, k and v where `need`ed."""
+    gq, gk, gv = (np.zeros(a.shape, a.dtype) if wanted else None
+                  for wanted, a in zip(need, (q3, k3, v3)))
+    for b, (tb, (e, s)) in enumerate(zip(lengths, saved)):
+        do = g3[b, :, :tb]
+        r = scale / s  # W = e * keep * r
+        if gv is not None:
+            w = e if keep is None else e * keep[b]
+            gv[b, :, :tb] = np.swapaxes(w, -1, -2) @ (do * r)
+        if gq is None and gk is None:
+            continue
+        # dS / r, its row scale r applied to the (T_b, dh) products instead
+        ds = do @ np.swapaxes(v3[b, :, :tb], -1, -2)  # dL/dW
+        if keep is not None:
+            ds *= keep[b]
+        ds -= _sum_last(do * out[b, :, :tb], 1.0 / scale)
+        ds *= e
+        if gq is not None:
+            np.multiply(ds @ k3[b, :, :tb], r, out=gq[b, :, :tb])
+        if gk is not None:
+            gk[b, :, :tb] = np.swapaxes(ds, -1, -2) @ (q3[b, :, :tb] * r)
+    return [gq, gk, gv]
+
+
+# ---- linear algebra ---------------------------------------------------------
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product of (..., n, k) by a (k, m) weight, or of two equal-rank
+    operands whose leading (batch/head) dims match.
+
+    The weight form takes an optional (m,) `bias`, added to every row.
+    """
+    a, b = Tensor._wrap(a), Tensor._wrap(b)
+    if a.data.ndim < 2 or b.data.ndim < 2 or (b.data.ndim != 2 and a.data.ndim != b.data.ndim):
+        raise DimensionError(f"matmul expects (..., n, k) @ (k, m) or equal-rank operands, "
+                             f"got {a.shape} @ {b.shape}")
+    if a.data.shape[-1] != b.data.shape[-2]:
+        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if a.data.ndim == b.data.ndim and a.data.shape[:-2] != b.data.shape[:-2]:
+        raise DimensionError(f"matmul batch dimensions disagree: {a.shape} @ {b.shape}")
+    parents = (a, b)
+    if bias is not None:
+        bias = Tensor._wrap(bias)
+        if b.data.ndim != 2 or bias.data.shape != b.data.shape[1:]:
+            raise DimensionError(f"matmul bias must be ({b.data.shape[-1]},) with a (k, m) "
+                                 f"weight, got {a.shape} @ {b.shape} + {bias.shape}")
+        parents = (a, b, bias)
+    out = _affine(a.data, b.data, None if bias is None else bias.data)
 
     def backward(g):
-        g3 = g.reshape(n, h, T, dv)
-        gq, gk, gv = (np.zeros(a.shape, a.dtype) if t.requires_grad else None
-                      for t, a in ((q, q3), (k, k3), (v, v3)))
-        for b, (tb, (e, s)) in enumerate(zip(lengths, saved)):
-            do = g3[b, :, :tb]
-            r = scale / s  # W = e * keep * r
-            if gv is not None:
-                w = e if keep is None else e * keep[b]
-                gv[b, :, :tb] = np.swapaxes(w, -1, -2) @ (do * r)
-            if gq is None and gk is None:
-                continue
-            # dS / r, its row scale r applied to the (T_b, dh) products instead
-            ds = do @ np.swapaxes(v3[b, :, :tb], -1, -2)  # dL/dW
-            if keep is not None:
-                ds *= keep[b]
-            ds -= _sum_last(do * out[b, :, :tb], 1.0 / scale)
-            ds *= e
-            if gq is not None:
-                np.multiply(ds @ k3[b, :, :tb], r, out=gq[b, :, :tb])
-            if gk is not None:
-                gk[b, :, :tb] = np.swapaxes(ds, -1, -2) @ (q3[b, :, :tb] * r)
-        for t, gt in ((q, gq), (k, gk), (v, gv)):
+        if a.requires_grad:
+            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
+        if b.data.ndim == 2:
+            _affine_grads(g, a.data, b, bias)
+        elif b.requires_grad:
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+
+    return Tensor._result(out, parents, backward)
+
+
+# ---- nonlinearities ---------------------------------------------------------
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    s = _sigmoid(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(_sigmoid_grad(g, s))
+
+    return Tensor._result(s, (x,), backward)
+
+
+def swish(x: Tensor) -> Tensor:
+    y, s = _swish(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(_swish_grad(g, s, y))
+
+    return Tensor._result(y, (x,), backward)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Stable softmax along `axis` (max-subtraction), computed in one buffer."""
+    if x.data.ndim == 0 or x.data.shape[axis] == 0:
+        raise DimensionError("softmax requires a non-empty axis")
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= _sum_along(y, axis)
+
+    def backward(g):
+        if x.requires_grad:
+            gx = g * y
+            gx -= y * _sum_along(gx, axis)
+            x._accumulate(gx)
+
+    return Tensor._result(y, (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
+              keep: Sequence[np.ndarray] | None = None, keep_scale: float = 1.0,
+              lengths: Sequence[int] | None = None) -> Tensor:
+    """softmax(q k^T + bias) v as one node, computed per slot on its real frames.
+
+    q and k are (..., h, T, dh) and v is (..., h, T, dv). Each leading index is
+    a slot whose first `lengths[b]` frames are real (default: all T), and only
+    its real (h, T_b, T_b) block is computed, in tiles of query rows whose
+    (h, rows, T_b) logits fit `_TILE_BYTES`, so a long slot's passes run from
+    L2: logits plus `bias[:T_b, :T_b]` of a constant (T, T) bias, the row
+    maxima, a shift by them unless the tile's maxima all lie in the safe band
+    [-_BAND, _BAND] (softmax is shift-invariant; checked only on slots of at
+    least `_BAND_MIN_FRAMES`), exp, then the optional boolean `keep[b]`
+    (h, T_b, T_b) drops weights (inverted dropout, the kept ones scaled by
+    `keep_scale`). The weights are never normalised: the (h, rows, dv) output
+    is divided by the row sums instead. Without dropout v carries an extra
+    ones column, so one product gives the numerator and the row sums; with
+    dropout the row sums are taken before the mask. Padded query rows output
+    zeros and padded keys get no weight.
+
+    A graph writes each tile into the slot's whole exp'd block e and saves it
+    with its row sums s; the softmax is P = e / s (whatever shift each row
+    took) and the dropped weights W = P * keep * scale. The backward is the
+    closed form dV = W^T dO,
+    dP = (dO V^T) * keep * scale, dS = P * (dP - rowsum(dP * P)), dQ = dS K,
+    dK = dS^T Q, where rowsum(dP * P) = rowsum(dO * O) needs no T x T pass
+    (Rabe & Staats, arXiv 2112.05682; Dao et al., FlashAttention,
+    arXiv 2205.14135).
+    """
+    q, k, v = Tensor._wrap(q), Tensor._wrap(k), Tensor._wrap(v)
+    shape = q.data.shape
+    if len(shape) < 3 or k.data.shape != shape or v.data.shape[:-1] != shape[:-1]:
+        raise DimensionError(f"attention expects q, k (..., h, T, dh) and v (..., h, T, dv), "
+                             f"got {q.shape}, {k.shape}, {v.shape}")
+    h, T, _ = shape[-3:]
+    n = math.prod(shape[:-3])
+    lengths = _slot_lengths(n, h, T, bias, keep, lengths)
+    scale = keep_scale if keep is not None else 1.0
+    q3, k3, v3 = (t.data.reshape(n, h, T, -1) for t in (q, k, v))
+    graph = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    out, saved = _attend(q3, k3, v3, bias, keep, scale, lengths, graph)
+
+    def backward(g):
+        grads = _attend_grads(g.reshape(out.shape), q3, k3, v3, out, saved, keep, scale,
+                              lengths, (q.requires_grad, k.requires_grad, v.requires_grad))
+        for t, gt in zip((q, k, v), grads):
             if gt is not None:
                 t._accumulate(gt.reshape(t.data.shape))
 
-    return Tensor._result(out.reshape(shape[:-1] + (dv,)), (q, k, v), backward)
+    return Tensor._result(out.reshape(shape[:-1] + out.shape[-1:]), (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis with population variance, then affine.
-
-    The input is centred once and the variance taken from the centred values.
-    """
-    d = x.data.shape[-1]
-    if d < 2:
-        raise DimensionError(f"layer_norm needs last dim >= 2, got {d}")
-    xhat = x.data - _sum_last(x.data, 1.0 / d)
-    inv = _sum_last(np.square(xhat), 1.0 / d)
-    inv += eps
-    np.sqrt(inv, out=inv)
-    np.reciprocal(inv, out=inv)
-    xhat *= inv
-    y = xhat * gamma.data
-    y += beta.data
+    """Normalize the last axis with population variance, then affine."""
+    y, xhat, inv = _norm(x.data, gamma.data, beta.data, eps)
 
     def backward(g):
-        gxhat = g * xhat
-        if gamma.requires_grad:
-            gamma._accumulate(_sum_rows(gxhat.reshape(-1, d)))
-        if beta.requires_grad:
-            beta._accumulate(_sum_rows(g.reshape(-1, d)))
-        if x.requires_grad:
-            # (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)) * inv
-            gxhat *= gamma.data
-            gx = g * gamma.data
-            gx -= _sum_last(gx, 1.0 / d)
-            gx -= xhat * _sum_last(gxhat, 1.0 / d)
-            gx *= inv
+        gx = _norm_grads(g, xhat, inv, gamma, beta, x.requires_grad)
+        if gx is not None:
             x._accumulate(gx)
 
     return Tensor._result(y, (x, gamma, beta), backward)
@@ -582,32 +704,168 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
 
     x is (..., T, d), kernel is k x d with k odd; output is (..., T, d).
     """
-    k, d = kernel.data.shape
-    if k % 2 == 0:
-        raise ConfigError(f"depthwise kernel length must be odd, got {k}")
-    if x.data.ndim < 2 or x.data.shape[-1] != d:
+    if x.data.ndim < 2 or kernel.data.ndim != 2 or x.data.shape[-1] != kernel.data.shape[1]:
         raise DimensionError(f"depthwise_conv1d shape mismatch: x {x.shape}, kernel {kernel.shape}")
-    T = x.data.shape[-2]
-    pad = k // 2
-    xpad = np.zeros(x.data.shape[:-2] + (T + k - 1, d), dtype=x.data.dtype)
-    xpad[..., pad:pad + T, :] = x.data
-    y = np.zeros_like(x.data)
-    for j in range(k):
-        y += kernel.data[j] * xpad[..., j:j + T, :]
+    y, xpad = _conv(x.data, kernel.data)
 
     def backward(g):
-        if kernel.requires_grad:
-            gk = np.empty_like(kernel.data)
-            for j in range(k):
-                gk[j] = _sum_rows((xpad[..., j:j + T, :] * g).reshape(-1, d))
-            kernel._accumulate(gk)
-        if x.requires_grad:
-            gpad = np.zeros_like(xpad)
-            for j in range(k):
-                gpad[..., j:j + T, :] += kernel.data[j] * g
-            x._accumulate(gpad[..., pad:pad + T, :])
+        gx = _conv_grads(g, xpad, kernel, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
 
     return Tensor._result(y, (x, kernel), backward)
+
+
+# ---- Conformer modules ------------------------------------------------------
+# Each module of a Conformer block, its residual included, is one node with a
+# closed-form backward. Where x feeds nothing but the module, as in a block,
+# it is bitwise equal to the module's chain of the primitive ops above: every
+# float operation, each gradient sum over several consumers included, runs in
+# the chain's order.
+
+
+def _check_params(node: str, params: Sequence[Tensor], shapes: Sequence[tuple]) -> None:
+    got = [p.data.shape for p in params]
+    if got != [tuple(s) for s in shapes]:
+        raise DimensionError(f"{node} parameters must be shaped {list(shapes)}, got {got}")
+
+
+def feed_forward(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor, eps: float = 1e-5) -> Tensor:
+    """x + (swish(LN(x) W1 + b1) W2 + b2) / 2, the half-step feed-forward module.
+
+    x is (..., d), W1 (d, f) and W2 (f, d); LN is `layer_norm` with gamma, beta.
+    """
+    d = x.data.shape[-1]
+    f = w1.data.shape[-1]
+    _check_params("feed_forward", (gamma, beta, w1, b1, w2, b2),
+                  ((d,), (d,), (d, f), (f,), (f, d), (d,)))
+    n, xhat, inv = _norm(x.data, gamma.data, beta.data, eps)
+    y, s = _swish(_affine(n, w1.data, b1.data))
+    out = _affine(y, w2.data, b2.data)
+    out *= 0.5
+    out += x.data
+
+    def backward(g):
+        gf = g * 0.5
+        _affine_grads(gf, y, w2, b2)
+        ga = _swish_grad(gf @ w2.data.T, s, y)
+        _affine_grads(ga, n, w1, b1)
+        gx = _norm_grads(ga @ w1.data.T, xhat, inv, gamma, beta, x.requires_grad)
+        if gx is not None:
+            gx += g
+            x._accumulate(gx)
+
+    return Tensor._result(out, (x, gamma, beta, w1, b1, w2, b2), backward)
+
+
+def self_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
+                   wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, heads: int,
+                   bias: np.ndarray | None = None, keep: Sequence[np.ndarray] | None = None,
+                   keep_scale: float = 1.0, lengths: Sequence[int] | None = None,
+                   eps: float = 1e-5) -> Tensor:
+    """x + MHSA(LN(x)) Wo + bo, the multi-head self-attention module, on a padded
+    (B, T, d) batch.
+
+    With n = LN(x): q = (n Wq + bq) / sqrt(dh), k = n Wk (a key bias would
+    shift a whole row of logits, which softmax cancels) and v = n Wv + bv, each
+    split into `heads` heads of dh = d / heads. The core is `attention`'s, with
+    its `bias`, `keep`, `keep_scale` and `lengths`; the heads' outputs are
+    concatenated back to (B, T, d) before Wo.
+    """
+    if x.data.ndim != 3 or heads < 1 or x.data.shape[-1] % heads:
+        raise DimensionError(f"self_attention expects (B, T, d) with d divisible by "
+                             f"{heads} heads, got {x.shape}")
+    B, T, d = x.data.shape
+    dh = d // heads
+    params = (x, gamma, beta, wq, bq, wk, wv, bv, wo, bo)
+    _check_params("self_attention", params[1:],
+                  ((d,), (d,), (d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)))
+    lengths = _slot_lengths(B, heads, T, bias, keep, lengths)
+    scale = keep_scale if keep is not None else 1.0
+    graph = _grad_enabled and any(p.requires_grad for p in params)
+
+    def split(t):  # (B, T, d) -> a (B, h, T, dh) view
+        return t.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):  # (B, h, T, dh) -> (B, T, d)
+        return t.transpose(0, 2, 1, 3).reshape(B, T, d)
+
+    n, xhat, inv = _norm(x.data, gamma.data, beta.data, eps)
+    # scale q (T x dh per head), not the T x T logits: same product, fewer multiplies
+    qscale = x.data.dtype.type(1.0 / np.sqrt(dh))
+    q = split(_affine(n, wq.data, bq.data)) * qscale
+    k = split(n @ wk.data)
+    v = split(_affine(n, wv.data, bv.data))
+    o, saved = _attend(q, k, v, bias, keep, scale, lengths, graph)
+    ctx = merge(o)
+    out = _affine(ctx, wo.data, bo.data)
+    out += x.data
+
+    def backward(g):
+        _affine_grads(g, ctx, wo, bo)
+        gq, gk, gv = _attend_grads(split(g @ wo.data.T), q, k, v, o, saved, keep, scale,
+                                   lengths, (True, True, True))
+        gq, gk, gv = merge(gq * qscale), merge(gk), merge(gv)
+        _affine_grads(gq, n, wq, bq)
+        _affine_grads(gk, n, wk, None)
+        _affine_grads(gv, n, wv, bv)
+        # n's three consumers are summed in reverse creation order: v, k, q
+        gn = gv @ wv.data.T
+        gn += gk @ wk.data.T
+        gn += gq @ wq.data.T
+        gx = _norm_grads(gn, xhat, inv, gamma, beta, x.requires_grad)
+        if gx is not None:
+            gx += g
+            x._accumulate(gx)
+
+    return Tensor._result(out, params, backward)
+
+
+def conv_module(x: Tensor, gamma: Tensor, beta: Tensor, pw1: Tensor, pb1: Tensor,
+                dw: Tensor, pw2: Tensor, pb2: Tensor, frame_mask: np.ndarray | None = None,
+                eps: float = 1e-5) -> Tensor:
+    """x + swish(dwconv(GLU(LN(x) P1 + p1) * frame_mask)) P2 + p2, the convolution module.
+
+    x is (..., T, d), P1 (d, 2d), the depthwise kernel dw (k, d) with k odd
+    and P2 (d, d). GLU(a) = a[..., :d] * sigmoid(a[..., d:]). The optional
+    (..., T, 1) `frame_mask` zeroes padded frames before the convolution, so
+    they do not leak into real ones.
+    """
+    d = x.data.shape[-1]
+    _check_params("conv_module", (gamma, beta, pw1, pb1, dw, pw2, pb2),
+                  ((d,), (d,), (d, 2 * d), (2 * d,), (dw.data.shape[0], d), (d, d), (d,)))
+    if frame_mask is not None and frame_mask.shape != x.data.shape[:-1] + (1,):
+        raise DimensionError(f"conv_module frame mask must be {x.data.shape[:-1] + (1,)}, "
+                             f"got {frame_mask.shape}")
+    n, xhat, inv = _norm(x.data, gamma.data, beta.data, eps)
+    a = _affine(n, pw1.data, pb1.data)
+    a1 = a[..., :d]
+    s = _sigmoid(a[..., d:])
+    glu = a1 * s
+    if frame_mask is not None:
+        glu *= frame_mask
+    c, xpad = _conv(glu, dw.data)
+    y, sc = _swish(c)
+    out = _affine(y, pw2.data, pb2.data)
+    out += x.data
+
+    def backward(g):
+        _affine_grads(g, y, pw2, pb2)
+        gglu = _conv_grads(_swish_grad(g @ pw2.data.T, sc, y), xpad, dw, True)
+        if frame_mask is not None:
+            gglu = gglu * frame_mask
+        # as the chain's two slice nodes did: each half added into zeros
+        ga = np.zeros_like(a)
+        ga[..., d:] += _sigmoid_grad(gglu * a1, s)
+        ga[..., :d] += gglu * s
+        _affine_grads(ga, n, pw1, pb1)
+        gx = _norm_grads(ga @ pw1.data.T, xhat, inv, gamma, beta, x.requires_grad)
+        if gx is not None:
+            gx += g
+            x._accumulate(gx)
+
+    return Tensor._result(out, (x, gamma, beta, pw1, pb1, dw, pw2, pb2), backward)
 
 
 # ---- verification oracle ----------------------------------------------------

@@ -2,6 +2,8 @@
 
 Block structure (macaron): half-step FF, multi-head self-attention, depthwise
 convolution module, half-step FF, final layer norm, residuals throughout.
+A block is five graph nodes: one `autodiff` node per module, its residual
+included, then the output layer norm.
 Depth is chosen per call, the same shared parameter group being applied N
 times when sharing is on. A traced forward keeps every per-layer embedding
 for the diagnostics suite; shallow inference is just a prefix of the stack.
@@ -186,6 +188,7 @@ class ParameterStore:
         self._zeros = np.zeros(max(p.data.size for _, p in named), dtype=self.buffer.dtype)
         self._spans: dict[str, slice] = {}
         self._layout: list[tuple[str, Tensor, np.ndarray]] = []
+        self._records: dict[str, list[tuple[bytes, int, int]]] = {}
         offset = 0
         for name, p in named:
             span = slice(offset, offset + p.data.size)
@@ -224,6 +227,20 @@ class ParameterStore:
         """Per-parameter views of a flat array in this store's layout, by name."""
         return {name: flat[self._spans[name]].reshape(view.shape)
                 for name, _, view in self._layout}
+
+    def checkpoint_records(self, prefix: str) -> list[tuple[bytes, int, int]]:
+        """Per parameter, in layout order: the checkpoint header (name, rank,
+        dims) of the tensor `prefix` + name, and the byte range of its data in
+        a float32 array of the flat layout. Built once per prefix."""
+        if prefix not in self._records:
+            records = []
+            for name, _, view in self._layout:
+                span = self._spans[name]
+                header = codec.string(prefix + name) + struct.pack(
+                    f"<I{view.ndim}I", view.ndim, *view.shape)
+                records.append((header, 4 * span.start, 4 * span.stop))
+            self._records[prefix] = records
+        return self._records[prefix]
 
     def flat_grad(self) -> np.ndarray:
         """Every parameter's gradient, zeros where it has none, in the flat layout.
@@ -290,64 +307,45 @@ class Padding:
         return cls(lengths, real[..., None].astype(dtype))
 
 
-def _feed_forward(x: Tensor, g: dict[str, Tensor], which: str) -> Tensor:
-    h = ad.layer_norm(x, g[f"{which}.norm.gamma"], g[f"{which}.norm.beta"])
-    h = ad.swish(ad.matmul(h, g[f"{which}.w1"], g[f"{which}.b1"]))
-    return ad.matmul(h, g[f"{which}.w2"], g[f"{which}.b2"])
+# each module node's parameters, in its argument order, under the module's prefix
+_MODULE_PARAMS = {
+    "ff": ("norm.gamma", "norm.beta", "w1", "b1", "w2", "b2"),
+    "attn": ("norm.gamma", "norm.beta", "wq", "bq", "wk", "wv", "bv", "wo", "bo"),
+    "conv": ("norm.gamma", "norm.beta", "pw1", "pb1", "dw", "pw2", "pb2"),
+}
 
 
-def _attention(x: Tensor, g: dict[str, Tensor], cfg: ConformerConfig,
-               train_mode: bool, rngs, pad: Padding) -> Tensor:
-    B, T, _ = x.shape
-    h, dh = cfg.num_heads, cfg.head_dim
-    n = ad.layer_norm(x, g["attn.norm.gamma"], g["attn.norm.beta"])
-
-    def heads(t: Tensor) -> Tensor:
-        return t.reshape(B, T, h, dh).transpose((0, 2, 1, 3))
-
-    # scale q (T x dh per head), not the T x T logits: same product, fewer multiplies
-    q = heads(ad.matmul(n, g["attn.wq"], g["attn.bq"])) * (1.0 / np.sqrt(dh))
-    k = heads(n @ g["attn.wk"])
-    v = heads(ad.matmul(n, g["attn.wv"], g["attn.bv"]))
-    bias = relative_position_bias(T, dh, x.data.dtype) if cfg.pos_bias == "relative-bias" else None
-    keep = None
-    if train_mode and cfg.dropout > 0.0:
-        # each slot draws its (h, T_b, T_b) block from its own generator, so a
-        # slot sees the same draws as it would alone
-        keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, pad.lengths)]
-    ctx = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - cfg.dropout), pad.lengths)
-    ctx = ctx.transpose((0, 2, 1, 3)).reshape(B, T, cfg.model_dim)
-    return ad.matmul(ctx, g["attn.wo"], g["attn.bo"])
-
-
-def _conv_module(x: Tensor, g: dict[str, Tensor], pad: Padding) -> Tensor:
-    d = x.shape[-1]
-    h = ad.layer_norm(x, g["conv.norm.gamma"], g["conv.norm.beta"])
-    h = ad.matmul(h, g["conv.pw1"], g["conv.pb1"])
-    h = h[..., :d] * ad.sigmoid(h[..., d:])  # GLU
-    if pad.frame_mask is not None:
-        h = h * Tensor(pad.frame_mask)  # padded frames must not leak into real ones
-    h = ad.depthwise_conv1d(h, g["conv.dw"])
-    h = ad.swish(h)
-    return ad.matmul(h, g["conv.pw2"], g["conv.pb2"])
+def _module_params(group: dict[str, Tensor], prefix: str, kind: str) -> list[Tensor]:
+    return [group[f"{prefix}.{name}"] for name in _MODULE_PARAMS[kind]]
 
 
 def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig, pad: Padding,
                     train_mode: bool = False, rngs=None) -> Tensor:
     """One block on a padded (B, T_max, d) batch whose real frame counts are `pad`.
 
-    In train mode `rngs` is a list of one attention-dropout generator per slot.
+    Five graph nodes: the ff1, attention, convolution and ff2 modules, each
+    with its residual, then the output layer norm. In train mode `rngs` is a
+    list of one attention-dropout generator per slot.
     """
     B = len(pad.lengths)
     if x.data.ndim != 3 or x.shape[0] != B or x.shape[2] != cfg.model_dim:
         raise ContractError(f"block input must be {B} x T_max x {cfg.model_dim}, got {x.shape}")
     if train_mode and (not isinstance(rngs, list) or len(rngs) != B):
         raise ContractError(f"train mode needs a list of {B} dropout generators, one per slot")
-    h = x + 0.5 * _feed_forward(x, group, "ff1")
-    h = h + _attention(h, group, cfg, train_mode, rngs, pad)
-    h = h + _conv_module(h, group, pad)
-    h = h + 0.5 * _feed_forward(h, group, "ff2")
-    return ad.layer_norm(h, group["out.norm.gamma"], group["out.norm.beta"])
+    h = cfg.num_heads
+    bias = (relative_position_bias(x.shape[1], cfg.head_dim, x.data.dtype)
+            if cfg.pos_bias == "relative-bias" else None)
+    keep = None
+    if train_mode and cfg.dropout > 0.0:
+        # each slot draws its (h, T_b, T_b) block from its own generator, so a
+        # slot sees the same draws as it would alone
+        keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, pad.lengths)]
+    x = ad.feed_forward(x, *_module_params(group, "ff1", "ff"))
+    x = ad.self_attention(x, *_module_params(group, "attn", "attn"), h, bias, keep,
+                          1.0 / (1.0 - cfg.dropout), pad.lengths)
+    x = ad.conv_module(x, *_module_params(group, "conv", "conv"), pad.frame_mask)
+    x = ad.feed_forward(x, *_module_params(group, "ff2", "ff"))
+    return ad.layer_norm(x, group["out.norm.gamma"], group["out.norm.beta"])
 
 
 # ---- stack -------------------------------------------------------------------
@@ -438,19 +436,40 @@ def param_count(cfg: ConformerConfig) -> dict[str, int]:
 
 
 def save_checkpoint(path, store: ParameterStore, extra_config: dict[str, str] | None = None,
-                    extra_tensors: dict[str, np.ndarray] | None = None) -> None:
-    """Write `store` (plus extra config lines and tensors) atomically to `path`."""
+                    extra_tensors: dict[str, np.ndarray] | None = None,
+                    moments: dict[str, np.ndarray] | None = None) -> None:
+    """Write `store` (plus extra config lines and tensors) atomically to `path`.
+
+    `moments` maps a name prefix to a flat array in the store's layout, such
+    as Adam's "adam.m." buffer. It is converted to float32 once and written as
+    one tensor per parameter, prefix + name, each a slice of it in layout
+    (= name) order: after the parameters, before the extra tensors.
+    """
     cfg_lines = dict(store.config.to_dict())
     cfg_lines.update(extra_config or {})
     cfg_blob = "".join(f"{k}={v}\n" for k, v in sorted(cfg_lines.items()))
-    tensors: list[tuple[str, np.ndarray]] = [(n, p.data) for n, p in store.named_parameters()]
-    tensors += sorted((extra_tensors or {}).items())
-    parts = [codec.header(CHECKPOINT_MAGIC), codec.string(cfg_blob),
-             struct.pack("<Q", len(tensors))]
-    for name, arr in tensors:
+    params = store.named_parameters()
+    moments = sorted((moments or {}).items())
+    extras = sorted((extra_tensors or {}).items())
+    count = len(params) + len(moments) * len(store._layout) + len(extras)
+    parts = [codec.header(CHECKPOINT_MAGIC), codec.string(cfg_blob), struct.pack("<Q", count)]
+
+    def put(name: str, arr: np.ndarray) -> None:
         parts.append(codec.string(name))
         parts.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+    for name, p in params:
+        put(name, p.data)
+    for prefix, flat in moments:
+        if flat.shape != store.buffer.shape:
+            raise ContractError(f"{prefix}* moments must be flat in the store's layout, "
+                                f"got shape {flat.shape}")
+        data = memoryview(np.ascontiguousarray(flat, dtype="<f4")).cast("B")
+        for header, start, stop in store.checkpoint_records(prefix):
+            parts += (header, data[start:stop])
+    for name, arr in extras:
+        put(name, arr)
     # write a sibling temp file and rename it over `path`, so a crash or a
     # failed write never leaves a torn checkpoint in place of the last good one
     tmp = f"{os.fspath(path)}.tmp"

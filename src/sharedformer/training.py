@@ -214,17 +214,28 @@ def batch_loss(store: ParameterStore, clean: list[FeatureSequence],
                     [plan for plan, _ in masked], mode, lengths)
 
 
-def validation_loss(store: ParameterStore, corpus: LabeledCorpus, val_idx: list[int],
-                    cfg: TrainConfig, mask_cfg: MaskConfig) -> float:
-    """Full-depth loss over the validation split with fixed per-utterance masks."""
+ValidationChunk = tuple[list[FeatureSequence], list[tuple[MaskPlan, FeatureSequence]]]
+
+
+def validation_chunks(corpus: LabeledCorpus, val_idx: list[int], batch_size: int,
+                      mask_cfg: MaskConfig) -> list[ValidationChunk]:
+    """The validation split in chunks of batch_size: clean utterances and their
+    fixed masks (seeded by utterance id), built once for every validation point."""
+    chunks = []
+    for start in range(0, len(val_idx), batch_size):
+        clean = [corpus.sequences[i] for i in val_idx[start:start + batch_size]]
+        chunks.append((clean, [mask_utterance(seq, mask_cfg) for seq in clean]))
+    return chunks
+
+
+def validation_loss(store: ParameterStore, chunks: list[ValidationChunk], mode: str) -> float:
+    """Full-depth loss over the validation chunks, weighted by utterance."""
     total = 0.0
     with ad.no_grad():
-        for start in range(0, len(val_idx), cfg.batch_size):
-            chunk = [corpus.sequences[i] for i in val_idx[start:start + cfg.batch_size]]
-            masked = [mask_utterance(seq, mask_cfg) for seq in chunk]
-            loss = batch_loss(store, chunk, masked, store.config.max_layers, cfg.loss_mode)
-            total += float(loss.data) * len(chunk)
-    return total / len(val_idx)
+        for clean, masked in chunks:
+            loss = batch_loss(store, clean, masked, store.config.max_layers, mode)
+            total += float(loss.data) * len(clean)
+    return total / sum(len(clean) for clean, _ in chunks)
 
 
 def train(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainConfig,
@@ -269,6 +280,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
     low, high = parse_depth(cfg.depth)
     check_depth(low, high, store.config.max_layers)
     corpus.check_dim(store.config.input_dim)
+    val_chunks = None  # built at the first validation point, then reused
 
     out_dir = Path(out_dir) if out_dir is not None else None
     metrics_file = None
@@ -319,7 +331,9 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             # validation stays on the fixed grid even when max_steps is not a
             # multiple, so a shorter run logs a prefix of the longer run's rows
             if step % cfg.validation_every == 0:
-                val = validation_loss(store, corpus, val_idx, cfg, mask_cfg)
+                if val_chunks is None:
+                    val_chunks = validation_chunks(corpus, val_idx, cfg.batch_size, mask_cfg)
+                val = validation_loss(store, val_chunks, cfg.loss_mode)
 
             row = {"step": step, "sampled_depth": n_layers, "lr": lr,
                    "train_loss": train_loss, "val_loss": val,
@@ -360,11 +374,9 @@ def _save_train_checkpoint(path, store: ParameterStore, adam: AdamState, step: i
         "train.seed": str(cfg.seed),
         "train.cum_layer_apps": str(cum_layer_apps),
     }
-    extra_tensors = {}
-    for prefix, flat in (("adam.m.", adam.m), ("adam.v.", adam.v)):
-        if flat is not None:
-            extra_tensors.update({prefix + k: a for k, a in store.unflatten(flat).items()})
-    save_checkpoint(path, store, extra_cfg, extra_tensors)
+    moments = {prefix: flat for prefix, flat in (("adam.m.", adam.m), ("adam.v.", adam.v))
+               if flat is not None}
+    save_checkpoint(path, store, extra_cfg, moments=moments)
 
 
 def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],

@@ -9,10 +9,10 @@ from sharedformer import autodiff as ad
 from sharedformer import encoder
 from sharedformer.autodiff import Tensor
 from sharedformer.config import RunConfig, apply_preset
-from sharedformer.encoder import (ConformerConfig, Padding, ParameterStore, _attention,
-                                  conformer_block, forward, load_checkpoint,
-                                  param_count, relative_position_bias, sample_depth,
-                                  save_checkpoint, sli_forward, store_from_checkpoint)
+from sharedformer.encoder import (ConformerConfig, Padding, ParameterStore, conformer_block,
+                                  forward, load_checkpoint, param_count,
+                                  relative_position_bias, sample_depth, save_checkpoint,
+                                  sli_forward, store_from_checkpoint)
 from sharedformer.errors import ConfigError, ContractError
 from sharedformer.rng import substream
 from sharedformer.training import mpc_loss, predictor_apply
@@ -67,7 +67,7 @@ def _tensors_created(fn):
     return next(ad._ids) - start - 1
 
 
-@pytest.mark.parametrize("train_mode,count", [(False, 42), (True, 42)])
+@pytest.mark.parametrize("train_mode,count", [(False, 5), (True, 5)])
 def test_block_graph_size(train_mode, count):
     store = desk_store()
     x = Tensor(rng(0).normal(size=(20, 16))[None])
@@ -121,22 +121,22 @@ def test_padded_batch_gradient_finite_difference(float64):
 
 def test_attention_rows_sum_to_one(float64, monkeypatch):
     recorded = []
-    original = ad.attention
+    original = ad._attend
 
-    def spy(q, k, v, *args, **kwargs):
-        recorded.append((q, k, v.shape, args, kwargs))
-        return original(q, k, v, *args, **kwargs)
+    def spy(q3, k3, v3, *args):
+        recorded.append((q3, k3, v3.shape, args))
+        return original(q3, k3, v3, *args)
 
-    monkeypatch.setattr("sharedformer.encoder.ad.attention", spy)
+    monkeypatch.setattr(ad, "_attend", spy)
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(4, "init"))
     conformer_block(Tensor(rng(0).normal(size=(7, cfg.model_dim))[None]), store.layer_group(0),
                     cfg, Padding.of([7], 7, np.float64))
     assert recorded
-    for q, k, v_shape, args, kwargs in recorded:
+    for q3, k3, v_shape, args in recorded:
         # with v = 1 each output is the sum of its row of attention weights
-        out = original(q, k, Tensor(np.ones(v_shape[:-1] + (1,))), *args, **kwargs)
-        np.testing.assert_allclose(out.data, 1.0, atol=1e-6)
+        out, _ = original(q3, k3, np.ones(v_shape[:-1] + (1,)), *args)
+        np.testing.assert_allclose(out, 1.0, atol=1e-6)
 
 
 def _composite_attention(x, g, cfg, rngs, lengths):
@@ -168,17 +168,23 @@ def test_attention_matches_composite_chain(float64):
     group = ParameterStore.init(cfg, substream(2, "init")).layer_group(0)
     lengths = [6, 4, 2]
     real = (np.arange(6) < np.asarray(lengths)[:, None])[..., None]
-    x = Tensor(rng(7).normal(size=(3, 6, cfg.model_dim)))
+    x = Tensor(rng(7).normal(size=(3, 6, cfg.model_dim)), requires_grad=True)
     coeff = Tensor(rng(8).normal(size=(3, 6, cfg.model_dim)) * real)
-    pad = Padding.of(lengths, 6, np.float64)
+
+    def node(rngs):
+        keep = [r.random((cfg.num_heads, t, t)) >= cfg.dropout for r, t in zip(rngs, lengths)]
+        bias = relative_position_bias(6, cfg.head_dim, np.float64)
+        return ad.self_attention(x, *encoder._module_params(group, "attn", "attn"),
+                                 cfg.num_heads, bias, keep, 1.0 / (1.0 - cfg.dropout), lengths)
+
     outs, grads = [], []
-    for attend in (lambda rngs: _attention(x, group, cfg, True, rngs, pad),
-                   lambda rngs: _composite_attention(x, group, cfg, rngs, lengths)):
+    for attend in (node, lambda rngs: x + _composite_attention(x, group, cfg, rngs, lengths)):
         out = attend([substream(0, "dropout", 3, slot) for slot in range(3)])
         (out * coeff).sum().backward()
         outs.append(out.data * real)
         grads.append({name: p.grad for name, p in group.items() if name.startswith("attn.")})
-        for p in group.values():
+        grads[-1]["x"] = x.grad * real
+        for p in [x, *group.values()]:
             p.grad = None
     np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-12)
     for name, g in grads[0].items():
@@ -517,6 +523,22 @@ def test_mixed_dtype_parameters_rejected():
 
 
 # ---- checkpoints ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "unshared"])
+def test_flat_moments_write_the_bytes_of_per_name_tensors(tmp_path, share):
+    store = desk_store(seed=2, share_params=share)
+    r = rng(3)
+    moments = {prefix: r.normal(size=store.buffer.shape).astype(np.float32)
+               for prefix in ("adam.v.", "adam.m.")}
+    per_name = {prefix + name: a for prefix, flat in moments.items()
+                for name, a in store.unflatten(flat).items()}
+    for _ in range(2):  # the second write reuses the store's cached records
+        save_checkpoint(tmp_path / "flat.ckpt", store, {"train.step": "3"}, moments=moments)
+        save_checkpoint(tmp_path / "named.ckpt", store, {"train.step": "3"}, per_name)
+        assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "named.ckpt").read_bytes()
+    with pytest.raises(ContractError, match="adam.m."):
+        save_checkpoint(tmp_path / "bad.ckpt", store, moments={"adam.m.": np.zeros(3)})
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -1,9 +1,11 @@
 import json
 
+import composite_block
 import numpy as np
 import pytest
 
 from sharedformer import autodiff as ad
+from sharedformer import encoder
 from sharedformer.autodiff import Tensor
 from sharedformer.encoder import (ConformerConfig, ParameterStore, forward,
                                   load_checkpoint, save_checkpoint, store_from_checkpoint)
@@ -411,6 +413,26 @@ def test_validation_loss_is_deterministic(tmp_path):
     assert va == vb and va
 
 
+def test_validation_masks_each_utterance_once_per_run(monkeypatch):
+    from sharedformer import training
+
+    calls = []
+    original = training.mask_utterance
+
+    def counting(seq, cfg, *rngs):
+        if not rngs:  # the fixed validation mask
+            calls.append(seq.utterance_id)
+        return original(seq, cfg, *rngs)
+
+    monkeypatch.setattr(training, "mask_utterance", counting)
+    corpus = small_corpus()
+    result = train(corpus, ConformerConfig(), quick_train_config(max_steps=9, validation_every=3))
+    assert sum(m["val_loss"] is not None for m in result.metrics) == 3
+    val_ids = [corpus.sequences[i].utterance_id
+               for i in training.split_corpus(corpus, 0, TrainConfig().val_fraction)[1]]
+    assert calls == val_ids
+
+
 def test_divergence_preserves_last_checkpoint(tmp_path):
     corpus = small_corpus()
     cfg = quick_train_config(max_steps=40, peak_scale=1e30, warmup_steps=1)
@@ -534,3 +556,20 @@ def test_step_graph_does_not_grow_with_batch_size():
         return next(ad._ids) - start
 
     assert tensors_created(2) == tensors_created(8)
+
+
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "unshared"])
+def test_training_with_the_primitive_chain_block_is_bitwise_equal(monkeypatch, share):
+    corpus = small_corpus()
+    model = ConformerConfig(max_layers=4, share_params=share)
+    cfg = quick_train_config(max_steps=6, validation_every=3, depth="uniform:2:4")
+    runs = []
+    for block in (encoder.conformer_block, composite_block.conformer_block):
+        monkeypatch.setattr(encoder, "conformer_block", block)
+        start = next(ad._ids)
+        result = train(corpus, model, cfg)
+        runs.append((result, next(ad._ids) - start))
+    (fused, fused_nodes), (chained, chained_nodes) = runs
+    assert chained_nodes > 2 * fused_nodes  # the chain really ran
+    assert [json.dumps(r) for r in fused.metrics] == [json.dumps(r) for r in chained.metrics]
+    assert fused.store.buffer.tobytes() == chained.store.buffer.tobytes()
