@@ -45,6 +45,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+_LN_EPS = 1e-5  # layer norm's variance floor, in `layer_norm` and every module node
 _default_dtype = np.float32
 
 _ids = itertools.count()
@@ -687,7 +688,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
     return Tensor._result(out.reshape(shape[:-1] + out.shape[-1:]), (q, k, v), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Normalize the last axis with population variance, then affine."""
     y, xhat, inv = _norm(x.data, gamma.data, beta.data, eps)
 
@@ -731,7 +732,7 @@ def _check_params(node: str, params: Sequence[Tensor], shapes: Sequence[tuple]) 
 
 
 def feed_forward(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
-                 w2: Tensor, b2: Tensor, eps: float = 1e-5) -> Tensor:
+                 w2: Tensor, b2: Tensor) -> Tensor:
     """x + (swish(LN(x) W1 + b1) W2 + b2) / 2, the half-step feed-forward module.
 
     x is (..., d), W1 (d, f) and W2 (f, d); LN is `layer_norm` with gamma, beta.
@@ -740,7 +741,7 @@ def feed_forward(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
     f = w1.data.shape[-1]
     _check_params("feed_forward", (gamma, beta, w1, b1, w2, b2),
                   ((d,), (d,), (d, f), (f,), (f, d), (d,)))
-    n, xhat, inv = _norm(x.data, gamma.data, beta.data, eps)
+    n, xhat, inv = _norm(x.data, gamma.data, beta.data, _LN_EPS)
     y, s = _swish(_affine(n, w1.data, b1.data))
     out = _affine(y, w2.data, b2.data)
     out *= 0.5
@@ -762,8 +763,7 @@ def feed_forward(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
 def self_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tensor,
                    wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, heads: int,
                    bias: np.ndarray | None = None, keep: Sequence[np.ndarray] | None = None,
-                   keep_scale: float = 1.0, lengths: Sequence[int] | None = None,
-                   eps: float = 1e-5) -> Tensor:
+                   keep_scale: float = 1.0, lengths: Sequence[int] | None = None) -> Tensor:
     """x + MHSA(LN(x)) Wo + bo, the multi-head self-attention module, on a padded
     (B, T, d) batch.
 
@@ -791,7 +791,7 @@ def self_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tenso
     def merge(t):  # (B, h, T, dh) -> (B, T, d)
         return t.transpose(0, 2, 1, 3).reshape(B, T, d)
 
-    n, xhat, inv = _norm(x.data, gamma.data, beta.data, eps)
+    n, xhat, inv = _norm(x.data, gamma.data, beta.data, _LN_EPS)
     # scale q (T x dh per head), not the T x T logits: same product, fewer multiplies
     qscale = x.data.dtype.type(1.0 / np.sqrt(dh))
     q = split(_affine(n, wq.data, bq.data)) * qscale
@@ -823,8 +823,8 @@ def self_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tenso
 
 
 def conv_module(x: Tensor, gamma: Tensor, beta: Tensor, pw1: Tensor, pb1: Tensor,
-                dw: Tensor, pw2: Tensor, pb2: Tensor, frame_mask: np.ndarray | None = None,
-                eps: float = 1e-5) -> Tensor:
+                dw: Tensor, pw2: Tensor, pb2: Tensor,
+                frame_mask: np.ndarray | None = None) -> Tensor:
     """x + swish(dwconv(GLU(LN(x) P1 + p1) * frame_mask)) P2 + p2, the convolution module.
 
     x is (..., T, d), P1 (d, 2d), the depthwise kernel dw (k, d) with k odd
@@ -838,7 +838,7 @@ def conv_module(x: Tensor, gamma: Tensor, beta: Tensor, pw1: Tensor, pb1: Tensor
     if frame_mask is not None and frame_mask.shape != x.data.shape[:-1] + (1,):
         raise DimensionError(f"conv_module frame mask must be {x.data.shape[:-1] + (1,)}, "
                              f"got {frame_mask.shape}")
-    n, xhat, inv = _norm(x.data, gamma.data, beta.data, eps)
+    n, xhat, inv = _norm(x.data, gamma.data, beta.data, _LN_EPS)
     a = _affine(n, pw1.data, pb1.data)
     a1 = a[..., :d]
     s = _sigmoid(a[..., d:])

@@ -188,7 +188,6 @@ class ParameterStore:
         self._zeros = np.zeros(max(p.data.size for _, p in named), dtype=self.buffer.dtype)
         self._spans: dict[str, slice] = {}
         self._layout: list[tuple[str, Tensor, np.ndarray]] = []
-        self._records: dict[str, list[tuple[bytes, int, int]]] = {}
         offset = 0
         for name, p in named:
             span = slice(offset, offset + p.data.size)
@@ -227,20 +226,6 @@ class ParameterStore:
         """Per-parameter views of a flat array in this store's layout, by name."""
         return {name: flat[self._spans[name]].reshape(view.shape)
                 for name, _, view in self._layout}
-
-    def checkpoint_records(self, prefix: str) -> list[tuple[bytes, int, int]]:
-        """Per parameter, in layout order: the checkpoint header (name, rank,
-        dims) of the tensor `prefix` + name, and the byte range of its data in
-        a float32 array of the flat layout. Built once per prefix."""
-        if prefix not in self._records:
-            records = []
-            for name, _, view in self._layout:
-                span = self._spans[name]
-                header = codec.string(prefix + name) + struct.pack(
-                    f"<I{view.ndim}I", view.ndim, *view.shape)
-                records.append((header, 4 * span.start, 4 * span.stop))
-            self._records[prefix] = records
-        return self._records[prefix]
 
     def flat_grad(self) -> np.ndarray:
         """Every parameter's gradient, zeros where it has none, in the flat layout.
@@ -465,9 +450,9 @@ def save_checkpoint(path, store: ParameterStore, extra_config: dict[str, str] | 
         if flat.shape != store.buffer.shape:
             raise ContractError(f"{prefix}* moments must be flat in the store's layout, "
                                 f"got shape {flat.shape}")
-        data = memoryview(np.ascontiguousarray(flat, dtype="<f4")).cast("B")
-        for header, start, stop in store.checkpoint_records(prefix):
-            parts += (header, data[start:stop])
+        data = np.ascontiguousarray(flat, dtype="<f4")
+        for name, _, view in store._layout:
+            put(prefix + name, data[store._spans[name]].reshape(view.shape))
     for name, arr in extras:
         put(name, arr)
     # write a sibling temp file and rename it over `path`, so a crash or a

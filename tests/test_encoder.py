@@ -533,10 +533,9 @@ def test_flat_moments_write_the_bytes_of_per_name_tensors(tmp_path, share):
                for prefix in ("adam.v.", "adam.m.")}
     per_name = {prefix + name: a for prefix, flat in moments.items()
                 for name, a in store.unflatten(flat).items()}
-    for _ in range(2):  # the second write reuses the store's cached records
-        save_checkpoint(tmp_path / "flat.ckpt", store, {"train.step": "3"}, moments=moments)
-        save_checkpoint(tmp_path / "named.ckpt", store, {"train.step": "3"}, per_name)
-        assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "named.ckpt").read_bytes()
+    save_checkpoint(tmp_path / "flat.ckpt", store, {"train.step": "3"}, moments=moments)
+    save_checkpoint(tmp_path / "named.ckpt", store, {"train.step": "3"}, per_name)
+    assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "named.ckpt").read_bytes()
     with pytest.raises(ContractError, match="adam.m."):
         save_checkpoint(tmp_path / "bad.ckpt", store, moments={"adam.m.": np.zeros(3)})
 
