@@ -11,14 +11,15 @@ contribution is copied into a buffer of the tensor's own dtype and shape, later
 ones add into it in place, so no two tensors ever share a gradient buffer.
 
 Ops take a leading batch: matmul multiplies (..., n, k) by a (k, m) weight, or
-two equal-rank operands with matching leading dims (attention heads), and the
-depthwise convolution runs along axis -2. The weight form takes an optional
-(m,) bias operand, added in place to the product, so an affine projection is
-one graph node. `attention` is one node too: softmax(q k^T + bias) v with
-optional boolean dropout masks, computed per slot on that slot's real
-frames of a padded batch, in L2-sized tiles of query rows (a ones column
-on v gives the row sums, and the row-max shift runs only where a tile's
-maxima leave a safe band), with a closed-form backward.
+two equal-rank operands with matching leading dims. The weight form takes an
+optional (m,) bias operand, added in place to the product, so an affine
+projection is one graph node. A batch of utterances is packed: one (N, d)
+array whose slot b owns the next `lengths[b]` rows, N being their sum. The
+depthwise convolution runs along each slot's rows, and `attention` is one
+node that computes softmax(q k^T + bias) v with optional boolean dropout
+masks per slot, on (N, h, dh) rows, in L2-sized tiles of query rows (a ones
+column on v gives the row sums, and the row-max shift runs only where a
+tile's maxima leave a safe band), with a closed-form backward.
 
 Each module of a Conformer block, its residual included, is one node as
 well: `feed_forward`, `self_attention` (whose core is `attention`'s) and
@@ -36,7 +37,6 @@ finite-difference verification. Tensors keep the dtype they were created with.
 from __future__ import annotations
 
 import itertools
-import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -302,18 +302,42 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+# The constant vectors of `_sum_rows` and `_sum_last`, built once and read-only:
+# one ones buffer per dtype, grown to the longest length asked for and sliced
+# (N varies per batch), and one `scale`-filled vector per (length, scale, dtype).
+_ones: dict[np.dtype, np.ndarray] = {}
+_fills: dict[tuple[int, float, np.dtype], np.ndarray] = {}
+
+
+def _ones_vector(n: int, dtype: np.dtype) -> np.ndarray:
+    buf = _ones.get(dtype)
+    if buf is None or buf.shape[0] < n:
+        buf = _ones[dtype] = np.ones(n, dtype)
+        buf.flags.writeable = False
+    return buf[:n]
+
+
+def _fill_vector(n: int, scale: float, dtype: np.dtype) -> np.ndarray:
+    key = (n, scale, dtype)
+    vec = _fills.get(key)
+    if vec is None:
+        vec = _fills[key] = np.full(n, scale, dtype)
+        vec.flags.writeable = False
+    return vec
+
+
 def _sum_rows(x: np.ndarray) -> np.ndarray:
     """Column sums of an (n, m) array, as a vector-matrix product.
 
     numpy's reduce over a short trailing axis runs several times slower than
     the BLAS product, and these reductions run for every bias and norm.
     """
-    return np.ones(x.shape[0], x.dtype) @ x
+    return _ones_vector(x.shape[0], x.dtype) @ x
 
 
 def _sum_last(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """`scale` times the sum over the last axis, kept as a length-1 axis (see `_sum_rows`)."""
-    return (x @ np.full(x.shape[-1], scale, x.dtype))[..., None]
+    return (x @ _fill_vector(x.shape[-1], scale, x.dtype))[..., None]
 
 
 def _sum_along(x: np.ndarray, axis: int) -> np.ndarray:
@@ -415,36 +439,74 @@ def _norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor,
     return gx
 
 
-def _conv(x: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Depthwise 'same' convolution along axis -2: (y, the zero-padded input)."""
+def check_lengths(n: int, lengths: Sequence[int] | None) -> list[int]:
+    """The slot lengths of n packed rows (default: one slot of all n), checked."""
+    lengths = [n] if lengths is None else [int(t) for t in lengths]
+    if not lengths or min(lengths) < 1 or sum(lengths) != n:
+        raise ContractError(f"slot lengths {lengths} do not pack {n} rows")
+    return lengths
+
+
+def _gapped(lengths: list[int], gap: int) -> list[tuple[int, int, int]]:
+    """Each slot's (packed row, gapped row, length), where the gapped layout puts
+    `gap` rows between consecutive slots."""
+    rows, at = [], 0
+    for b, t in enumerate(lengths):
+        rows.append((at, at + b * gap, t))
+        at += t
+    return rows
+
+
+def _conv(x: np.ndarray, kernel: np.ndarray,
+          lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Depthwise 'same' convolution along each slot's rows of a packed (N, d) x.
+
+    Returns (y, xpad). xpad is the one zero-padded input: every slot is copied
+    to its own row range, with k // 2 zero rows before, between and after the
+    slots, so one pass over all of it never mixes two slots. The pass also
+    yields the rows between slots, which y leaves out.
+    """
     k, d = kernel.shape
     if k % 2 == 0:
         raise ConfigError(f"depthwise kernel length must be odd, got {k}")
-    T = x.shape[-2]
     pad = k // 2
-    xpad = np.zeros(x.shape[:-2] + (T + k - 1, d), dtype=x.dtype)
-    xpad[..., pad:pad + T, :] = x
-    y = np.zeros_like(x)
-    for j in range(k):
-        y += kernel[j] * xpad[..., j:j + T, :]
+    slots = _gapped(lengths, pad)
+    rows = x.shape[0] + (len(lengths) - 1) * pad  # output rows, gaps included
+    xpad = np.zeros((rows + k - 1, d), dtype=x.dtype)
+    for at, gat, t in slots:
+        xpad[pad + gat:pad + gat + t] = x[at:at + t]
+    y = kernel[0] * xpad[:rows]
+    for j in range(1, k):
+        y += kernel[j] * xpad[j:j + rows]
+    if len(slots) > 1:
+        y = np.concatenate([y[gat:gat + t] for _, gat, t in slots])
     return y, xpad
 
 
-def _conv_grads(g: np.ndarray, xpad: np.ndarray, kernel: Tensor,
+def _conv_grads(g: np.ndarray, xpad: np.ndarray, kernel: Tensor, lengths: list[int],
                 need_x: bool) -> np.ndarray | None:
     k, d = kernel.data.shape
-    T = g.shape[-2]
+    pad = k // 2
+    slots = _gapped(lengths, pad)
+    rows = xpad.shape[0] - (k - 1)
+    if len(slots) > 1:  # g in the gapped layout, zeros between slots
+        g1 = np.zeros((rows, d), g.dtype)
+        for at, gat, t in slots:
+            g1[gat:gat + t] = g[at:at + t]
+        g = g1
     if kernel.requires_grad:
         gk = np.empty_like(kernel.data)
         for j in range(k):
-            gk[j] = _sum_rows((xpad[..., j:j + T, :] * g).reshape(-1, d))
+            gk[j] = _sum_rows(xpad[j:j + rows] * g)
         kernel._accumulate(gk)
     if not need_x:
         return None
     gpad = np.zeros_like(xpad)
     for j in range(k):
-        gpad[..., j:j + T, :] += kernel.data[j] * g
-    return gpad[..., k // 2:k // 2 + T, :]
+        gpad[j:j + rows] += kernel.data[j] * g
+    if len(slots) == 1:
+        return gpad[pad:pad + rows]
+    return np.concatenate([gpad[pad + gat:pad + gat + t] for _, gat, t in slots])
 
 
 # Query rows per attention tile: a tile's (h, rows, T_b) logits take at most
@@ -467,47 +529,53 @@ _BAND = 20.0
 _BAND_MIN_FRAMES = 64
 
 
-def _slot_lengths(n: int, h: int, T: int, bias: np.ndarray | None,
+def _slot_lengths(n: int, h: int, bias: np.ndarray | None,
                   keep: Sequence[np.ndarray] | None, lengths: Sequence[int] | None) -> list[int]:
-    """Each of the n slots' real frame count (default T), checked with bias and keep."""
-    lengths = [T] * n if lengths is None else [int(t) for t in lengths]
-    if len(lengths) != n or not all(1 <= t <= T for t in lengths):
-        raise ContractError(f"attention lengths {lengths} do not fit {n} slots of {T} frames")
+    """The slot lengths of n packed rows (default one slot), checked with bias and keep."""
+    lengths = check_lengths(n, lengths)
+    T = max(lengths)
     if bias is not None and bias.shape != (T, T):
         raise DimensionError(f"attention bias must be ({T}, {T}), got {bias.shape}")
-    if keep is not None and (len(keep) != n or any(
+    if keep is not None and (len(keep) != len(lengths) or any(
             m.shape != (h, t, t) for m, t in zip(keep, lengths))):
         raise DimensionError(f"attention keep masks must be (h, T_b, T_b) per slot "
                              f"for lengths {lengths}")
     return lengths
 
 
-def _attend(q3: np.ndarray, k3: np.ndarray, v3: np.ndarray, bias, keep, scale: float,
+def _heads(a: np.ndarray, at: int, t: int) -> np.ndarray:
+    """Rows [at, at + t) of an (N, h, d) array as an (h, t, d) view."""
+    return a[at:at + t].transpose(1, 0, 2)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: float,
             lengths: list[int], graph: bool) -> tuple[np.ndarray, list]:
-    """`attention`'s forward on (n, h, T, d) arrays: (out, what the backward keeps).
+    """`attention`'s forward on packed (N, h, d) rows: (out, what the backward keeps).
 
     Nothing is kept unless `graph`; `scale` is the kept weights' scale.
     """
-    n, h, T, _ = q3.shape
-    dv = v3.shape[-1]
-    out = np.zeros((n, h, T, dv), dtype=q3.dtype)
+    n, h, _ = q.shape
+    dv = v.shape[-1]
+    out = np.empty((n, h, dv), dtype=q.dtype)
     saved = []
-    vs = v3
+    vs = v
     if keep is None:  # a ones column: one product gives the numerator and the row sums
-        vs = np.empty((n, h, T, dv + 1), v3.dtype)
-        vs[..., :dv] = v3
+        vs = np.empty((n, h, dv + 1), v.dtype)
+        vs[..., :dv] = v
         vs[..., dv] = 1.0
     tile_cells = max(1, _TILE_BYTES // (h * out.itemsize))  # rows x T_b per tile
+    at = 0
     for b, tb in enumerate(lengths):
-        kt = np.swapaxes(k3[b, :, :tb], -1, -2)
-        vb = vs[b, :, :tb]
+        qb, ob, vb = (_heads(a, at, tb) for a in (q, out, vs))
+        kt = k[at:at + tb].transpose(1, 2, 0)
+        at += tb
         rows = max(1, tile_cells // tb)
         # a graph keeps the whole exp'd block and the row sums for the backward
         e_all = np.empty((h, tb, tb), out.dtype) if graph and rows < tb else None
         s_all = np.empty((h, tb, 1), out.dtype) if graph else None
         for r0 in range(0, tb, rows):
             r1 = min(r0 + rows, tb)
-            qt = q3[b, :, r0:r1]
+            qt = qb[:, r0:r1]
             e = qt @ kt if e_all is None else np.matmul(qt, kt, out=e_all[:, r0:r1])
             if bias is not None:
                 e += bias[r0:r1, :tb]
@@ -515,7 +583,7 @@ def _attend(q3: np.ndarray, k3: np.ndarray, v3: np.ndarray, bias, keep, scale: f
             if tb < _BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND:  # NaN, -inf: shift
                 e -= mx
             np.exp(e, out=e)
-            o = out[b, :, r0:r1]
+            o = ob[:, r0:r1]
             if keep is None:
                 p = e @ vb
                 s = p[..., dv:]
@@ -532,30 +600,31 @@ def _attend(q3: np.ndarray, k3: np.ndarray, v3: np.ndarray, bias, keep, scale: f
     return out, saved
 
 
-def _attend_grads(g3: np.ndarray, q3: np.ndarray, k3: np.ndarray, v3: np.ndarray,
+def _attend_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                   out: np.ndarray, saved: list, keep, scale: float, lengths: list[int],
                   need: tuple[bool, bool, bool]) -> list[np.ndarray | None]:
-    """`attention`'s backward: the (n, h, T, d) gradients of q, k and v where `need`ed."""
-    gq, gk, gv = (np.zeros(a.shape, a.dtype) if wanted else None
-                  for wanted, a in zip(need, (q3, k3, v3)))
+    """`attention`'s backward: the (N, h, d) gradients of q, k and v where `need`ed."""
+    gq, gk, gv = (np.empty(a.shape, a.dtype) if wanted else None
+                  for wanted, a in zip(need, (q, k, v)))
+    at = 0
     for b, (tb, (e, s)) in enumerate(zip(lengths, saved)):
-        do = g3[b, :, :tb]
+        do = _heads(g, at, tb)
         r = scale / s  # W = e * keep * r
         if gv is not None:
             w = e if keep is None else e * keep[b]
-            gv[b, :, :tb] = np.swapaxes(w, -1, -2) @ (do * r)
-        if gq is None and gk is None:
-            continue
-        # dS / r, its row scale r applied to the (T_b, dh) products instead
-        ds = do @ np.swapaxes(v3[b, :, :tb], -1, -2)  # dL/dW
-        if keep is not None:
-            ds *= keep[b]
-        ds -= _sum_last(do * out[b, :, :tb], 1.0 / scale)
-        ds *= e
-        if gq is not None:
-            np.multiply(ds @ k3[b, :, :tb], r, out=gq[b, :, :tb])
-        if gk is not None:
-            gk[b, :, :tb] = np.swapaxes(ds, -1, -2) @ (q3[b, :, :tb] * r)
+            _heads(gv, at, tb)[...] = np.swapaxes(w, -1, -2) @ (do * r)
+        if gq is not None or gk is not None:
+            # dS / r, its row scale r applied to the (T_b, dh) products instead
+            ds = do @ v[at:at + tb].transpose(1, 2, 0)  # dL/dW
+            if keep is not None:
+                ds *= keep[b]
+            ds -= _sum_last(do * _heads(out, at, tb), 1.0 / scale)
+            ds *= e
+            if gq is not None:
+                np.multiply(ds @ _heads(k, at, tb), r, out=_heads(gq, at, tb))
+            if gk is not None:
+                _heads(gk, at, tb)[...] = np.swapaxes(ds, -1, -2) @ (_heads(q, at, tb) * r)
+        at += tb
     return [gq, gk, gv]
 
 
@@ -639,22 +708,21 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
               keep: Sequence[np.ndarray] | None = None, keep_scale: float = 1.0,
               lengths: Sequence[int] | None = None) -> Tensor:
-    """softmax(q k^T + bias) v as one node, computed per slot on its real frames.
+    """softmax(q k^T + bias) v as one node, computed per slot on packed rows.
 
-    q and k are (..., h, T, dh) and v is (..., h, T, dv). Each leading index is
-    a slot whose first `lengths[b]` frames are real (default: all T), and only
-    its real (h, T_b, T_b) block is computed, in tiles of query rows whose
+    q and k are (N, h, dh) and v is (N, h, dv). Slot b owns the next
+    `lengths[b]` = T_b rows (default: one slot of all N), and only its
+    (h, T_b, T_b) block is computed, in tiles of query rows whose
     (h, rows, T_b) logits fit `_TILE_BYTES`, so a long slot's passes run from
-    L2: logits plus `bias[:T_b, :T_b]` of a constant (T, T) bias, the row
-    maxima, a shift by them unless the tile's maxima all lie in the safe band
-    [-_BAND, _BAND] (softmax is shift-invariant; checked only on slots of at
-    least `_BAND_MIN_FRAMES`), exp, then the optional boolean `keep[b]`
-    (h, T_b, T_b) drops weights (inverted dropout, the kept ones scaled by
-    `keep_scale`). The weights are never normalised: the (h, rows, dv) output
-    is divided by the row sums instead. Without dropout v carries an extra
-    ones column, so one product gives the numerator and the row sums; with
-    dropout the row sums are taken before the mask. Padded query rows output
-    zeros and padded keys get no weight.
+    L2: logits plus `bias[:T_b, :T_b]` of a constant (T, T) bias, T the
+    longest slot, the row maxima, a shift by them unless the tile's maxima all
+    lie in the safe band [-_BAND, _BAND] (softmax is shift-invariant; checked
+    only on slots of at least `_BAND_MIN_FRAMES`), exp, then the optional
+    boolean `keep[b]` (h, T_b, T_b) drops weights (inverted dropout, the kept
+    ones scaled by `keep_scale`). The weights are never normalised: the
+    (h, rows, dv) output is divided by the row sums instead. Without dropout
+    v carries an extra ones column, so one product gives the numerator and
+    the row sums; with dropout the row sums are taken before the mask.
 
     A graph writes each tile into the slot's whole exp'd block e and saves it
     with its row sums s; the softmax is P = e / s (whatever shift each row
@@ -667,25 +735,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
     """
     q, k, v = Tensor._wrap(q), Tensor._wrap(k), Tensor._wrap(v)
     shape = q.data.shape
-    if len(shape) < 3 or k.data.shape != shape or v.data.shape[:-1] != shape[:-1]:
-        raise DimensionError(f"attention expects q, k (..., h, T, dh) and v (..., h, T, dv), "
+    if len(shape) != 3 or k.data.shape != shape or v.data.shape[:-1] != shape[:-1] \
+            or v.data.ndim != 3:
+        raise DimensionError(f"attention expects q, k (N, h, dh) and v (N, h, dv), "
                              f"got {q.shape}, {k.shape}, {v.shape}")
-    h, T, _ = shape[-3:]
-    n = math.prod(shape[:-3])
-    lengths = _slot_lengths(n, h, T, bias, keep, lengths)
+    lengths = _slot_lengths(shape[0], shape[1], bias, keep, lengths)
     scale = keep_scale if keep is not None else 1.0
-    q3, k3, v3 = (t.data.reshape(n, h, T, -1) for t in (q, k, v))
     graph = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    out, saved = _attend(q3, k3, v3, bias, keep, scale, lengths, graph)
+    out, saved = _attend(q.data, k.data, v.data, bias, keep, scale, lengths, graph)
 
     def backward(g):
-        grads = _attend_grads(g.reshape(out.shape), q3, k3, v3, out, saved, keep, scale,
-                              lengths, (q.requires_grad, k.requires_grad, v.requires_grad))
+        grads = _attend_grads(g, q.data, k.data, v.data, out, saved, keep, scale, lengths,
+                              (q.requires_grad, k.requires_grad, v.requires_grad))
         for t, gt in zip((q, k, v), grads):
             if gt is not None:
-                t._accumulate(gt.reshape(t.data.shape))
+                t._accumulate(gt)
 
-    return Tensor._result(out.reshape(shape[:-1] + out.shape[-1:]), (q, k, v), backward)
+    return Tensor._result(out, (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
@@ -700,17 +766,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> 
     return Tensor._result(y, (x, gamma, beta), backward)
 
 
-def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel 1-D convolution along axis -2 with zero 'same' padding.
+def depthwise_conv1d(x: Tensor, kernel: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    """Per-channel 1-D convolution along each slot's rows, zero 'same' padding.
 
-    x is (..., T, d), kernel is k x d with k odd; output is (..., T, d).
+    x is packed (N, d), slot b owning the next `lengths[b]` rows (default: one
+    slot of all N); kernel is k x d with k odd; output is (N, d).
     """
-    if x.data.ndim < 2 or kernel.data.ndim != 2 or x.data.shape[-1] != kernel.data.shape[1]:
+    if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[-1] != kernel.data.shape[1]:
         raise DimensionError(f"depthwise_conv1d shape mismatch: x {x.shape}, kernel {kernel.shape}")
-    y, xpad = _conv(x.data, kernel.data)
+    lengths = check_lengths(x.data.shape[0], lengths)
+    y, xpad = _conv(x.data, kernel.data, lengths)
 
     def backward(g):
-        gx = _conv_grads(g, xpad, kernel, x.requires_grad)
+        gx = _conv_grads(g, xpad, kernel, lengths, x.requires_grad)
         if gx is not None:
             x._accumulate(gx)
 
@@ -764,49 +832,45 @@ def self_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tenso
                    wk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, heads: int,
                    bias: np.ndarray | None = None, keep: Sequence[np.ndarray] | None = None,
                    keep_scale: float = 1.0, lengths: Sequence[int] | None = None) -> Tensor:
-    """x + MHSA(LN(x)) Wo + bo, the multi-head self-attention module, on a padded
-    (B, T, d) batch.
+    """x + MHSA(LN(x)) Wo + bo, the multi-head self-attention module, on packed
+    (N, d) rows.
 
     With n = LN(x): q = (n Wq + bq) / sqrt(dh), k = n Wk (a key bias would
     shift a whole row of logits, which softmax cancels) and v = n Wv + bv, each
-    split into `heads` heads of dh = d / heads. The core is `attention`'s, with
-    its `bias`, `keep`, `keep_scale` and `lengths`; the heads' outputs are
-    concatenated back to (B, T, d) before Wo.
+    viewed as (N, heads, dh), dh = d / heads. The core is `attention`'s, with
+    its `bias`, `keep`, `keep_scale` and slot `lengths`; its (N, heads, dh)
+    output is viewed as (N, d) again before Wo.
     """
-    if x.data.ndim != 3 or heads < 1 or x.data.shape[-1] % heads:
-        raise DimensionError(f"self_attention expects (B, T, d) with d divisible by "
+    if x.data.ndim != 2 or heads < 1 or x.data.shape[-1] % heads:
+        raise DimensionError(f"self_attention expects (N, d) with d divisible by "
                              f"{heads} heads, got {x.shape}")
-    B, T, d = x.data.shape
+    N, d = x.data.shape
     dh = d // heads
     params = (x, gamma, beta, wq, bq, wk, wv, bv, wo, bo)
     _check_params("self_attention", params[1:],
                   ((d,), (d,), (d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)))
-    lengths = _slot_lengths(B, heads, T, bias, keep, lengths)
+    lengths = _slot_lengths(N, heads, bias, keep, lengths)
     scale = keep_scale if keep is not None else 1.0
     graph = _grad_enabled and any(p.requires_grad for p in params)
-
-    def split(t):  # (B, T, d) -> a (B, h, T, dh) view
-        return t.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(t):  # (B, h, T, dh) -> (B, T, d)
-        return t.transpose(0, 2, 1, 3).reshape(B, T, d)
 
     n, xhat, inv = _norm(x.data, gamma.data, beta.data, _LN_EPS)
     # scale q (T x dh per head), not the T x T logits: same product, fewer multiplies
     qscale = x.data.dtype.type(1.0 / np.sqrt(dh))
-    q = split(_affine(n, wq.data, bq.data)) * qscale
-    k = split(n @ wk.data)
-    v = split(_affine(n, wv.data, bv.data))
+    q = _affine(n, wq.data, bq.data).reshape(N, heads, dh)
+    q *= qscale
+    k = (n @ wk.data).reshape(N, heads, dh)
+    v = _affine(n, wv.data, bv.data).reshape(N, heads, dh)
     o, saved = _attend(q, k, v, bias, keep, scale, lengths, graph)
-    ctx = merge(o)
+    ctx = o.reshape(N, d)
     out = _affine(ctx, wo.data, bo.data)
     out += x.data
 
     def backward(g):
         _affine_grads(g, ctx, wo, bo)
-        gq, gk, gv = _attend_grads(split(g @ wo.data.T), q, k, v, o, saved, keep, scale,
-                                   lengths, (True, True, True))
-        gq, gk, gv = merge(gq * qscale), merge(gk), merge(gv)
+        gq, gk, gv = _attend_grads((g @ wo.data.T).reshape(N, heads, dh), q, k, v, o, saved,
+                                   keep, scale, lengths, (True, True, True))
+        gq *= qscale
+        gq, gk, gv = gq.reshape(N, d), gk.reshape(N, d), gv.reshape(N, d)
         _affine_grads(gq, n, wq, bq)
         _affine_grads(gk, n, wk, None)
         _affine_grads(gv, n, wv, bv)
@@ -824,41 +888,37 @@ def self_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tenso
 
 def conv_module(x: Tensor, gamma: Tensor, beta: Tensor, pw1: Tensor, pb1: Tensor,
                 dw: Tensor, pw2: Tensor, pb2: Tensor,
-                frame_mask: np.ndarray | None = None) -> Tensor:
-    """x + swish(dwconv(GLU(LN(x) P1 + p1) * frame_mask)) P2 + p2, the convolution module.
+                lengths: Sequence[int] | None = None) -> Tensor:
+    """x + swish(dwconv(GLU(LN(x) P1 + p1))) P2 + p2, the convolution module.
 
-    x is (..., T, d), P1 (d, 2d), the depthwise kernel dw (k, d) with k odd
-    and P2 (d, d). GLU(a) = a[..., :d] * sigmoid(a[..., d:]). The optional
-    (..., T, 1) `frame_mask` zeroes padded frames before the convolution, so
-    they do not leak into real ones.
+    x is packed (N, d), slot b owning the next `lengths[b]` rows (default: one
+    slot of all N), P1 (d, 2d), the depthwise kernel dw (k, d) with k odd and
+    P2 (d, d). GLU(a) = a[:, :d] * sigmoid(a[:, d:]). The convolution runs
+    within each slot (see `_conv`), so no frame of one slot reaches another.
     """
-    d = x.data.shape[-1]
+    if x.data.ndim != 2:
+        raise DimensionError(f"conv_module expects (N, d), got {x.shape}")
+    N, d = x.data.shape
     _check_params("conv_module", (gamma, beta, pw1, pb1, dw, pw2, pb2),
                   ((d,), (d,), (d, 2 * d), (2 * d,), (dw.data.shape[0], d), (d, d), (d,)))
-    if frame_mask is not None and frame_mask.shape != x.data.shape[:-1] + (1,):
-        raise DimensionError(f"conv_module frame mask must be {x.data.shape[:-1] + (1,)}, "
-                             f"got {frame_mask.shape}")
+    lengths = check_lengths(N, lengths)
     n, xhat, inv = _norm(x.data, gamma.data, beta.data, _LN_EPS)
     a = _affine(n, pw1.data, pb1.data)
-    a1 = a[..., :d]
-    s = _sigmoid(a[..., d:])
+    a1 = a[:, :d]
+    s = _sigmoid(a[:, d:])
     glu = a1 * s
-    if frame_mask is not None:
-        glu *= frame_mask
-    c, xpad = _conv(glu, dw.data)
+    c, xpad = _conv(glu, dw.data, lengths)
     y, sc = _swish(c)
     out = _affine(y, pw2.data, pb2.data)
     out += x.data
 
     def backward(g):
         _affine_grads(g, y, pw2, pb2)
-        gglu = _conv_grads(_swish_grad(g @ pw2.data.T, sc, y), xpad, dw, True)
-        if frame_mask is not None:
-            gglu = gglu * frame_mask
+        gglu = _conv_grads(_swish_grad(g @ pw2.data.T, sc, y), xpad, dw, lengths, True)
         # as the chain's two slice nodes did: each half added into zeros
         ga = np.zeros_like(a)
-        ga[..., d:] += _sigmoid_grad(gglu * a1, s)
-        ga[..., :d] += gglu * s
+        ga[:, d:] += _sigmoid_grad(gglu * a1, s)
+        ga[:, :d] += gglu * s
         _affine_grads(ga, n, pw1, pb1)
         gx = _norm_grads(ga @ pw1.data.T, xhat, inv, gamma, beta, x.requires_grad)
         if gx is not None:

@@ -5,9 +5,9 @@ decomposition of the shared parameter gradient, analytic multiply-accumulate
 counts with depth-policy ratios, deterministic PCA scatter projections, and a
 frozen-feature linear probe with a shallow-inference sweep.
 
-Every forward-only diagnostic runs one length-sorted, zero-padded batch per
-chunk of utterances through a single traced forward without a graph, then
-cuts each utterance's trace back to its real frames. Depth m is a prefix of
+Every forward-only diagnostic runs one packed batch per chunk of
+length-sorted utterances through a single traced forward without a graph,
+then cuts each utterance's trace entries out by its row range. Depth m is a prefix of
 the stack, so the shallow-inference sweep reads every requested depth from
 one trace at the deepest of them.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import ConformerConfig, LayerTrace, ParameterStore, forward, pad_batch
+from .encoder import ConformerConfig, LayerTrace, ParameterStore, forward, pack
 from .errors import ContractError, InvariantError
 from .features import FeatureSequence, LabeledCorpus
 from .masking import MaskConfig, mask_utterance
@@ -40,9 +40,9 @@ def _traced_passes(store: ParameterStore, frames: list[np.ndarray], depth: int,
                    batch_size: int) -> list[LayerTrace]:
     """Depth-`depth` traces of (T_i, D) utterances, one per utterance in the given order.
 
-    Utterances are stable-sorted by length and packed into zero-padded chunks
-    of `batch_size`, each run as one traced forward without a graph; every
-    trace keeps only its utterance's real frames.
+    Utterances are stable-sorted by length and packed into chunks of
+    `batch_size`, each run as one traced forward without a graph; every trace
+    keeps its utterance's row range of each entry.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
@@ -51,11 +51,12 @@ def _traced_passes(store: ParameterStore, frames: list[np.ndarray], depth: int,
     with ad.no_grad():
         for start in range(0, len(order), batch_size):
             chunk = order[start:start + batch_size]
-            lengths = [frames[i].shape[0] for i in chunk]
-            _, trace = forward(pad_batch([frames[i] for i in chunk]), store, depth,
-                               collect_trace=True, lengths=lengths)
-            for b, (i, n) in enumerate(zip(chunk, lengths)):
-                traces[i] = LayerTrace([e[b, :n] for e in trace.embeddings])
+            x, lengths = pack([frames[i] for i in chunk])
+            _, trace = forward(x, store, depth, collect_trace=True, lengths=lengths)
+            at = 0
+            for i, n in zip(chunk, lengths):
+                traces[i] = LayerTrace([e[at:at + n] for e in trace.embeddings])
+                at += n
     return traces
 
 
@@ -142,15 +143,6 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
     short = [n[len("layer.shared."):] for n in _shared_group_names(store)]
     masked = [mask_utterance(seq, mask_cfg) for seq in batch]
 
-    def summed_loss(model: ParameterStore) -> Tensor:
-        # one graph over one-utterance chunks: a single padded batch graph
-        # holds more activations at once
-        total = None
-        for seq, m in zip(batch, masked):
-            loss = batch_loss(model, [seq], [m], n_layers, "all-frames")
-            total = loss if total is None else total + loss
-        return total * (1.0 / len(batch))
-
     # the view store copies every value into its own buffer, so its tensors
     # share neither data nor gradients with the store it was built from
     view = {k: Tensor(v.data, requires_grad=True, name=k)
@@ -160,13 +152,13 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
             view[f"layer.{i}.{name}"] = Tensor(store.params["layer.shared." + name].data,
                                                requires_grad=True)
     unshared = ParameterStore(replace(cfg, share_params=False), view)
-    summed_loss(unshared).backward()
+    batch_loss(unshared, batch, masked, n_layers, "all-frames").backward()
     grad = unshared.flat_grad()
     contributions = [grad[unshared.span(f"layer.{i}.")] for i in range(n_layers)]
 
     # reference: one shared group applied n_layers times
     store.zero_grad()
-    summed_loss(store).backward()
+    batch_loss(store, batch, masked, n_layers, "all-frames").backward()
     total = store.flat_grad()[store.span("layer.shared.")].copy()
     store.zero_grad()
 

@@ -7,8 +7,9 @@ included, then the output layer norm.
 Depth is chosen per call, the same shared parameter group being applied N
 times when sharing is on. A traced forward keeps every per-layer embedding
 for the diagnostics suite; shallow inference is just a prefix of the stack.
-Every layer runs on one zero-padded (B, T_max, d) batch; one (T, D) utterance
-is reshaped into a batch of one at `forward`'s entry and back at its exit.
+A batch runs packed: one (N, d) array of its utterances' frames, slot b
+owning the next lengths[b] rows, so every per-frame op runs on real frames
+only, as one 2-D array. One (T, D) utterance is a packed batch of one slot.
 
 Checkpoint format (little-endian): magic "LCCK", u32 version=1, u32 config
 byte length + utf-8 key=value lines, u64 tensor count, then per tensor u32
@@ -273,25 +274,6 @@ def relative_position_bias(T: int, head_dim: int, dtype) -> np.ndarray:
     return table[:T, :T]
 
 
-@dataclass
-class Padding:
-    """Real frame counts of a padded (B, T_max, ...) batch.
-
-    `frame_mask` (B, T_max, 1) zeroes padded frames before the depthwise conv;
-    it exists only when the lengths differ. Attention needs no mask: it works
-    on each slot's real frames only.
-    """
-    lengths: list[int]
-    frame_mask: np.ndarray | None
-
-    @classmethod
-    def of(cls, lengths: list[int], T: int, dtype) -> "Padding":
-        if min(lengths) == T:
-            return cls(lengths, None)
-        real = np.arange(T) < np.asarray(lengths)[:, None]          # (B, T)
-        return cls(lengths, real[..., None].astype(dtype))
-
-
 # each module node's parameters, in its argument order, under the module's prefix
 _MODULE_PARAMS = {
     "ff": ("norm.gamma", "norm.beta", "w1", "b1", "w2", "b2"),
@@ -304,31 +286,32 @@ def _module_params(group: dict[str, Tensor], prefix: str, kind: str) -> list[Ten
     return [group[f"{prefix}.{name}"] for name in _MODULE_PARAMS[kind]]
 
 
-def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig, pad: Padding,
-                    train_mode: bool = False, rngs=None) -> Tensor:
-    """One block on a padded (B, T_max, d) batch whose real frame counts are `pad`.
+def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
+                    lengths: list[int], train_mode: bool = False, rngs=None) -> Tensor:
+    """One block on packed (N, d) rows, slot b owning the next `lengths[b]` rows.
 
     Five graph nodes: the ff1, attention, convolution and ff2 modules, each
     with its residual, then the output layer norm. In train mode `rngs` is a
     list of one attention-dropout generator per slot.
     """
-    B = len(pad.lengths)
-    if x.data.ndim != 3 or x.shape[0] != B or x.shape[2] != cfg.model_dim:
-        raise ContractError(f"block input must be {B} x T_max x {cfg.model_dim}, got {x.shape}")
+    B = len(lengths)
+    if x.data.ndim != 2 or x.shape != (sum(lengths), cfg.model_dim):
+        raise ContractError(f"block input must be {sum(lengths)} x {cfg.model_dim} for "
+                            f"slot lengths {lengths}, got {x.shape}")
     if train_mode and (not isinstance(rngs, list) or len(rngs) != B):
         raise ContractError(f"train mode needs a list of {B} dropout generators, one per slot")
     h = cfg.num_heads
-    bias = (relative_position_bias(x.shape[1], cfg.head_dim, x.data.dtype)
+    bias = (relative_position_bias(max(lengths), cfg.head_dim, x.data.dtype)
             if cfg.pos_bias == "relative-bias" else None)
     keep = None
     if train_mode and cfg.dropout > 0.0:
         # each slot draws its (h, T_b, T_b) block from its own generator, so a
         # slot sees the same draws as it would alone
-        keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, pad.lengths)]
+        keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, lengths)]
     x = ad.feed_forward(x, *_module_params(group, "ff1", "ff"))
     x = ad.self_attention(x, *_module_params(group, "attn", "attn"), h, bias, keep,
-                          1.0 / (1.0 - cfg.dropout), pad.lengths)
-    x = ad.conv_module(x, *_module_params(group, "conv", "conv"), pad.frame_mask)
+                          1.0 / (1.0 - cfg.dropout), lengths)
+    x = ad.conv_module(x, *_module_params(group, "conv", "conv"), lengths)
     x = ad.feed_forward(x, *_module_params(group, "ff2", "ff"))
     return ad.layer_norm(x, group["out.norm.gamma"], group["out.norm.beta"])
 
@@ -339,52 +322,41 @@ def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig, p
 def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
             collect_trace: bool = False, train_mode: bool = False, rng=None,
             lengths: list[int] | None = None) -> tuple[Tensor, LayerTrace | None]:
-    """Encoder stack over a zero-padded (B, T_max, D) batch.
+    """Encoder stack over packed (N, D) rows.
 
-    `lengths` gives each slot's real frame count (default: all T_max); padded
-    frames never reach a real frame's output. In train mode `rng` is a list of
-    one dropout generator per slot. One (T, D) utterance with one generator
-    runs as a batch of one; its embedding and trace entries come back as (T, d).
+    Slot b owns the next `lengths[b]` rows (default: one slot of all N), and
+    no row reaches another slot's output. The embedding and every trace entry
+    are (N, d) in the same layout. In train mode `rng` is a list of one
+    dropout generator per slot; a lone generator serves a single slot.
     """
     cfg = store.config
     if not (0 <= n_layers <= cfg.max_layers):
         raise ContractError(f"n_layers {n_layers} outside [0, {cfg.max_layers}]")
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    single = x.data.ndim == 2
-    if single:
-        x, rng = x.reshape(1, *x.shape), (None if rng is None else [rng])
-    if x.data.ndim != 3 or x.shape[2] != cfg.input_dim:
-        raise ContractError(f"input must be T x D or B x T_max x D, D = {cfg.input_dim}; "
+    if x.data.ndim != 2 or x.shape[1] != cfg.input_dim:
+        raise ContractError(f"input must be N x D packed frames, D = {cfg.input_dim}; "
                             f"got {x.shape}")
-    B, T = x.shape[:2]
-    lengths = [T] * B if lengths is None else [int(n) for n in lengths]
-    if len(lengths) != B or not all(1 <= n <= T for n in lengths):
-        raise ContractError(f"lengths {lengths} do not fit a batch of {B} x {T} frames")
-    pad = Padding.of(lengths, T, x.data.dtype)
+    lengths = ad.check_lengths(x.shape[0], lengths)
+    if isinstance(rng, np.random.Generator):
+        rng = [rng]
     h = ad.matmul(x, store.params["frontend.w"], store.params["frontend.b"])
     trace = [h.data.copy()] if collect_trace else None
     for i in range(n_layers):
-        store.block_applications += B
-        h = conformer_block(h, store.layer_group(i), cfg, pad, train_mode, rng)
+        store.block_applications += len(lengths)
+        h = conformer_block(h, store.layer_group(i), cfg, lengths, train_mode, rng)
         if collect_trace:
             trace.append(h.data.copy())
-    if single:
-        h = h.reshape(*h.shape[1:])
-        trace = None if trace is None else [e[0] for e in trace]
     return h, (LayerTrace(trace) if collect_trace else None)
 
 
-def pad_batch(arrays: list[np.ndarray]) -> np.ndarray:
-    """Stack (T_b, D) arrays into one zero-padded (B, T_max, D) array."""
+def pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """(T_b, D) arrays as one packed (N, D) array of the default dtype, and the T_b."""
     dims = {a.shape[1] for a in arrays}
     if len(dims) > 1:
         raise ContractError(f"utterances disagree on feature dim: {sorted(dims)}")
-    out = np.zeros((len(arrays), max(a.shape[0] for a in arrays), dims.pop()),
-                   dtype=ad.get_default_dtype())
-    for b, a in enumerate(arrays):
-        out[b, :a.shape[0]] = a
-    return out
+    return (np.concatenate(arrays, dtype=ad.get_default_dtype()),
+            [a.shape[0] for a in arrays])
 
 
 def sample_depth(low: int, high: int, rng: np.random.Generator) -> int:

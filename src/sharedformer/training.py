@@ -2,11 +2,12 @@
 
 Per iteration: draw a depth uniformly from the configured range (fixed:N is
 the range N..N), mask each batch utterance, pack the batch into one
-zero-padded (B, T_max, D) tensor, run that many encoder layers over it,
-predict the clean frames with the linear head and take the L1 loss (each
-utterance's mean over its real frames, averaged over the batch). One backward
+(N, D) array of all its frames (each utterance a contiguous row range), run
+that many encoder layers over it, predict the clean frames with the linear
+head and take the L1 loss (each utterance's mean over its frames, averaged
+over the batch). One backward
 pass and one Adam step under the warmup/inverse-sqrt schedule follow.
-Validation runs at full depth without dropout and without a graph, in padded
+Validation runs at full depth without dropout and without a graph, in packed
 chunks of batch_size, using a fixed mask per utterance (seeded by its id) so
 the validation loss is deterministic; the checkpoint with the best validation
 loss is retained.
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import (Checkpoint, ConformerConfig, ParameterStore, forward, pad_batch,
+from .encoder import (Checkpoint, ConformerConfig, ParameterStore, forward, pack,
                       sample_depth, save_checkpoint, store_from_checkpoint)
 from .errors import ConfigError, ContractError, DivergenceError, FormatError
 from .features import FeatureSequence, LabeledCorpus
@@ -98,28 +99,33 @@ def predictor_apply(embeddings: Tensor, store: ParameterStore) -> Tensor:
 
 def mpc_loss(pred: Tensor, target, plans: list[MaskPlan] | None = None,
              mode: str = "all-frames", lengths: list[int] | None = None) -> Tensor:
-    """Mean L1 distance between a padded (B, T_max, D) prediction and the clean frames.
+    """Mean L1 distance between a packed (N, D) prediction and the clean frames.
 
-    Each slot's loss is its mean over its `lengths` real frames (default: all
-    T_max), or over its plan's masked frames in masked-only mode, which needs
-    one plan per slot. The result is the mean over slots; padded frames carry
-    no weight.
+    Slot b owns the next `lengths[b]` rows (default: one slot of all N). Each
+    slot's loss is its mean over its rows, or over its plan's masked frames in
+    masked-only mode, which needs one plan per slot. The result is the mean
+    over slots, as one (N, 1) weight column on the absolute errors.
     """
-    if pred.data.ndim != 3 or pred.shape != target.shape:
-        raise ContractError(f"prediction {pred.shape} vs target {target.shape}, need B x T_max x D")
+    if pred.data.ndim != 2 or pred.shape != target.shape:
+        raise ContractError(f"prediction {pred.shape} vs target {target.shape}, need N x D")
     if mode not in ("all-frames", "masked-only"):
         raise ContractError(f"unknown loss mode {mode!r}")
-    B, T, D = pred.shape
-    if mode == "masked-only" and (plans is None or len(plans) != B
-                                  or any(p.num_masked == 0 for p in plans)):
-        raise ContractError("masked-only loss needs one plan per slot, each with a masked frame")
-    weight = np.zeros((B, T, 1))
-    for b, n in enumerate([T] * B if lengths is None else lengths):
+    N, D = pred.shape
+    lengths = ad.check_lengths(N, lengths)
+    B = len(lengths)
+    if mode == "masked-only" and (plans is None or len(plans) != B or any(
+            p.num_masked == 0 or p.total_frames != n for p, n in zip(plans, lengths))):
+        raise ContractError("masked-only loss needs one plan per slot, each with a masked "
+                            "frame and the slot's length")
+    weight = np.zeros((N, 1))
+    at = 0
+    for b, n in enumerate(lengths):
         if mode == "all-frames":
-            weight[b, :n] = 1.0 / n
+            weight[at:at + n] = 1.0 / n
         else:
             rows = plans[b].mask_rows()
-            weight[b, :n][rows] = 1.0 / rows.sum()
+            weight[at:at + n][rows] = 1.0 / rows.sum()
+        at += n
     return ((pred - target).abs() * Tensor(weight / (B * D))).sum()
 
 
@@ -201,16 +207,16 @@ def split_corpus(corpus: LabeledCorpus, seed: int, val_fraction: float) -> tuple
 def batch_loss(store: ParameterStore, clean: list[FeatureSequence],
                masked: list[tuple[MaskPlan, FeatureSequence]], n_layers: int, mode: str,
                dropout_rngs: list[np.random.Generator] | None = None) -> Tensor:
-    """MPC loss of one zero-padded batch: one forward, one predictor, one loss.
+    """MPC loss of one packed batch: one forward, one predictor, one loss.
 
     `masked` holds each utterance's plan and corrupted copy; dropout (train
     mode) is on when one generator per slot is given.
     """
-    lengths = [seq.num_frames for seq in clean]
-    emb, _ = forward(pad_batch([c.frames for _, c in masked]), store, n_layers,
-                     train_mode=dropout_rngs is not None, rng=dropout_rngs, lengths=lengths)
+    x, lengths = pack([c.frames for _, c in masked])
+    emb, _ = forward(x, store, n_layers, train_mode=dropout_rngs is not None,
+                     rng=dropout_rngs, lengths=lengths)
     pred = predictor_apply(emb, store)
-    return mpc_loss(pred, pad_batch([seq.frames for seq in clean]),
+    return mpc_loss(pred, pack([seq.frames for seq in clean])[0],
                     [plan for plan, _ in masked], mode, lengths)
 
 
@@ -270,11 +276,8 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             raise ContractError(f"model {model_cfg} is not the resume checkpoint's {store.config}")
         adam.m = _adam_moment(store, tensors, "adam.m.")
         adam.v = _adam_moment(store, tensors, "adam.v.")
-        start_step = int(ck_cfg.get("train.step", "0"))
+        start_step, best_val, best_step, cum_layer_apps = _train_state(ck_cfg)
         adam.step = start_step
-        best_val = float(ck_cfg.get("train.best_val_loss", "inf"))
-        best_step = int(ck_cfg.get("train.best_step", "0"))
-        cum_layer_apps = int(ck_cfg.get("train.cum_layer_apps", "0"))
     else:
         store = ParameterStore.init(model_cfg, substream(cfg.seed, "init"))
     low, high = parse_depth(cfg.depth)
@@ -379,6 +382,31 @@ def _save_train_checkpoint(path, store: ParameterStore, adam: AdamState, step: i
     save_checkpoint(path, store, extra_cfg, moments=moments)
 
 
+# a checkpoint's train state: config key, parse, default when absent
+_TRAIN_STATE = (("train.step", int, "0"), ("train.best_val_loss", float, "inf"),
+                ("train.best_step", int, "0"), ("train.cum_layer_apps", int, "0"))
+
+
+def _train_state(ck_cfg: dict[str, str]) -> list:
+    """A checkpoint's step, best validation loss, best step and layer count.
+
+    Counts must be non-negative integers and the loss a number; anything else
+    is a FormatError.
+    """
+    values = []
+    for key, parse, default in _TRAIN_STATE:
+        raw = ck_cfg.get(key, default)
+        try:
+            value = parse(raw)
+        except ValueError:
+            value = None
+        if value is None or value != value or (parse is int and value < 0):
+            kind = "a non-negative int" if parse is int else "a number"
+            raise FormatError(f"checkpoint {key} must be {kind}, got {raw!r}")
+        values.append(value)
+    return values
+
+
 def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],
                  prefix: str) -> np.ndarray | None:
     """A checkpoint's `prefix`<name> tensors as one flat buffer in the store's layout.
@@ -405,8 +433,10 @@ def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],
 def _truncate_metrics(path: Path, step: int) -> None:
     """Cut a metrics file in place to its complete rows up to and including ``step``.
 
-    A file whose complete rows end before ``step`` has lost rows the
-    checkpoint already covers; it is rejected and left as it is.
+    Every row read must be a flat JSON object with an integer "step". A
+    malformed row, or complete rows that end before ``step`` (the file has
+    lost rows the checkpoint already covers), is a FormatError, and the file
+    is left as it is.
     """
     offset = last = 0
     with open(path, "r+b") as f:
@@ -414,11 +444,15 @@ def _truncate_metrics(path: Path, step: int) -> None:
             if not line.endswith(b"\n"):
                 break
             try:
-                row_step = json.loads(line)["step"]
-                if row_step > step:
-                    break
-            except (ValueError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}: malformed row at byte {offset}") from exc
+                row = json.loads(line)
+            except (ValueError, RecursionError):  # nesting too deep to parse
+                row = None
+            if not (isinstance(row, dict) and type(row.get("step")) is int
+                    and not any(isinstance(v, (dict, list)) for v in row.values())):
+                raise FormatError(f"{path}: malformed row at byte {offset}")
+            row_step = row["step"]
+            if row_step > step:
+                break
             offset += len(line)
             last = row_step
         if last < step:

@@ -3,14 +3,14 @@ fused module nodes (`autodiff.feed_forward`, `self_attention`, `conv_module`).
 
 Each function builds its module from `layer_norm`, `matmul`, `swish`,
 `sigmoid`, `depthwise_conv1d`, slicing, reshapes and elementwise ops, one
-node per op, with the same parameters and dropout draws as the fused node.
-The fused nodes promise bitwise equality with these chains.
+node per op, on the same packed (N, d) rows, with the same parameters and
+dropout draws as the fused node. The fused nodes promise bitwise equality
+with these chains.
 """
 
 import numpy as np
 
 from sharedformer import autodiff as ad
-from sharedformer.autodiff import Tensor
 from sharedformer.encoder import relative_position_bias
 
 
@@ -25,41 +25,35 @@ def keep_masks(cfg, rngs, lengths):
 
 
 def attention(x, g, cfg, keep, lengths):
-    B, T, _ = x.shape
+    N, d = x.shape
     h, dh = cfg.num_heads, cfg.head_dim
     n = ad.layer_norm(x, g["attn.norm.gamma"], g["attn.norm.beta"])
-
-    def heads(t):
-        return t.reshape(B, T, h, dh).transpose((0, 2, 1, 3))
-
-    q = heads(ad.matmul(n, g["attn.wq"], g["attn.bq"])) * (1.0 / np.sqrt(dh))
-    k = heads(n @ g["attn.wk"])
-    v = heads(ad.matmul(n, g["attn.wv"], g["attn.bv"]))
-    bias = relative_position_bias(T, dh, x.data.dtype) if cfg.pos_bias == "relative-bias" else None
+    q = ad.matmul(n, g["attn.wq"], g["attn.bq"]).reshape(N, h, dh) * (1.0 / np.sqrt(dh))
+    k = (n @ g["attn.wk"]).reshape(N, h, dh)
+    v = ad.matmul(n, g["attn.wv"], g["attn.bv"]).reshape(N, h, dh)
+    bias = (relative_position_bias(max(lengths), dh, x.data.dtype)
+            if cfg.pos_bias == "relative-bias" else None)
     ctx = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - cfg.dropout), lengths)
-    ctx = ctx.transpose((0, 2, 1, 3)).reshape(B, T, cfg.model_dim)
-    return x + ad.matmul(ctx, g["attn.wo"], g["attn.bo"])
+    return x + ad.matmul(ctx.reshape(N, d), g["attn.wo"], g["attn.bo"])
 
 
-def conv_module(x, g, frame_mask):
+def conv_module(x, g, lengths):
     d = x.shape[-1]
     h = ad.layer_norm(x, g["conv.norm.gamma"], g["conv.norm.beta"])
     h = ad.matmul(h, g["conv.pw1"], g["conv.pb1"])
-    h = h[..., :d] * ad.sigmoid(h[..., d:])  # GLU
-    if frame_mask is not None:
-        h = h * Tensor(frame_mask)
-    h = ad.depthwise_conv1d(h, g["conv.dw"])
+    h = h[:, :d] * ad.sigmoid(h[:, d:])  # GLU
+    h = ad.depthwise_conv1d(h, g["conv.dw"], lengths)
     h = ad.swish(h)
     return x + ad.matmul(h, g["conv.pw2"], g["conv.pb2"])
 
 
-def conformer_block(x, group, cfg, pad, train_mode=False, rngs=None):
+def conformer_block(x, group, cfg, lengths, train_mode=False, rngs=None):
     """`encoder.conformer_block`'s contract and dropout draws, as a primitive-op chain."""
     keep = None
     if train_mode and cfg.dropout > 0.0:
-        keep = keep_masks(cfg, rngs, pad.lengths)
+        keep = keep_masks(cfg, rngs, lengths)
     h = feed_forward(x, group, "ff1")
-    h = attention(h, group, cfg, keep, pad.lengths)
-    h = conv_module(h, group, pad.frame_mask)
+    h = attention(h, group, cfg, keep, lengths)
+    h = conv_module(h, group, lengths)
     h = feed_forward(h, group, "ff2")
     return ad.layer_norm(h, group["out.norm.gamma"], group["out.norm.beta"])

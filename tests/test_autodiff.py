@@ -124,10 +124,13 @@ def test_softmax_empty_rejected():
 # ---- attention --------------------------------------------------------------
 
 
-def _attention_inputs(seed, lead=(2,), h=2, T=5, dh=3):
+def _attention_inputs(seed, lengths=(5, 5), h=2, dh=3):
+    """Packed q, k, v (N, h, dh) for slots of `lengths`, a (T, T) bias for the
+    longest slot and an (N, h, dh) coefficient array."""
     r = rng(seed)
-    q, k, v = (Tensor(r.normal(size=lead + (h, T, dh)), requires_grad=True) for _ in range(3))
-    return q, k, v, r.normal(size=(T, T)), Tensor(r.normal(size=lead + (h, T, dh)))
+    N, T = sum(lengths), max(lengths)
+    q, k, v = (Tensor(r.normal(size=(N, h, dh)), requires_grad=True) for _ in range(3))
+    return q, k, v, r.normal(size=(T, T)), Tensor(r.normal(size=(N, h, dh)))
 
 
 def _keep_masks(seed, h, lengths, p):
@@ -135,10 +138,10 @@ def _keep_masks(seed, h, lengths, p):
     return [r.random((h, t, t)) >= p for t in lengths]
 
 
-@pytest.mark.parametrize("lengths,p", [(None, 0.0), ([5, 3], 0.0), ([5, 3], 0.4)],
+@pytest.mark.parametrize("lengths,p", [([5, 5], 0.0), ([5, 3], 0.0), ([5, 3], 0.4)],
                          ids=["unpadded", "padded", "dropout"])
 def test_attention_finite_difference(float64, lengths, p):
-    q, k, v, bias, coeff = _attention_inputs(0)
+    q, k, v, bias, coeff = _attention_inputs(0, lengths)
     keep = _keep_masks(1, 2, lengths, p) if p else None
 
     def f():
@@ -148,28 +151,29 @@ def test_attention_finite_difference(float64, lengths, p):
 
 
 def test_attention_single_slot_matches_softmax_chain(float64):
-    q, k, v, bias, _ = _attention_inputs(2, lead=())
-    weights = ad.softmax(ad.matmul(q, k.transpose((0, 2, 1))) + Tensor(bias))
+    q, k, v, bias, _ = _attention_inputs(2, lengths=(5,))
+    qh, kh, vh = (t.transpose((1, 0, 2)) for t in (q, k, v))  # (h, T, dh)
+    weights = ad.softmax(ad.matmul(qh, kh.transpose((0, 2, 1))) + Tensor(bias))
     np.testing.assert_allclose(ad.attention(q, k, v, bias).data,
-                               ad.matmul(weights, v).data, atol=1e-12)
+                               ad.matmul(weights, vh).data.transpose(1, 0, 2), atol=1e-12)
 
 
-def test_attention_padded_rows_are_zero(float64):
-    q, k, v, bias, coeff = _attention_inputs(3)
+def test_attention_slots_are_isolated(float64):
     lengths = [5, 2]
+    q, k, v, bias, coeff = _attention_inputs(3, lengths)
     out = ad.attention(q, k, v, bias, _keep_masks(4, 2, lengths, 0.3), 1 / 0.7, lengths)
-    assert np.all(out.data[1, :, 2:] == 0.0)
+    coeff.data[:5] = 0.0  # a loss on the second slot only
     (out * coeff).sum().backward()
-    for t in (q, k, v):  # padded frames neither feed nor receive anything
-        assert np.all(t.grad[1, :, 2:] == 0.0)
-    # a padded slot's real rows match the same slot cut to its length
-    short = [Tensor(t.data[1:, :, :2]) for t in (q, k, v)]
+    for t in (q, k, v):  # the first slot's rows neither feed nor receive anything
+        assert np.all(t.grad[:5] == 0.0)
+    # the second slot's rows match the same slot run alone
+    short = [Tensor(t.data[5:]) for t in (q, k, v)]
     ref = ad.attention(*short, bias[:2, :2], _keep_masks(4, 2, lengths, 0.3)[1:], 1 / 0.7)
-    np.testing.assert_array_equal(out.data[1:, :, :2], ref.data)
+    np.testing.assert_array_equal(out.data[5:], ref.data)
 
 
 def test_attention_graph_and_no_grad_forward_agree(float64):
-    q, k, v, bias, _ = _attention_inputs(5)
+    q, k, v, bias, _ = _attention_inputs(5, [4, 5])
     keep = _keep_masks(6, 2, [4, 5], 0.2)
     graph = ad.attention(q, k, v, bias, keep, 1.25, [4, 5])
     with ad.no_grad():
@@ -187,26 +191,30 @@ def small_tiles(monkeypatch):
 
 
 def _brute_attention(q, k, v, bias, keep, scale, lengths):
-    """Per slot, in float64: logits, max-shifted softmax, dropout, weights @ v."""
-    q, k, v = (np.asarray(t, np.float64).reshape((-1,) + t.shape[-3:]) for t in (q, k, v))
+    """Per slot of packed rows, in float64: logits, max-shifted softmax,
+    dropout, weights @ v."""
+    q, k, v = (np.asarray(t, np.float64).transpose(1, 0, 2) for t in (q, k, v))  # (h, N, d)
     out = np.zeros(v.shape)
-    for b, t in enumerate(lengths or [q.shape[-2]] * len(q)):
-        logits = q[b, :, :t] @ np.swapaxes(k[b, :, :t], -1, -2) + bias[:t, :t]
+    at = 0
+    for b, t in enumerate(lengths or [q.shape[1]]):
+        rows = slice(at, at + t)
+        logits = q[:, rows] @ np.swapaxes(k[:, rows], -1, -2) + bias[:t, :t]
         p = np.exp(logits - logits.max(axis=-1, keepdims=True))
         p /= p.sum(axis=-1, keepdims=True)
         if keep is not None:
             p = p * keep[b] * scale
-        out[b, :, :t] = p @ v[b, :, :t]
-    return out
+        out[:, rows] = p @ v[:, rows]
+        at += t
+    return out.transpose(1, 0, 2)
 
 
-_TILED = pytest.mark.parametrize("lengths,p", [(None, 0.0), ([13, 7], 0.0), ([13, 7], 0.3)],
+_TILED = pytest.mark.parametrize("lengths,p", [([13, 13], 0.0), ([13, 7], 0.0), ([13, 7], 0.3)],
                                  ids=["unpadded", "padded", "dropout"])
 
 
 @_TILED
 def test_attention_tiles_match_brute_force(float64, small_tiles, lengths, p):
-    q, k, v, bias, _ = _attention_inputs(10, T=13)
+    q, k, v, bias, _ = _attention_inputs(10, lengths)
     keep = _keep_masks(11, 2, lengths, p) if p else None
     out = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), lengths)
     ref = _brute_attention(q.data, k.data, v.data, bias, keep, 1.0 / (1.0 - p), lengths)
@@ -215,8 +223,8 @@ def test_attention_tiles_match_brute_force(float64, small_tiles, lengths, p):
 
 @_TILED
 def test_attention_tiles_finite_difference(float64, small_tiles, lengths, p):
-    lengths = lengths and [9, 5]
-    q, k, v, bias, coeff = _attention_inputs(12, T=9)
+    lengths = [9, 9] if lengths[1] == 13 else [9, 5]
+    q, k, v, bias, coeff = _attention_inputs(12, lengths)
     keep = _keep_masks(13, 2, lengths, p) if p else None
 
     def f():
@@ -227,20 +235,20 @@ def test_attention_tiles_finite_difference(float64, small_tiles, lengths, p):
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_attention_tiled_padded_slot_equals_slot_alone(small_tiles, p):
-    q, k, v, bias, _ = _attention_inputs(14, T=13)
-    bias = bias.astype(np.float32)
     lengths = [13, 11]
+    q, k, v, bias, _ = _attention_inputs(14, lengths)
+    bias = bias.astype(np.float32)
     keep = _keep_masks(15, 2, lengths, p) if p else None
     with ad.no_grad():
         out = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), lengths)
-        alone = ad.attention(*(Tensor(t.data[1:, :, :11]) for t in (q, k, v)), bias[:11, :11],
+        alone = ad.attention(*(Tensor(t.data[13:]) for t in (q, k, v)), bias[:11, :11],
                              keep and keep[1:], 1.0 / (1.0 - p))
-    np.testing.assert_array_equal(out.data[1:, :, :11], alone.data)
+    np.testing.assert_array_equal(out.data[13:], alone.data)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_attention_tiled_graph_and_no_grad_agree(small_tiles, p):
-    q, k, v, bias, _ = _attention_inputs(16, T=13)
+    q, k, v, bias, _ = _attention_inputs(16, [13, 8])
     bias = bias.astype(np.float32)
     keep = _keep_masks(17, 2, [13, 8], p) if p else None
     graph = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), [13, 8])
@@ -253,7 +261,7 @@ def test_attention_tiled_graph_and_no_grad_agree(small_tiles, p):
 @pytest.mark.parametrize("gain", [40.0, 400.0])
 def test_attention_large_logits_take_the_shift(small_tiles, precision, gain):
     # row maxima far outside the band: exp without the shift would overflow
-    q, k, v, bias, _ = _attention_inputs(18, T=13)
+    q, k, v, bias, _ = _attention_inputs(18, [13, 9])
     with ad.precision(precision):
         q, k, v = (Tensor(t.data * (gain if t is q else 1.0)) for t in (q, k, v))
         bias = (gain * bias).astype(precision)
@@ -271,8 +279,8 @@ def test_attention_row_maxima_near_the_band(small_tiles, top):
     spread = rng(19).uniform(-200.0, -0.5, size=(T, T))
     spread[np.arange(T), rng(20).integers(0, T, size=T)] = 0.0
     bias = (top + spread).astype(np.float32)
-    zeros = Tensor(np.zeros((1, 2, T, 3), np.float32))
-    v = rng(21).normal(size=(1, 2, T, 4)).astype(np.float32)
+    zeros = Tensor(np.zeros((T, 2, 3), np.float32))
+    v = rng(21).normal(size=(T, 2, 4)).astype(np.float32)
     out = ad.attention(zeros, zeros, Tensor(v), bias)
     ref = _brute_attention(zeros.data, zeros.data, v, bias, None, 1.0, None)
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-6)
@@ -281,13 +289,13 @@ def test_attention_row_maxima_near_the_band(small_tiles, top):
 def test_attention_contract():
     q, k, v, bias, _ = _attention_inputs(7)
     with pytest.raises(DimensionError):
-        ad.attention(q, Tensor(k.data[..., :4, :]), v)
+        ad.attention(q, Tensor(k.data[:9]), v)
     with pytest.raises(DimensionError):
-        ad.attention(q, k, v, bias[:4, :4])
+        ad.attention(q, k, v, bias[:4, :4], lengths=[5, 5])
     with pytest.raises(DimensionError):
         ad.attention(q, k, v, keep=_keep_masks(0, 2, [5, 4], 0.1), lengths=[5, 5])
     with pytest.raises(ContractError):
-        ad.attention(q, k, v, lengths=[5, 0])
+        ad.attention(q, k, v, lengths=[10, 0])
     with pytest.raises(ContractError):
         ad.attention(q, k, v, lengths=[5])
 
@@ -358,15 +366,40 @@ def test_depthwise_against_sliding_window(float64):
 
 
 def test_depthwise_batch_matches_per_row(float64):
-    x = Tensor(rng(9).normal(size=(3, 7, 2)), requires_grad=True)
+    lengths = [7, 2, 5]
+    x = Tensor(rng(9).normal(size=(14, 2)), requires_grad=True)
     kernel = Tensor(rng(10).normal(size=(5, 2)), requires_grad=True)
-    out = ad.depthwise_conv1d(x, kernel).data
-    for b in range(3):
-        np.testing.assert_allclose(out[b], ad.depthwise_conv1d(Tensor(x.data[b]), kernel).data,
-                                   atol=1e-12)
-    coeff = Tensor(rng(11).normal(size=(3, 7, 2)))
-    assert ad.grad_check(lambda: (ad.depthwise_conv1d(x, kernel) * coeff).sum(),
+    out = ad.depthwise_conv1d(x, kernel, lengths).data
+    for rows in (slice(0, 7), slice(7, 9), slice(9, 14)):  # each slot as if alone
+        np.testing.assert_allclose(out[rows], ad.depthwise_conv1d(Tensor(x.data[rows]),
+                                                                  kernel).data, atol=1e-12)
+    coeff = Tensor(rng(11).normal(size=(14, 2)))
+    assert ad.grad_check(lambda: (ad.depthwise_conv1d(x, kernel, lengths) * coeff).sum(),
                          [x, kernel], eps=1e-6) <= 1e-8
+
+
+# ---- reduction vectors ------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reduction_vectors_are_cached_read_only_and_exact(monkeypatch, dtype):
+    monkeypatch.setattr(ad, "_ones", {})
+    monkeypatch.setattr(ad, "_fills", {})
+    dtype = np.dtype(dtype)
+    for n in (5, 40, 7, 40, 1):
+        ones = ad._ones_vector(n, dtype)
+        np.testing.assert_array_equal(ones, np.ones(n, dtype))
+        assert ones.dtype == dtype and not ones.flags.writeable
+    assert ad._ones[dtype].shape == (40,)  # one buffer, grown to the longest n
+    for n, scale in ((16, 1.0), (16, 1.0 / 16), (7, 1.0 / 0.9), (16, 1.0)):
+        fill = ad._fill_vector(n, scale, dtype)
+        np.testing.assert_array_equal(fill, np.full(n, scale, dtype))
+        assert fill.dtype == dtype and not fill.flags.writeable
+    assert len(ad._fills) == 3
+    x = rng(0).normal(size=(33, 16)).astype(dtype)
+    np.testing.assert_array_equal(ad._sum_rows(x), np.ones(33, dtype) @ x)
+    np.testing.assert_array_equal(ad._sum_last(x, 0.25),
+                                  (x @ np.full(16, 0.25, dtype))[:, None])
 
 
 # ---- backward ---------------------------------------------------------------

@@ -239,6 +239,50 @@ def test_rejected_resume_leaves_the_run_directory_as_it_was(tmp_path, corpus_dir
     assert (out / "metrics.jsonl").read_bytes() == b""
 
 
+def _edit_config_line(ckpt, key, value):
+    """Rewrite one key=value line of a checkpoint's config block in place."""
+    data = ckpt.read_bytes()
+    (size,) = struct.unpack_from("<I", data, 8)
+    lines = data[12:12 + size].decode().splitlines(keepends=True)
+    edited = [f"{key}={value}\n" if l.startswith(f"{key}=") else l for l in lines]
+    assert edited != lines
+    block = "".join(edited).encode()
+    ckpt.write_bytes(data[:8] + struct.pack("<I", len(block)) + block + data[12 + size:])
+
+
+def _first_row(out, row):
+    path = out / "metrics.jsonl"
+    rows = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(row + b"\n" + b"".join(rows[1:]))
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda out: _first_row(out, b"[" * 200_000),
+    lambda out: _first_row(out, b'{"step": "1"}'),
+    lambda out: _first_row(out, b'{"step": true}'),
+    lambda out: _first_row(out, b'{"step": 1, "lr": {"nested": 1}}'),
+    lambda out: _first_row(out, b"[1]"),
+    lambda out: _edit_config_line(out / "final.ckpt", "train.step", "x"),
+    lambda out: _edit_config_line(out / "final.ckpt", "train.step", "-2"),
+    lambda out: _edit_config_line(out / "final.ckpt", "train.best_val_loss", "0.3.1"),
+    lambda out: _edit_config_line(out / "final.ckpt", "train.best_val_loss", "nan"),
+    lambda out: _edit_config_line(out / "final.ckpt", "train.cum_layer_apps", "1e3"),
+], ids=["deep-row", "string-step", "bool-step", "nested-row", "list-row", "step-x",
+        "negative-step", "garbled-best-val", "nan-best-val", "float-layer-count"])
+def test_malformed_resume_input_is_input_error(tmp_path, corpus_dir, capsys, doctor):
+    out = tmp_path / "out"
+    data = ["--data", str(corpus_dir / "features.bin")]
+    assert main(["pretrain", *data, *QUICK, "--out", str(out)]) == 0
+    doctor(out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    code = main(["pretrain", *data, *QUICK, "--train.max_steps=6", "--out", str(out),
+                 "--resume", str(out / "final.ckpt")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", ["pretrain", "diagnose", "probe", "flops"])
 def test_one_checkpoint_read_per_command(tmp_path, corpus_dir, run_dir, monkeypatch, command):
     from sharedformer import cli

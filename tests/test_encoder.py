@@ -9,8 +9,8 @@ from sharedformer import autodiff as ad
 from sharedformer import encoder
 from sharedformer.autodiff import Tensor
 from sharedformer.config import RunConfig, apply_preset
-from sharedformer.encoder import (ConformerConfig, Padding, ParameterStore, conformer_block,
-                                  forward, load_checkpoint, param_count,
+from sharedformer.encoder import (ConformerConfig, ParameterStore, conformer_block, forward,
+                                  load_checkpoint, pack, param_count,
                                   relative_position_bias, sample_depth, save_checkpoint,
                                   sli_forward, store_from_checkpoint)
 from sharedformer.errors import ConfigError, ContractError
@@ -56,9 +56,9 @@ def test_block_preserves_shape(float64):
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(0, "init"))
     for T in (1, 4, 11):
-        x = Tensor(rng(T).normal(size=(T, cfg.model_dim))[None])
-        out = conformer_block(x, store.layer_group(0), cfg, Padding.of([T], T, np.float64))
-        assert out.shape == (1, T, cfg.model_dim)
+        x = Tensor(rng(T).normal(size=(T, cfg.model_dim)))
+        out = conformer_block(x, store.layer_group(0), cfg, [T])
+        assert out.shape == (T, cfg.model_dim)
 
 
 def _tensors_created(fn):
@@ -70,10 +70,9 @@ def _tensors_created(fn):
 @pytest.mark.parametrize("train_mode,count", [(False, 5), (True, 5)])
 def test_block_graph_size(train_mode, count):
     store = desk_store()
-    x = Tensor(rng(0).normal(size=(20, 16))[None])
-    pad = Padding.of([20], 20, x.data.dtype)
+    x = Tensor(rng(0).normal(size=(20, 16)))
     assert _tensors_created(lambda: conformer_block(
-        x, store.layer_group(0), store.config, pad, train_mode, [rng(1)])) == count
+        x, store.layer_group(0), store.config, [20], train_mode, [rng(1)])) == count
 
 
 def test_block_zero_weights_reduces_to_layer_norm(float64):
@@ -83,8 +82,8 @@ def test_block_zero_weights_reduces_to_layer_norm(float64):
     for name, p in group.items():
         if not name.endswith(("norm.gamma", "norm.beta")):
             p.data[:] = 0.0
-    x = Tensor(rng(5).normal(size=(9, cfg.model_dim))[None])
-    out = conformer_block(x, group, cfg, Padding.of([9], 9, np.float64), train_mode=False)
+    x = Tensor(rng(5).normal(size=(9, cfg.model_dim)))
+    out = conformer_block(x, group, cfg, [9], train_mode=False)
     expect = ad.layer_norm(x, group["out.norm.gamma"], group["out.norm.beta"])
     np.testing.assert_allclose(out.data, expect.data, atol=1e-12)
 
@@ -93,12 +92,11 @@ def test_block_gradient_finite_difference(float64):
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(1, "init"))
     group = store.layer_group(0)
-    x = rng(2).normal(size=(4, cfg.model_dim))[None]
-    coeff = Tensor(rng(3).normal(size=(4, cfg.model_dim))[None])
-    pad = Padding.of([4], 4, np.float64)
+    x = rng(2).normal(size=(4, cfg.model_dim))
+    coeff = Tensor(rng(3).normal(size=(4, cfg.model_dim)))
 
     def f():
-        return (conformer_block(Tensor(x), group, cfg, pad) * coeff).sum()
+        return (conformer_block(Tensor(x), group, cfg, [4]) * coeff).sum()
 
     assert ad.grad_check(f, list(group.values()), eps=1e-6) <= 1e-4
 
@@ -107,9 +105,8 @@ def test_padded_batch_gradient_finite_difference(float64):
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(1, "init"))
     lengths = [6, 3, 5]
-    x = rng(2).normal(size=(3, 6, cfg.input_dim))
-    coeff = rng(3).normal(size=(3, 6, cfg.model_dim))
-    coeff[np.arange(6)[None, :] >= np.asarray(lengths)[:, None]] = 0.0  # real frames only
+    x = rng(2).normal(size=(14, cfg.input_dim))
+    coeff = rng(3).normal(size=(14, cfg.model_dim))
 
     def f():
         dropout = [substream(0, "dropout", 1, slot) for slot in range(3)]
@@ -123,25 +120,26 @@ def test_attention_rows_sum_to_one(float64, monkeypatch):
     recorded = []
     original = ad._attend
 
-    def spy(q3, k3, v3, *args):
-        recorded.append((q3, k3, v3.shape, args))
-        return original(q3, k3, v3, *args)
+    def spy(q, k, v, *args):
+        recorded.append((q, k, v.shape, args))
+        return original(q, k, v, *args)
 
     monkeypatch.setattr(ad, "_attend", spy)
     cfg = tiny_config()
     store = ParameterStore.init(cfg, substream(4, "init"))
-    conformer_block(Tensor(rng(0).normal(size=(7, cfg.model_dim))[None]), store.layer_group(0),
-                    cfg, Padding.of([7], 7, np.float64))
+    conformer_block(Tensor(rng(0).normal(size=(7, cfg.model_dim))), store.layer_group(0),
+                    cfg, [7])
     assert recorded
-    for q3, k3, v_shape, args in recorded:
+    for q, k, v_shape, args in recorded:
         # with v = 1 each output is the sum of its row of attention weights
-        out, _ = original(q3, k3, np.ones(v_shape[:-1] + (1,)), *args)
+        out, _ = original(q, k, np.ones(v_shape[:-1] + (1,)), *args)
         np.testing.assert_allclose(out, 1.0, atol=1e-6)
 
 
 def _composite_attention(x, g, cfg, rngs, lengths):
-    """The attention module as a chain of plain ops: full (B, h, T, T) logits
-    with a -inf key-padding bias, softmax, and a float inverted-dropout mask."""
+    """The attention module as a chain of plain ops on a zero-padded (B, T, d)
+    batch: full (B, h, T, T) logits with a -inf key-padding bias, softmax, and
+    a float inverted-dropout mask."""
     B, T, d = x.shape
     h, dh, p = cfg.num_heads, cfg.head_dim, cfg.dropout
     n = ad.layer_norm(x, g["attn.norm.gamma"], g["attn.norm.beta"])
@@ -168,23 +166,32 @@ def test_attention_matches_composite_chain(float64):
     group = ParameterStore.init(cfg, substream(2, "init")).layer_group(0)
     lengths = [6, 4, 2]
     real = (np.arange(6) < np.asarray(lengths)[:, None])[..., None]
-    x = Tensor(rng(7).normal(size=(3, 6, cfg.model_dim)), requires_grad=True)
-    coeff = Tensor(rng(8).normal(size=(3, 6, cfg.model_dim)) * real)
+    rows = real[..., 0]  # the packed rows, slot by slot, out of the padded (3, 6) grid
+    x_pad = rng(7).normal(size=(3, 6, cfg.model_dim))
+    coeff = rng(8).normal(size=(3, 6, cfg.model_dim)) * real
 
-    def node(rngs):
+    def node(x, rngs):
         keep = [r.random((cfg.num_heads, t, t)) >= cfg.dropout for r, t in zip(rngs, lengths)]
         bias = relative_position_bias(6, cfg.head_dim, np.float64)
         return ad.self_attention(x, *encoder._module_params(group, "attn", "attn"),
                                  cfg.num_heads, bias, keep, 1.0 / (1.0 - cfg.dropout), lengths)
 
+    def padded(a):
+        out = np.zeros((3, 6, cfg.model_dim))
+        out[rows] = a
+        return out
+
     outs, grads = [], []
-    for attend in (node, lambda rngs: x + _composite_attention(x, group, cfg, rngs, lengths)):
-        out = attend([substream(0, "dropout", 3, slot) for slot in range(3)])
-        (out * coeff).sum().backward()
-        outs.append(out.data * real)
+    for packed, attend in ((True, node),
+                           (False, lambda x, rngs: x + _composite_attention(
+                               x, group, cfg, rngs, lengths))):
+        x = Tensor(x_pad[rows] if packed else x_pad, requires_grad=True)
+        out = attend(x, [substream(0, "dropout", 3, slot) for slot in range(3)])
+        (out * Tensor(coeff[rows] if packed else coeff)).sum().backward()
+        outs.append(padded(out.data) if packed else out.data * real)
         grads.append({name: p.grad for name, p in group.items() if name.startswith("attn.")})
-        grads[-1]["x"] = x.grad * real
-        for p in [x, *group.values()]:
+        grads[-1]["x"] = padded(x.grad) if packed else x.grad * real
+        for p in group.values():
             p.grad = None
     np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-12)
     for name, g in grads[0].items():
@@ -284,21 +291,23 @@ def test_prefix_property_bitwise(float64):
 
 
 def _assert_batch_of_one(one, one_trace, batch, batch_trace, T):
-    assert one.shape == (T, 16) and batch.shape == (1, T, 16)
-    np.testing.assert_array_equal(one.data, batch.data[0])
+    assert one.shape == (T, 16) and batch.shape == (T, 16)
+    np.testing.assert_array_equal(one.data, batch.data)
     assert one_trace.depth == batch_trace.depth
     for a, b in zip(one_trace.embeddings, batch_trace.embeddings):
         assert a.shape == (T, 16)
-        np.testing.assert_array_equal(a, b[0])
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no_grad"])
 def test_single_utterance_is_a_batch_of_one(float64, graph):
     store = desk_store()
     x = rng(7).normal(size=(13, 16))
+    packed, lengths = pack([x])
     with contextlib.nullcontext() if graph else ad.no_grad():
         one, one_trace = forward(Tensor(x), store, 6, collect_trace=True)
-        batch, batch_trace = forward(Tensor(x[None]), store, 6, collect_trace=True)
+        batch, batch_trace = forward(Tensor(packed), store, 6, collect_trace=True,
+                                     lengths=lengths)
     _assert_batch_of_one(one, one_trace, batch, batch_trace, 13)
 
 
@@ -307,12 +316,12 @@ def test_single_utterance_train_mode_wraps_its_generator(float64):
     x = rng(8).normal(size=(11, 16))
     coeff = rng(9).normal(size=(11, 16))
     runs = []
-    for inp, dropout, c in ((x, substream(0, "dropout", 1, 0), coeff),
-                            (x[None], [substream(0, "dropout", 1, 0)], coeff[None])):
+    for dropout, lengths in ((substream(0, "dropout", 1, 0), None),
+                             ([substream(0, "dropout", 1, 0)], [11])):
         store.zero_grad()
-        out, trace = forward(Tensor(inp), store, 5, collect_trace=True, train_mode=True,
-                             rng=dropout)
-        (out * Tensor(c)).sum().backward()
+        out, trace = forward(Tensor(x), store, 5, collect_trace=True, train_mode=True,
+                             rng=dropout, lengths=lengths)
+        (out * Tensor(coeff)).sum().backward()
         runs.append((out, trace, {n: p.grad.copy() for n, p in store.named_parameters()
                                   if p.grad is not None}))
     (one, one_trace, one_grads), (batch, batch_trace, batch_grads) = runs
@@ -322,19 +331,78 @@ def test_single_utterance_train_mode_wraps_its_generator(float64):
         np.testing.assert_array_equal(g, batch_grads[name], err_msg=name)
 
 
-def test_block_rejects_rank_two_input():
+def test_block_rejects_rank_three_input():
     store = desk_store()
     with pytest.raises(ContractError):
+        conformer_block(Tensor(np.zeros((1, 20, 16), np.float32)), store.layer_group(0),
+                        store.config, [20])
+    with pytest.raises(ContractError):  # the slots must cover the rows exactly
         conformer_block(Tensor(np.zeros((20, 16), np.float32)), store.layer_group(0),
-                        store.config, Padding.of([20], 20, np.float32))
+                        store.config, [12, 7])
 
 
 def test_batch_needs_one_dropout_generator_per_slot():
     store = desk_store()
-    x = Tensor(np.zeros((2, 5, 16), np.float32))
+    x = Tensor(np.zeros((10, 16), np.float32))
     for dropout in (rng(0), [rng(0)]):
         with pytest.raises(ContractError):
-            forward(x, store, 1, train_mode=True, rng=dropout)
+            forward(x, store, 1, train_mode=True, rng=dropout, lengths=[5, 5])
+
+
+# ---- packed slots -----------------------------------------------------------
+
+SLOTS = [3, 9, 1, 7, 2]  # one frame, and slots shorter than a 5-tap kernel
+
+
+def _packed_run(store, x, graph):
+    """Forward embedding and trace of 4 layers over the packed slots."""
+    dropout = [substream(5, "dropout", slot) for slot in range(len(SLOTS))]
+    with contextlib.nullcontext() if graph else ad.no_grad():
+        return forward(Tensor(x), store, 4, collect_trace=True, train_mode=graph,
+                       rng=dropout, lengths=SLOTS)
+
+
+@pytest.mark.parametrize("graph", [True, False], ids=["graph", "no_grad"])
+def test_perturbing_one_slot_leaves_the_others_bitwise(graph):
+    store = desk_store(conv_kernel=5)
+    x = rng(10).normal(size=(sum(SLOTS), 16))
+    bumped = x.copy()
+    bumped[3:12] += rng(11).normal(scale=3.0, size=(9, 16))  # slot 1
+    base, base_trace = _packed_run(store, x, graph)
+    out, trace = _packed_run(store, bumped, graph)
+    others = np.r_[0:3, 12:sum(SLOTS)]
+    assert not np.array_equal(out.data[3:12], base.data[3:12])
+    np.testing.assert_array_equal(out.data[others], base.data[others])
+    for a, b in zip(trace.embeddings, base_trace.embeddings):  # every block's output
+        np.testing.assert_array_equal(a[others], b[others])
+
+
+def test_packed_slot_matches_the_slot_alone(float64):
+    store = desk_store(conv_kernel=5, share_params=False)
+    frames = [rng(12 + b).normal(size=(t, 16)) for b, t in enumerate(SLOTS)]
+    x, lengths = pack(frames)
+    packed, trace = forward(Tensor(x), store, 8, collect_trace=True, lengths=lengths)
+    at = 0
+    for f in frames:
+        alone, alone_trace = forward(Tensor(f), store, 8, collect_trace=True)
+        rows = slice(at, at + len(f))
+        np.testing.assert_allclose(packed.data[rows], alone.data, rtol=1e-12)
+        for a, b in zip(trace.embeddings, alone_trace.embeddings):
+            np.testing.assert_allclose(a[rows], b, rtol=1e-12)
+        at += len(f)
+
+
+def test_packed_block_finite_difference(float64):
+    cfg = tiny_config(conv_kernel=5)
+    group = ParameterStore.init(cfg, substream(13, "init")).layer_group(0)
+    lengths = [1, 2, 3, 7, 9]
+    x = Tensor(rng(14).normal(size=(sum(lengths), cfg.model_dim)), requires_grad=True)
+    coeff = Tensor(rng(15).normal(size=x.shape))
+
+    def f():
+        return (conformer_block(x, group, cfg, lengths) * coeff).sum()
+
+    assert ad.grad_check(f, [x, *group.values()], eps=1e-6) <= 1e-4
 
 
 # ---- depth sampling ---------------------------------------------------------

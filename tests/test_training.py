@@ -7,8 +7,8 @@ import pytest
 from sharedformer import autodiff as ad
 from sharedformer import encoder
 from sharedformer.autodiff import Tensor
-from sharedformer.encoder import (ConformerConfig, ParameterStore, forward,
-                                  load_checkpoint, save_checkpoint, store_from_checkpoint)
+from sharedformer.encoder import (ConformerConfig, ParameterStore, forward, load_checkpoint,
+                                  pack, save_checkpoint, store_from_checkpoint)
 from sharedformer.errors import ConfigError, ContractError, DivergenceError, FormatError
 from sharedformer.features import synth_corpus
 from sharedformer.masking import MaskConfig, MaskPlan, mask_utterance
@@ -52,8 +52,8 @@ def test_predictor_identity(float64):
 
 def test_predictor_gradient(float64):
     store = ParameterStore.init(ConformerConfig(), substream(0, "init"))
-    x = rng(2).normal(size=(4, 16))[None]
-    target = rng(3).normal(size=(4, 16))[None]
+    x = rng(2).normal(size=(4, 16))
+    target = rng(3).normal(size=(4, 16))
     params = [store.params["predictor.w"], store.params["predictor.b"]]
     err = ad.grad_check(lambda: mpc_loss(predictor_apply(Tensor(x), store), target),
                         params, eps=1e-6)
@@ -70,19 +70,19 @@ def test_predictor_shape_contract(float64):
 
 
 def test_loss_zero_when_equal(float64):
-    x = rng(0).normal(size=(6, 4))[None]
+    x = rng(0).normal(size=(6, 4))
     assert float(mpc_loss(Tensor(x), x).data) == 0.0
 
 
 def test_loss_constant_offset(float64):
-    x = rng(1).normal(size=(6, 4))[None]
+    x = rng(1).normal(size=(6, 4))
     loss = mpc_loss(Tensor(x + 0.5), x)
     np.testing.assert_allclose(float(loss.data), 0.5, atol=1e-12)
 
 
 def test_loss_masked_only_full_plan_equals_all_frames(float64):
-    x = rng(2).normal(size=(14, 4))[None]
-    pred = Tensor(rng(3).normal(size=(14, 4))[None])
+    x = rng(2).normal(size=(14, 4))
+    pred = Tensor(rng(3).normal(size=(14, 4)))
     plans = [MaskPlan([(0, 7), (7, 7)], 14)]
     a = float(mpc_loss(pred, x, plans, "all-frames").data)
     b = float(mpc_loss(pred, x, plans, "masked-only").data)
@@ -90,7 +90,7 @@ def test_loss_masked_only_full_plan_equals_all_frames(float64):
 
 
 def test_loss_masked_only_needs_masked_frames(float64):
-    x = np.zeros((1, 5, 3))
+    x = np.zeros((5, 3))
     with pytest.raises(ContractError):
         mpc_loss(Tensor(x), x, [MaskPlan([], 5)], "masked-only")
     with pytest.raises(ContractError):
@@ -99,15 +99,32 @@ def test_loss_masked_only_needs_masked_frames(float64):
 
 def test_loss_shape_contract(float64):
     with pytest.raises(ContractError):
-        mpc_loss(Tensor(np.zeros((1, 3, 2))), np.zeros((1, 2, 3)))
+        mpc_loss(Tensor(np.zeros((3, 2))), np.zeros((2, 3)))
 
 
-def test_loss_rejects_rank_two_input(float64):
-    x = np.zeros((6, 4))
+def test_loss_rejects_rank_three_input(float64):
+    x = np.zeros((1, 6, 4))
     with pytest.raises(ContractError):
         mpc_loss(Tensor(x), x)
     with pytest.raises(ContractError):
         mpc_loss(Tensor(x), x, [MaskPlan([(0, 3)], 6)], "masked-only")
+
+
+def test_loss_masked_only_over_packed_plans(float64):
+    lengths = [6, 9, 4]
+    x = rng(4).normal(size=(19, 3))
+    pred = Tensor(rng(5).normal(size=(19, 3)))
+    plans = [MaskPlan([(1, 2)], 6), MaskPlan([(0, 3), (6, 3)], 9), MaskPlan([(3, 1)], 4)]
+    loss = mpc_loss(pred, x, plans, "masked-only", lengths)
+    # each slot's mean L1 over its masked frames only, then the mean over slots
+    err = np.abs(pred.data - x)
+    slots = np.split(err, np.cumsum(lengths)[:-1])
+    expect = np.mean([e[p.mask_rows()].mean() for e, p in zip(slots, plans)])
+    np.testing.assert_allclose(float(loss.data), expect, rtol=0, atol=1e-12)
+    with pytest.raises(ContractError):  # a plan must cover its slot's frames
+        mpc_loss(pred, x, plans[::-1], "masked-only", lengths)
+    with pytest.raises(ContractError):  # the slots must cover the rows exactly
+        mpc_loss(pred, x, plans, "masked-only", [6, 9])
 
 
 # ---- schedule ---------------------------------------------------------------
@@ -457,7 +474,7 @@ def test_depth_range_beyond_model_rejected_before_step_one(tmp_path):
     assert not (tmp_path / "metrics.jsonl").exists()
 
 
-# ---- padded batches ----------------------------------------------------------
+# ---- packed batches ----------------------------------------------------------
 
 
 def _masked_batch(seqs, step=1):
@@ -473,7 +490,7 @@ def _dropout_rngs(n, step=1):
 @pytest.mark.parametrize("share", [True, False], ids=["shared", "unshared"])
 @pytest.mark.parametrize("mode", ["all-frames", "masked-only"])
 def test_batched_loss_matches_per_utterance(float64, share, mode):
-    """One padded graph gives the per-utterance losses' mean and its gradients."""
+    """One packed graph gives the per-utterance losses' mean and its gradients."""
     seqs = synth_corpus(5, 5, (20, 50), 16, 4).sequences
     assert len({s.num_frames for s in seqs}) > 1
     store = ParameterStore.init(ConformerConfig(share_params=share), substream(0, "init"))
@@ -504,31 +521,26 @@ def test_batched_loss_matches_per_utterance(float64, share, mode):
         np.testing.assert_allclose(batched[name], g, rtol=1e-9, atol=1e-13, err_msg=name)
 
 
-def test_padding_values_change_no_real_output_or_gradient(float64):
+def test_other_slots_values_change_no_slot_output_or_gradient(float64):
     store = ParameterStore.init(ConformerConfig(), substream(1, "init"))
     seqs = synth_corpus(6, 3, (10, 30), 16, 4).sequences
-    lengths = [s.num_frames for s in seqs]
-    T = max(lengths)
-    assert min(lengths) < T
-    x = np.zeros((3, T, 16))
-    target = np.zeros((3, T, 16))
-    for b, seq in enumerate(seqs):
-        x[b, :lengths[b]] = seq.frames
-        target[b, :lengths[b]] = seq.frames[::-1]
+    x, lengths = pack([s.frames for s in seqs])
+    target = pack([s.frames[::-1] for s in seqs])[0]
+    mid = slice(lengths[0], lengths[0] + lengths[1])  # the second slot's rows
 
-    def run(x, target):
+    def run(x):
         store.zero_grad()
         emb, _ = forward(Tensor(x), store, 4, train_mode=True, rng=_dropout_rngs(3),
                          lengths=lengths)
-        mpc_loss(predictor_apply(emb, store), target, lengths=lengths).backward()
+        mpc_loss(predictor_apply(emb, store)[mid], target[mid]).backward()
         return emb.data, {n: p.grad.copy() for n, p in store.named_parameters()}
 
-    emb, grads = run(x, target)
+    emb, grads = run(x)
+    others = np.ones(len(x), bool)
+    others[mid] = False
     noise = rng(7).normal(scale=3.0, size=x.shape)
-    pad = np.arange(T)[None, :, None] >= np.asarray(lengths)[:, None, None]
-    emb2, grads2 = run(np.where(pad, noise, x), np.where(pad, -noise, target))
-    for b, n in enumerate(lengths):
-        np.testing.assert_allclose(emb2[b, :n], emb[b, :n], rtol=1e-12, atol=1e-12)
+    emb2, grads2 = run(np.where(others[:, None], noise, x))
+    np.testing.assert_allclose(emb2[mid], emb[mid], rtol=1e-12, atol=1e-12)
     for name, g in grads.items():
         np.testing.assert_allclose(grads2[name], g, rtol=1e-10, atol=1e-14, err_msg=name)
 
