@@ -7,9 +7,9 @@ frozen-feature linear probe with a shallow-inference sweep.
 
 Every forward-only diagnostic runs one packed batch per chunk of
 length-sorted utterances through a single traced forward without a graph,
-then cuts each utterance's trace entries out by its row range. Depth m is a prefix of
-the stack, so the shallow-inference sweep reads every requested depth from
-one trace at the deepest of them.
+then cuts each utterance's trace entries out by its row range. Depth m is a
+prefix of the stack, so the shallow-inference sweep reads every requested
+depth from one trace at the deepest of them.
 """
 
 from __future__ import annotations

@@ -400,7 +400,7 @@ def _train_state(ck_cfg: dict[str, str]) -> list:
             value = parse(raw)
         except ValueError:
             value = None
-        if value is None or value != value or (parse is int and value < 0):
+        if value is None or (parse is int and value < 0) or (parse is float and np.isnan(value)):
             kind = "a non-negative int" if parse is int else "a number"
             raise FormatError(f"checkpoint {key} must be {kind}, got {raw!r}")
         values.append(value)

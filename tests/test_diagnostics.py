@@ -488,7 +488,7 @@ def test_batched_traces_match_per_utterance(float64):
     idx = [7, 2, 19, 0, 11, 5, 13, 3, 16]
     lengths = sorted(corpus.sequences[i].num_frames for i in idx)
     chunks = [lengths[k:k + 4] for k in range(0, len(lengths), 4)]
-    assert any(len(set(c)) > 1 for c in chunks)  # some chunk is really padded
+    assert any(len(set(c)) > 1 for c in chunks)  # some chunk packs unequal lengths
     traces = collect_traces(store, corpus, idx, masked=False, batch_size=4)
     assert len(traces) == len(idx)
     for i, trace in zip(idx, traces):

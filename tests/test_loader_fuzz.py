@@ -9,8 +9,14 @@ Config files are generated from the schema itself: every section and key,
 with values drawn from valid tokens, non-finite and huge numbers, empty
 strings and raw bytes, and keys that may repeat. They are only parsed and
 validated; nothing is built from them, since their sizes are unbounded.
+
+The text a `pretrain --resume` reads besides the checkpoint's tensors, the
+`metrics.jsonl` rows and the checkpoint's `train.*` values, is fuzzed the same
+way: it may parse or raise ``FormatError``, and a rejected metrics file is
+left as it was.
 """
 
+import json
 import math
 import struct
 from dataclasses import fields
@@ -20,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sharedformer import codec
+from sharedformer import codec, training
 from sharedformer.config import SECTIONS, RunConfig, load_config
 from sharedformer.encoder import (CHECKPOINT_MAGIC, ConformerConfig, ParameterStore,
                                   load_checkpoint, save_checkpoint, store_from_checkpoint)
@@ -181,3 +187,48 @@ def test_fuzzed_config_raises_only_config_error(config_dir, entries):
         for f in schema:
             if f.type == "float":
                 assert math.isfinite(getattr(getattr(cfg, name), f.name)), f"{name}.{f.name}"
+
+
+# ---- pretrain --resume inputs -------------------------------------------------
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers(-5, 1 << 40) | st.floats()
+                    | st.text(max_size=4),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.sampled_from(["step", "lr", "x"]), inner, max_size=3),
+                    max_leaves=6)
+ROW = st.one_of(st.integers(1, 6).map(lambda s: json.dumps({"step": s, "lr": 0.5}).encode()),
+                JSON.map(lambda v: json.dumps(v).encode()),
+                st.dictionaries(st.just("step"), JSON, min_size=1).map(
+                    lambda v: json.dumps(v).encode()),
+                st.integers(1, 300_000).map(lambda n: b"[" * n),
+                st.binary(max_size=12))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(rows=st.lists(ROW.filter(lambda r: b"\n" not in r), max_size=5), step=st.integers(0, 4),
+       partial=st.binary(max_size=4))
+@example(rows=[b"[" * 200_000], step=1, partial=b"")
+def test_fuzzed_metrics_rows_raise_only_format_error(config_dir, rows, step, partial):
+    path = config_dir / "metrics.jsonl"
+    data = b"".join(r + b"\n" for r in rows) + partial.replace(b"\n", b"")
+    path.write_bytes(data)
+    try:
+        training._truncate_metrics(path, step)
+    except FormatError:
+        assert path.read_bytes() == data  # a rejected file is left as it was
+        return
+    kept = path.read_bytes()
+    assert data.startswith(kept) and (not kept or kept.endswith(b"\n"))
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(values=st.dictionaries(st.sampled_from([key for key, _, _ in training._TRAIN_STATE]),
+                              st.one_of(st.text(max_size=8), st.sampled_from(TOKENS))))
+@example(values={"train.step": "x"})
+@example(values={"train.best_val_loss": "0.3.1"})
+def test_fuzzed_train_state_raises_only_format_error(values):
+    try:
+        step, best_val, best_step, layer_apps = training._train_state(values)
+    except FormatError:
+        return
+    assert min(step, best_step, layer_apps) >= 0 and not math.isnan(best_val)
