@@ -17,9 +17,11 @@ projection is one graph node. A batch of utterances is packed: one (N, d)
 array whose slot b owns the next `lengths[b]` rows, N being their sum. The
 depthwise convolution runs along each slot's rows, and `attention` is one
 node that computes softmax(q k^T + bias) v with optional boolean dropout
-masks per slot, on (N, h, dh) rows, in L2-sized tiles of query rows (a ones
-column on v gives the row sums, and the row-max shift runs only where a
-tile's maxima leave a safe band), with a closed-form backward.
+masks per slot, on (N, h, dh) rows, in L2-sized tiles of query rows, with a
+closed-form backward. A ones column on v gives the row sums; on long slots
+the keys are read from one contiguous copy, the tiles of a forward-only pass
+share one scratch array, and the row-max shift runs only where a tile's row
+sums fail to prove every row max inside a safe band.
 
 Each module of a Conformer block, its residual included, is one node as
 well: `feed_forward`, `self_attention` (whose core is `attention`'s) and
@@ -37,6 +39,7 @@ finite-difference verification. Tensors keep the dtype they were created with.
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -512,7 +515,8 @@ def _conv_grads(g: np.ndarray, xpad: np.ndarray, kernel: Tensor, lengths: list[i
 # Query rows per attention tile: a tile's (h, rows, T_b) logits take at most
 # about this many bytes, so every pass over a tile runs from L2 (2 MiB per
 # core on the machine the budget was measured on). At 2 float32 heads a slot
-# of up to 256 frames is one tile.
+# of up to 256 frames is one tile. Without a graph, the tiles of a slot that
+# spans several share one scratch array per call.
 _TILE_BYTES = 512 * 1024
 # exp may skip the row-max shift when every row max of a tile lies in
 # [-_BAND, _BAND]. Above the band a row sum could overflow: within it every
@@ -523,10 +527,46 @@ _TILE_BYTES = 512 * 1024
 # e^-20, and a term lost to underflow (logit < -87.3, the smallest normal
 # float32) is under e^-67 of it, so even T_b < 1e22 of them sum to far below
 # float32 rounding (2^-24). float64's limits are wider on both sides.
-# Slots shorter than _BAND_MIN_FRAMES always shift: there the check (about
-# 3 us) costs as much as the subtract pass it saves.
+# Slots shorter than _BAND_MIN_FRAMES always shift: there a band check
+# costs about as much as the subtract pass it saves.
+#
+# On longer slots the band is read off the row sums s, which the forward
+# needs anyway, so no row-max pass runs: exp the unshifted logits, then keep
+# the tile if every s lies in [T_b e^(-20 + m), e^(20 - m)], m = _BAND_MARGIN.
+# With M a row's max and u the unit roundoff, exp is within 4u of e^x (a
+# subnormal result within 2^-126 of it), and a computed sum of T_b
+# nonnegative terms, in any order, is within gamma = T_b u / (1 - T_b u) of
+# the exact one. So:
+# - if M > 20, the largest term is above e^20 (1 - 4u) (or is inf), and
+#   s > e^20 (1 - 4u)(1 - gamma) > e^(20 - m);
+# - if M < -20, every term is at most e^-20 (1 + 4u), and
+#   s <= T_b e^-20 (1 + 4u)(1 + gamma) < T_b e^(-20 + m);
+# both whenever (1 + 4u)(1 + gamma) < e^m. For m = 0.01 that holds up to
+# T_b = _BAND_MAX_FRAMES = 2^16 in float32: T_b u <= 2^-8, so gamma < 0.004
+# against e^0.01 - 1 = 0.01005, which also covers rounding the bounds to
+# float32 (float64's u is 2^29 times smaller). A tile that passes thus has
+# every row max in the band, exactly where the shift is skipped anyway, so
+# its bits are those of the row-max path. A tile that fails (NaN and +-inf
+# rows included) recomputes its logits and takes the row-max path.
 _BAND = 20.0
 _BAND_MIN_FRAMES = 64
+_BAND_MAX_FRAMES = 2 ** 16
+_BAND_MARGIN = 0.01
+_BAND_LO, _BAND_HI = math.exp(_BAND_MARGIN - _BAND), math.exp(_BAND - _BAND_MARGIN)
+# Slots of at least _COPY_MIN_FRAMES frames read k (forward) and v (backward,
+# in dO V^T) from a contiguous (h, d, T_b) copy instead of the strided view
+# of the packed rows, so BLAS runs its plain product instead of the one with
+# a transposed operand, up to 1.9x slower here. timeit, 2 float32 heads of
+# 8, one BLAS thread, the whole slot's q k^T: 4.69 against 4.72 us with the
+# copy at T_b = 40, 6.75 against 5.72 at 64, 28.8 against 19.5 at 200;
+# dO V^T: 2.63 against 2.68 at 40, 4.25 against 3.49 at 64, 29.2 against
+# 20.2 at 200. The two products agree bit for bit only where BLAS sums each
+# dot product in the same order. On OpenBLAS 0.3.31 that holds in float32
+# for d below _COPY_MAX_DIM and products of two rows or more (a one-row
+# product is a gemv, and a one-row tile reads the view); float64 (d = 8 from
+# about 200 frames on) and float32 at d = 32 differ, so they keep the view.
+_COPY_MIN_FRAMES = 64
+_COPY_MAX_DIM = 32
 
 
 def _slot_lengths(n: int, h: int, bias: np.ndarray | None,
@@ -548,6 +588,33 @@ def _heads(a: np.ndarray, at: int, t: int) -> np.ndarray:
     return a[at:at + t].transpose(1, 0, 2)
 
 
+def _plain(view: np.ndarray) -> np.ndarray:
+    """A strided (h, d, T_b) view of packed rows, copied contiguous where the
+    copy pays and keeps the product's bits (see `_COPY_MIN_FRAMES`)."""
+    _, d, t = view.shape
+    if t >= _COPY_MIN_FRAMES and d < _COPY_MAX_DIM and view.dtype == np.float32:
+        return np.ascontiguousarray(view)
+    return view
+
+
+def _logits(qt: np.ndarray, kt: np.ndarray, bias, r0: int, out: np.ndarray | None) -> np.ndarray:
+    """A tile's (h, rows, T_b) logits q k^T plus its rows of `bias`, into `out` if given."""
+    e = qt @ kt if out is None else np.matmul(qt, kt, out=out)
+    if bias is not None:
+        e += bias[r0:r0 + e.shape[1], :e.shape[2]]
+    return e
+
+
+def _exp_sums(e: np.ndarray, vb: np.ndarray, keep) -> tuple[np.ndarray | None, np.ndarray]:
+    """exp(e) in place, then (e @ vb, the row sums), or (None, the row sums)
+    with dropout. Without dropout vb's last column is ones."""
+    np.exp(e, out=e)
+    if keep is None:
+        p = e @ vb
+        return p, p[..., -1:]
+    return None, _sum_last(e)
+
+
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: float,
             lengths: list[int], graph: bool) -> tuple[np.ndarray, list]:
     """`attention`'s forward on packed (N, h, d) rows: (out, what the backward keeps).
@@ -564,32 +631,49 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
         vs[..., :dv] = v
         vs[..., dv] = 1.0
     tile_cells = max(1, _TILE_BYTES // (h * out.itemsize))  # rows x T_b per tile
+    scratch = None
     at = 0
     for b, tb in enumerate(lengths):
         qb, ob, vb = (_heads(a, at, tb) for a in (q, out, vs))
-        kt = k[at:at + tb].transpose(1, 2, 0)
+        kv = k[at:at + tb].transpose(1, 2, 0)
+        kt = _plain(kv)
         at += tb
         rows = max(1, tile_cells // tb)
+        tiled = rows < tb
         # a graph keeps the whole exp'd block and the row sums for the backward
-        e_all = np.empty((h, tb, tb), out.dtype) if graph and rows < tb else None
+        e_all = np.empty((h, tb, tb), out.dtype) if graph and tiled else None
         s_all = np.empty((h, tb, 1), out.dtype) if graph else None
+        if tiled and not graph and scratch is None:
+            scratch = np.empty(h * tile_cells, out.dtype)
+        banded = _BAND_MIN_FRAMES <= tb <= _BAND_MAX_FRAMES
+        lo = tb * _BAND_LO  # the row sums' floor
         for r0 in range(0, tb, rows):
             r1 = min(r0 + rows, tb)
             qt = qb[:, r0:r1]
-            e = qt @ kt if e_all is None else np.matmul(qt, kt, out=e_all[:, r0:r1])
-            if bias is not None:
-                e += bias[r0:r1, :tb]
-            mx = np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
-            if tb < _BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND:  # NaN, -inf: shift
-                e -= mx
-            np.exp(e, out=e)
+            kr = kt if r1 - r0 > 1 else kv  # a one-row product is a gemv (see _COPY_MIN_FRAMES)
+            if not tiled:
+                dest = None
+            elif graph:
+                dest = e_all[:, r0:r1]
+            else:
+                dest = scratch[:h * (r1 - r0) * tb].reshape(h, r1 - r0, tb)
+            e = None
+            if banded:  # speculative: exp the unshifted logits, then check the row sums
+                with np.errstate(over="ignore", invalid="ignore"):
+                    e = _logits(qt, kr, bias, r0, dest)
+                    p, s = _exp_sums(e, vb, keep)
+                if not (lo <= s.min() and s.max() <= _BAND_HI):  # NaN fails too
+                    dest, e = e, None
+            if e is None:
+                e = _logits(qt, kr, bias, r0, dest)
+                mx = np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
+                if tb < _BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND:  # NaN, -inf: shift
+                    e -= mx
+                p, s = _exp_sums(e, vb, keep)
             o = ob[:, r0:r1]
             if keep is None:
-                p = e @ vb
-                s = p[..., dv:]
                 np.divide(p[..., :dv], s, out=o)
-            else:
-                s = _sum_last(e)  # the row sums before dropout
+            else:  # s: the row sums before dropout
                 kb = keep[b][:, r0:r1]
                 np.divide((e * kb if graph else np.multiply(e, kb, out=e)) @ vb, s, out=o)
                 o *= scale
@@ -615,7 +699,7 @@ def _attend_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
             _heads(gv, at, tb)[...] = np.swapaxes(w, -1, -2) @ (do * r)
         if gq is not None or gk is not None:
             # dS / r, its row scale r applied to the (T_b, dh) products instead
-            ds = do @ v[at:at + tb].transpose(1, 2, 0)  # dL/dW
+            ds = do @ _plain(v[at:at + tb].transpose(1, 2, 0))  # dL/dW
             if keep is not None:
                 ds *= keep[b]
             ds -= _sum_last(do * _heads(out, at, tb), 1.0 / scale)
@@ -716,13 +800,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
     (h, rows, T_b) logits fit `_TILE_BYTES`, so a long slot's passes run from
     L2: logits plus `bias[:T_b, :T_b]` of a constant (T, T) bias, T the
     longest slot, the row maxima, a shift by them unless the tile's maxima all
-    lie in the safe band [-_BAND, _BAND] (softmax is shift-invariant; checked
-    only on slots of at least `_BAND_MIN_FRAMES`), exp, then the optional
-    boolean `keep[b]` (h, T_b, T_b) drops weights (inverted dropout, the kept
-    ones scaled by `keep_scale`). The weights are never normalised: the
-    (h, rows, dv) output is divided by the row sums instead. Without dropout
-    v carries an extra ones column, so one product gives the numerator and
-    the row sums; with dropout the row sums are taken before the mask.
+    lie in the safe band [-_BAND, _BAND] (softmax is shift-invariant), exp,
+    then the optional boolean `keep[b]` (h, T_b, T_b) drops weights (inverted
+    dropout, the kept ones scaled by `keep_scale`). The weights are never
+    normalised: the (h, rows, dv) output is divided by the row sums instead.
+    Without dropout v carries an extra ones column, so one product gives the
+    numerator and the row sums; with dropout the row sums are taken before
+    the mask.
+
+    Slots of at least `_BAND_MIN_FRAMES` frames skip the row-max pass when
+    they can: a tile first exps its unshifted logits, and if every row sum
+    lies within bounds that prove every row max is in the band, it is kept;
+    otherwise its logits are recomputed and take the path above, so the bits
+    are the same either way. On slots of at least `_COPY_MIN_FRAMES` frames
+    the keys are read from a contiguous (h, dh, T_b) copy where that gives
+    the same bits (float32, dh < `_COPY_MAX_DIM`), and without a graph the
+    tiles of a slot that spans several reuse one scratch array.
 
     A graph writes each tile into the slot's whole exp'd block e and saves it
     with its row sums s; the softmax is P = e / s (whatever shift each row

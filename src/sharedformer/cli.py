@@ -24,7 +24,7 @@ from .errors import (ConfigError, ContractError, DimensionError,
                      SharedformerError)
 from .features import (LabeledCorpus, load_features, load_labels, save_features,
                        save_labels, synth_corpus)
-from .training import parse_depth, train
+from .training import parse_depth, train, train_state
 
 
 def _split_overrides(argv: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
@@ -82,6 +82,10 @@ def cmd_synth(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
 
 
 def cmd_pretrain(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
+    if ckpt is not None:  # a resume continues its run's streams: --train.seed is for a fresh run
+        seed = train_state(ckpt[0]).seed
+        if seed is not None:
+            cfg.train.seed = seed
     corpus = _load_corpus(args.data)
     result = train(corpus, cfg.model, cfg.train, cfg.mask, out_dir=Path(args.out),
                    resume_from=ckpt, echo=cfg.echo())

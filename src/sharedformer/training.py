@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,7 +250,8 @@ def train(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainConfig,
           resume_from: Checkpoint | None = None, echo: str | None = None) -> TrainResult:
     """Pretrain in float32; every input is checked before `out_dir` is written.
 
-    A `resume_from` checkpoint's model config must be `model_cfg`. The
+    A `resume_from` checkpoint's model config must be `model_cfg`, its seed
+    (when it records one) `cfg.seed`, and its step at most `cfg.max_steps`. The
     directory is written in one order: the metrics file cut back to the
     resume step, `echo` as resolved_config.ini, then rows and checkpoints.
     """
@@ -276,7 +278,14 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             raise ContractError(f"model {model_cfg} is not the resume checkpoint's {store.config}")
         adam.m = _adam_moment(store, tensors, "adam.m.")
         adam.v = _adam_moment(store, tensors, "adam.v.")
-        start_step, best_val, best_step, cum_layer_apps = _train_state(ck_cfg)
+        state = train_state(ck_cfg)
+        if state.seed is not None and state.seed != cfg.seed:
+            raise ContractError(f"seed {cfg.seed} is not the resume checkpoint's {state.seed}")
+        if cfg.max_steps < state.step:
+            raise ConfigError(f"train.max_steps={cfg.max_steps} is below the resume "
+                              f"checkpoint's step {state.step}")
+        start_step, best_val, best_step = state.step, state.best_val_loss, state.best_step
+        cum_layer_apps = state.cum_layer_apps
         adam.step = start_step
     else:
         store = ParameterStore.init(model_cfg, substream(cfg.seed, "init"))
@@ -382,20 +391,33 @@ def _save_train_checkpoint(path, store: ParameterStore, adam: AdamState, step: i
     save_checkpoint(path, store, extra_cfg, moments=moments)
 
 
-# a checkpoint's train state: config key, parse, default when absent
+class TrainState(NamedTuple):
+    """A checkpoint's train.* block: where its run stopped, and under which seed."""
+    step: int
+    best_val_loss: float
+    best_step: int
+    cum_layer_apps: int
+    seed: int | None  # None: the checkpoint records no seed
+
+
+# a checkpoint's train state: config key, parse, default when absent (None: no value)
 _TRAIN_STATE = (("train.step", int, "0"), ("train.best_val_loss", float, "inf"),
-                ("train.best_step", int, "0"), ("train.cum_layer_apps", int, "0"))
+                ("train.best_step", int, "0"), ("train.cum_layer_apps", int, "0"),
+                ("train.seed", int, None))
 
 
-def _train_state(ck_cfg: dict[str, str]) -> list:
-    """A checkpoint's step, best validation loss, best step and layer count.
+def train_state(ck_cfg: dict[str, str]) -> TrainState:
+    """A checkpoint's step, best validation loss, best step, layer count and seed.
 
-    Counts must be non-negative integers and the loss a number; anything else
-    is a FormatError.
+    Counts and the seed must be non-negative integers and the loss a number;
+    anything else is a FormatError.
     """
     values = []
     for key, parse, default in _TRAIN_STATE:
         raw = ck_cfg.get(key, default)
+        if raw is None:
+            values.append(None)
+            continue
         try:
             value = parse(raw)
         except ValueError:
@@ -404,7 +426,7 @@ def _train_state(ck_cfg: dict[str, str]) -> list:
             kind = "a non-negative int" if parse is int else "a number"
             raise FormatError(f"checkpoint {key} must be {kind}, got {raw!r}")
         values.append(value)
-    return values
+    return TrainState(*values)
 
 
 def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],

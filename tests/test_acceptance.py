@@ -2,7 +2,9 @@
 
 Two 2000-step models are trained once per session (shared parameters with
 uniform depth sampling, and the unshared fixed-depth baseline) and every
-criterion reads from them. Each test prints a single pass/fail line.
+criterion reads from them. Each test prints a single pass/fail line. The
+tests that need those trainings, or the rerun criterion 9 compares against,
+are marked `slow`: `pytest -m "not slow"` skips all three trainings.
 
 Training is single-threaded, so the baseline trains in a forked child process
 while the shared model and then its determinism rerun train in this one; on a
@@ -200,6 +202,7 @@ def test_criterion_3_parameter_arithmetic(report):
 # ---- criterion 4: compute ratios ---------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_compute_ratios(model_a, model_b, report):
     rep = flop_report(ConformerConfig(), 100)
     ratio_exact = rep.sli_ratio_at(5)
@@ -244,6 +247,7 @@ def mean_eval_cosine(store, corpus):
     return layer_transitions(traces).mean_cosine(from_layer=2)
 
 
+@pytest.mark.slow
 def test_criterion_6_layer_consistency(corpus, model_a, model_b, report):
     cos_a = mean_eval_cosine(model_a[0].store, corpus)
     cos_b = mean_eval_cosine(model_b[0].store, corpus)
@@ -256,6 +260,7 @@ def test_criterion_6_layer_consistency(corpus, model_a, model_b, report):
 # ---- criterion 7: shallow-inference stability --------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_sli_stability(corpus, model_a, report, logistic_oracle):
     store = model_a[0].store
     results = {r.layer: r.accuracy for r in sli_sweep(store, corpus, [5, 8], seed=0)}
@@ -282,6 +287,7 @@ def test_criterion_7_sli_stability(corpus, model_a, report, logistic_oracle):
 # ---- criterion 8: training sanity and retention ------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_training_sanity(corpus, model_a, tmp_path, report):
     metrics = model_a[0].metrics
     initial, final = metrics[0]["train_loss"], metrics[-1]["train_loss"]
@@ -308,6 +314,7 @@ def test_criterion_8_training_sanity(corpus, model_a, tmp_path, report):
 # ---- criterion 9: determinism ------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(model_a, model_a_rerun, report):
     _, dir_a = model_a
     _, dir_b = model_a_rerun

@@ -239,6 +239,35 @@ def test_rejected_resume_leaves_the_run_directory_as_it_was(tmp_path, corpus_dir
     assert (out / "metrics.jsonl").read_bytes() == b""
 
 
+def test_resume_continues_under_the_checkpoint_seed(tmp_path, corpus_dir):
+    data = ["--data", str(corpus_dir / "features.bin")]
+    seeded = [*QUICK, "--train.seed=5"]
+    assert main(["pretrain", *data, *seeded, "--train.max_steps=8",
+                 "--out", str(tmp_path / "full")]) == 0
+    assert main(["pretrain", *data, *seeded, "--out", str(tmp_path / "part")]) == 0
+    # no --train.seed: the resume takes seed 5 from the checkpoint
+    assert main(["pretrain", *data, *QUICK, "--train.max_steps=8", "--out", str(tmp_path / "part"),
+                 "--resume", str(tmp_path / "part/final.ckpt")]) == 0
+    for name in ("metrics.jsonl", "best.ckpt", "final.ckpt", "resolved_config.ini"):
+        assert (tmp_path / "part" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    assert "seed=5" in (tmp_path / "part/resolved_config.ini").read_text().split("[train]")[1]
+
+
+def test_resume_below_the_checkpoint_step_is_rejected(tmp_path, corpus_dir, capsys):
+    out = tmp_path / "out"
+    data = ["--data", str(corpus_dir / "features.bin")]
+    assert main(["pretrain", *data, *QUICK, "--train.max_steps=8", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    resume = ["--out", str(out), "--resume", str(out / "final.ckpt")]
+    assert main(["pretrain", *data, *QUICK, *resume]) == 2  # max_steps=4 < step 8
+    assert "below the resume checkpoint's step 8" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # resuming to the checkpoint's own step trains nothing and rewrites the same bytes
+    assert main(["pretrain", *data, *QUICK, "--train.max_steps=8", *resume]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def _edit_config_line(ckpt, key, value):
     """Rewrite one key=value line of a checkpoint's config block in place."""
     data = ckpt.read_bytes()
@@ -267,8 +296,11 @@ def _first_row(out, row):
     lambda out: _edit_config_line(out / "final.ckpt", "train.best_val_loss", "0.3.1"),
     lambda out: _edit_config_line(out / "final.ckpt", "train.best_val_loss", "nan"),
     lambda out: _edit_config_line(out / "final.ckpt", "train.cum_layer_apps", "1e3"),
+    lambda out: _edit_config_line(out / "final.ckpt", "train.seed", "x"),
+    lambda out: _edit_config_line(out / "final.ckpt", "train.seed", "-1"),
 ], ids=["deep-row", "string-step", "bool-step", "nested-row", "list-row", "step-x",
-        "negative-step", "garbled-best-val", "nan-best-val", "float-layer-count"])
+        "negative-step", "garbled-best-val", "nan-best-val", "float-layer-count",
+        "garbled-seed", "negative-seed"])
 def test_malformed_resume_input_is_input_error(tmp_path, corpus_dir, capsys, doctor):
     out = tmp_path / "out"
     data = ["--data", str(corpus_dir / "features.bin")]

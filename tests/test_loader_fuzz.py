@@ -13,13 +13,20 @@ validated; nothing is built from them, since their sizes are unbounded.
 The text a `pretrain --resume` reads besides the checkpoint's tensors, the
 `metrics.jsonl` rows and the checkpoint's `train.*` values, is fuzzed the same
 way: it may parse or raise ``FormatError``, and a rejected metrics file is
-left as it was.
+left as it was. The same mutations then go through ``cli.main`` on a real
+run directory: ``pretrain --resume`` may exit only 0, 2 or 3, a rejected
+resume leaves every file as it was, and a finished one ends at its
+``max_steps`` under the resumed checkpoint's seed.
 """
 
+import contextlib
+import io
 import json
 import math
 import struct
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sharedformer import codec, training
+from sharedformer.cli import main
 from sharedformer.config import SECTIONS, RunConfig, load_config
 from sharedformer.encoder import (CHECKPOINT_MAGIC, ConformerConfig, ParameterStore,
                                   load_checkpoint, save_checkpoint, store_from_checkpoint)
@@ -226,9 +234,88 @@ def test_fuzzed_metrics_rows_raise_only_format_error(config_dir, rows, step, par
                               st.one_of(st.text(max_size=8), st.sampled_from(TOKENS))))
 @example(values={"train.step": "x"})
 @example(values={"train.best_val_loss": "0.3.1"})
+@example(values={"train.seed": "-1"})
 def test_fuzzed_train_state_raises_only_format_error(values):
     try:
-        step, best_val, best_step, layer_apps = training._train_state(values)
+        state = training.train_state(values)
     except FormatError:
         return
-    assert min(step, best_step, layer_apps) >= 0 and not math.isnan(best_val)
+    assert min(state.step, state.best_step, state.cum_layer_apps) >= 0
+    assert not math.isnan(state.best_val_loss)
+    assert state.seed is None if "train.seed" not in values else state.seed >= 0
+
+
+# ---- pretrain --resume on a mutated run directory ----------------------------
+
+RUN = ["--data.num_utts=12", "--data.t_min=6", "--data.t_max=12", "--model.model_dim=8",
+       "--model.ff_dim=8", "--model.max_layers=2", "--train.depth=uniform:1:2",
+       "--train.batch_size=3", "--train.warmup_steps=2", "--train.validation_every=2"]
+
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    """A real 4-step run directory (its files' bytes) and the corpus it trained on."""
+    root = tmp_path_factory.mktemp("resume-fuzz")
+    assert main(["synth", "--out", str(root / "corpus"), *RUN]) == 0
+    data = ["--data", str(root / "corpus/features.bin")]
+    assert main(["pretrain", *data, *RUN, "--train.max_steps=4", "--out", str(root / "run")]) == 0
+    return data, {p.name: p.read_bytes() for p in (root / "run").iterdir()}
+
+
+def _config_block(ckpt: bytes) -> tuple[list[str], bytes]:
+    (size,) = struct.unpack_from("<I", ckpt, 8)
+    return ckpt[12:12 + size].decode().splitlines(), ckpt[12 + size:]
+
+
+def _with_config_block(ckpt: bytes, lines: list[str]) -> bytes:
+    _, rest = _config_block(ckpt)
+    block = "".join(line + "\n" for line in lines).encode()
+    return ckpt[:8] + struct.pack("<I", len(block)) + block + rest
+
+
+VALUE = st.one_of(st.sampled_from(TOKENS + ["3", "4", "5", "8", "12", "16"]),
+                  st.integers(-2, 10).map(str), st.text(max_size=6).filter(lambda t: "\n" not in t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 5), ROW.filter(lambda r: b"\n" not in r)),
+                     max_size=2),
+       values=st.lists(st.tuples(st.integers(0, 1 << 10), VALUE), max_size=2),
+       max_steps=st.integers(0, 8))
+@example(rows=[], values=[], max_steps=2)  # below the checkpoint's step
+@example(rows=[], values=[(0, "7")], max_steps=6)  # line 0 after sorting: a train.* key
+@example(rows=[(1, b"[" * 200_000)], values=[], max_steps=6)
+def test_fuzzed_run_directory_resume_exits_cleanly(run_files, rows, values, max_steps):
+    """`pretrain --resume` on a mutated run directory exits 0, 2 or 3; a
+    rejected resume leaves every file as it was, and a finished one ends its
+    rows and its final checkpoint at max_steps, under the resumed seed."""
+    data, files = run_files
+    metrics = files["metrics.jsonl"].splitlines(keepends=True)
+    for at, row in rows:  # replace a row, or append one past the end
+        metrics[at:at + 1] = [row + b"\n"]
+    lines, _ = _config_block(files["final.ckpt"])
+    lines = sorted(lines, key=lambda l: (not l.startswith("train."), l))
+    for at, value in values:
+        key = lines[at % len(lines)].partition("=")[0]
+        lines[at % len(lines)] = f"{key}={value}"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for name, blob in files.items():
+            (out / name).write_bytes(blob)
+        (out / "metrics.jsonl").write_bytes(b"".join(metrics))
+        (out / "final.ckpt").write_bytes(_with_config_block(files["final.ckpt"], lines))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["pretrain", *data, *RUN, f"--train.max_steps={max_steps}",
+                         "--out", str(out), "--resume", str(out / "final.ckpt")])
+        assert code in (0, 2, 3)
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        if code:
+            assert after == before
+            return
+        seed = dict(line.partition("=")[::2] for line in lines).get("train.seed")
+        final = load_checkpoint(out / "final.ckpt")[0]
+        assert int(final["train.step"]) == max_steps
+        assert seed is None or int(final["train.seed"]) == int(seed)
+        rows = after["metrics.jsonl"].splitlines()
+        assert (json.loads(rows[-1])["step"] if rows else 0) == max_steps

@@ -369,6 +369,16 @@ def test_resume_rejects_a_model_config_other_than_the_checkpoint_s(tmp_path):
     assert (tmp_path / "metrics.jsonl").read_bytes() == metrics
 
 
+def test_resume_rejects_a_seed_other_than_the_checkpoint_s(tmp_path):
+    corpus = small_corpus()
+    train(corpus, ConformerConfig(), quick_train_config(max_steps=2, seed=5), out_dir=tmp_path)
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ContractError, match="seed 0 is not the resume checkpoint's 5"):
+        train(corpus, ConformerConfig(), quick_train_config(max_steps=4),
+              out_dir=tmp_path, resume_from=load_checkpoint(tmp_path / "final.ckpt"))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
 def test_resume_rejects_malformed_metrics_row(tmp_path):
     corpus = small_corpus()
     cfg = quick_train_config(max_steps=4, validation_every=2)
