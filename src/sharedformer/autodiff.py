@@ -516,7 +516,8 @@ def _conv_grads(g: np.ndarray, xpad: np.ndarray, kernel: Tensor, lengths: list[i
 # about this many bytes, so every pass over a tile runs from L2 (2 MiB per
 # core on the machine the budget was measured on). At 2 float32 heads a slot
 # of up to 256 frames is one tile. Without a graph, the tiles of a slot that
-# spans several share one scratch array per call.
+# spans several share one scratch array per call (against one fresh array
+# per tile: sli-long sli_frames_per_s.m8 +2.8%, 9 of 10 benchmark pairs).
 _TILE_BYTES = 512 * 1024
 # exp may skip the row-max shift when every row max of a tile lies in
 # [-_BAND, _BAND]. Above the band a row sum could overflow: within it every
@@ -547,7 +548,12 @@ _TILE_BYTES = 512 * 1024
 # float32 (float64's u is 2^29 times smaller). A tile that passes thus has
 # every row max in the band, exactly where the shift is skipped anyway, so
 # its bits are those of the row-max path. A tile that fails (NaN and +-inf
-# rows included) recomputes its logits and takes the row-max path.
+# rows included) recomputes its logits and takes the row-max path, and so do
+# the call's later tiles without trying the band first, so a failure wastes
+# one tile's q k^T, exp and row sums per call, not one per tile. timeit,
+# every logit out of the band, 2 float32 heads of 8, against the row-max
+# path alone: 1.02x at T_b = 800 (10 tiles), 1.15x for two 400-frame slots,
+# but 1.9x for a lone 200-frame slot, whose one tile is the whole call.
 _BAND = 20.0
 _BAND_MIN_FRAMES = 64
 _BAND_MAX_FRAMES = 2 ** 16
@@ -561,10 +567,15 @@ _BAND_LO, _BAND_HI = math.exp(_BAND_MARGIN - _BAND), math.exp(_BAND - _BAND_MARG
 # copy at T_b = 40, 6.75 against 5.72 at 64, 28.8 against 19.5 at 200;
 # dO V^T: 2.63 against 2.68 at 40, 4.25 against 3.49 at 64, 29.2 against
 # 20.2 at 200. The two products agree bit for bit only where BLAS sums each
-# dot product in the same order. On OpenBLAS 0.3.31 that holds in float32
-# for d below _COPY_MAX_DIM and products of two rows or more (a one-row
-# product is a gemv, and a one-row tile reads the view); float64 (d = 8 from
-# about 200 frames on) and float32 at d = 32 differ, so they keep the view.
+# dot product in the same order, which depends on the BLAS build and on the
+# kernels it picks for the CPU. On OpenBLAS 0.3.31 (DYNAMIC_ARCH, running
+# its SkylakeX kernels on an AVX-512 Xeon) that holds in float32 for d below
+# _COPY_MAX_DIM and products of two rows or more (a one-row product is a
+# gemv, and a one-row tile reads the view); float64 (d = 8 from about 200
+# frames on) and float32 at d = 32 differ, so they keep the view. Elsewhere
+# the copy may change the last bits of the outputs, within the product's
+# rounding error, so the attention is bitwise equal to the strided product
+# only on that build and CPU.
 _COPY_MIN_FRAMES = 64
 _COPY_MAX_DIM = 32
 
@@ -632,6 +643,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
         vs[..., dv] = 1.0
     tile_cells = max(1, _TILE_BYTES // (h * out.itemsize))  # rows x T_b per tile
     scratch = None
+    speculate = True  # until a tile of this call fails the row-sum check
     at = 0
     for b, tb in enumerate(lengths):
         qb, ob, vb = (_heads(a, at, tb) for a in (q, out, vs))
@@ -658,12 +670,12 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
             else:
                 dest = scratch[:h * (r1 - r0) * tb].reshape(h, r1 - r0, tb)
             e = None
-            if banded:  # speculative: exp the unshifted logits, then check the row sums
+            if banded and speculate:  # exp the unshifted logits, then check the row sums
                 with np.errstate(over="ignore", invalid="ignore"):
                     e = _logits(qt, kr, bias, r0, dest)
                     p, s = _exp_sums(e, vb, keep)
                 if not (lo <= s.min() and s.max() <= _BAND_HI):  # NaN fails too
-                    dest, e = e, None
+                    dest, e, speculate = e, None, False
             if e is None:
                 e = _logits(qt, kr, bias, r0, dest)
                 mx = np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
@@ -812,10 +824,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
     they can: a tile first exps its unshifted logits, and if every row sum
     lies within bounds that prove every row max is in the band, it is kept;
     otherwise its logits are recomputed and take the path above, so the bits
-    are the same either way. On slots of at least `_COPY_MIN_FRAMES` frames
-    the keys are read from a contiguous (h, dh, T_b) copy where that gives
-    the same bits (float32, dh < `_COPY_MAX_DIM`), and without a graph the
-    tiles of a slot that spans several reuse one scratch array.
+    are the same either way, and the call's later tiles take that path
+    directly. On slots of at least `_COPY_MIN_FRAMES` frames the keys are
+    read from a contiguous (h, dh, T_b) copy where that gave the strided
+    product's bits on the BLAS it was measured on (float32,
+    dh < `_COPY_MAX_DIM`; see there), and without a graph the tiles of a
+    slot that spans several reuse one scratch array.
 
     A graph writes each tile into the slot's whole exp'd block e and saves it
     with its row sums s; the softmax is P = e / s (whatever shift each row

@@ -1,12 +1,18 @@
-"""The attention core before keys were copied, tiles reused and the shift
+"""The attention core before tiles reused a scratch array and the shift was
 decided from the row sums: the oracle for `autodiff._attend` and
 `autodiff._attend_grads`.
 
-`attend` and `attend_grads` are frozen copies of that forward and backward.
-They read the tile budget and the band's minimum slot length from `autodiff`
-at call time, so a test that shrinks the tiles shrinks them here too. The
-attention core promises bitwise equality with these functions for every
-input, on both sides of the band and on both sides of a tile boundary.
+`attend` and `attend_grads` are frozen copies of that forward and backward,
+with one exception: they read k (and the backward's v) in the layout
+`autodiff._plain` picks, contiguous copy or strided view, and a one-row tile
+reads the view, as the attention core does. Whether BLAS gives the copy and
+the view the same bits depends on the BLAS build and the CPU, so the oracle
+does not pin it; `test_attention_bits` checks that product to a rounding
+bound instead. They read the tile budget and the band's minimum slot length
+from `autodiff` at call time, so a test that shrinks the tiles shrinks them
+here too. The attention core promises bitwise equality with these functions
+for every input, on both sides of the band and on both sides of a tile
+boundary.
 """
 
 import numpy as np
@@ -34,7 +40,8 @@ def attend(q, k, v, bias, keep, scale, lengths, graph):
     at = 0
     for b, tb in enumerate(lengths):
         qb, ob, vb = (_heads(a, at, tb) for a in (q, out, vs))
-        kt = k[at:at + tb].transpose(1, 2, 0)
+        kv = k[at:at + tb].transpose(1, 2, 0)
+        kt = ad._plain(kv)
         at += tb
         rows = max(1, tile_cells // tb)
         e_all = np.empty((h, tb, tb), out.dtype) if graph and rows < tb else None
@@ -42,7 +49,8 @@ def attend(q, k, v, bias, keep, scale, lengths, graph):
         for r0 in range(0, tb, rows):
             r1 = min(r0 + rows, tb)
             qt = qb[:, r0:r1]
-            e = qt @ kt if e_all is None else np.matmul(qt, kt, out=e_all[:, r0:r1])
+            kr = kt if r1 - r0 > 1 else kv
+            e = qt @ kr if e_all is None else np.matmul(qt, kr, out=e_all[:, r0:r1])
             if bias is not None:
                 e += bias[r0:r1, :tb]
             mx = np.fmax.reduce(e, axis=-1, keepdims=True)
@@ -77,7 +85,7 @@ def attend_grads(g, q, k, v, out, saved, keep, scale, lengths, need):
             w = e if keep is None else e * keep[b]
             _heads(gv, at, tb)[...] = np.swapaxes(w, -1, -2) @ (do * r)
         if gq is not None or gk is not None:
-            ds = do @ v[at:at + tb].transpose(1, 2, 0)
+            ds = do @ ad._plain(v[at:at + tb].transpose(1, 2, 0))
             if keep is not None:
                 ds *= keep[b]
             ds -= ad._sum_last(do * _heads(out, at, tb), 1.0 / scale)

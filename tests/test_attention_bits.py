@@ -1,12 +1,14 @@
 """The attention core against its frozen predecessor, bit for bit.
 
-`reference_attention` keeps the forward and backward from before the keys
-were copied, the tiles shared one scratch array and the shift was decided
-from the row sums. Every case here compares outputs, the saved block and row
-sums, and the q, k and v gradients with `np.array_equal`: on both sides of
-the band (logit gains x1, x40 and x400), on both sides of a tile boundary,
-with a one-row last tile, packed, with and without bias and dropout, in a
-graph and without one, in float32 and float64.
+`reference_attention` keeps the forward and backward from before the tiles
+shared one scratch array and the shift was decided from the row sums; it
+reads the keys in the layout `autodiff._plain` picks. Every case here
+compares outputs, the saved block and row sums, and the q, k and v gradients
+with `np.array_equal`: on both sides of the band (logit gains x1, x40 and
+x400), on both sides of a tile boundary, with a one-row last tile, packed,
+with and without bias and dropout, in a graph and without one, in float32
+and float64. The product on the contiguous key copy is checked against the
+strided view to a rounding bound, since its bits depend on the BLAS build.
 """
 
 import itertools
@@ -62,12 +64,32 @@ def test_attention_is_bitwise_the_reference(lengths, dtype, gain):
                          graph, r)
 
 
-@pytest.mark.parametrize("lengths", [[200], [800, 65]], ids=["200", "800+65"])
-def test_attention_keeps_the_strided_keys_where_the_copy_would_change_bits(lengths):
-    # float32 heads of 32 sum their dot products in another order once copied
-    q, k, v, bias, r = _inputs(3, lengths, 1, 32, np.float32, 1.0)
-    for graph in (False, True):
-        _assert_same(q, k, v, bias, None, 1.0, lengths, graph, r)
+def test_plain_copies_float32_slots_of_64_frames_with_narrow_heads():
+    for t, dh, dtype, copied in [(63, 8, np.float32, False), (64, 8, np.float32, True),
+                                 (800, 31, np.float32, True), (800, 32, np.float32, False),
+                                 (800, 8, np.float64, False)]:
+        view = np.zeros((t, 2, dh), dtype).transpose(1, 2, 0)
+        got = ad._plain(view)
+        assert np.shares_memory(got, view) != copied
+        assert got.flags.c_contiguous == copied
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("dh", [2, 8, 31, 32, 128])
+@pytest.mark.parametrize("T", [64, 200, 800])
+def test_copied_keys_give_the_strided_product_to_rounding(T, dh, dtype):
+    # BLAS may sum q k^T's dot products in another order on the copy than on
+    # the view; each computed sum of dh products is within about dh u of
+    # sum |q_i k_i| of the exact one (u the unit roundoff), so the two are
+    # within twice that of each other
+    r = np.random.default_rng(T + dh)
+    view = r.normal(size=(T, 2, dh)).astype(dtype).transpose(1, 2, 0)
+    copy = np.ascontiguousarray(view)
+    q = r.normal(size=(2, 81, dh)).astype(dtype)
+    for rows in (1, 2, 81):
+        qt = q[:, :rows]
+        bound = 2 * dh * np.finfo(dtype).eps * (np.abs(qt) @ np.abs(copy))
+        assert np.all(np.abs(qt @ view - qt @ copy) <= bound)
 
 
 def _count_logits(monkeypatch):
@@ -103,7 +125,19 @@ def test_row_sums_outside_the_bounds_take_the_row_max_path(monkeypatch, T, top, 
         calls.clear()
         _assert_same(zeros, zeros, v, bias, keep, 1.0 / (1.0 - p), [T], graph, r)
         tiles = len(range(0, T, max(1, ad._TILE_BYTES // (2 * 4) // T)))
-        assert len(calls) == tiles * (2 if fallback else 1)
+        assert len(calls) == tiles + fallback  # only the first failing tile is exp'd twice
+
+
+def test_a_failed_tile_ends_the_calls_speculation(monkeypatch):
+    # every logit is 72, far above the band: the call's first tile is exp'd
+    # twice, the other nine of the 800-frame slot and the 200-frame slot once
+    q = np.full((1000, 2, 8), 3.0, np.float32)
+    v = np.random.default_rng(9).normal(size=q.shape).astype(np.float32)
+    calls = _count_logits(monkeypatch)
+    for graph in (False, True):
+        calls.clear()
+        _assert_same(q, q, v, None, None, 1.0, [800, 200], graph, np.random.default_rng(10))
+        assert len(calls) == 10 + 1 + 1
 
 
 def test_the_speculative_pass_adds_no_warning():
