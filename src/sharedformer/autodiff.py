@@ -18,10 +18,10 @@ array whose slot b owns the next `lengths[b]` rows, N being their sum. The
 depthwise convolution runs along each slot's rows, and `attention` is one
 node that computes softmax(q k^T + bias) v with optional boolean dropout
 masks per slot, on (N, h, dh) rows, in L2-sized tiles of query rows, with a
-closed-form backward. A ones column on v gives the row sums; on long slots
-the keys are read from one contiguous copy, the tiles of a forward-only pass
-share one scratch array, and the row-max shift runs only where a tile's row
-sums fail to prove every row max inside a safe band.
+closed-form backward. A ones column on v gives the row sums, every tile
+reads its keys from one contiguous copy per call, the tiles of a
+forward-only pass share one scratch array, and the row-max shift runs only
+where a tile's row sums fail to prove every row max inside a safe band.
 
 Each module of a Conformer block, its residual included, is one node as
 well: `feed_forward`, `self_attention` (whose core is `attention`'s) and
@@ -515,9 +515,10 @@ def _conv_grads(g: np.ndarray, xpad: np.ndarray, kernel: Tensor, lengths: list[i
 # Query rows per attention tile: a tile's (h, rows, T_b) logits take at most
 # about this many bytes, so every pass over a tile runs from L2 (2 MiB per
 # core on the machine the budget was measured on). At 2 float32 heads a slot
-# of up to 256 frames is one tile. Without a graph, the tiles of a slot that
-# spans several share one scratch array per call (against one fresh array
-# per tile: sli-long sli_frames_per_s.m8 +2.8%, 9 of 10 benchmark pairs).
+# of up to 256 frames is one tile; a slot wider than the budget takes one-row
+# tiles. Without a graph, every tile of a call writes into one scratch array
+# sized for the call's largest tile (against one fresh array per tile:
+# sli-long sli_frames_per_s.m8 +2.8%, 9 of 10 benchmark pairs).
 _TILE_BYTES = 512 * 1024
 # exp may skip the row-max shift when every row max of a tile lies in
 # [-_BAND, _BAND]. Above the band a row sum could overflow: within it every
@@ -559,25 +560,6 @@ _BAND_MIN_FRAMES = 64
 _BAND_MAX_FRAMES = 2 ** 16
 _BAND_MARGIN = 0.01
 _BAND_LO, _BAND_HI = math.exp(_BAND_MARGIN - _BAND), math.exp(_BAND - _BAND_MARGIN)
-# Slots of at least _COPY_MIN_FRAMES frames read k (forward) and v (backward,
-# in dO V^T) from a contiguous (h, d, T_b) copy instead of the strided view
-# of the packed rows, so BLAS runs its plain product instead of the one with
-# a transposed operand, up to 1.9x slower here. timeit, 2 float32 heads of
-# 8, one BLAS thread, the whole slot's q k^T: 4.69 against 4.72 us with the
-# copy at T_b = 40, 6.75 against 5.72 at 64, 28.8 against 19.5 at 200;
-# dO V^T: 2.63 against 2.68 at 40, 4.25 against 3.49 at 64, 29.2 against
-# 20.2 at 200. The two products agree bit for bit only where BLAS sums each
-# dot product in the same order, which depends on the BLAS build and on the
-# kernels it picks for the CPU. On OpenBLAS 0.3.31 (DYNAMIC_ARCH, running
-# its SkylakeX kernels on an AVX-512 Xeon) that holds in float32 for d below
-# _COPY_MAX_DIM and products of two rows or more (a one-row product is a
-# gemv, and a one-row tile reads the view); float64 (d = 8 from about 200
-# frames on) and float32 at d = 32 differ, so they keep the view. Elsewhere
-# the copy may change the last bits of the outputs, within the product's
-# rounding error, so the attention is bitwise equal to the strided product
-# only on that build and CPU.
-_COPY_MIN_FRAMES = 64
-_COPY_MAX_DIM = 32
 
 
 def _slot_lengths(n: int, h: int, bias: np.ndarray | None,
@@ -599,18 +581,9 @@ def _heads(a: np.ndarray, at: int, t: int) -> np.ndarray:
     return a[at:at + t].transpose(1, 0, 2)
 
 
-def _plain(view: np.ndarray) -> np.ndarray:
-    """A strided (h, d, T_b) view of packed rows, copied contiguous where the
-    copy pays and keeps the product's bits (see `_COPY_MIN_FRAMES`)."""
-    _, d, t = view.shape
-    if t >= _COPY_MIN_FRAMES and d < _COPY_MAX_DIM and view.dtype == np.float32:
-        return np.ascontiguousarray(view)
-    return view
-
-
-def _logits(qt: np.ndarray, kt: np.ndarray, bias, r0: int, out: np.ndarray | None) -> np.ndarray:
-    """A tile's (h, rows, T_b) logits q k^T plus its rows of `bias`, into `out` if given."""
-    e = qt @ kt if out is None else np.matmul(qt, kt, out=out)
+def _logits(qt: np.ndarray, kt: np.ndarray, bias, r0: int, out: np.ndarray) -> np.ndarray:
+    """A tile's (h, rows, T_b) logits q k^T plus its rows of `bias`, into `out`."""
+    e = np.matmul(qt, kt, out=out)
     if bias is not None:
         e += bias[r0:r0 + e.shape[1], :e.shape[2]]
     return e
@@ -641,43 +614,37 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
         vs = np.empty((n, h, dv + 1), v.dtype)
         vs[..., :dv] = v
         vs[..., dv] = 1.0
+    kt_all = np.ascontiguousarray(k.transpose(1, 2, 0))  # (h, dh, N): a slot's keys are columns
     tile_cells = max(1, _TILE_BYTES // (h * out.itemsize))  # rows x T_b per tile
-    scratch = None
+    scratch = np.empty(0, out.dtype)  # without a graph, every tile's logits
     speculate = True  # until a tile of this call fails the row-sum check
     at = 0
     for b, tb in enumerate(lengths):
         qb, ob, vb = (_heads(a, at, tb) for a in (q, out, vs))
-        kv = k[at:at + tb].transpose(1, 2, 0)
-        kt = _plain(kv)
+        kt = kt_all[:, :, at:at + tb]
         at += tb
-        rows = max(1, tile_cells // tb)
-        tiled = rows < tb
+        rows = min(tb, max(1, tile_cells // tb))
+        if not graph and scratch.size < h * rows * tb:  # grown to the call's largest tile
+            scratch = np.empty(h * rows * tb, out.dtype)
         # a graph keeps the whole exp'd block and the row sums for the backward
-        e_all = np.empty((h, tb, tb), out.dtype) if graph and tiled else None
+        e_all = np.empty((h, tb, tb), out.dtype) if graph else None
         s_all = np.empty((h, tb, 1), out.dtype) if graph else None
-        if tiled and not graph and scratch is None:
-            scratch = np.empty(h * tile_cells, out.dtype)
         banded = _BAND_MIN_FRAMES <= tb <= _BAND_MAX_FRAMES
         lo = tb * _BAND_LO  # the row sums' floor
         for r0 in range(0, tb, rows):
             r1 = min(r0 + rows, tb)
             qt = qb[:, r0:r1]
-            kr = kt if r1 - r0 > 1 else kv  # a one-row product is a gemv (see _COPY_MIN_FRAMES)
-            if not tiled:
-                dest = None
-            elif graph:
-                dest = e_all[:, r0:r1]
-            else:
-                dest = scratch[:h * (r1 - r0) * tb].reshape(h, r1 - r0, tb)
+            dest = (e_all[:, r0:r1] if graph
+                    else scratch[:h * (r1 - r0) * tb].reshape(h, r1 - r0, tb))
             e = None
             if banded and speculate:  # exp the unshifted logits, then check the row sums
                 with np.errstate(over="ignore", invalid="ignore"):
-                    e = _logits(qt, kr, bias, r0, dest)
+                    e = _logits(qt, kt, bias, r0, dest)
                     p, s = _exp_sums(e, vb, keep)
                 if not (lo <= s.min() and s.max() <= _BAND_HI):  # NaN fails too
-                    dest, e, speculate = e, None, False
+                    e, speculate = None, False
             if e is None:
-                e = _logits(qt, kr, bias, r0, dest)
+                e = _logits(qt, kt, bias, r0, dest)
                 mx = np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
                 if tb < _BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND:  # NaN, -inf: shift
                     e -= mx
@@ -692,7 +659,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
             if graph:
                 s_all[:, r0:r1] = s
         if graph:
-            saved.append((e if e_all is None else e_all, s_all))
+            saved.append((e_all, s_all))
     return out, saved
 
 
@@ -702,6 +669,8 @@ def _attend_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     """`attention`'s backward: the (N, h, d) gradients of q, k and v where `need`ed."""
     gq, gk, gv = (np.empty(a.shape, a.dtype) if wanted else None
                   for wanted, a in zip(need, (q, k, v)))
+    if gq is not None or gk is not None:
+        vt_all = np.ascontiguousarray(v.transpose(1, 2, 0))  # (h, dv, N), as the forward's keys
     at = 0
     for b, (tb, (e, s)) in enumerate(zip(lengths, saved)):
         do = _heads(g, at, tb)
@@ -711,7 +680,7 @@ def _attend_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
             _heads(gv, at, tb)[...] = np.swapaxes(w, -1, -2) @ (do * r)
         if gq is not None or gk is not None:
             # dS / r, its row scale r applied to the (T_b, dh) products instead
-            ds = do @ _plain(v[at:at + tb].transpose(1, 2, 0))  # dL/dW
+            ds = do @ vt_all[:, :, at:at + tb]  # dL/dW
             if keep is not None:
                 ds *= keep[b]
             ds -= _sum_last(do * _heads(out, at, tb), 1.0 / scale)
@@ -825,11 +794,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
     lies within bounds that prove every row max is in the band, it is kept;
     otherwise its logits are recomputed and take the path above, so the bits
     are the same either way, and the call's later tiles take that path
-    directly. On slots of at least `_COPY_MIN_FRAMES` frames the keys are
-    read from a contiguous (h, dh, T_b) copy where that gave the strided
-    product's bits on the BLAS it was measured on (float32,
-    dh < `_COPY_MAX_DIM`; see there), and without a graph the tiles of a
-    slot that spans several reuse one scratch array.
+    directly. Every tile reads its slot's keys as columns of one contiguous
+    (h, dh, N) copy of k made per call (the backward reads v the same way
+    for dO V^T), so BLAS gets a plain operand instead of a strided view,
+    and without a graph every tile writes its logits into one scratch array.
 
     A graph writes each tile into the slot's whole exp'd block e and saves it
     with its row sums s; the softmax is P = e / s (whatever shift each row

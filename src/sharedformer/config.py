@@ -32,6 +32,8 @@ class DataSection:
     noise_sigma: float = 0.1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_utts < 0:
             raise ConfigError(f"num_utts must be >= 0, got {self.num_utts}")
         if self.num_classes > MAX_CLASSES:

@@ -49,6 +49,8 @@ class TrainConfig:
     grad_clip: float = 0.0  # max global norm; 0 disables
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.warmup_steps < 1:
             raise ConfigError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
         if self.batch_size < 1:

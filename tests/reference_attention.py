@@ -3,16 +3,13 @@ decided from the row sums: the oracle for `autodiff._attend` and
 `autodiff._attend_grads`.
 
 `attend` and `attend_grads` are frozen copies of that forward and backward,
-with one exception: they read k (and the backward's v) in the layout
-`autodiff._plain` picks, contiguous copy or strided view, and a one-row tile
-reads the view, as the attention core does. Whether BLAS gives the copy and
-the view the same bits depends on the BLAS build and the CPU, so the oracle
-does not pin it; `test_attention_bits` checks that product to a rounding
-bound instead. They read the tile budget and the band's minimum slot length
-from `autodiff` at call time, so a test that shrinks the tiles shrinks them
-here too. The attention core promises bitwise equality with these functions
-for every input, on both sides of the band and on both sides of a tile
-boundary.
+with one exception: every tile reads its slot's keys (and the backward's v)
+as columns of one contiguous (h, dh, N) copy made per call, the one layout
+the attention core uses. They read the tile budget and the band's minimum
+slot length from `autodiff` at call time, so a test that shrinks the tiles
+shrinks them here too. The attention core promises bitwise equality with
+these functions for every input, on both sides of the band and on both
+sides of a tile boundary.
 """
 
 import numpy as np
@@ -36,12 +33,12 @@ def attend(q, k, v, bias, keep, scale, lengths, graph):
         vs = np.empty((n, h, dv + 1), v.dtype)
         vs[..., :dv] = v
         vs[..., dv] = 1.0
+    kt_all = np.ascontiguousarray(k.transpose(1, 2, 0))
     tile_cells = max(1, ad._TILE_BYTES // (h * out.itemsize))
     at = 0
     for b, tb in enumerate(lengths):
         qb, ob, vb = (_heads(a, at, tb) for a in (q, out, vs))
-        kv = k[at:at + tb].transpose(1, 2, 0)
-        kt = ad._plain(kv)
+        kt = kt_all[:, :, at:at + tb]
         at += tb
         rows = max(1, tile_cells // tb)
         e_all = np.empty((h, tb, tb), out.dtype) if graph and rows < tb else None
@@ -49,8 +46,7 @@ def attend(q, k, v, bias, keep, scale, lengths, graph):
         for r0 in range(0, tb, rows):
             r1 = min(r0 + rows, tb)
             qt = qb[:, r0:r1]
-            kr = kt if r1 - r0 > 1 else kv
-            e = qt @ kr if e_all is None else np.matmul(qt, kr, out=e_all[:, r0:r1])
+            e = qt @ kt if e_all is None else np.matmul(qt, kt, out=e_all[:, r0:r1])
             if bias is not None:
                 e += bias[r0:r1, :tb]
             mx = np.fmax.reduce(e, axis=-1, keepdims=True)
@@ -77,6 +73,7 @@ def attend(q, k, v, bias, keep, scale, lengths, graph):
 def attend_grads(g, q, k, v, out, saved, keep, scale, lengths, need):
     gq, gk, gv = (np.empty(a.shape, a.dtype) if wanted else None
                   for wanted, a in zip(need, (q, k, v)))
+    vt_all = np.ascontiguousarray(v.transpose(1, 2, 0))
     at = 0
     for b, (tb, (e, s)) in enumerate(zip(lengths, saved)):
         do = _heads(g, at, tb)
@@ -85,7 +82,7 @@ def attend_grads(g, q, k, v, out, saved, keep, scale, lengths, need):
             w = e if keep is None else e * keep[b]
             _heads(gv, at, tb)[...] = np.swapaxes(w, -1, -2) @ (do * r)
         if gq is not None or gk is not None:
-            ds = do @ ad._plain(v[at:at + tb].transpose(1, 2, 0))
+            ds = do @ vt_all[:, :, at:at + tb]
             if keep is not None:
                 ds *= keep[b]
             ds -= ad._sum_last(do * _heads(out, at, tb), 1.0 / scale)

@@ -2,13 +2,15 @@
 
 `reference_attention` keeps the forward and backward from before the tiles
 shared one scratch array and the shift was decided from the row sums; it
-reads the keys in the layout `autodiff._plain` picks. Every case here
+reads the keys from the same per-call (h, dh, N) copy. Every case here
 compares outputs, the saved block and row sums, and the q, k and v gradients
 with `np.array_equal`: on both sides of the band (logit gains x1, x40 and
-x400), on both sides of a tile boundary, with a one-row last tile, packed,
-with and without bias and dropout, in a graph and without one, in float32
-and float64. The product on the contiguous key copy is checked against the
-strided view to a rounding bound, since its bits depend on the BLAS build.
+x400), on both sides of a tile boundary, with a one-row last tile, with
+one-row tiles wider than the tile budget, packed, with and without bias and
+dropout, in a graph and without one, in float32 and float64, with narrow
+and wide heads. The logits read from the key copy are checked against the
+strided product of the packed rows to a rounding bound, since BLAS may sum
+the two in different orders.
 """
 
 import itertools
@@ -25,6 +27,9 @@ from sharedformer.autodiff import Tensor
 # 571 frames: tiles of 114 float32 (57 float64) rows at 2 heads, and a one-row last tile
 LENGTHS = [[1], [40], [63], [64], [65], [200], [257], [800],
            [800, 40, 257, 1], [65, 64, 63, 1], [571, 9]]
+# (lengths, head width): heads of 8, and one packed case with heads of 32
+CASES = [pytest.param(ls, 8, id="+".join(map(str, ls))) for ls in LENGTHS] + [
+    pytest.param([800, 40, 257, 1], 32, id="800+40+257+1-dh32")]
 
 
 def _inputs(seed, lengths, h, dh, dtype, gain):
@@ -52,44 +57,52 @@ def _assert_same(q, k, v, bias, keep, scale, lengths, graph, r):
         np.testing.assert_array_equal(got, exp)
 
 
-@pytest.mark.parametrize("gain", [1.0, 40.0, 400.0])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-@pytest.mark.parametrize("lengths", LENGTHS, ids=lambda ls: "+".join(map(str, ls)))
-def test_attention_is_bitwise_the_reference(lengths, dtype, gain):
-    q, k, v, bias, r = _inputs(sum(lengths), lengths, 2, 8, dtype, gain)
+def _assert_same_with_and_without_graph(q, k, v, bias, lengths, r):
     with np.errstate(over="ignore", invalid="ignore"):  # gain x400 overflows both sides alike
         for with_bias, p, graph in itertools.product((False, True), (0.0, 0.3), (False, True)):
-            keep = [r.random((2, t, t)) >= p for t in lengths] if p else None
+            keep = [r.random((q.shape[1], t, t)) >= p for t in lengths] if p else None
             _assert_same(q, k, v, bias if with_bias else None, keep, 1.0 / (1.0 - p), lengths,
                          graph, r)
 
 
-def test_plain_copies_float32_slots_of_64_frames_with_narrow_heads():
-    for t, dh, dtype, copied in [(63, 8, np.float32, False), (64, 8, np.float32, True),
-                                 (800, 31, np.float32, True), (800, 32, np.float32, False),
-                                 (800, 8, np.float64, False)]:
-        view = np.zeros((t, 2, dh), dtype).transpose(1, 2, 0)
-        got = ad._plain(view)
-        assert np.shares_memory(got, view) != copied
-        assert got.flags.c_contiguous == copied
+@pytest.mark.parametrize("gain", [1.0, 40.0, 400.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("lengths,dh", CASES)
+def test_attention_is_bitwise_the_reference(lengths, dh, dtype, gain):
+    q, k, v, bias, r = _inputs(sum(lengths), lengths, 2, dh, dtype, gain)
+    _assert_same_with_and_without_graph(q, k, v, bias, lengths, r)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_slot_past_the_tile_budget_takes_one_row_tiles(monkeypatch, dtype):
+    # a 100-cell budget: a 101-frame slot's tiles are single rows wider than
+    # the budget, so the no-graph scratch array must hold one more cell
+    h, cells = 2, 100
+    monkeypatch.setattr(ad, "_TILE_BYTES", h * np.dtype(dtype).itemsize * cells)
+    lengths = [cells + 1, 40, cells + 1]
+    q, k, v, bias, r = _inputs(12, lengths, h, 8, dtype, 1.0)
+    _assert_same_with_and_without_graph(q, k, v, bias, lengths, r)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("dh", [2, 8, 31, 32, 128])
 @pytest.mark.parametrize("T", [64, 200, 800])
 def test_copied_keys_give_the_strided_product_to_rounding(T, dh, dtype):
-    # BLAS may sum q k^T's dot products in another order on the copy than on
-    # the view; each computed sum of dh products is within about dh u of
-    # sum |q_i k_i| of the exact one (u the unit roundoff), so the two are
-    # within twice that of each other
+    # the core reads a slot's keys as columns of the call's (h, dh, N) copy;
+    # BLAS may sum q k^T's dot products in another order there than on the
+    # strided view of the packed rows. Each computed sum of dh products is
+    # within about dh u of sum |q_i k_i| of the exact one (u the unit
+    # roundoff), so the two are within twice that of each other
     r = np.random.default_rng(T + dh)
-    view = r.normal(size=(T, 2, dh)).astype(dtype).transpose(1, 2, 0)
-    copy = np.ascontiguousarray(view)
+    k = r.normal(size=(T + 750, 2, dh)).astype(dtype)
+    view = k[750:].transpose(1, 2, 0)
+    copy = np.ascontiguousarray(k.transpose(1, 2, 0))[:, :, 750:]
     q = r.normal(size=(2, 81, dh)).astype(dtype)
     for rows in (1, 2, 81):
         qt = q[:, :rows]
+        got = ad._logits(qt, copy, None, 0, np.empty((2, rows, T), dtype))
         bound = 2 * dh * np.finfo(dtype).eps * (np.abs(qt) @ np.abs(copy))
-        assert np.all(np.abs(qt @ view - qt @ copy) <= bound)
+        assert np.all(np.abs(qt @ view - got) <= bound)
 
 
 def _count_logits(monkeypatch):

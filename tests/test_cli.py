@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sharedformer import autodiff as ad
 from sharedformer.autodiff import Tensor
 from sharedformer.cli import main
 from sharedformer.config import PRESETS, RunConfig, apply_preset, load_config
@@ -165,6 +166,9 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["synth", "--data.num_utts=-3"],
     ["diagnose", "--which", "project", "--diag.frame_start=-5"],
     ["diagnose", "--which", "flops", "--diag.flop_frames=-4"],
+    ["synth", "--data.seed=-1"],
+    ["pretrain", "--train.seed=-1"],
+    ["probe", "--layers", "2", "--train.seed=-3"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_bad_value_exits_before_any_output(tmp_path, corpus_dir, run_dir, capsys, argv):
     data = ["--data", str(corpus_dir / "features.bin")]
@@ -430,6 +434,7 @@ def test_pretrain_bad_depth_spec_is_input_error(tmp_path, corpus_dir, capsys):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run diverges on purpose
 def test_pretrain_divergence_exit_code(tmp_path, corpus_dir, capsys):
     code = main(["pretrain", "--data", str(corpus_dir / "features.bin"),
                  "--out", str(tmp_path), "--train.peak_scale=1e30",
@@ -667,6 +672,18 @@ def test_diagnose_transitions(tmp_path, corpus_dir, run_dir):
     assert len(rows) == 8
     assert [r["layer_from"] for r in rows] == list(range(8))
     assert all(-1.0 <= r["cos_mean"] <= 1.0 for r in rows)
+
+
+def test_diagnose_transitions_past_the_attention_tile_budget(tmp_path, corpus_dir, run_dir,
+                                                            monkeypatch):
+    # a budget of 8 cells per head: every 15-25 frame slot takes one-row
+    # tiles wider than the budget in the forward-only pass
+    monkeypatch.setattr(ad, "_TILE_BYTES", 8 * ConformerConfig().num_heads * 4)
+    code = main(["diagnose", "--which", "transitions",
+                 "--checkpoint", str(run_dir / "final.ckpt"),
+                 "--data", str(corpus_dir / "features.bin"), "--out", str(tmp_path)])
+    assert code == 0
+    assert len((tmp_path / "transitions.jsonl").read_text().splitlines()) == 8
 
 
 def test_diagnose_dim_mismatch_is_input_error(tmp_path, run_dir, capsys):

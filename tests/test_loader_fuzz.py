@@ -41,6 +41,7 @@ from sharedformer.encoder import (CHECKPOINT_MAGIC, ConformerConfig, ParameterSt
 from sharedformer.errors import ConfigError, FormatError, SharedformerError
 from sharedformer.features import (load_features, load_labels, save_features,
                                    save_labels, synth_corpus)
+from sharedformer.rng import substream
 
 EXAMPLES = 150
 
@@ -179,6 +180,8 @@ def config_dir(tmp_path_factory):
 @given(entries=ENTRIES)
 @example(entries=[("train", "val_fraction", b"nan")])
 @example(entries=[("data", "seed", b"5%")])
+@example(entries=[("data", "seed", b"-1")])
+@example(entries=[("train", "seed", b"-1")])
 def test_fuzzed_config_raises_only_config_error(config_dir, entries):
     lines: dict[str, list[bytes]] = {}
     for name, key, value in entries:  # a key may repeat within its section
@@ -195,6 +198,8 @@ def test_fuzzed_config_raises_only_config_error(config_dir, entries):
         for f in schema:
             if f.type == "float":
                 assert math.isfinite(getattr(getattr(cfg, name), f.name)), f"{name}.{f.name}"
+    substream(cfg.data.seed, "corpus")  # a validated seed builds its streams
+    substream(cfg.train.seed, "data", 0)
 
 
 # ---- pretrain --resume inputs -------------------------------------------------
