@@ -119,20 +119,8 @@ def cmd_diagnose(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
 
     if ckpt is None or not args.data:
         raise InputError(f"diagnose --which={args.which} needs --checkpoint and --data")
-    store = store_from_checkpoint(*ckpt)
     corpus = _load_corpus(args.data)
-    corpus.check_dim(store.config.input_dim)
-    if args.which == "transitions":
-        idx = list(range(len(corpus.sequences)))
-        traces = collect_traces(store, corpus, idx, cfg.mask, batch_size=cfg.train.batch_size)
-        report = layer_transitions(traces)
-        rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
-                for i in range(len(report.l2_mean))]
-        cfg.write_echo(out)
-        write_report(out / "transitions", ["layer_from", "layer_to", "l2_mean", "cos_mean"], rows)
-        print(f"wrote {len(rows)} transition rows ({report.num_frames} frames) to {out}")
-        return 0
-
+    corpus.check_dim(cfg.model.input_dim)  # cfg.model is the checkpoint's (see main)
     if args.which == "grads":
         with ad.precision("float64"):
             store64 = store_from_checkpoint(*ckpt)
@@ -150,6 +138,18 @@ def cmd_diagnose(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
                      if len(decomp.norms) > 1 else 1.0]]
         write_report(out / "grad_summary", ["quantity", "value"], rows2)
         print(f"gradient decomposition over {len(decomp.norms)} layers written to {out}")
+        return 0
+
+    store = store_from_checkpoint(*ckpt)
+    if args.which == "transitions":
+        idx = list(range(len(corpus.sequences)))
+        traces = collect_traces(store, corpus, idx, cfg.mask, batch_size=cfg.train.batch_size)
+        report = layer_transitions(traces)
+        rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
+                for i in range(len(report.l2_mean))]
+        cfg.write_echo(out)
+        write_report(out / "transitions", ["layer_from", "layer_to", "l2_mean", "cos_mean"], rows)
+        print(f"wrote {len(rows)} transition rows ({report.num_frames} frames) to {out}")
         return 0
 
     idx = [cfg.diag.utterance]

@@ -19,6 +19,7 @@ name length + name, u32 rank, u32 dims, f32 data.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import struct
@@ -50,6 +51,8 @@ class ConformerConfig:
         for name in ("input_dim", "model_dim", "num_heads", "ff_dim", "conv_kernel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.model_dim < 2:  # layer norm needs two features to normalise
+            raise ConfigError(f"model_dim must be >= 2, got {self.model_dim}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
         if self.max_layers < 1:
@@ -60,6 +63,10 @@ class ConformerConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.pos_bias not in ("none", "relative-bias"):
             raise ConfigError(f"pos_bias must be 'none' or 'relative-bias', got {self.pos_bias!r}")
+        # the relative bias is a mean over head_dim // 2 sinusoids: NaN over none
+        if self.pos_bias == "relative-bias" and self.head_dim < 2:
+            raise ConfigError(f"relative-bias needs model_dim // num_heads >= 2, got "
+                              f"{self.model_dim} // {self.num_heads}")
 
     @property
     def head_dim(self) -> int:
@@ -274,16 +281,14 @@ def relative_position_bias(T: int, head_dim: int, dtype) -> np.ndarray:
     return table[:T, :T]
 
 
-# each module node's parameters, in its argument order, under the module's prefix
-_MODULE_PARAMS = {
-    "ff": ("norm.gamma", "norm.beta", "w1", "b1", "w2", "b2"),
-    "attn": ("norm.gamma", "norm.beta", "wq", "bq", "wk", "wv", "bv", "wo", "bo"),
-    "conv": ("norm.gamma", "norm.beta", "pw1", "pb1", "dw", "pw2", "pb2"),
-}
+# each module's parameter names by prefix (ff1, attn, conv, ff2, out): its
+# _LAYER_SHAPES entries, whose init order is also its node's argument order
+_MODULE_PARAMS = {prefix: tuple(name for name, _ in entries) for prefix, entries in
+                  itertools.groupby(_LAYER_SHAPES, lambda entry: entry[0].partition(".")[0])}
 
 
-def _module_params(group: dict[str, Tensor], prefix: str, kind: str) -> list[Tensor]:
-    return [group[f"{prefix}.{name}"] for name in _MODULE_PARAMS[kind]]
+def _module_params(group: dict[str, Tensor], prefix: str) -> list[Tensor]:
+    return [group[name] for name in _MODULE_PARAMS[prefix]]
 
 
 def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
@@ -308,12 +313,12 @@ def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
         # each slot draws its (h, T_b, T_b) block from its own generator, so a
         # slot sees the same draws as it would alone
         keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, lengths)]
-    x = ad.feed_forward(x, *_module_params(group, "ff1", "ff"))
-    x = ad.self_attention(x, *_module_params(group, "attn", "attn"), h, bias, keep,
+    x = ad.feed_forward(x, *_module_params(group, "ff1"))
+    x = ad.self_attention(x, *_module_params(group, "attn"), h, bias, keep,
                           1.0 / (1.0 - cfg.dropout), lengths)
-    x = ad.conv_module(x, *_module_params(group, "conv", "conv"), lengths)
-    x = ad.feed_forward(x, *_module_params(group, "ff2", "ff"))
-    return ad.layer_norm(x, group["out.norm.gamma"], group["out.norm.beta"])
+    x = ad.conv_module(x, *_module_params(group, "conv"), lengths)
+    x = ad.feed_forward(x, *_module_params(group, "ff2"))
+    return ad.layer_norm(x, *_module_params(group, "out"))
 
 
 # ---- stack -------------------------------------------------------------------
@@ -342,11 +347,14 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
         rng = [rng]
     h = ad.matmul(x, store.params["frontend.w"], store.params["frontend.b"])
     trace = [h.data.copy()] if collect_trace else None
-    for i in range(n_layers):
-        store.block_applications += len(lengths)
-        h = conformer_block(h, store.layer_group(i), cfg, lengths, train_mode, rng)
-        if collect_trace:
-            trace.append(h.data.copy())
+    # a saturated sigmoid's exp overflows to inf and gives exactly 0; any other
+    # overflow reaches the output as inf or nan, which training rejects
+    with np.errstate(over="ignore"):
+        for i in range(n_layers):
+            store.block_applications += len(lengths)
+            h = conformer_block(h, store.layer_group(i), cfg, lengths, train_mode, rng)
+            if collect_trace:
+                trace.append(h.data.copy())
     return h, (LayerTrace(trace) if collect_trace else None)
 
 

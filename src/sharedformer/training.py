@@ -19,9 +19,8 @@ from a checkpoint reproduces the uninterrupted run bitwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -268,29 +267,24 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
 
     train_idx, val_idx = split_corpus(corpus, cfg.seed, cfg.val_fraction)
 
-    adam = AdamState()
-    start_step = 0
-    best_val = float("inf")
-    best_step = 0
-    cum_layer_apps = 0
     if resume_from is not None:
         ck_cfg, tensors = resume_from
         store = store_from_checkpoint(ck_cfg, tensors)
         if store.config != model_cfg:
             raise ContractError(f"model {model_cfg} is not the resume checkpoint's {store.config}")
-        adam.m = _adam_moment(store, tensors, "adam.m.")
-        adam.v = _adam_moment(store, tensors, "adam.v.")
+        m, v = (_adam_moment(store, tensors, prefix) for prefix in ("adam.m.", "adam.v."))
         state = train_state(ck_cfg)
-        if state.seed is not None and state.seed != cfg.seed:
+        if state.seed not in (None, cfg.seed):
             raise ContractError(f"seed {cfg.seed} is not the resume checkpoint's {state.seed}")
         if cfg.max_steps < state.step:
             raise ConfigError(f"train.max_steps={cfg.max_steps} is below the resume "
                               f"checkpoint's step {state.step}")
-        start_step, best_val, best_step = state.step, state.best_val_loss, state.best_step
-        cum_layer_apps = state.cum_layer_apps
-        adam.step = start_step
+        state.seed = cfg.seed  # a checkpoint that records no seed continues under cfg's
+        adam = AdamState(m, v, state.step)
     else:
         store = ParameterStore.init(model_cfg, substream(cfg.seed, "init"))
+        state = TrainState(seed=cfg.seed)
+        adam = AdamState()
     low, high = parse_depth(cfg.depth)
     check_depth(low, high, store.config.max_layers)
     corpus.check_dim(store.config.input_dim)
@@ -304,7 +298,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
         # a resumed run continues the rows of the run it resumes, cut back to
         # the checkpoint step, so the file matches an uninterrupted run's
         if resume_from is not None and path.exists():
-            _truncate_metrics(path, start_step)
+            _truncate_metrics(path, state.step)
         if echo is not None:
             (out_dir / "resolved_config.ini").write_text(echo, encoding="utf-8")
         metrics_file = open(path, "a" if resume_from is not None else "w",
@@ -312,7 +306,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
 
     metrics: list[dict] = []
     try:
-        for step in range(start_step + 1, cfg.max_steps + 1):
+        for step in range(state.step + 1, cfg.max_steps + 1):
             n_layers = sample_depth(low, high, substream(cfg.seed, "depth", step))
             batch_rng = substream(cfg.seed, "data", step)
             replace = len(train_idx) < cfg.batch_size
@@ -336,10 +330,10 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
                 # keep the last good state: adam_step rejects a non-finite
                 # gradient before it updates anything
                 if out_dir is not None:
-                    _save_train_checkpoint(out_dir / "final.ckpt", store, adam, step - 1,
-                                           best_val, best_step, cfg, cum_layer_apps)
+                    _save_train_checkpoint(out_dir / "final.ckpt", store, adam, state)
                 raise
-            cum_layer_apps += n_layers * cfg.batch_size
+            state.step = step
+            state.cum_layer_apps += n_layers * cfg.batch_size
 
             val = None
             # validation stays on the fixed grid even when max_steps is not a
@@ -351,7 +345,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
 
             row = {"step": step, "sampled_depth": n_layers, "lr": lr,
                    "train_loss": train_loss, "val_loss": val,
-                   "cum_layer_apps": cum_layer_apps}
+                   "cum_layer_apps": state.cum_layer_apps}
             metrics.append(row)
             # the row leaves the process before any checkpoint of its step, so
             # no checkpoint on disk is ahead of the rows a resume continues
@@ -359,66 +353,58 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
                 metrics_file.write(json.dumps(row) + "\n")
                 metrics_file.flush()
 
-            if val is not None and val < best_val:
-                best_val = val
-                best_step = step
+            if val is not None and val < state.best_val_loss:
+                state.best_val_loss, state.best_step = val, step
                 if out_dir is not None:
-                    _save_train_checkpoint(out_dir / "best.ckpt", store, adam, step,
-                                           best_val, best_step, cfg, cum_layer_apps)
+                    _save_train_checkpoint(out_dir / "best.ckpt", store, adam, state)
     finally:
         if metrics_file is not None:
             metrics_file.close()
 
     if out_dir is not None:
-        _save_train_checkpoint(out_dir / "final.ckpt", store, adam, cfg.max_steps,
-                               best_val, best_step, cfg, cum_layer_apps)
-    return TrainResult(store, metrics, best_step, best_val, cum_layer_apps)
+        _save_train_checkpoint(out_dir / "final.ckpt", store, adam, state)
+    return TrainResult(store, metrics, state.best_step, state.best_val_loss, state.cum_layer_apps)
 
 
 # ---- train-state checkpointing ----------------------------------------------
 
 
-def _save_train_checkpoint(path, store: ParameterStore, adam: AdamState, step: int,
-                           best_val: float, best_step: int, cfg: TrainConfig,
-                           cum_layer_apps: int) -> None:
-    extra_cfg = {
-        "train.step": str(step),
-        "train.best_val_loss": repr(best_val),
-        "train.best_step": str(best_step),
-        "train.seed": str(cfg.seed),
-        "train.cum_layer_apps": str(cum_layer_apps),
-    }
+@dataclass
+class TrainState:
+    """Where a run stands, and under which seed: its checkpoints' train.* block.
+
+    Each field is one line, train.<field>=repr(value); a run keeps `best_val_loss`
+    a Python float, since numpy scalars repr differently.
+    """
+    step: int = 0
+    best_val_loss: float = float("inf")
+    best_step: int = 0
+    cum_layer_apps: int = 0
+    seed: int | None = None  # None: the checkpoint records no seed
+
+
+# each TrainState field and its parse; the one table of the train.* block
+_TRAIN_KEYS = tuple((f.name, float if f.type == "float" else int) for f in fields(TrainState))
+
+
+def _save_train_checkpoint(path, store: ParameterStore, adam: AdamState,
+                           state: TrainState) -> None:
+    extra_cfg = {f"train.{key}": repr(getattr(state, key)) for key, _ in _TRAIN_KEYS}
     moments = {prefix: flat for prefix, flat in (("adam.m.", adam.m), ("adam.v.", adam.v))
                if flat is not None}
     save_checkpoint(path, store, extra_cfg, moments=moments)
 
 
-class TrainState(NamedTuple):
-    """A checkpoint's train.* block: where its run stopped, and under which seed."""
-    step: int
-    best_val_loss: float
-    best_step: int
-    cum_layer_apps: int
-    seed: int | None  # None: the checkpoint records no seed
-
-
-# a checkpoint's train state: config key, parse, default when absent (None: no value)
-_TRAIN_STATE = (("train.step", int, "0"), ("train.best_val_loss", float, "inf"),
-                ("train.best_step", int, "0"), ("train.cum_layer_apps", int, "0"),
-                ("train.seed", int, None))
-
-
 def train_state(ck_cfg: dict[str, str]) -> TrainState:
-    """A checkpoint's step, best validation loss, best step, layer count and seed.
+    """A checkpoint's train.* block; an absent key keeps its TrainState default.
 
     Counts and the seed must be non-negative integers and the loss a number;
     anything else is a FormatError.
     """
-    values = []
-    for key, parse, default in _TRAIN_STATE:
-        raw = ck_cfg.get(key, default)
+    state = TrainState()
+    for key, parse in _TRAIN_KEYS:
+        raw = ck_cfg.get(f"train.{key}")
         if raw is None:
-            values.append(None)
             continue
         try:
             value = parse(raw)
@@ -426,9 +412,9 @@ def train_state(ck_cfg: dict[str, str]) -> TrainState:
             value = None
         if value is None or (parse is int and value < 0) or (parse is float and np.isnan(value)):
             kind = "a non-negative int" if parse is int else "a number"
-            raise FormatError(f"checkpoint {key} must be {kind}, got {raw!r}")
-        values.append(value)
-    return TrainState(*values)
+            raise FormatError(f"checkpoint train.{key} must be {kind}, got {raw!r}")
+        setattr(state, key, value)
+    return state
 
 
 def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],

@@ -288,9 +288,6 @@ def test_criterion_7_sli_stability(corpus, model_a, report, logistic_oracle):
 
 
 @pytest.mark.slow
-# the aggressive schedule below saturates a sigmoid, whose exp overflows to
-# inf and gives exactly 0
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_criterion_8_training_sanity(corpus, model_a, tmp_path, report):
     metrics = model_a[0].metrics
     initial, final = metrics[0]["train_loss"], metrics[-1]["train_loss"]

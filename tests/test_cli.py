@@ -141,6 +141,8 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["pretrain", "--train.precision=float16"],
     ["pretrain", "--model.min_layers=2"],
     ["pretrain", "--model.num_heads=0"],
+    ["pretrain", "--model.model_dim=4", "--model.num_heads=4"],
+    ["pretrain", "--model.model_dim=1", "--model.num_heads=1", "--model.pos_bias=none"],
     ["pretrain", "--model.ff_dim=0"],
     ["pretrain", "--train.val_fraction=nan"],
     ["pretrain", "--train.val_fraction=0"],

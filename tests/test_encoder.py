@@ -173,7 +173,7 @@ def test_attention_matches_composite_chain(float64):
     def node(x, rngs):
         keep = [r.random((cfg.num_heads, t, t)) >= cfg.dropout for r, t in zip(rngs, lengths)]
         bias = relative_position_bias(6, cfg.head_dim, np.float64)
-        return ad.self_attention(x, *encoder._module_params(group, "attn", "attn"),
+        return ad.self_attention(x, *encoder._module_params(group, "attn"),
                                  cfg.num_heads, bias, keep, 1.0 / (1.0 - cfg.dropout), lengths)
 
     def padded(a):

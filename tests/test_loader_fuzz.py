@@ -7,8 +7,9 @@ exit codes); any other exception is a bare traceback and fails the test.
 
 Config files are generated from the schema itself: every section and key,
 with values drawn from valid tokens, non-finite and huge numbers, empty
-strings and raw bytes, and keys that may repeat. They are only parsed and
-validated; nothing is built from them, since their sizes are unbounded.
+strings and raw bytes, and keys that may repeat. They are parsed and
+validated; since their sizes are unbounded, only their streams and, for a
+head size of at most 1024, their relative-position bias are built.
 
 The text a `pretrain --resume` reads besides the checkpoint's tensors, the
 `metrics.jsonl` rows and the checkpoint's `train.*` values, is fuzzed the same
@@ -37,7 +38,8 @@ from sharedformer import codec, training
 from sharedformer.cli import main
 from sharedformer.config import SECTIONS, RunConfig, load_config
 from sharedformer.encoder import (CHECKPOINT_MAGIC, ConformerConfig, ParameterStore,
-                                  load_checkpoint, save_checkpoint, store_from_checkpoint)
+                                  load_checkpoint, relative_position_bias, save_checkpoint,
+                                  store_from_checkpoint)
 from sharedformer.errors import ConfigError, FormatError, SharedformerError
 from sharedformer.features import (load_features, load_labels, save_features,
                                    save_labels, synth_corpus)
@@ -182,6 +184,9 @@ def config_dir(tmp_path_factory):
 @example(entries=[("data", "seed", b"5%")])
 @example(entries=[("data", "seed", b"-1")])
 @example(entries=[("train", "seed", b"-1")])
+@example(entries=[("model", "model_dim", b"4"), ("model", "num_heads", b"4")])
+@example(entries=[("model", "model_dim", b"1"), ("model", "num_heads", b"1"),
+                  ("model", "pos_bias", b"none")])
 def test_fuzzed_config_raises_only_config_error(config_dir, entries):
     lines: dict[str, list[bytes]] = {}
     for name, key, value in entries:  # a key may repeat within its section
@@ -200,6 +205,8 @@ def test_fuzzed_config_raises_only_config_error(config_dir, entries):
                 assert math.isfinite(getattr(getattr(cfg, name), f.name)), f"{name}.{f.name}"
     substream(cfg.data.seed, "corpus")  # a validated seed builds its streams
     substream(cfg.train.seed, "data", 0)
+    if cfg.model.pos_bias == "relative-bias" and cfg.model.head_dim <= 1024:
+        assert np.isfinite(relative_position_bias(8, cfg.model.head_dim, np.float32)).all()
 
 
 # ---- pretrain --resume inputs -------------------------------------------------
@@ -235,8 +242,9 @@ def test_fuzzed_metrics_rows_raise_only_format_error(config_dir, rows, step, par
 
 
 @settings(max_examples=EXAMPLES, deadline=None)
-@given(values=st.dictionaries(st.sampled_from([key for key, _, _ in training._TRAIN_STATE]),
-                              st.one_of(st.text(max_size=8), st.sampled_from(TOKENS))))
+@given(values=st.dictionaries(
+    st.sampled_from([f"train.{key}" for key, _ in training._TRAIN_KEYS]),
+    st.one_of(st.text(max_size=8), st.sampled_from(TOKENS))))
 @example(values={"train.step": "x"})
 @example(values={"train.best_val_loss": "0.3.1"})
 @example(values={"train.seed": "-1"})

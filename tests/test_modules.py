@@ -26,13 +26,13 @@ def _attention_args(x, cfg, keep, lengths):
 
 # module -> (fused node, primitive chain), each (x, layer group, cfg, lengths, keep) -> Tensor
 MODULES = {
-    "ff": (lambda x, g, cfg, lengths, keep: ad.feed_forward(x, *_module_params(g, "ff2", "ff")),
+    "ff": (lambda x, g, cfg, lengths, keep: ad.feed_forward(x, *_module_params(g, "ff2")),
            lambda x, g, cfg, lengths, keep: chain.feed_forward(x, g, "ff2")),
     "attn": (lambda x, g, cfg, lengths, keep: ad.self_attention(
-                 x, *_module_params(g, "attn", "attn"), *_attention_args(x, cfg, keep, lengths)),
+                 x, *_module_params(g, "attn"), *_attention_args(x, cfg, keep, lengths)),
              lambda x, g, cfg, lengths, keep: chain.attention(x, g, cfg, keep, lengths)),
     "conv": (lambda x, g, cfg, lengths, keep: ad.conv_module(
-                 x, *_module_params(g, "conv", "conv"), lengths),
+                 x, *_module_params(g, "conv"), lengths),
              lambda x, g, cfg, lengths, keep: chain.conv_module(x, g, lengths)),
 }
 
@@ -105,7 +105,7 @@ def test_conv_module_finite_difference_over_short_slots(float64):
     params = [x] + [p for name, p in group.items() if name.startswith("conv.")]
 
     def f():
-        return (ad.conv_module(x, *_module_params(group, "conv", "conv"), lengths)
+        return (ad.conv_module(x, *_module_params(group, "conv"), lengths)
                 * coeff).sum()
 
     assert ad.grad_check(f, params, eps=1e-6) <= 1e-6
@@ -127,14 +127,14 @@ def test_module_node_shape_contracts():
     cfg = tiny_config()
     group = ParameterStore.init(cfg, substream(15, "init")).layer_group(0)
     x = Tensor(np.zeros((8, cfg.model_dim), np.float32))
-    ff = _module_params(group, "ff1", "ff")
+    ff = _module_params(group, "ff1")
     with pytest.raises(DimensionError):
         ad.feed_forward(x, *ff[:2], ff[4], ff[3], ff[2], ff[5])  # w1 and w2 swapped
     with pytest.raises(DimensionError):
-        ad.self_attention(x, *_module_params(group, "attn", "attn"), 4)  # 6 is not 4 heads
+        ad.self_attention(x, *_module_params(group, "attn"), 4)  # 6 is not 4 heads
     with pytest.raises(DimensionError):
-        ad.self_attention(Tensor(x.data[None]), *_module_params(group, "attn", "attn"), 2)
+        ad.self_attention(Tensor(x.data[None]), *_module_params(group, "attn"), 2)
     with pytest.raises(DimensionError):
-        ad.conv_module(Tensor(x.data[None]), *_module_params(group, "conv", "conv"))
+        ad.conv_module(Tensor(x.data[None]), *_module_params(group, "conv"))
     with pytest.raises(ContractError):  # the slots must cover the rows exactly
-        ad.conv_module(x, *_module_params(group, "conv", "conv"), [5, 4])
+        ad.conv_module(x, *_module_params(group, "conv"), [5, 4])

@@ -13,8 +13,8 @@ from sharedformer.errors import ConfigError, ContractError, DivergenceError, For
 from sharedformer.features import synth_corpus
 from sharedformer.masking import MaskConfig, MaskPlan, mask_utterance
 from sharedformer.rng import substream
-from sharedformer.training import (AdamState, TrainConfig, adam_step, batch_loss,
-                                   mpc_loss, noam_lr, predictor_apply, train)
+from sharedformer.training import (AdamState, TrainConfig, TrainState, adam_step, batch_loss,
+                                   mpc_loss, noam_lr, predictor_apply, train, train_state)
 
 
 def rng(seed):
@@ -339,6 +339,27 @@ def test_step_zero_checkpoint_holds_no_adam_tensors(tmp_path):
             sorted(result.store.params)
 
 
+def test_train_state_round_trips_through_its_checkpoints(tmp_path):
+    corpus = small_corpus()
+    train(corpus, ConformerConfig(), quick_train_config(max_steps=0, seed=4),
+          out_dir=tmp_path / "zero")
+    assert train_state(load_checkpoint(tmp_path / "zero/final.ckpt")[0]) == TrainState(seed=4)
+    cfg = quick_train_config(max_steps=8, validation_every=3, seed=4)
+    result = train(corpus, ConformerConfig(), cfg, out_dir=tmp_path / "run")
+    best = result.best_step
+    assert 0 < best < 8  # a mid-run state, with a finite best loss
+    assert train_state(load_checkpoint(tmp_path / "run/best.ckpt")[0]) == TrainState(
+        best, result.best_val_loss, best, result.metrics[best - 1]["cum_layer_apps"], 4)
+    assert train_state(load_checkpoint(tmp_path / "run/final.ckpt")[0]) == TrainState(
+        8, result.best_val_loss, best, result.cum_layer_apps, 4)
+
+
+def test_checkpoint_without_train_block_parses_to_the_defaults(tmp_path):
+    save_checkpoint(tmp_path / "bare.ckpt",
+                    ParameterStore.init(ConformerConfig(), rng(0)))
+    assert train_state(load_checkpoint(tmp_path / "bare.ckpt")[0]) == TrainState()
+
+
 @pytest.mark.parametrize("edit", [
     lambda adam: adam.pop("adam.v.predictor.b"),
     lambda adam: adam.update({"adam.m.predictor.b": np.zeros(3, dtype=np.float32)}),
@@ -396,10 +417,10 @@ def test_rows_reach_the_file_before_each_checkpoint_of_their_step(tmp_path, monk
     original = training._save_train_checkpoint
     seen = []
 
-    def spy(path, store, adam, step, *args):
+    def spy(path, store, adam, state):
         rows = (tmp_path / "metrics.jsonl").read_text().splitlines()
-        seen.append((path.name, step, json.loads(rows[-1])["step"] if rows else 0))
-        return original(path, store, adam, step, *args)
+        seen.append((path.name, state.step, json.loads(rows[-1])["step"] if rows else 0))
+        return original(path, store, adam, state)
 
     monkeypatch.setattr(training, "_save_train_checkpoint", spy)
     train(small_corpus(), ConformerConfig(), quick_train_config(max_steps=8, validation_every=3),
