@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -182,8 +182,6 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
 class Projection2D:
     coords: list[np.ndarray]          # per layer: (num_frames, 2)
     explained_variance: np.ndarray    # top-2 eigenvalue shares
-    components: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))  # (2, d)
-    center: np.ndarray = field(default_factory=lambda: np.zeros(0))
     degenerate: bool = False
 
 
@@ -205,7 +203,7 @@ def project_2d(trace: LayerTrace, frame_range: tuple[int, int]) -> Projection2D:
     components = vt[:2]
     coords = [(layer - center) @ components.T for layer in layers]
     share = var[:2] / var.sum() if var.size >= 2 else np.array([1.0, 0.0])
-    return Projection2D(coords, share, components=components, center=center)
+    return Projection2D(coords, share)
 
 
 # ---- FLOP accounting ---------------------------------------------------------

@@ -292,24 +292,24 @@ def _module_params(group: dict[str, Tensor], prefix: str) -> list[Tensor]:
 
 
 def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
-                    lengths: list[int], train_mode: bool = False, rngs=None) -> Tensor:
+                    lengths: list[int], rngs: list[np.random.Generator] | None = None) -> Tensor:
     """One block on packed (N, d) rows, slot b owning the next `lengths[b]` rows.
 
     Five graph nodes: the ff1, attention, convolution and ff2 modules, each
-    with its residual, then the output layer norm. In train mode `rngs` is a
-    list of one attention-dropout generator per slot.
+    with its residual, then the output layer norm. Attention dropout runs
+    exactly when `rngs`, a list of one generator per slot, is given.
     """
     B = len(lengths)
     if x.data.ndim != 2 or x.shape != (sum(lengths), cfg.model_dim):
         raise ContractError(f"block input must be {sum(lengths)} x {cfg.model_dim} for "
                             f"slot lengths {lengths}, got {x.shape}")
-    if train_mode and (not isinstance(rngs, list) or len(rngs) != B):
-        raise ContractError(f"train mode needs a list of {B} dropout generators, one per slot")
+    if rngs is not None and (not isinstance(rngs, list) or len(rngs) != B):
+        raise ContractError(f"rngs must be a list of {B} generators, one per slot")
     h = cfg.num_heads
     bias = (relative_position_bias(max(lengths), cfg.head_dim, x.data.dtype)
             if cfg.pos_bias == "relative-bias" else None)
     keep = None
-    if train_mode and cfg.dropout > 0.0:
+    if rngs is not None and cfg.dropout > 0.0:
         # each slot draws its (h, T_b, T_b) block from its own generator, so a
         # slot sees the same draws as it would alone
         keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, lengths)]
@@ -325,14 +325,14 @@ def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
 
 
 def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
-            collect_trace: bool = False, train_mode: bool = False, rng=None,
+            collect_trace: bool = False, rngs: list[np.random.Generator] | None = None,
             lengths: list[int] | None = None) -> tuple[Tensor, LayerTrace | None]:
     """Encoder stack over packed (N, D) rows.
 
     Slot b owns the next `lengths[b]` rows (default: one slot of all N), and
     no row reaches another slot's output. The embedding and every trace entry
-    are (N, d) in the same layout. In train mode `rng` is a list of one
-    dropout generator per slot; a lone generator serves a single slot.
+    are (N, d) in the same layout. Dropout runs exactly when `rngs`, a list
+    of one generator per slot, is given.
     """
     cfg = store.config
     if not (0 <= n_layers <= cfg.max_layers):
@@ -343,8 +343,6 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
         raise ContractError(f"input must be N x D packed frames, D = {cfg.input_dim}; "
                             f"got {x.shape}")
     lengths = ad.check_lengths(x.shape[0], lengths)
-    if isinstance(rng, np.random.Generator):
-        rng = [rng]
     h = ad.matmul(x, store.params["frontend.w"], store.params["frontend.b"])
     trace = [h.data.copy()] if collect_trace else None
     # a saturated sigmoid's exp overflows to inf and gives exactly 0; any other
@@ -352,7 +350,7 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
     with np.errstate(over="ignore"):
         for i in range(n_layers):
             store.block_applications += len(lengths)
-            h = conformer_block(h, store.layer_group(i), cfg, lengths, train_mode, rng)
+            h = conformer_block(h, store.layer_group(i), cfg, lengths, rngs)
             if collect_trace:
                 trace.append(h.data.copy())
     return h, (LayerTrace(trace) if collect_trace else None)
@@ -401,22 +399,20 @@ def param_count(cfg: ConformerConfig) -> dict[str, int]:
 
 
 def save_checkpoint(path, store: ParameterStore, extra_config: dict[str, str] | None = None,
-                    extra_tensors: dict[str, np.ndarray] | None = None,
                     moments: dict[str, np.ndarray] | None = None) -> None:
-    """Write `store` (plus extra config lines and tensors) atomically to `path`.
+    """Write `store` (plus extra config lines) atomically to `path`.
 
     `moments` maps a name prefix to a flat array in the store's layout, such
     as Adam's "adam.m." buffer. It is converted to float32 once and written as
     one tensor per parameter, prefix + name, each a slice of it in layout
-    (= name) order: after the parameters, before the extra tensors.
+    (= name) order, after the parameters.
     """
     cfg_lines = dict(store.config.to_dict())
     cfg_lines.update(extra_config or {})
     cfg_blob = "".join(f"{k}={v}\n" for k, v in sorted(cfg_lines.items()))
     params = store.named_parameters()
     moments = sorted((moments or {}).items())
-    extras = sorted((extra_tensors or {}).items())
-    count = len(params) + len(moments) * len(store._layout) + len(extras)
+    count = len(params) + len(moments) * len(store._layout)
     parts = [codec.header(CHECKPOINT_MAGIC), codec.string(cfg_blob), struct.pack("<Q", count)]
 
     def put(name: str, arr: np.ndarray) -> None:
@@ -433,8 +429,6 @@ def save_checkpoint(path, store: ParameterStore, extra_config: dict[str, str] | 
         data = np.ascontiguousarray(flat, dtype="<f4")
         for name, _, view in store._layout:
             put(prefix + name, data[store._spans[name]].reshape(view.shape))
-    for name, arr in extras:
-        put(name, arr)
     # write a sibling temp file and rename it over `path`, so a crash or a
     # failed write never leaves a torn checkpoint in place of the last good one
     tmp = f"{os.fspath(path)}.tmp"
@@ -477,7 +471,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def store_from_checkpoint(config: dict[str, str], tensors: dict[str, np.ndarray]) -> ParameterStore:
-    """Parameter store from a loaded checkpoint, whose model tensors must match its config."""
+    """Parameter store from a checkpoint, whose model tensors must be finite and match its config."""
     cfg = ConformerConfig.from_dict(config)
     expected = param_shapes(cfg)
     params: dict[str, Tensor] = {}
@@ -492,4 +486,8 @@ def store_from_checkpoint(config: dict[str, str], tensors: dict[str, np.ndarray]
     missing = [name for name in expected if name not in params]
     if missing:
         raise FormatError(f"checkpoint lacks {len(missing)} model tensors, first {missing[0]!r}")
-    return ParameterStore(cfg, params)
+    store = ParameterStore(cfg, params)
+    if not np.isfinite(store.buffer).all():
+        name = next(n for n, a in store.unflatten(store.buffer).items() if not np.isfinite(a).all())
+        raise FormatError(f"checkpoint tensor {name!r} holds NaN or inf")
+    return store

@@ -131,15 +131,14 @@ def apply_masks(x: FeatureSequence, plan: MaskPlan, cfg: MaskConfig | None = Non
 
 
 def mask_utterance(x: FeatureSequence, cfg: MaskConfig,
-                   plan_rng: np.random.Generator | None = None,
-                   apply_rng: np.random.Generator | None = None) -> tuple[MaskPlan, FeatureSequence]:
-    """Plan and apply one utterance's mask.
+                   rng: np.random.Generator | None = None) -> tuple[MaskPlan, FeatureSequence]:
+    """Plan and apply one utterance's mask, both drawing from the one generator `rng`.
 
-    Without rngs the mask is fixed by the utterance id (one generator seeded
-    from it drives both the plan and the policy), which is how validation and
-    the diagnostics see the same mask on every call.
+    Without `rng` the mask is fixed by the utterance id (a generator seeded
+    from it), which is how validation and the diagnostics see the same mask
+    on every call.
     """
-    if plan_rng is None:
-        plan_rng = apply_rng = np.random.default_rng(utterance_seed(x.utterance_id))
-    plan = plan_masks(x.num_frames, cfg.block_len, cfg.ratio, plan_rng)
-    return plan, apply_masks(x, plan, cfg, apply_rng)
+    if rng is None:
+        rng = np.random.default_rng(utterance_seed(x.utterance_id))
+    plan = plan_masks(x.num_frames, cfg.block_len, cfg.ratio, rng)
+    return plan, apply_masks(x, plan, cfg, rng)

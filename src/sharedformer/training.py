@@ -211,12 +211,11 @@ def batch_loss(store: ParameterStore, clean: list[FeatureSequence],
                dropout_rngs: list[np.random.Generator] | None = None) -> Tensor:
     """MPC loss of one packed batch: one forward, one predictor, one loss.
 
-    `masked` holds each utterance's plan and corrupted copy; dropout (train
-    mode) is on when one generator per slot is given.
+    `masked` holds each utterance's plan and corrupted copy; dropout is on
+    when one generator per slot is given.
     """
     x, lengths = pack([c.frames for _, c in masked])
-    emb, _ = forward(x, store, n_layers, train_mode=dropout_rngs is not None,
-                     rng=dropout_rngs, lengths=lengths)
+    emb, _ = forward(x, store, n_layers, rngs=dropout_rngs, lengths=lengths)
     pred = predictor_apply(emb, store)
     return mpc_loss(pred, pack([seq.frames for seq in clean])[0],
                     [plan for plan, _ in masked], mode, lengths)
@@ -313,8 +312,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             batch = batch_rng.choice(train_idx, size=cfg.batch_size, replace=replace)
 
             clean = [corpus.sequences[int(i)] for i in batch]
-            masked = [mask_utterance(seq, mask_cfg, substream(cfg.seed, "mask", step, slot),
-                                     substream(cfg.seed, "mask", step, slot, 1))
+            masked = [mask_utterance(seq, mask_cfg, substream(cfg.seed, "mask", step, slot))
                       for slot, seq in enumerate(clean)]
             rngs = [substream(cfg.seed, "dropout", step, slot) for slot in range(len(clean))]
             loss = batch_loss(store, clean, masked, n_layers, cfg.loss_mode, rngs)
@@ -419,7 +417,7 @@ def train_state(ck_cfg: dict[str, str]) -> TrainState:
 
 def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],
                  prefix: str) -> np.ndarray | None:
-    """A checkpoint's `prefix`<name> tensors as one flat buffer in the store's layout.
+    """A checkpoint's `prefix`<name> tensors as one flat, finite buffer in the store's layout.
 
     None when it holds none: a checkpoint written before the first Adam step.
     """
@@ -437,6 +435,9 @@ def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],
             raise FormatError(f"checkpoint tensor {prefix + name!r} has shape "
                               f"{found[name].shape}, its parameter {view.shape}")
         view[...] = found[name]
+    if not np.isfinite(flat).all():
+        name = next(n for n, a in views.items() if not np.isfinite(a).all())
+        raise FormatError(f"checkpoint tensor {prefix + name!r} holds NaN or inf")
     return flat
 
 

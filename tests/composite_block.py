@@ -47,10 +47,10 @@ def conv_module(x, g, lengths):
     return x + ad.matmul(h, g["conv.pw2"], g["conv.pb2"])
 
 
-def conformer_block(x, group, cfg, lengths, train_mode=False, rngs=None):
+def conformer_block(x, group, cfg, lengths, rngs=None):
     """`encoder.conformer_block`'s contract and dropout draws, as a primitive-op chain."""
     keep = None
-    if train_mode and cfg.dropout > 0.0:
+    if rngs is not None and cfg.dropout > 0.0:
         keep = keep_masks(cfg, rngs, lengths)
     h = feed_forward(x, group, "ff1")
     h = attention(h, group, cfg, keep, lengths)

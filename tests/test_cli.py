@@ -829,6 +829,39 @@ def test_checkpoint_lacking_a_model_key_is_input_error(tmp_path, corpus_dir, cap
     assert not out.exists()
 
 
+def _poisoned_checkpoint(src, path, name, value):
+    """Copy of checkpoint `src` at `path` with tensor `name`'s first element set to `value`."""
+    data = bytearray(src.read_bytes())
+    key = struct.pack("<I", len(name)) + name.encode()
+    at = data.index(key) + len(key)
+    (rank,) = struct.unpack_from("<I", data, at)
+    struct.pack_into("<f", data, at + 4 + 4 * rank, value)
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("command,tensor,value", [
+    ("diagnose", "layer.shared.ff1.w1", np.nan),
+    ("probe", "layer.shared.ff1.w1", np.nan),
+    ("pretrain", "layer.shared.ff1.w1", np.nan),
+    ("pretrain", "adam.m.layer.shared.ff1.w1", np.inf),
+], ids=["diagnose-nan-parameter", "probe-nan-parameter", "resume-nan-parameter",
+        "resume-inf-adam-moment"])
+def test_non_finite_checkpoint_is_input_error(tmp_path, corpus_dir, run_dir, capsys,
+                                              command, tensor, value):
+    ckpt = str(_poisoned_checkpoint(run_dir / "final.ckpt", tmp_path / "bad.ckpt", tensor, value))
+    data = str(corpus_dir / "features.bin")
+    argv = {"diagnose": ["diagnose", "--which", "transitions", "--checkpoint", ckpt],
+            "probe": ["probe", "--layers", "2,8", "--checkpoint", ckpt,
+                      "--labels", str(corpus_dir / "labels.bin")],
+            "pretrain": ["pretrain", *QUICK, "--train.max_steps=6", "--resume", ckpt]}[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--data", data, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{tensor!r} holds NaN or inf" in err
+    assert not out.exists()
+
+
 def _doctored_checkpoint(run_dir, path, edit):
     store = store_from_checkpoint(*load_checkpoint(run_dir / "final.ckpt"))
     edit(store.params)

@@ -212,9 +212,12 @@ def test_projection_recovers_planar_data():
     proj = project_2d(LayerTrace(layers), (0, 12))
     assert not proj.degenerate
     np.testing.assert_allclose(proj.explained_variance.sum(), 1.0, atol=1e-10)
-    # reconstruction through the two components is exact for planar data
-    for layer, coords in zip(layers, proj.coords):
-        np.testing.assert_allclose(coords @ proj.components + proj.center, layer, atol=1e-10)
+    # the projection onto two orthonormal components is exact for planar data:
+    # the coordinates keep every inner product of the centered frames
+    pool = np.concatenate(layers)
+    pool -= pool.mean(axis=0)
+    coords = np.concatenate(proj.coords)
+    np.testing.assert_allclose(coords @ coords.T, pool @ pool.T, atol=1e-10)
 
 
 def test_projection_prefers_high_variance_axis():
@@ -223,7 +226,9 @@ def test_projection_prefers_high_variance_axis():
     x[:, 0] = rng(1).normal(size=40) * 10.0   # dominant direction
     x[:, 1] = rng(2).normal(size=40) * 0.1
     proj = project_2d(LayerTrace([x]), (0, 40))
-    lead = np.abs(proj.components[0])
+    # the first component lies in the centered frames' row space, so it is the
+    # least-norm solution that maps them to their first coordinates
+    lead = np.abs(np.linalg.lstsq(x - x.mean(axis=0), proj.coords[0][:, 0], rcond=None)[0])
     assert lead[0] > 0.99 and proj.explained_variance[0] > 0.99
 
 

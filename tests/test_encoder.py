@@ -67,12 +67,12 @@ def _tensors_created(fn):
     return next(ad._ids) - start - 1
 
 
-@pytest.mark.parametrize("train_mode,count", [(False, 5), (True, 5)])
-def test_block_graph_size(train_mode, count):
+@pytest.mark.parametrize("dropout,count", [(False, 5), (True, 5)])
+def test_block_graph_size(dropout, count):
     store = desk_store()
     x = Tensor(rng(0).normal(size=(20, 16)))
     assert _tensors_created(lambda: conformer_block(
-        x, store.layer_group(0), store.config, [20], train_mode, [rng(1)])) == count
+        x, store.layer_group(0), store.config, [20], [rng(1)] if dropout else None)) == count
 
 
 def test_block_zero_weights_reduces_to_layer_norm(float64):
@@ -83,7 +83,7 @@ def test_block_zero_weights_reduces_to_layer_norm(float64):
         if not name.endswith(("norm.gamma", "norm.beta")):
             p.data[:] = 0.0
     x = Tensor(rng(5).normal(size=(9, cfg.model_dim)))
-    out = conformer_block(x, group, cfg, [9], train_mode=False)
+    out = conformer_block(x, group, cfg, [9])
     expect = ad.layer_norm(x, group["out.norm.gamma"], group["out.norm.beta"])
     np.testing.assert_allclose(out.data, expect.data, atol=1e-12)
 
@@ -110,7 +110,7 @@ def test_padded_batch_gradient_finite_difference(float64):
 
     def f():
         dropout = [substream(0, "dropout", 1, slot) for slot in range(3)]
-        out, _ = forward(Tensor(x), store, 2, train_mode=True, rng=dropout, lengths=lengths)
+        out, _ = forward(Tensor(x), store, 2, rngs=dropout, lengths=lengths)
         return (out * Tensor(coeff)).sum()
 
     assert ad.grad_check(f, [p for _, p in store.named_parameters()], eps=1e-6) <= 1e-4
@@ -311,16 +311,15 @@ def test_single_utterance_is_a_batch_of_one(float64, graph):
     _assert_batch_of_one(one, one_trace, batch, batch_trace, 13)
 
 
-def test_single_utterance_train_mode_wraps_its_generator(float64):
+def test_single_utterance_train_mode_is_a_batch_of_one(float64):
     store = desk_store()
     x = rng(8).normal(size=(11, 16))
     coeff = rng(9).normal(size=(11, 16))
     runs = []
-    for dropout, lengths in ((substream(0, "dropout", 1, 0), None),
-                             ([substream(0, "dropout", 1, 0)], [11])):
+    for lengths in (None, [11]):
         store.zero_grad()
-        out, trace = forward(Tensor(x), store, 5, collect_trace=True, train_mode=True,
-                             rng=dropout, lengths=lengths)
+        out, trace = forward(Tensor(x), store, 5, collect_trace=True,
+                             rngs=[substream(0, "dropout", 1, 0)], lengths=lengths)
         (out * Tensor(coeff)).sum().backward()
         runs.append((out, trace, {n: p.grad.copy() for n, p in store.named_parameters()
                                   if p.grad is not None}))
@@ -345,8 +344,11 @@ def test_batch_needs_one_dropout_generator_per_slot():
     store = desk_store()
     x = Tensor(np.zeros((10, 16), np.float32))
     for dropout in (rng(0), [rng(0)]):
-        with pytest.raises(ContractError):
-            forward(x, store, 1, train_mode=True, rng=dropout, lengths=[5, 5])
+        with pytest.raises(ContractError, match="list of 2 generators"):
+            forward(x, store, 1, rngs=dropout, lengths=[5, 5])
+        with pytest.raises(ContractError, match="list of 2 generators"):
+            conformer_block(Tensor(np.zeros((10, 16), np.float32)), store.layer_group(0),
+                            store.config, [5, 5], dropout)
 
 
 # ---- packed slots -----------------------------------------------------------
@@ -358,8 +360,8 @@ def _packed_run(store, x, graph):
     """Forward embedding and trace of 4 layers over the packed slots."""
     dropout = [substream(5, "dropout", slot) for slot in range(len(SLOTS))]
     with contextlib.nullcontext() if graph else ad.no_grad():
-        return forward(Tensor(x), store, 4, collect_trace=True, train_mode=graph,
-                       rng=dropout, lengths=SLOTS)
+        return forward(Tensor(x), store, 4, collect_trace=True,
+                       rngs=dropout if graph else None, lengths=SLOTS)
 
 
 @pytest.mark.parametrize("graph", [True, False], ids=["graph", "no_grad"])
@@ -599,11 +601,14 @@ def test_flat_moments_write_the_bytes_of_per_name_tensors(tmp_path, share):
     r = rng(3)
     moments = {prefix: r.normal(size=store.buffer.shape).astype(np.float32)
                for prefix in ("adam.v.", "adam.m.")}
-    per_name = {prefix + name: a for prefix, flat in moments.items()
+    per_name = {prefix + name: a for prefix, flat in sorted(moments.items())
                 for name, a in store.unflatten(flat).items()}
     save_checkpoint(tmp_path / "flat.ckpt", store, {"train.step": "3"}, moments=moments)
-    save_checkpoint(tmp_path / "named.ckpt", store, {"train.step": "3"}, per_name)
-    assert (tmp_path / "flat.ckpt").read_bytes() == (tmp_path / "named.ckpt").read_bytes()
+    _, tensors = load_checkpoint(tmp_path / "flat.ckpt")
+    # after the parameters, one float32 tensor per parameter and prefix, in name order
+    assert list(tensors) == [n for n, _ in store.named_parameters()] + list(per_name)
+    for name, a in per_name.items():
+        np.testing.assert_array_equal(tensors[name], a, err_msg=name)
     with pytest.raises(ContractError, match="adam.m."):
         save_checkpoint(tmp_path / "bad.ckpt", store, moments={"adam.m.": np.zeros(3)})
 
@@ -612,11 +617,10 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     store = desk_store(seed=3)
     a = tmp_path / "a.ckpt"
     b = tmp_path / "b.ckpt"
-    save_checkpoint(a, store, {"note": "x"}, {"extra": np.arange(4, dtype=np.float32)})
+    save_checkpoint(a, store, {"note": "x"})
     cfg, tensors = load_checkpoint(a)
     restored = store_from_checkpoint(cfg, tensors)
-    save_checkpoint(b, restored, {"note": cfg["note"]},
-                    {"extra": tensors["extra"]})
+    save_checkpoint(b, restored, {"note": cfg["note"]})
     assert a.read_bytes() == b.read_bytes()
 
 

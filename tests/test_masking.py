@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from sharedformer.errors import ConfigError, ContractError
 from sharedformer.features import FeatureSequence
-from sharedformer.masking import MaskConfig, MaskPlan, apply_masks, plan_masks
+from sharedformer.masking import MaskConfig, MaskPlan, apply_masks, mask_utterance, plan_masks
+from sharedformer.rng import substream
 
 
 def rng(seed):
@@ -109,6 +110,19 @@ def test_tera_policy_branches():
             else:
                 seen.add("random")
     assert seen == {"zero", "keep", "random"}
+
+
+def test_training_mask_plans_and_applies_from_one_generator():
+    x = FeatureSequence("u", np.ones((300, 4), dtype=np.float32))
+    cfg = MaskConfig(policy="tera", p_zero=0.4, p_random=0.3)
+    plan, out = mask_utterance(x, cfg, substream(0, "mask", 1, 0))
+    g = substream(0, "mask", 1, 0)
+    expect_plan = plan_masks(x.num_frames, cfg.block_len, cfg.ratio, g)
+    expect = apply_masks(x, expect_plan, cfg, g)
+    assert plan == expect_plan
+    np.testing.assert_array_equal(out.frames, expect.frames)
+    # the policy drew noise for some block, so its draws really continue the plan's
+    assert not np.isin(out.frames, (0.0, 1.0)).all()
 
 
 def test_invalid_block_rejected():

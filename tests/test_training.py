@@ -8,7 +8,7 @@ from sharedformer import autodiff as ad
 from sharedformer import encoder
 from sharedformer.autodiff import Tensor
 from sharedformer.encoder import (ConformerConfig, ParameterStore, forward, load_checkpoint,
-                                  pack, save_checkpoint, store_from_checkpoint)
+                                  pack, save_checkpoint)
 from sharedformer.errors import ConfigError, ContractError, DivergenceError, FormatError
 from sharedformer.features import synth_corpus
 from sharedformer.masking import MaskConfig, MaskPlan, mask_utterance
@@ -361,22 +361,18 @@ def test_checkpoint_without_train_block_parses_to_the_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda adam: adam.pop("adam.v.predictor.b"),
-    lambda adam: adam.update({"adam.m.predictor.b": np.zeros(3, dtype=np.float32)}),
+    lambda tensors: tensors.pop("adam.v.predictor.b"),
+    lambda tensors: tensors.update({"adam.m.predictor.b": np.zeros(3, dtype=np.float32)}),
 ], ids=["missing", "wrong-shape"])
 def test_resume_rejects_adam_tensors_that_miss_the_layout(tmp_path, edit):
     corpus = small_corpus()
     cfg = quick_train_config(max_steps=2)
     train(corpus, ConformerConfig(), cfg, out_dir=tmp_path)
     ck_cfg, tensors = load_checkpoint(tmp_path / "final.ckpt")
-    adam = {n: a for n, a in tensors.items() if n.startswith("adam.")}
-    edit(adam)
-    extra_cfg = {k: v for k, v in ck_cfg.items() if k.startswith("train.")}
-    save_checkpoint(tmp_path / "bad.ckpt", store_from_checkpoint(ck_cfg, tensors),
-                    extra_cfg, adam)
+    edit(tensors)
     with pytest.raises(FormatError, match="predictor.b"):
         train(corpus, ConformerConfig(), quick_train_config(max_steps=4),
-              resume_from=load_checkpoint(tmp_path / "bad.ckpt"))
+              resume_from=(ck_cfg, tensors))
 
 
 def test_resume_rejects_a_model_config_other_than_the_checkpoint_s(tmp_path):
@@ -461,6 +457,26 @@ def test_validation_loss_is_deterministic(tmp_path):
     assert va == vb and va
 
 
+def test_a_step_builds_two_substreams_and_two_per_slot(monkeypatch):
+    from sharedformer import training
+
+    calls = []
+    original = training.substream
+
+    def counting(seed, name, *indices):
+        calls.append((name, *indices))
+        return original(seed, name, *indices)
+
+    monkeypatch.setattr(training, "substream", counting)
+    train(small_corpus(), ConformerConfig(),
+          quick_train_config(max_steps=3, batch_size=5, validation_every=2))
+    assert sorted(calls[:2]) == [("data",), ("init",)]  # the model and the split
+    for step in (1, 2, 3):
+        names = sorted(name for name, *indices in calls if indices[:1] == [step])
+        assert names == ["data", "depth"] + ["dropout"] * 5 + ["mask"] * 5
+    assert len(calls) == 2 + 3 * (2 + 2 * 5)
+
+
 def test_validation_masks_each_utterance_once_per_run(monkeypatch):
     from sharedformer import training
 
@@ -510,8 +526,7 @@ def test_depth_range_beyond_model_rejected_before_step_one(tmp_path):
 
 
 def _masked_batch(seqs, step=1):
-    return [mask_utterance(seq, MaskConfig(), substream(0, "mask", step, slot),
-                           substream(0, "mask", step, slot, 1))
+    return [mask_utterance(seq, MaskConfig(), substream(0, "mask", step, slot))
             for slot, seq in enumerate(seqs)]
 
 
@@ -537,8 +552,8 @@ def test_batched_loss_matches_per_utterance(float64, share, mode):
     store.zero_grad()
     total = 0.0
     for slot, (seq, (plan, corrupted)) in enumerate(zip(seqs, masked)):
-        emb, _ = forward(Tensor(corrupted.frames), store, depth, train_mode=True,
-                         rng=_dropout_rngs(len(seqs))[slot])
+        emb, _ = forward(Tensor(corrupted.frames), store, depth,
+                         rngs=[_dropout_rngs(len(seqs))[slot]])
         # this utterance's L1 mean over its frames, or over its masked frames
         rows = slice(None) if mode == "all-frames" else plan.mask_rows()
         err = predictor_apply(emb, store)[rows] - Tensor(seq.frames[rows])
@@ -562,8 +577,7 @@ def test_other_slots_values_change_no_slot_output_or_gradient(float64):
 
     def run(x):
         store.zero_grad()
-        emb, _ = forward(Tensor(x), store, 4, train_mode=True, rng=_dropout_rngs(3),
-                         lengths=lengths)
+        emb, _ = forward(Tensor(x), store, 4, rngs=_dropout_rngs(3), lengths=lengths)
         mpc_loss(predictor_apply(emb, store)[mid], target[mid]).backward()
         return emb.data, {n: p.grad.copy() for n, p in store.named_parameters()}
 
