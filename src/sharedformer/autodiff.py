@@ -16,12 +16,13 @@ optional (m,) bias operand, added in place to the product, so an affine
 projection is one graph node. A batch of utterances is packed: one (N, d)
 array whose slot b owns the next `lengths[b]` rows, N being their sum. The
 depthwise convolution runs along each slot's rows, and `attention` is one
-node that computes softmax(q k^T + bias) v with optional boolean dropout
+node that computes softmax(q k^T + bias ln 2) v with optional 0/1 dropout
 masks per slot, on (N, h, dh) rows, in L2-sized tiles of query rows, with a
-closed-form backward. A ones column on v gives the row sums, every tile
-reads its keys from one contiguous copy per call, the tiles of a
-forward-only pass share one scratch array, and the row-max shift runs only
-where a tile's row sums fail to prove every row max inside a safe band.
+closed-form backward. Its weights are powers of 2: every tile reads its keys
+from one contiguous copy per call, scaled by log2(e), so the logits come out
+in base-2 units and `exp2` replaces `exp`; the tiles of a forward-only pass
+share one scratch array, and the row-max shift runs only where a tile's row
+sums fail to prove every row max inside a safe band.
 
 Each module of a Conformer block, its residual included, is one node as
 well: `feed_forward`, `self_attention` (whose core is `attention`'s) and
@@ -48,6 +49,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+LOG2E = math.log2(math.e)  # e^x = 2^(x log2(e)): the attention core's logits are base 2
 _LN_EPS = 1e-5  # layer norm's variance floor, in `layer_norm` and every module node
 _default_dtype = np.float32
 
@@ -520,30 +522,41 @@ def _conv_grads(g: np.ndarray, xpad: np.ndarray, kernel: Tensor, lengths: list[i
 # sized for the call's largest tile (against one fresh array per tile:
 # sli-long sli_frames_per_s.m8 +2.8%, 9 of 10 benchmark pairs).
 _TILE_BYTES = 512 * 1024
-# exp may skip the row-max shift when every row max of a tile lies in
-# [-_BAND, _BAND]. Above the band a row sum could overflow: within it every
-# term is at most e^20 (4.9e8), so a row sum stays below the float32 limit
-# e^88.7 for any T_b < 1e29, with room left for the products with v and, in
-# the backward, with dO V^T. Below the band the terms that exp flushes to
-# zero would stop being negligible: within it the largest term is at least
-# e^-20, and a term lost to underflow (logit < -87.3, the smallest normal
-# float32) is under e^-67 of it, so even T_b < 1e22 of them sum to far below
-# float32 rounding (2^-24). float64's limits are wider on both sides.
+# The core's logits are base 2: the keys' copy is scaled by log2(e) and a
+# bias comes in log2 units, so a tile holds x log2(e) for the natural logits
+# x, and exp2 of it is e^x. Natural units below, base 2 in the code: exp2 may
+# skip the row-max shift when every row max of a tile lies in
+# [-_BAND, _BAND], compared as [-_BAND log2(e), _BAND log2(e)] on the tile.
+# Above the band a row sum could overflow: within it every term is at most
+# e^20 (4.9e8), so a row sum stays below the float32 limit e^88.7 for any
+# T_b < 1e29, with room left for the products with v and, in the backward,
+# with dO V^T. Below the band the terms that exp2 flushes to zero would stop
+# being negligible: within it the largest term is at least e^-20, and a term
+# lost to underflow (logit < -87.3, 2^-126 the smallest normal float32) is
+# under e^-67 of it, so even T_b < 1e22 of them sum to far below float32
+# rounding (2^-24). float64's limits are wider on both sides.
 # Slots shorter than _BAND_MIN_FRAMES always shift: there a band check
 # costs about as much as the subtract pass it saves.
 #
 # On longer slots the band is read off the row sums s, which the forward
-# needs anyway, so no row-max pass runs: exp the unshifted logits, then keep
-# the tile if every s lies in [T_b e^(-20 + m), e^(20 - m)], m = _BAND_MARGIN.
-# With M a row's max and u the unit roundoff, exp is within 4u of e^x (a
-# subnormal result within 2^-126 of it), and a computed sum of T_b
-# nonnegative terms, in any order, is within gamma = T_b u / (1 - T_b u) of
-# the exact one. So:
-# - if M > 20, the largest term is above e^20 (1 - 4u) (or is inf), and
-#   s > e^20 (1 - 4u)(1 - gamma) > e^(20 - m);
-# - if M < -20, every term is at most e^-20 (1 + 4u), and
-#   s <= T_b e^-20 (1 + 4u)(1 + gamma) < T_b e^(-20 + m);
-# both whenever (1 + 4u)(1 + gamma) < e^m. For m = 0.01 that holds up to
+# needs anyway, so no row-max pass runs: exp2 the unshifted logits, then keep
+# the tile if every s lies in [T_b e^(-20 + m), e^(20 - m)], m = _BAND_MARGIN
+# (a row sum of 2^(x log2(e)) is a row sum of e^x, so the bounds keep their
+# natural form). With M a row's max of the tile's logits over log2(e) and u
+# the unit roundoff, assume exp2 is within 4 ulp of the exact power, a
+# relative error of at most 8u (a subnormal result within 2^-126 of it);
+# numpy 2.4's float64 exp2 measured at most 0.7 ulp, its float32 exp2 at
+# most 1 ulp on results below 2^126 and 2.9 ulp above, and
+# `tests/test_autodiff.py` pins the 4 ulp. A computed
+# sum of T_b nonnegative terms, in any order, is within
+# gamma = T_b u / (1 - T_b u) of the exact one. The row-max path compares
+# against _BAND2 rounded to the tile's dtype, which moves the band's edges by
+# 20u at most, far inside the margin. So:
+# - if M > 20, the largest term is above e^20 (1 - 8u) (or is inf), and
+#   s > e^20 (1 - 8u)(1 - gamma) > e^(20 - m);
+# - if M < -20, every term is at most e^-20 (1 + 8u), and
+#   s <= T_b e^-20 (1 + 8u)(1 + gamma) < T_b e^(-20 + m);
+# both whenever (1 + 8u)(1 + gamma) < e^m. For m = 0.01 that holds up to
 # T_b = _BAND_MAX_FRAMES = 2^16 in float32: T_b u <= 2^-8, so gamma < 0.004
 # against e^0.01 - 1 = 0.01005, which also covers rounding the bounds to
 # float32 (float64's u is 2^29 times smaller). A tile that passes thus has
@@ -551,7 +564,7 @@ _TILE_BYTES = 512 * 1024
 # its bits are those of the row-max path. A tile that fails (NaN and +-inf
 # rows included) recomputes its logits and takes the row-max path, and so do
 # the call's later tiles without trying the band first, so a failure wastes
-# one tile's q k^T, exp and row sums per call, not one per tile. timeit,
+# one tile's q k^T, exp2 and row sums per call, not one per tile. timeit,
 # every logit out of the band, 2 float32 heads of 8, against the row-max
 # path alone: 1.02x at T_b = 800 (10 tiles), 1.15x for two 400-frame slots,
 # but 1.9x for a lone 200-frame slot, whose one tile is the whole call.
@@ -560,6 +573,7 @@ _BAND_MIN_FRAMES = 64
 _BAND_MAX_FRAMES = 2 ** 16
 _BAND_MARGIN = 0.01
 _BAND_LO, _BAND_HI = math.exp(_BAND_MARGIN - _BAND), math.exp(_BAND - _BAND_MARGIN)
+_BAND2 = _BAND * LOG2E  # the band in the tile's base-2 units
 
 
 def _slot_lengths(n: int, h: int, bias: np.ndarray | None,
@@ -589,14 +603,10 @@ def _logits(qt: np.ndarray, kt: np.ndarray, bias, r0: int, out: np.ndarray) -> n
     return e
 
 
-def _exp_sums(e: np.ndarray, vb: np.ndarray, keep) -> tuple[np.ndarray | None, np.ndarray]:
-    """exp(e) in place, then (e @ vb, the row sums), or (None, the row sums)
-    with dropout. Without dropout vb's last column is ones."""
-    np.exp(e, out=e)
-    if keep is None:
-        p = e @ vb
-        return p, p[..., -1:]
-    return None, _sum_last(e)
+def _exp_sums(e: np.ndarray) -> np.ndarray:
+    """2^e in place, then its (h, rows, 1) row sums."""
+    np.exp2(e, out=e)
+    return _sum_last(e)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: float,
@@ -606,21 +616,16 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
     Nothing is kept unless `graph`; `scale` is the kept weights' scale.
     """
     n, h, _ = q.shape
-    dv = v.shape[-1]
-    out = np.empty((n, h, dv), dtype=q.dtype)
+    out = np.empty(v.shape, dtype=q.dtype)
     saved = []
-    vs = v
-    if keep is None:  # a ones column: one product gives the numerator and the row sums
-        vs = np.empty((n, h, dv + 1), v.dtype)
-        vs[..., :dv] = v
-        vs[..., dv] = 1.0
-    kt_all = np.ascontiguousarray(k.transpose(1, 2, 0))  # (h, dh, N): a slot's keys are columns
+    kt_all = np.empty((h, k.shape[-1], n), k.dtype)  # (h, dh, N): a slot's keys are columns
+    np.multiply(k.transpose(1, 2, 0), LOG2E, out=kt_all)  # so q k^T comes out in log2 units
     tile_cells = max(1, _TILE_BYTES // (h * out.itemsize))  # rows x T_b per tile
     scratch = np.empty(0, out.dtype)  # without a graph, every tile's logits
     speculate = True  # until a tile of this call fails the row-sum check
     at = 0
     for b, tb in enumerate(lengths):
-        qb, ob, vb = (_heads(a, at, tb) for a in (q, out, vs))
+        qb, ob, vb = (_heads(a, at, tb) for a in (q, out, v))
         kt = kt_all[:, :, at:at + tb]
         at += tb
         rows = min(tb, max(1, tile_cells // tb))
@@ -637,21 +642,21 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
             dest = (e_all[:, r0:r1] if graph
                     else scratch[:h * (r1 - r0) * tb].reshape(h, r1 - r0, tb))
             e = None
-            if banded and speculate:  # exp the unshifted logits, then check the row sums
+            if banded and speculate:  # exp2 the unshifted logits, then check the row sums
                 with np.errstate(over="ignore", invalid="ignore"):
                     e = _logits(qt, kt, bias, r0, dest)
-                    p, s = _exp_sums(e, vb, keep)
+                    s = _exp_sums(e)
                 if not (lo <= s.min() and s.max() <= _BAND_HI):  # NaN fails too
                     e, speculate = None, False
             if e is None:
                 e = _logits(qt, kt, bias, r0, dest)
                 mx = np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
-                if tb < _BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND:  # NaN, -inf: shift
+                if tb < _BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND2:  # NaN, -inf: shift
                     e -= mx
-                p, s = _exp_sums(e, vb, keep)
+                s = _exp_sums(e)
             o = ob[:, r0:r1]
             if keep is None:
-                np.divide(p[..., :dv], s, out=o)
+                np.divide(e @ vb, s, out=o)
             else:  # s: the row sums before dropout
                 kb = keep[b][:, r0:r1]
                 np.divide((e * kb if graph else np.multiply(e, kb, out=e)) @ vb, s, out=o)
@@ -773,36 +778,43 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
               keep: Sequence[np.ndarray] | None = None, keep_scale: float = 1.0,
               lengths: Sequence[int] | None = None) -> Tensor:
-    """softmax(q k^T + bias) v as one node, computed per slot on packed rows.
+    """softmax(q k^T + bias ln 2) v as one node, computed per slot on packed rows.
+
+    `bias` is in log2 units, the unit `encoder.relative_position_bias`
+    returns: the core works in base 2, so the weights are
+    2^(q k^T log2(e) + bias), which is e^(q k^T + bias ln 2).
 
     q and k are (N, h, dh) and v is (N, h, dv). Slot b owns the next
     `lengths[b]` = T_b rows (default: one slot of all N), and only its
     (h, T_b, T_b) block is computed, in tiles of query rows whose
     (h, rows, T_b) logits fit `_TILE_BYTES`, so a long slot's passes run from
-    L2: logits plus `bias[:T_b, :T_b]` of a constant (T, T) bias, T the
-    longest slot, the row maxima, a shift by them unless the tile's maxima all
-    lie in the safe band [-_BAND, _BAND] (softmax is shift-invariant), exp,
-    then the optional boolean `keep[b]` (h, T_b, T_b) drops weights (inverted
-    dropout, the kept ones scaled by `keep_scale`). The weights are never
-    normalised: the (h, rows, dv) output is divided by the row sums instead.
-    Without dropout v carries an extra ones column, so one product gives the
-    numerator and the row sums; with dropout the row sums are taken before
-    the mask.
+    L2: base-2 logits q (k log2(e))^T plus `bias[:T_b, :T_b]` of a constant
+    (T, T) bias, T the longest slot, the row maxima, a shift by them unless
+    the tile's maxima all lie in the safe band [-_BAND, _BAND] in natural
+    units (softmax is shift-invariant), exp2 and the row sums, then the
+    optional 0/1 `keep[b]` (h, T_b, T_b), bool or of q's float dtype, drops
+    weights (inverted dropout, the kept ones scaled by `keep_scale`); both
+    mask dtypes give the same bits, a float one without a cast per multiply.
+    The weights are never normalised: the (h, rows, dv) product with v is
+    divided by the row sums instead, which with dropout are taken before the
+    mask.
 
     Slots of at least `_BAND_MIN_FRAMES` frames skip the row-max pass when
-    they can: a tile first exps its unshifted logits, and if every row sum
+    they can: a tile first exp2s its unshifted logits, and if every row sum
     lies within bounds that prove every row max is in the band, it is kept;
     otherwise its logits are recomputed and take the path above, so the bits
     are the same either way, and the call's later tiles take that path
     directly. Every tile reads its slot's keys as columns of one contiguous
-    (h, dh, N) copy of k made per call (the backward reads v the same way
-    for dO V^T), so BLAS gets a plain operand instead of a strided view,
-    and without a graph every tile writes its logits into one scratch array.
+    (h, dh, N) copy of k, scaled by log2(e), made per call (the backward
+    reads the natural v the same way for dO V^T), so BLAS gets a plain
+    operand instead of a strided view, and without a graph every tile
+    writes its logits into one scratch array.
 
     A graph writes each tile into the slot's whole exp'd block e and saves it
     with its row sums s; the softmax is P = e / s (whatever shift each row
-    took) and the dropped weights W = P * keep * scale. The backward is the
-    closed form dV = W^T dO,
+    took), the same P as e^(logits) would give up to rounding, so the
+    backward reads the natural q, k and v, and the dropped weights are
+    W = P * keep * scale. The backward is the closed form dV = W^T dO,
     dP = (dO V^T) * keep * scale, dS = P * (dP - rowsum(dP * P)), dQ = dS K,
     dK = dS^T Q, where rowsum(dP * P) = rowsum(dO * O) needs no T x T pass
     (Rabe & Staats, arXiv 2112.05682; Dao et al., FlashAttention,
@@ -913,8 +925,9 @@ def self_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tenso
     With n = LN(x): q = (n Wq + bq) / sqrt(dh), k = n Wk (a key bias would
     shift a whole row of logits, which softmax cancels) and v = n Wv + bv, each
     viewed as (N, heads, dh), dh = d / heads. The core is `attention`'s, with
-    its `bias`, `keep`, `keep_scale` and slot `lengths`; its (N, heads, dh)
-    output is viewed as (N, d) again before Wo.
+    its `bias` (in log2 units, added to the base-2 logits), `keep`,
+    `keep_scale` and slot `lengths`; its (N, heads, dh) output is viewed as
+    (N, d) again before Wo.
     """
     if x.data.ndim != 2 or heads < 1 or x.data.shape[-1] % heads:
         raise DimensionError(f"self_attention expects (N, d) with d divisible by "

@@ -76,7 +76,11 @@ class ConsistencyReport:
 
 def layer_transitions(traces: list[LayerTrace]) -> ConsistencyReport:
     """Frame-wise L2 distance and cosine similarity between consecutive layers,
-    averaged over all frames of all traces."""
+    averaged over all frames of all traces.
+
+    Each trace is one (H+1, T, d) float64 stack, so every layer's frame norms
+    are computed once and every transition is one pass over the stack.
+    """
     if not traces:
         raise ContractError("need at least one trace")
     depth = traces[0].depth
@@ -86,16 +90,13 @@ def layer_transitions(traces: list[LayerTrace]) -> ConsistencyReport:
     cos_sums = np.zeros(depth)
     total = 0
     for trace in traces:
-        total += trace.embeddings[0].shape[0]
-        for i in range(depth):
-            a = trace.embeddings[i].astype(np.float64)
-            b = trace.embeddings[i + 1].astype(np.float64)
-            diff = b - a
-            l2_sums[i] += np.sqrt((diff ** 2).sum(axis=1)).sum()
-            na = np.sqrt((a ** 2).sum(axis=1))
-            nb = np.sqrt((b ** 2).sum(axis=1))
-            denom = np.maximum(na * nb, 1e-12)
-            cos_sums[i] += ((a * b).sum(axis=1) / denom).sum()
+        h = np.array(trace.embeddings, dtype=np.float64)  # (H+1, T, d)
+        total += h.shape[1]
+        a, b = h[:-1], h[1:]
+        l2_sums += np.sqrt(((b - a) ** 2).sum(axis=2)).sum(axis=1)
+        norms = np.sqrt((h ** 2).sum(axis=2))  # (H+1, T)
+        denom = np.maximum(norms[:-1] * norms[1:], 1e-12)
+        cos_sums += ((a * b).sum(axis=2) / denom).sum(axis=1)
     return ConsistencyReport(
         l2_mean=[float(v / total) for v in l2_sums],
         cos_mean=[float(v / total) for v in cos_sums],

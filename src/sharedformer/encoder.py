@@ -265,6 +265,9 @@ _pos_bias_cache: dict[tuple[int, str], np.ndarray] = {}
 def relative_position_bias(T: int, head_dim: int, dtype) -> np.ndarray:
     """Fixed sinusoidal bias over relative frame offsets, added to attn logits.
 
+    In log2 units, as `autodiff.attention` takes it: the natural bias times
+    log2(e), scaled in float64 before the cast to `dtype`.
+
     Entry (i, j) depends only on i - j, so the (T, T) table is a read-only
     view over the 2T - 1 offsets: row i of the reversed sliding window over
     f(T-1), ..., f(1-T) starts at offset i and ends at i - (T - 1). One table
@@ -276,7 +279,8 @@ def relative_position_bias(T: int, head_dim: int, dtype) -> np.ndarray:
     if table is None or table.shape[0] < T:
         delta = np.arange(T - 1, -T, -1)
         freqs = 1.0 / (10000.0 ** (2 * np.arange(head_dim // 2) / head_dim))
-        f = (np.sin(delta[:, None] * freqs).mean(axis=-1) / np.sqrt(head_dim)).astype(dtype)
+        f = np.sin(delta[:, None] * freqs).mean(axis=-1) / np.sqrt(head_dim)
+        f = (f * ad.LOG2E).astype(dtype)
         table = _pos_bias_cache[key] = np.lib.stride_tricks.sliding_window_view(f, T)[::-1]
     return table[:T, :T]
 
@@ -311,8 +315,10 @@ def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
     keep = None
     if rngs is not None and cfg.dropout > 0.0:
         # each slot draws its (h, T_b, T_b) block from its own generator, so a
-        # slot sees the same draws as it would alone
-        keep = [r.random((h, tb, tb)) >= cfg.dropout for r, tb in zip(rngs, lengths)]
+        # slot sees the same draws as it would alone; cast once to 0/1 floats,
+        # so the core's three multiplies by it need no cast of their own
+        keep = [(r.random((h, tb, tb)) >= cfg.dropout).astype(x.data.dtype)
+                for r, tb in zip(rngs, lengths)]
     x = ad.feed_forward(x, *_module_params(group, "ff1"))
     x = ad.self_attention(x, *_module_params(group, "attn"), h, bias, keep,
                           1.0 / (1.0 - cfg.dropout), lengths)

@@ -3,12 +3,14 @@ decided from the row sums: the oracle for `autodiff._attend` and
 `autodiff._attend_grads`.
 
 `attend` and `attend_grads` are frozen copies of that forward and backward,
-with one exception: every tile reads its slot's keys (and the backward's v)
-as columns of one contiguous (h, dh, N) copy made per call, the one layout
-the attention core uses. They read the tile budget and the band's minimum
-slot length from `autodiff` at call time, so a test that shrinks the tiles
-shrinks them here too. The attention core promises bitwise equality with
-these functions for every input, on both sides of the band and on both
+in the core's current formula: every tile reads its slot's keys (and the
+backward's v) as columns of one contiguous (h, dh, N) copy made per call,
+the keys' copy scaled by log2(e), so the logits are base 2 and take `exp2`,
+the row-max band is compared in base-2 units, and the row sums are always
+`_sum_last` of the exp'd tile. They read the tile budget and the band's
+minimum slot length from `autodiff` at call time, so a test that shrinks the
+tiles shrinks them here too. The attention core promises bitwise equality
+with these functions for every input, on both sides of the band and on both
 sides of a tile boundary.
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from sharedformer import autodiff as ad
 
-_BAND = 20.0
+_BAND2 = 20.0 * ad.LOG2E  # the natural band [-20, 20] in base-2 units
 
 
 def _heads(a, at, t):
@@ -24,20 +26,15 @@ def _heads(a, at, t):
 
 
 def attend(q, k, v, bias, keep, scale, lengths, graph):
-    n, h, _ = q.shape
-    dv = v.shape[-1]
-    out = np.empty((n, h, dv), dtype=q.dtype)
+    n, h, dh = q.shape
+    out = np.empty(v.shape, dtype=q.dtype)
     saved = []
-    vs = v
-    if keep is None:
-        vs = np.empty((n, h, dv + 1), v.dtype)
-        vs[..., :dv] = v
-        vs[..., dv] = 1.0
-    kt_all = np.ascontiguousarray(k.transpose(1, 2, 0))
+    kt_all = np.empty((h, dh, n), k.dtype)
+    np.multiply(k.transpose(1, 2, 0), ad.LOG2E, out=kt_all)
     tile_cells = max(1, ad._TILE_BYTES // (h * out.itemsize))
     at = 0
     for b, tb in enumerate(lengths):
-        qb, ob, vb = (_heads(a, at, tb) for a in (q, out, vs))
+        qb, ob, vb = (_heads(a, at, tb) for a in (q, out, v))
         kt = kt_all[:, :, at:at + tb]
         at += tb
         rows = max(1, tile_cells // tb)
@@ -50,16 +47,14 @@ def attend(q, k, v, bias, keep, scale, lengths, graph):
             if bias is not None:
                 e += bias[r0:r1, :tb]
             mx = np.fmax.reduce(e, axis=-1, keepdims=True)
-            if tb < ad._BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND:
+            if tb < ad._BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND2:
                 e -= mx
-            np.exp(e, out=e)
+            np.exp2(e, out=e)
+            s = ad._sum_last(e)
             o = ob[:, r0:r1]
             if keep is None:
-                p = e @ vb
-                s = p[..., dv:]
-                np.divide(p[..., :dv], s, out=o)
+                np.divide(e @ vb, s, out=o)
             else:
-                s = ad._sum_last(e)
                 kb = keep[b][:, r0:r1]
                 np.divide((e * kb if graph else np.multiply(e, kb, out=e)) @ vb, s, out=o)
                 o *= scale

@@ -10,7 +10,8 @@ one-row tiles wider than the tile budget, packed, with and without bias and
 dropout, in a graph and without one, in float32 and float64, with narrow
 and wide heads. The logits read from the key copy are checked against the
 strided product of the packed rows to a rounding bound, since BLAS may sum
-the two in different orders.
+the two in different orders. Biases are in the core's log2 units; the band
+cases state their row maxima in natural units and convert them.
 """
 
 import itertools
@@ -88,15 +89,17 @@ def test_slot_past_the_tile_budget_takes_one_row_tiles(monkeypatch, dtype):
 @pytest.mark.parametrize("dh", [2, 8, 31, 32, 128])
 @pytest.mark.parametrize("T", [64, 200, 800])
 def test_copied_keys_give_the_strided_product_to_rounding(T, dh, dtype):
-    # the core reads a slot's keys as columns of the call's (h, dh, N) copy;
-    # BLAS may sum q k^T's dot products in another order there than on the
-    # strided view of the packed rows. Each computed sum of dh products is
-    # within about dh u of sum |q_i k_i| of the exact one (u the unit
-    # roundoff), so the two are within twice that of each other
+    # the core reads a slot's keys as columns of the call's (h, dh, N) copy,
+    # scaled by log2(e); BLAS may sum q k^T's dot products in another order
+    # there than on the strided view of the packed rows, scaled alike. Each
+    # computed sum of dh products is within about dh u of sum |q_i k_i| of
+    # the exact one (u the unit roundoff), so the two are within twice that
+    # of each other
     r = np.random.default_rng(T + dh)
     k = r.normal(size=(T + 750, 2, dh)).astype(dtype)
-    view = k[750:].transpose(1, 2, 0)
-    copy = np.ascontiguousarray(k.transpose(1, 2, 0))[:, :, 750:]
+    view = k[750:].transpose(1, 2, 0) * ad.LOG2E  # keeps the packed rows' strides
+    copy = (k.transpose(1, 2, 0) * ad.LOG2E).copy()[:, :, 750:]
+    assert not view.flags.c_contiguous
     q = r.normal(size=(2, 81, dh)).astype(dtype)
     for rows in (1, 2, 81):
         qt = q[:, :rows]
@@ -122,14 +125,14 @@ def _count_logits(monkeypatch):
                                           (-19.999, True), (25.0, True), (-25.0, True)])
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_row_sums_outside_the_bounds_take_the_row_max_path(monkeypatch, T, top, fallback, p):
-    # logits = bias: each row's maximum is `top`, its other terms far below,
-    # so within the band (|top| <= 20) the row sum is about e^top: below
-    # T e^-19.99 at -19.5 and above e^19.99 at 19.995, where the speculative
-    # exp is discarded although the reference skips the shift too
+    # logits = bias: each row's natural maximum is `top`, its other terms far
+    # below, so within the band (|top| <= 20) the row sum is about e^top:
+    # below T e^-19.99 at -19.5 and above e^19.99 at 19.995, where the
+    # speculative exp2 is discarded although the reference skips the shift too
     r = np.random.default_rng(int(T + 1000 * abs(top)))
     spread = r.uniform(-60.0, -30.0, size=(T, T))
     spread[np.arange(T), r.integers(0, T, size=T)] = 0.0
-    bias = (top + spread).astype(np.float32)
+    bias = ((top + spread) * ad.LOG2E).astype(np.float32)
     zeros = np.zeros((T, 2, 8), np.float32)
     v = r.normal(size=(T, 2, 8)).astype(np.float32)
     keep = [r.random((2, T, T)) >= p] if p else None
@@ -142,8 +145,9 @@ def test_row_sums_outside_the_bounds_take_the_row_max_path(monkeypatch, T, top, 
 
 
 def test_a_failed_tile_ends_the_calls_speculation(monkeypatch):
-    # every logit is 72, far above the band: the call's first tile is exp'd
-    # twice, the other nine of the 800-frame slot and the 200-frame slot once
+    # every logit is 72 (104 in base 2), far above the band: the call's first
+    # tile is exp'd twice, the other nine of the 800-frame slot and the
+    # 200-frame slot once
     q = np.full((1000, 2, 8), 3.0, np.float32)
     v = np.random.default_rng(9).normal(size=q.shape).astype(np.float32)
     calls = _count_logits(monkeypatch)
@@ -159,7 +163,7 @@ def test_the_speculative_pass_adds_no_warning():
     q, k, v, bias, r = _inputs(5, [T], 2, 8, np.float32, 1.0)
     q[3, 0, 0] = np.nan
     k[7, 1, 2] = np.inf
-    bias[11, :] = 300.0  # a row whose exp overflows without the shift
+    bias[11, :] = 300.0  # a row whose exp2 overflows without the shift
 
     def caught(fn):
         with warnings.catch_warnings(record=True) as seen:
@@ -175,7 +179,7 @@ def test_the_speculative_pass_adds_no_warning():
 
 def test_forward_only_call_peaks_at_one_tile():
     # one scratch tile for all of a slot's tiles, plus O(N h dh) arrays: the
-    # output, v with its ones column, the keys' copy and one tile's products
+    # output, the keys' copy, one tile's products and row sums
     T, h, dh = 800, 2, 8
     q, k, v, bias, _ = _inputs(7, [T], h, dh, np.float32, 1.0)
     with ad.no_grad():

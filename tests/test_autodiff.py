@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,9 @@ def test_softmax_empty_rejected():
 # ---- attention --------------------------------------------------------------
 
 
+LN2 = math.log(2.0)  # attention's bias is in log2 units: times ln 2, natural ones
+
+
 def _attention_inputs(seed, lengths=(5, 5), h=2, dh=3):
     """Packed q, k, v (N, h, dh) for slots of `lengths`, a (T, T) bias for the
     longest slot and an (N, h, dh) coefficient array."""
@@ -153,7 +158,8 @@ def test_attention_finite_difference(float64, lengths, p):
 def test_attention_single_slot_matches_softmax_chain(float64):
     q, k, v, bias, _ = _attention_inputs(2, lengths=(5,))
     qh, kh, vh = (t.transpose((1, 0, 2)) for t in (q, k, v))  # (h, T, dh)
-    weights = ad.softmax(ad.matmul(qh, kh.transpose((0, 2, 1))) + Tensor(bias))
+    # attention's bias is in log2 units, the softmax's in natural ones
+    weights = ad.softmax(ad.matmul(qh, kh.transpose((0, 2, 1))) + Tensor(bias * LN2))
     np.testing.assert_allclose(ad.attention(q, k, v, bias).data,
                                ad.matmul(weights, vh).data.transpose(1, 0, 2), atol=1e-12)
 
@@ -182,6 +188,55 @@ def test_attention_graph_and_no_grad_forward_agree(float64):
     np.testing.assert_array_equal(graph.data, plain.data)
 
 
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("lengths", [[70, 41], [200]], ids=["desk", "long"])
+def test_attention_float_and_bool_masks_give_the_same_bits(precision, lengths):
+    # the block casts its masks to 0/1 floats once; e * 1.0 and e * 0.0 are
+    # the products a bool mask's cast gives, forward and backward alike
+    r = rng(sum(lengths))
+    N, T = sum(lengths), max(lengths)
+    data = [r.normal(size=(N, 2, 8)) for _ in range(3)]
+    bias = r.normal(size=(T, T)).astype(precision)
+    coeff = r.normal(size=(N, 2, 8))
+    masks = _keep_masks(3, 2, lengths, 0.3)
+    results = []
+    with ad.precision(precision):
+        for keep in (masks, [m.astype(precision) for m in masks]):
+            with ad.no_grad():
+                plain = ad.attention(*(Tensor(a) for a in data), bias, keep, 1 / 0.7, lengths)
+            q, k, v = (Tensor(a, requires_grad=True) for a in data)
+            out = ad.attention(q, k, v, bias, keep, 1 / 0.7, lengths)
+            (out * Tensor(coeff)).sum().backward()
+            results.append([plain.data, out.data, q.grad, k.grad, v.grad])
+    for got, want in zip(*results):
+        assert got.dtype == precision
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_exp2_is_within_the_band_proofs_error(dtype):
+    # the row-sum band proof beside `ad._BAND` assumes exp2 within 4 ulp of
+    # the exact power for normal results, and within the smallest normal of
+    # it for subnormal ones, over the whole exponent range; the reference is
+    # exp2 in float64 for float32 and in the longer long double for float64
+    info = np.finfo(dtype)
+    wide = np.float64 if dtype == np.float32 else np.longdouble
+    if np.finfo(wide).nmant <= info.nmant + 8:
+        pytest.skip("this platform's long double is no wider than float64")
+    lo, hi = info.minexp - info.nmant, info.maxexp  # 2^lo is the smallest subnormal
+    r = rng(info.bits)
+    x = np.concatenate([np.linspace(lo, hi, 200_001), r.uniform(lo, hi, 200_000),
+                        r.uniform(-60.0, 60.0, 200_000)]).astype(dtype)
+    x = x[x < hi]  # 2^hi overflows
+    got = np.exp2(x).astype(wide)
+    want = np.exp2(x.astype(wide))
+    normal = want >= info.smallest_normal
+    ulp = np.spacing(want[normal].astype(dtype)).astype(wide)
+    assert np.all(np.abs(got[normal] - want[normal]) <= 4 * ulp)
+    assert np.all(np.abs(got[~normal] - want[~normal]) <= info.smallest_normal)
+    assert np.exp2(dtype(-np.inf)) == 0.0 and np.isnan(np.exp2(dtype(np.nan)))
+
+
 @pytest.fixture
 def small_tiles(monkeypatch):
     """Tiles of a few query rows (6 at 13 float32 frames, 3 at 13 float64
@@ -191,14 +246,16 @@ def small_tiles(monkeypatch):
 
 
 def _brute_attention(q, k, v, bias, keep, scale, lengths):
-    """Per slot of packed rows, in float64: logits, max-shifted softmax,
-    dropout, weights @ v."""
+    """Per slot of packed rows, in float64: logits with `bias` converted from
+    attention's log2 units to natural ones, max-shifted softmax, dropout,
+    weights @ v."""
     q, k, v = (np.asarray(t, np.float64).transpose(1, 0, 2) for t in (q, k, v))  # (h, N, d)
+    bias = np.asarray(bias, np.float64)  # converted in float64, not the bias's dtype
     out = np.zeros(v.shape)
     at = 0
     for b, t in enumerate(lengths or [q.shape[1]]):
         rows = slice(at, at + t)
-        logits = q[:, rows] @ np.swapaxes(k[:, rows], -1, -2) + bias[:t, :t]
+        logits = q[:, rows] @ np.swapaxes(k[:, rows], -1, -2) + bias[:t, :t] * LN2
         p = np.exp(logits - logits.max(axis=-1, keepdims=True))
         p /= p.sum(axis=-1, keepdims=True)
         if keep is not None:
@@ -273,12 +330,12 @@ def test_attention_large_logits_take_the_shift(small_tiles, precision, gain):
 
 @pytest.mark.parametrize("top", [-19.5, 19.5, -25.0, 25.0, -300.0, 300.0])
 def test_attention_row_maxima_near_the_band(small_tiles, top):
-    # logits = bias: each row's maximum is `top`, the rest spread far below it,
-    # down to terms whose exp flushes to zero without the shift
+    # logits = bias: each row's natural maximum is `top`, the rest spread far
+    # below it, down to terms whose exp2 flushes to zero without the shift
     T = 13
     spread = rng(19).uniform(-200.0, -0.5, size=(T, T))
     spread[np.arange(T), rng(20).integers(0, T, size=T)] = 0.0
-    bias = (top + spread).astype(np.float32)
+    bias = ((top + spread) * ad.LOG2E).astype(np.float32)
     zeros = Tensor(np.zeros((T, 2, 3), np.float32))
     v = rng(21).normal(size=(T, 2, 4)).astype(np.float32)
     out = ad.attention(zeros, zeros, Tensor(v), bias)

@@ -96,6 +96,36 @@ def test_transitions_on_trained_shapes(float64):
     assert all(-1.0 - 1e-9 <= c <= 1.0 + 1e-9 for c in report.cos_mean)
 
 
+
+def _transitions_loop(traces):
+    """`layer_transitions` as it was, one layer pair at a time with both
+    norms recomputed: the oracle for the stacked version's bits."""
+    depth = traces[0].depth
+    l2_sums, cos_sums, total = np.zeros(depth), np.zeros(depth), 0
+    for trace in traces:
+        total += trace.embeddings[0].shape[0]
+        for i in range(depth):
+            a = trace.embeddings[i].astype(np.float64)
+            b = trace.embeddings[i + 1].astype(np.float64)
+            l2_sums[i] += np.sqrt(((b - a) ** 2).sum(axis=1)).sum()
+            na = np.sqrt((a ** 2).sum(axis=1))
+            nb = np.sqrt((b ** 2).sum(axis=1))
+            cos_sums[i] += ((a * b).sum(axis=1) / np.maximum(na * nb, 1e-12)).sum()
+    return [float(v / total) for v in l2_sums], [float(v / total) for v in cos_sums], total
+
+
+def test_transitions_are_bitwise_the_per_layer_loop():
+    # float32 traces of a fresh desk store (15-30 frames), plus float64 ones
+    # of 1, 130 and 7 frames with a zero frame (the cosine's floor)
+    corpus = small_corpus()
+    traces = collect_traces(desk_store(), corpus, list(range(len(corpus.sequences))))
+    r = rng(5)
+    wide = [LayerTrace([r.normal(size=(t, 24)) for _ in range(4)]) for t in (1, 130, 7)]
+    wide[1].embeddings[2][5] = 0.0
+    for case in (traces, wide):
+        report = layer_transitions(case)
+        assert (report.l2_mean, report.cos_mean, report.num_frames) == _transitions_loop(case)
+
 # ---- gradient decomposition --------------------------------------------------
 
 

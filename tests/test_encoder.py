@@ -1,4 +1,5 @@
 import contextlib
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -151,8 +152,9 @@ def _composite_attention(x, g, cfg, rngs, lengths):
     k = heads(n @ g["attn.wk"])
     v = heads(ad.matmul(n, g["attn.wv"], g["attn.bv"]))
     real = np.arange(T) < np.asarray(lengths)[:, None]
+    # the position bias comes in attention's log2 units: times ln 2 for softmax
     bias = np.where(real, 0.0, -np.inf)[:, None, None, :] + relative_position_bias(
-        T, dh, np.float64)
+        T, dh, np.float64) * math.log(2.0)
     weights = ad.softmax(ad.matmul(q, k.transpose((0, 1, 3, 2))) + Tensor(bias))
     mask = np.zeros(weights.shape)
     for b, (r, t) in enumerate(zip(rngs, lengths)):
@@ -199,9 +201,11 @@ def test_attention_matches_composite_chain(float64):
 
 
 def _position_bias_formula(T, head_dim, dtype):
+    # the natural formula, times log2(e) in float64 before the cast
     delta = np.arange(T)[:, None] - np.arange(T)[None, :]
     freqs = 1.0 / (10000.0 ** (2 * np.arange(head_dim // 2) / head_dim))
-    return (np.sin(delta[..., None] * freqs).mean(axis=-1) / np.sqrt(head_dim)).astype(dtype)
+    f = np.sin(delta[..., None] * freqs).mean(axis=-1) / np.sqrt(head_dim)
+    return (f * ad.LOG2E).astype(dtype)
 
 
 def test_position_bias_one_table_grown_to_longest(monkeypatch):
