@@ -221,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--data", required=True)
     s.add_argument("--labels", required=True)
-    s.add_argument("--layers", required=True, help="comma-separated depths, e.g. 5,6,7,8")
+    s.add_argument("--layers", required=True,
+                   help="comma-separated depths in 0..max_layers, e.g. 0,2,5,8 "
+                        "(0 is the frontend output)")
     s.add_argument("--out", required=True)
 
     return p

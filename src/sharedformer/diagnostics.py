@@ -251,6 +251,7 @@ class ProbeResult:
     layer: int
     accuracy: float
     per_class_accuracy: list[float]
+    weights: np.ndarray   # (C, d + 1) float32 on standardized features; last column the bias
 
 
 @dataclass
@@ -260,16 +261,20 @@ class ProbeConfig:
     momentum: float = 0.9
 
 
-def linear_probe(train_x: np.ndarray, train_y: np.ndarray,
-                 test_x: np.ndarray, test_y: np.ndarray,
-                 num_classes: int, layer: int = 0,
-                 config: ProbeConfig | None = None) -> ProbeResult:
-    """Affine softmax classifier on frozen features, full-batch gradient descent.
+def linear_probe(train_x: list[np.ndarray], train_y: np.ndarray,
+                 test_x: list[np.ndarray], test_y: np.ndarray,
+                 num_classes: int, layers: list[int] | None = None,
+                 config: ProbeConfig | None = None) -> list[ProbeResult]:
+    """Affine softmax classifiers on frozen features, one per depth, fitted together.
 
-    Deterministic: zero init, fixed step budget, train-split standardization.
-    The loop is class-major: features are (d, n) and logits (C, n), so the
-    softmax max and sum run across C rows of length n, not along a short
-    trailing class axis.
+    `train_x[i]` and `test_x[i]` are depth i's (n, d) frames, all depths
+    sharing `train_y` and `test_y`; `layers[i]` labels result i (default i).
+    Each depth is standardized in float64 over the train split, then every
+    depth runs in one full-batch gradient descent on an (L, d + 1, n) float32
+    stack whose last feature row is ones, so the bias is a weight column.
+    Deterministic: zero init and a fixed step budget, and every depth's
+    arithmetic is its own slice of each stacked product, so a depth gets the
+    same bits alone or in a sweep.
     """
     for split, y in (("train", train_y), ("test", test_y)):
         if y.size and (y.min() < 0 or y.max() >= num_classes):
@@ -277,40 +282,55 @@ def linear_probe(train_x: np.ndarray, train_y: np.ndarray,
                                 f"found [{y.min()}, {y.max()}]")
     if len(np.unique(train_y)) < 2:
         raise ContractError("probe needs at least two classes in the training labels")
+    layers = list(range(len(train_x))) if layers is None else list(layers)
+    if not train_x or not len(train_x) == len(test_x) == len(layers):
+        raise ContractError(f"probe needs one train and one test array per depth, got "
+                            f"{len(train_x)}, {len(test_x)} for {len(layers)} depths")
+    if len({x.shape[1] for x in [*train_x, *test_x]}) != 1:
+        raise ContractError("probe features must share one width across depths and splits")
     config = config or ProbeConfig()
-    mu = train_x.mean(axis=0)
-    sd = np.maximum(train_x.std(axis=0), 1e-8)
-    xtr = np.ascontiguousarray(((train_x - mu) / sd).T, dtype=np.float64)  # (d, n)
-    xte = ((test_x - mu) / sd).astype(np.float64, copy=False)
-    d, n = xtr.shape
-    w = np.zeros((num_classes, d))
-    b = np.zeros((num_classes, 1))
-    vw = np.zeros_like(w)
-    vb = np.zeros_like(b)
-    onehot = np.zeros((num_classes, n))
+    L, (n, d) = len(layers), train_x[0].shape
+    xtr = np.ones((L, d + 1, n), dtype=np.float32)
+    xte = np.ones((L, d + 1, len(test_y)), dtype=np.float32)
+    for i, (tr, te) in enumerate(zip(train_x, test_x)):
+        tr = np.asarray(tr, dtype=np.float64)
+        mu = tr.mean(axis=0)
+        sd = np.maximum(tr.std(axis=0), 1e-8)
+        xtr[i, :d] = ((tr - mu) / sd).T
+        xte[i, :d] = ((te - mu) / sd).T
+    onehot = np.zeros((num_classes, n), dtype=np.float32)
     onehot[train_y, np.arange(n)] = 1.0
-    ones = np.ones((n, 1))
+    xtr_t = xtr.transpose(0, 2, 1)
+    y_xt = onehot @ xtr_t                  # (L, C, d + 1): the one-hot part of every gradient
+    w = np.zeros((L, num_classes, d + 1), dtype=np.float32)
+    v = np.zeros_like(w)
+    g = np.empty_like(w)
+    z = np.empty((L, num_classes, n), dtype=np.float32)
+    col = np.empty((L, 1, n), dtype=np.float32)
+    step = np.float32(config.lr / n)
+    momentum = np.float32(config.momentum)
     for _ in range(config.steps):
-        # z holds the logits, then the softmax, then the logit gradient
-        z = w @ xtr + b
-        z -= z.max(axis=0)
+        # z holds the logits, then the softmax; g is n times the weight gradient
+        np.matmul(w, xtr, out=z)
+        np.max(z, axis=1, keepdims=True, out=col)
+        z -= col
         np.exp(z, out=z)
-        z /= z.sum(axis=0)
-        z -= onehot
-        z /= n
-        gw = z @ xtr.T
-        gb = z @ ones  # a BLAS row sum, as in autodiff._sum_rows
-        vw = config.momentum * vw - config.lr * gw
-        vb = config.momentum * vb - config.lr * gb
-        w += vw
-        b += vb
-    pred = np.argmax(xte @ w.T + b.T, axis=1)
-    acc = float(np.mean(pred == test_y))
-    per_class = []
-    for c in range(num_classes):
-        mask = test_y == c
-        per_class.append(float(np.mean(pred[mask] == c)) if mask.any() else float("nan"))
-    return ProbeResult(layer, acc, per_class)
+        np.sum(z, axis=1, keepdims=True, out=col)
+        z /= col
+        np.matmul(z, xtr_t, out=g)
+        g -= y_xt
+        g *= step
+        v *= momentum
+        v -= g
+        w += v
+    pred = np.argmax(w @ xte, axis=1)      # (L, n_test)
+    results = []
+    for m, p, wm in zip(layers, pred, w):
+        hit = p == test_y
+        per_class = [float(np.mean(hit[test_y == c])) if (test_y == c).any() else float("nan")
+                     for c in range(num_classes)]
+        results.append(ProbeResult(m, float(np.mean(hit)), per_class, wm))
+    return results
 
 
 def probe_split(corpus: LabeledCorpus, seed: int, test_fraction: float = 0.2) -> tuple[list[int], list[int]]:
@@ -329,9 +349,12 @@ def _pooled(traces: list[LayerTrace], m: int) -> np.ndarray:
 
 def layer_embeddings(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
                      m: int, batch_size: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled frame embeddings and labels for the given utterances at depth m."""
-    if not (1 <= m <= store.config.max_layers):
-        raise ContractError(f"SLI layer count {m} outside [1, {store.config.max_layers}]")
+    """Pooled frame embeddings and labels for the given utterances at depth m.
+
+    Depth 0 is the frontend output, an affine map of the raw frames.
+    """
+    if not (0 <= m <= store.config.max_layers):
+        raise ContractError(f"SLI layer count {m} outside [0, {store.config.max_layers}]")
     traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx], m, batch_size)
     return _pooled(traces, m), np.concatenate([corpus.labels[i] for i in idx])
 
@@ -339,26 +362,28 @@ def layer_embeddings(store: ParameterStore, corpus: LabeledCorpus, idx: list[int
 def sli_sweep(store: ParameterStore, corpus: LabeledCorpus, layers: list[int],
               seed: int = 0, probe_config: ProbeConfig | None = None,
               batch_size: int = 8) -> list[ProbeResult]:
-    """One linear probe per shallow-inference depth; results sorted by depth.
+    """Linear probes at shallow-inference depths 0..max_layers; results sorted by depth.
 
-    Each probe split is traced once, at the deepest requested depth; depth m
-    is entry m of that trace.
+    Depth 0 is the frontend output, the raw-frame baseline. Each probe split
+    is traced once, at the deepest requested depth, and depth m is entry m of
+    that trace. One `linear_probe` call fits every depth.
     """
     H = store.config.max_layers
     if not layers:
         raise ContractError("sweep needs at least one layer")
     for m in layers:
-        if not (1 <= m <= H):
-            raise ContractError(f"sweep layer {m} outside [1, {H}]")
+        if not (0 <= m <= H):
+            raise ContractError(f"sweep layer {m} outside [0, {H}]")
+    depths = sorted(set(layers))
     splits = []
     for idx in probe_split(corpus, seed):
         traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx],
-                                max(layers), batch_size)
-        splits.append((traces, np.concatenate([corpus.labels[i] for i in idx])))
-    (train_traces, ytr), (test_traces, yte) = splits
-    return [linear_probe(_pooled(train_traces, m), ytr, _pooled(test_traces, m), yte,
-                         corpus.num_classes, layer=m, config=probe_config)
-            for m in sorted(set(layers))]
+                                depths[-1], batch_size)
+        splits.append(([_pooled(traces, m) for m in depths],
+                       np.concatenate([corpus.labels[i] for i in idx])))
+    (xtr, ytr), (xte, yte) = splits
+    return linear_probe(xtr, ytr, xte, yte, corpus.num_classes, layers=depths,
+                        config=probe_config)
 
 
 # ---- report emission ---------------------------------------------------------

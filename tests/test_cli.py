@@ -163,6 +163,7 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["probe", "--layers", ","],
     ["probe", "--layers", ""],
     ["probe", "--layers", "9"],
+    ["probe", "--layers", "-1"],
     ["diagnose", "--which", "project", "--diag.utterance=99"],
     ["synth", "--data.num_classes=70000"],
     ["synth", "--data.num_utts=-3"],
@@ -768,6 +769,17 @@ def test_probe_missing_labels_names_utterance(tmp_path, corpus_dir, run_dir, cap
                  "--layers", "2", "--out", str(tmp_path)])
     assert code == 2
     assert "synth-7-00006" in capsys.readouterr().err
+
+
+def test_probe_layer_zero_is_the_frontend_baseline(tmp_path, corpus_dir, run_dir, capsys):
+    code = main(["probe", "--checkpoint", str(run_dir / "final.ckpt"),
+                 "--data", str(corpus_dir / "features.bin"),
+                 "--labels", str(corpus_dir / "labels.bin"),
+                 "--layers", "2,0", "--out", str(tmp_path)])
+    assert code == 0
+    rows = [json.loads(l) for l in (tmp_path / "sweep.jsonl").read_text().splitlines()]
+    assert [r["layer"] for r in rows] == [0, 2]
+    assert "layer 0" in capsys.readouterr().out
 
 
 def test_probe_layer_out_of_range(tmp_path, corpus_dir, run_dir, capsys):

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from sharedformer import autodiff as ad
+from sharedformer import diagnostics
 from sharedformer.diagnostics import (ConsistencyReport, GradDecomposition,
                                       ProbeConfig, collect_traces, flop_report,
                                       gradient_decomposition, layer_embeddings,
@@ -343,7 +345,7 @@ def _blob_data(seed, n_per_class, num_classes, d, spread):
 
 def test_probe_separable_blobs():
     xtr, ytr, xte, yte = _blob_data(0, 100, 4, 8, spread=6.0)
-    res = linear_probe(xtr, ytr, xte, yte, 4)
+    res = linear_probe([xtr], ytr, [xte], yte, 4)[0]
     assert res.accuracy >= 0.95
     assert len(res.per_class_accuracy) == 4
 
@@ -353,13 +355,13 @@ def test_probe_uninformative_features_near_chance():
     ytr = rng(4).integers(0, 4, size=400)
     xte = rng(5).normal(size=(400, 8))
     yte = rng(6).integers(0, 4, size=400)
-    res = linear_probe(xtr, ytr, xte, yte, 4)
+    res = linear_probe([xtr], ytr, [xte], yte, 4)[0]
     assert abs(res.accuracy - 0.25) <= 0.10
 
 
 def test_probe_matches_lbfgs_oracle(logistic_oracle):
     xtr, ytr, xte, yte = _blob_data(7, 80, 3, 6, spread=2.0)
-    res = linear_probe(xtr, ytr, xte, yte, 3)
+    res = linear_probe([xtr], ytr, [xte], yte, 3)[0]
     mu, sd = xtr.mean(axis=0), np.maximum(xtr.std(axis=0), 1e-8)
     ref_acc = logistic_oracle((xtr - mu) / sd, ytr, (xte - mu) / sd, yte, C=1e6)
     assert abs(res.accuracy - ref_acc) <= 0.05
@@ -367,15 +369,15 @@ def test_probe_matches_lbfgs_oracle(logistic_oracle):
 
 def test_probe_deterministic():
     xtr, ytr, xte, yte = _blob_data(9, 50, 3, 5, spread=2.0)
-    a = linear_probe(xtr, ytr, xte, yte, 3)
-    b = linear_probe(xtr, ytr, xte, yte, 3)
+    a = linear_probe([xtr], ytr, [xte], yte, 3)[0]
+    b = linear_probe([xtr], ytr, [xte], yte, 3)[0]
     assert a.accuracy == b.accuracy and a.per_class_accuracy == b.per_class_accuracy
 
 
 def test_probe_single_class_contract():
     x = rng(0).normal(size=(20, 4))
     with pytest.raises(ContractError):
-        linear_probe(x, np.zeros(20, dtype=np.int64), x, np.zeros(20, dtype=np.int64), 2)
+        linear_probe([x], np.zeros(20, dtype=np.int64), [x], np.zeros(20, dtype=np.int64), 2)
 
 
 @pytest.mark.parametrize("split", ["train", "test"])
@@ -387,7 +389,7 @@ def test_probe_rejects_label_outside_class_range(split, label):
     bad[7] = label
     ytr, yte = (bad, y) if split == "train" else (y, bad)
     with pytest.raises(ContractError, match=split):
-        linear_probe(x, ytr, x, yte, 3, config=ProbeConfig(steps=5))
+        linear_probe([x], ytr, [x], yte, 3, config=ProbeConfig(steps=5))
 
 
 def _row_major_probe(train_x, train_y, test_x, test_y, num_classes, config):
@@ -437,14 +439,122 @@ def _forty_class_odd_n_data():
     (_forty_class_odd_n_data, 40),
 ], ids=["separable-blobs", "uninformative", "forty-classes-odd-n"])
 def test_probe_matches_row_major_reference(make, num_classes):
-    # tolerance: none. Only the BLAS accumulation order of the class-major
-    # loop differs, which moves weights in the last bits but no prediction.
+    # tolerance: none. The stacked solve runs in float32 and in another
+    # accumulation order, which moves the weights but no prediction here.
     xtr, ytr, xte, yte = make()
     config = ProbeConfig()
-    res = linear_probe(xtr, ytr, xte, yte, num_classes, config=config)
+    res = linear_probe([xtr], ytr, [xte], yte, num_classes, config=config)[0]
     acc, per_class = _row_major_probe(xtr, ytr, xte, yte, num_classes, config)
     assert res.accuracy == acc
     assert res.per_class_accuracy == per_class
+
+
+def _class_major_probe(train_x, train_y, test_x, test_y, num_classes, config):
+    """Reference: the float64 class-major loop the stacked solve replaced, one depth per call."""
+    mu = train_x.mean(axis=0)
+    sd = np.maximum(train_x.std(axis=0), 1e-8)
+    xtr = np.ascontiguousarray(((train_x - mu) / sd).T, dtype=np.float64)  # (d, n)
+    xte = ((test_x - mu) / sd).astype(np.float64, copy=False)
+    d, n = xtr.shape
+    w = np.zeros((num_classes, d))
+    b = np.zeros((num_classes, 1))
+    vw = np.zeros_like(w)
+    vb = np.zeros_like(b)
+    onehot = np.zeros((num_classes, n))
+    onehot[train_y, np.arange(n)] = 1.0
+    ones = np.ones((n, 1))
+    for _ in range(config.steps):
+        z = w @ xtr + b
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        z /= z.sum(axis=0)
+        z -= onehot
+        z /= n
+        gw = z @ xtr.T
+        gb = z @ ones
+        vw = config.momentum * vw - config.lr * gw
+        vb = config.momentum * vb - config.lr * gb
+        w += vw
+        b += vb
+    pred = np.argmax(xte @ w.T + b.T, axis=1)
+    per_class = [float(np.mean(pred[test_y == c] == c)) if (test_y == c).any() else float("nan")
+                 for c in range(num_classes)]
+    return float(np.mean(pred == test_y)), per_class
+
+
+def _raw_frame_data(noise_sigma):
+    """Raw frames of a synthetic corpus whose classes overlap at this noise level."""
+    corpus = synth_corpus(5, 40, (20, 40), 8, 4, noise_sigma=noise_sigma)
+    x = [s.frames.astype(np.float64) for s in corpus.sequences]
+    return (np.concatenate(x[:30]), np.concatenate(corpus.labels[:30]),
+            np.concatenate(x[30:]), np.concatenate(corpus.labels[30:]))
+
+
+def _check_against_class_major(xtr, ytr, xte, yte, num_classes):
+    # tolerance: none, as for the row-major reference
+    config = ProbeConfig()
+    res = linear_probe([xtr], ytr, [xte], yte, num_classes, config=config)[0]
+    acc, per_class = _class_major_probe(xtr, ytr, xte, yte, num_classes, config)
+    assert res.accuracy == acc
+    assert res.per_class_accuracy == per_class
+    return acc
+
+
+@pytest.mark.parametrize("make, num_classes", [
+    (lambda: _blob_data(0, 100, 4, 8, spread=6.0), 4),
+    (lambda: _blob_data(7, 80, 3, 6, spread=2.0), 3),
+    (_uninformative_data, 4),
+    (_forty_class_odd_n_data, 40),
+], ids=["separable-blobs", "overlapping-blobs", "uninformative", "forty-classes-odd-n"])
+def test_probe_matches_float64_class_major_reference(make, num_classes):
+    _check_against_class_major(*make(), num_classes)
+
+
+@pytest.mark.parametrize("noise_sigma", [1.0, 2.0, 4.0])
+def test_probe_matches_class_major_reference_unsaturated(noise_sigma):
+    acc = _check_against_class_major(*_raw_frame_data(noise_sigma), 4)
+    assert 0.3 < acc < 0.9  # neither chance nor saturated, so predictions can move
+
+
+def test_probe_depth_bits_same_alone_or_stacked():
+    depths = [_blob_data(s, 60, 4, 8, spread=sp) for s, sp in ((1, 0.5), (2, 1.0), (3, 3.0))]
+    ytr, yte = depths[0][1], depths[0][3]
+    assert all(np.array_equal(d[1], ytr) and np.array_equal(d[3], yte) for d in depths)
+    stacked = linear_probe([d[0] for d in depths], ytr, [d[2] for d in depths], yte, 4,
+                           layers=[0, 4, 8])
+    assert [r.layer for r in stacked] == [0, 4, 8]
+    for m, (xtr, _, xte, _), got in zip([0, 4, 8], depths, stacked):
+        alone = linear_probe([xtr], ytr, [xte], yte, 4, layers=[m])[0]
+        assert got.weights.dtype == np.float32 and got.weights.shape == (4, 9)
+        assert got.weights.tobytes() == alone.weights.tobytes()
+        assert (got.layer, got.accuracy, got.per_class_accuracy) == \
+            (alone.layer, alone.accuracy, alone.per_class_accuracy)
+
+
+def test_probe_large_scale_and_constant_features_raise_no_warning():
+    xtr, ytr, xte, yte = _blob_data(4, 100, 4, 8, spread=2.0)
+
+    def scaled(x):
+        return np.hstack([1e4 * x, np.full((len(x), 1), 3e4)])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = linear_probe([scaled(xtr)], ytr, [scaled(xte)], yte, 4)[0]
+    assert np.isfinite(res.weights).all()
+    assert res.accuracy == linear_probe([xtr], ytr, [xte], yte, 4)[0].accuracy
+
+
+def test_probe_needs_one_array_per_depth():
+    x = rng(0).normal(size=(30, 4))
+    y = np.arange(30) % 3
+    with pytest.raises(ContractError):
+        linear_probe([], y, [], y, 3)
+    with pytest.raises(ContractError):
+        linear_probe([x, x], y, [x], y, 3)
+    with pytest.raises(ContractError):
+        linear_probe([x, x], y, [x, x], y, 3, layers=[2])
+    with pytest.raises(ContractError):
+        linear_probe([x, x[:, :3]], y, [x, x[:, :3]], y, 3)
 
 
 def test_probe_split_disjoint_and_covering():
@@ -472,12 +582,50 @@ def test_sli_sweep_sorted_and_deduped(float64):
     assert [r.layer for r in results] == [2, 4]
 
 
-def test_sli_sweep_layer_contract(float64):
+def _spy_on_linear_probe(monkeypatch):
+    """Wrap diagnostics.linear_probe, as perfbench's tracer does; returns the list of calls."""
+    calls = []
+    real = diagnostics.linear_probe
+
+    def spy(train_x, train_y, test_x, test_y, num_classes, layers=None, config=None):
+        calls.append((train_x, list(layers)))
+        return real(train_x, train_y, test_x, test_y, num_classes, layers, config)
+
+    monkeypatch.setattr(diagnostics, "linear_probe", spy)
+    return calls
+
+
+def _frontend_rows(store, corpus, idx):
+    with ad.no_grad():
+        return np.concatenate([forward(corpus.sequences[i].frames, store, 0)[0].data
+                               for i in idx])
+
+
+def test_sli_sweep_layer_contract(float64, monkeypatch):
     store = desk_store()
+    corpus = small_corpus(n=10)
     with pytest.raises(ContractError):
-        sli_sweep(store, small_corpus(n=10), [0, 2])
+        sli_sweep(store, corpus, [-1, 2])
     with pytest.raises(ContractError):
-        sli_sweep(store, small_corpus(n=10), [9])
+        sli_sweep(store, corpus, [9])
+    # depth 0 probes the frontend output, forward(x, store, 0)
+    calls = _spy_on_linear_probe(monkeypatch)
+    results = sli_sweep(store, corpus, [0, 2], probe_config=ProbeConfig(steps=20))
+    assert [r.layer for r in results] == [0, 2]
+    train_idx, _ = probe_split(corpus, 0)
+    np.testing.assert_allclose(calls[0][0][0], _frontend_rows(store, corpus, train_idx),
+                               rtol=0, atol=1e-12)
+
+
+def test_sli_sweep_fits_every_depth_in_one_probe_call(monkeypatch):
+    # perfbench's diagnostics.linear_probe_ms wraps the module attribute, so
+    # the sweep must look it up there and call it once with every depth
+    calls = _spy_on_linear_probe(monkeypatch)
+    results = sli_sweep(desk_store(), small_corpus(n=10), [8, 0, 5, 2, 5],
+                        probe_config=ProbeConfig(steps=5))
+    assert [layers for _, layers in calls] == [[0, 2, 5, 8]]
+    assert len(calls[0][0]) == 4
+    assert [r.layer for r in results] == [0, 2, 5, 8]
 
 
 # ---- report emission ---------------------------------------------------------
@@ -545,10 +693,14 @@ def test_layer_embeddings_match_sli_forward(float64):
     np.testing.assert_array_equal(y, np.concatenate([corpus.labels[i] for i in idx]))
 
 
-def test_layer_embeddings_depth_contract():
+def test_layer_embeddings_depth_contract(float64):
     store = desk_store()
-    with pytest.raises(ContractError):
-        layer_embeddings(store, small_corpus(n=4), [0], m=0)
+    corpus = small_corpus(n=4)
+    for m in (-1, 9):
+        with pytest.raises(ContractError):
+            layer_embeddings(store, corpus, [0], m=m)
+    x, _ = layer_embeddings(store, corpus, [1, 0], m=0)
+    np.testing.assert_allclose(x, _frontend_rows(store, corpus, [1, 0]), rtol=0, atol=1e-12)
 
 
 def test_sli_sweep_traces_once_at_deepest_layer():

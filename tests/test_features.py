@@ -218,7 +218,7 @@ def test_synth_linear_separability():
     y = np.concatenate(corpus.labels[:160])
     xt = np.concatenate([s.frames for s in corpus.sequences[160:]])
     yt = np.concatenate(corpus.labels[160:])
-    result = linear_probe(x, y, xt, yt, 4)
+    result = linear_probe([x], y, [xt], yt, 4)[0]
     assert result.accuracy >= 0.95
 
 
