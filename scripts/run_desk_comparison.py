@@ -21,11 +21,24 @@ from sharedformer.diagnostics import (collect_traces, flop_report,
                                       gradient_decomposition, layer_transitions,
                                       sli_sweep, write_report)
 from sharedformer.encoder import ConformerConfig
+from sharedformer.errors import ConfigError, InputError
 from sharedformer.features import synth_corpus
 from sharedformer.training import TrainConfig, parse_depth, split_corpus, train
 
 
-def main():
+def probe_depths(text: str, max_layers: int) -> list[int]:
+    """The --probe-layers depths, each an integer in 0..max_layers."""
+    try:
+        layers = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise InputError(f"--probe-layers must be comma-separated integers, got {text!r}") from None
+    bad = [m for m in layers if not 0 <= m <= max_layers]
+    if bad:
+        raise InputError(f"--probe-layers depths must be in 0..{max_layers}, got {bad}")
+    return layers
+
+
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="output directory")
     ap.add_argument("--steps", type=int, default=2000)
@@ -34,20 +47,29 @@ def main():
     ap.add_argument("--probe-layers", default="2,3,4,5,6,7,8")
     args = ap.parse_args()
 
+    variants = {
+        "shared_u28": (ConformerConfig(share_params=True), "uniform:2:8"),
+        "unshared_8": (ConformerConfig(share_params=False), "fixed:8"),
+    }
+    # every input is checked before the first model trains
+    try:
+        train_cfgs = {tag: TrainConfig(max_steps=args.steps, seed=args.seed, depth=depth)
+                      for tag, (_, depth) in variants.items()}
+        layers = probe_depths(args.probe_layers,
+                              min(m.max_layers for m, _ in variants.values()))
+    except (ConfigError, InputError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
     out = Path(args.out)
     d = DataSection()
     corpus = synth_corpus(args.corpus_seed, d.num_utts, (d.t_min, d.t_max), d.dim,
                           d.num_classes, d.noise_sigma)
     eval_idx = split_corpus(corpus, args.seed, 0.1)[1]
 
-    variants = {
-        "shared_u28": (ConformerConfig(share_params=True), "uniform:2:8"),
-        "unshared_8": (ConformerConfig(share_params=False), "fixed:8"),
-    }
-
     summary = {}
     for tag, (model_cfg, depth) in variants.items():
-        cfg = TrainConfig(max_steps=args.steps, seed=args.seed, depth=depth)
+        cfg = train_cfgs[tag]
         print(f"== training {tag} for {args.steps} steps")
         result = train(corpus, model_cfg, cfg, out_dir=out / tag)
 
@@ -58,7 +80,6 @@ def main():
         write_report(out / tag / "transitions",
                      ["layer_from", "layer_to", "l2_mean", "cos_mean"], rows)
 
-        layers = [int(tok) for tok in args.probe_layers.split(",")]
         sweep = sli_sweep(result.store, corpus, layers, seed=args.seed)
         write_report(out / tag / "sweep", ["layer", "accuracy"],
                      [[r.layer, r.accuracy] for r in sweep])
@@ -93,7 +114,8 @@ def main():
           f"{a['cum_layer_apps'] / b['cum_layer_apps']:.4f} (expected {expected})")
     print(f"layer-consistency gap: {a['mean_cosine_2_8'] - b['mean_cosine_2_8']:+.4f} "
           f"(positive means sharing + depth sampling raised consistency)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

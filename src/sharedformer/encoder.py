@@ -337,8 +337,10 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
 
     Slot b owns the next `lengths[b]` rows (default: one slot of all N), and
     no row reaches another slot's output. The embedding and every trace entry
-    are (N, d) in the same layout. Dropout runs exactly when `rngs`, a list
-    of one generator per slot, is given.
+    are (N, d) in the same layout; trace entries are the layer outputs
+    themselves, not copies (no op writes into an earlier output), so the last
+    entry is the embedding's own array. Dropout runs exactly when `rngs`, a
+    list of one generator per slot, is given.
     """
     cfg = store.config
     if not (0 <= n_layers <= cfg.max_layers):
@@ -350,7 +352,7 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
                             f"got {x.shape}")
     lengths = ad.check_lengths(x.shape[0], lengths)
     h = ad.matmul(x, store.params["frontend.w"], store.params["frontend.b"])
-    trace = [h.data.copy()] if collect_trace else None
+    trace = [h.data] if collect_trace else None
     # a saturated sigmoid's exp overflows to inf and gives exactly 0; any other
     # overflow reaches the output as inf or nan, which training rejects
     with np.errstate(over="ignore"):
@@ -358,7 +360,7 @@ def forward(x: Tensor | np.ndarray, store: ParameterStore, n_layers: int,
             store.block_applications += len(lengths)
             h = conformer_block(h, store.layer_group(i), cfg, lengths, rngs)
             if collect_trace:
-                trace.append(h.data.copy())
+                trace.append(h.data)
     return h, (LayerTrace(trace) if collect_trace else None)
 
 

@@ -16,8 +16,6 @@ from .errors import ConfigError, ContractError
 from .features import FeatureSequence
 from .rng import utterance_seed
 
-MAX_REJECTION_ATTEMPTS = 1000
-
 
 @dataclass
 class MaskConfig:
@@ -62,55 +60,29 @@ class MaskPlan:
         return idx
 
 
-def plan_masks(T: int, block_len: int = 7, ratio: float = 0.15,
-               rng: np.random.Generator | None = None) -> MaskPlan:
-    """Place round-half-up(ratio*T/block_len) blocks, at least one, uniformly.
+def plan_masks(T: int, cfg: MaskConfig, rng: np.random.Generator) -> MaskPlan:
+    """Place n = round-half-up(ratio*T/block_len) blocks, at least one, uniformly.
 
-    Rejection sampling with a bounded attempt budget; falls back to greedy
-    left-to-right placement. Blocks running past the end are truncated, so at
-    most one block per plan is shorter than block_len.
+    Every placement of n non-overlapping full blocks is equally likely: n
+    distinct sorted draws c from range(free + n), free = T - n*block_len,
+    put block i at c_i + i*(block_len - 1). Only T < block_len leaves no room
+    for a full block; that plan is the single block (0, T).
     """
     if T < 1:
         raise ContractError(f"T must be >= 1, got {T}")
-    if not (0.0 < ratio < 0.5):
-        raise ContractError(f"ratio must be in (0, 0.5), got {ratio}")
-    if block_len < 1:
-        raise ContractError(f"block_len must be >= 1, got {block_len}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    num_blocks = max(1, math.floor(ratio * T / block_len + 0.5))
-
-    # sample where a full block fits; truncation only happens when T < block_len
-    start_limit = max(1, T - block_len + 1)
-    starts: list[int] = []
-    for _ in range(MAX_REJECTION_ATTEMPTS):
-        if len(starts) == num_blocks:
-            break
-        cand = int(rng.integers(0, start_limit))
-        if all(cand + block_len <= s or s + block_len <= cand for s in starts):
-            starts.append(cand)
-    else:
-        # greedy fallback: fill remaining blocks left-to-right into free gaps
-        taken = sorted(starts)
-        pos = 0
-        while len(starts) < num_blocks and pos < T:
-            if all(pos + block_len <= s or s + block_len <= pos for s in taken):
-                starts.append(pos)
-                taken = sorted(starts)
-                pos += block_len
-            else:
-                pos += 1
-
-    blocks = [(s, min(block_len, T - s)) for s in sorted(starts)]
-    return MaskPlan(blocks, T)
+    n = max(1, math.floor(cfg.ratio * T / cfg.block_len + 0.5))
+    free = T - n * cfg.block_len
+    if free < 0:
+        return MaskPlan([(0, T)], T)
+    c = sorted(rng.choice(free + n, size=n, replace=False).tolist())
+    return MaskPlan([(ci + i * (cfg.block_len - 1), cfg.block_len) for i, ci in enumerate(c)], T)
 
 
-def apply_masks(x: FeatureSequence, plan: MaskPlan, cfg: MaskConfig | None = None,
+def apply_masks(x: FeatureSequence, plan: MaskPlan, cfg: MaskConfig,
                 rng: np.random.Generator | None = None) -> FeatureSequence:
     """Corrupted copy of x per the plan and the config's policy; x is left untouched."""
     if plan.total_frames != x.num_frames:
         raise ContractError(f"plan T={plan.total_frames} but sequence has {x.num_frames} frames")
-    cfg = cfg or MaskConfig()
     frames = x.frames.copy()
     if cfg.policy == "zero":
         frames[plan.mask_rows()] = 0.0
@@ -140,5 +112,5 @@ def mask_utterance(x: FeatureSequence, cfg: MaskConfig,
     """
     if rng is None:
         rng = np.random.default_rng(utterance_seed(x.utterance_id))
-    plan = plan_masks(x.num_frames, cfg.block_len, cfg.ratio, rng)
+    plan = plan_masks(x.num_frames, cfg, rng)
     return plan, apply_masks(x, plan, cfg, rng)

@@ -31,7 +31,7 @@ from sharedformer.encoder import (ConformerConfig, ParameterStore,
 from sharedformer.features import (FeatureSequence, LabeledCorpus,
                                    load_features, load_labels, save_features,
                                    save_labels, synth_corpus)
-from sharedformer.masking import plan_masks
+from sharedformer.masking import MaskConfig, plan_masks
 from sharedformer.rng import substream
 from sharedformer.training import TrainConfig, split_corpus, train
 
@@ -224,7 +224,7 @@ def test_criterion_5_masking_statistics(report):
     fractions = []
     lengths_ok = True
     for seed in range(1000):
-        plan = plan_masks(500, rng=np.random.default_rng(seed))
+        plan = plan_masks(500, MaskConfig(), np.random.default_rng(seed))
         fractions.append(plan.num_masked / 500)
         for start, length in plan.blocks:
             if length != 7 and start + 7 <= 500:

@@ -291,6 +291,23 @@ def test_prefix_property_bitwise(float64):
         np.testing.assert_array_equal(deep.embeddings[i], shallow.embeddings[i])
 
 
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "unshared"])
+@pytest.mark.parametrize("graph", [True, False], ids=["graph", "no_grad"])
+def test_trace_entries_share_no_memory_and_survive_backward(share, graph):
+    store = desk_store(share_params=share)
+    x = rng(12).normal(size=(10, 16))
+    with contextlib.nullcontext() if graph else ad.no_grad():
+        out, trace = forward(Tensor(x), store, 4, collect_trace=True,
+                             rngs=[substream(0, "dropout", 1, 0)] if graph else None)
+    assert trace.embeddings[-1] is out.data
+    before = [e.copy() for e in trace.embeddings]
+    if graph:
+        (out * Tensor(rng(13).normal(size=out.shape))).sum().backward()
+    for i, e in enumerate(trace.embeddings):
+        np.testing.assert_array_equal(e, before[i])
+        assert not any(np.shares_memory(e, f) for f in trace.embeddings[:i])
+
+
 # ---- one rank ---------------------------------------------------------------
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -31,3 +33,13 @@ def test_run_desk_comparison_runs(tmp_path):
                          capture_output=True, text=True, check=True, timeout=300).stdout
     # set only by the depths the shared run draws at seed 0: (6 + 8) / (8 + 8)
     assert "training compute ratio (shared/unshared): 0.8750" in out
+
+
+@pytest.mark.parametrize("layers", ["2,x", "9"])
+def test_run_desk_comparison_rejects_probe_layers_before_training(tmp_path, layers):
+    run = subprocess.run([sys.executable, str(SCRIPTS / "run_desk_comparison.py"),
+                          "--out", str(tmp_path), "--steps", "2", "--probe-layers", layers],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+    assert not (tmp_path / "shared_u28").exists()
