@@ -8,7 +8,7 @@ from .encoder import (ConformerConfig, LayerTrace, ParameterStore,
 from .features import (FeatureSequence, LabeledCorpus, load_features,
                        save_features, synth_corpus)
 from .masking import MaskConfig, MaskPlan, apply_masks, plan_masks
-from .training import (AdamState, TrainConfig, TrainResult, adam_step,
+from .training import (TrainConfig, TrainResult, TrainState, adam_step,
                        mpc_loss, noam_lr, predictor_apply, train)
 from .diagnostics import (ConsistencyReport, FlopReport, GradDecomposition,
                           ProbeResult, flop_report, gradient_decomposition,

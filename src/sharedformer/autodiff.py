@@ -308,27 +308,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # The constant vectors of `_sum_rows` and `_sum_last`, built once and read-only:
-# one ones buffer per dtype, grown to the longest length asked for and sliced
-# (N varies per batch), and one `scale`-filled vector per (length, scale, dtype).
-_ones: dict[np.dtype, np.ndarray] = {}
-_fills: dict[tuple[int, float, np.dtype], np.ndarray] = {}
-
-
-def _ones_vector(n: int, dtype: np.dtype) -> np.ndarray:
-    buf = _ones.get(dtype)
-    if buf is None or buf.shape[0] < n:
-        buf = _ones[dtype] = np.ones(n, dtype)
-        buf.flags.writeable = False
-    return buf[:n]
+# one `scale`-filled buffer per (scale, dtype), grown to the longest length
+# asked for and sliced (N varies per batch, the slot length per utterance).
+_fills: dict[tuple[float, np.dtype], np.ndarray] = {}
 
 
 def _fill_vector(n: int, scale: float, dtype: np.dtype) -> np.ndarray:
-    key = (n, scale, dtype)
-    vec = _fills.get(key)
-    if vec is None:
-        vec = _fills[key] = np.full(n, scale, dtype)
-        vec.flags.writeable = False
-    return vec
+    key = (scale, dtype)
+    buf = _fills.get(key)
+    if buf is None or buf.shape[0] < n:
+        buf = _fills[key] = np.full(n, scale, dtype)
+        buf.flags.writeable = False
+    return buf[:n]
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -337,7 +328,7 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     numpy's reduce over a short trailing axis runs several times slower than
     the BLAS product, and these reductions run for every bias and norm.
     """
-    return _ones_vector(x.shape[0], x.dtype) @ x
+    return _fill_vector(x.shape[0], 1.0, x.dtype) @ x
 
 
 def _sum_last(x: np.ndarray, scale: float = 1.0) -> np.ndarray:

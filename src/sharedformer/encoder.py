@@ -407,42 +407,29 @@ def param_count(cfg: ConformerConfig) -> dict[str, int]:
 
 
 def save_checkpoint(path, store: ParameterStore, extra_config: dict[str, str] | None = None,
-                    moments: dict[str, np.ndarray] | None = None) -> None:
-    """Write `store` (plus extra config lines) atomically to `path`.
+                    extra_tensors: dict[str, np.ndarray] | None = None) -> None:
+    """Write `store` (plus extra config lines and tensors) atomically to `path`.
 
-    `moments` maps a name prefix to a flat array in the store's layout, such
-    as Adam's "adam.m." buffer. It is converted to float32 once and written as
-    one tensor per parameter, prefix + name, each a slice of it in layout
-    (= name) order, after the parameters.
+    The extra tensors, such as Adam's flat "adam.m" and "adam.v", follow the
+    parameters in name order, each in float32 and its own shape. Headers and
+    arrays are written one after another, never joined into one copy of the file.
     """
     cfg_lines = dict(store.config.to_dict())
     cfg_lines.update(extra_config or {})
     cfg_blob = "".join(f"{k}={v}\n" for k, v in sorted(cfg_lines.items()))
-    params = store.named_parameters()
-    moments = sorted((moments or {}).items())
-    count = len(params) + len(moments) * len(store._layout)
-    parts = [codec.header(CHECKPOINT_MAGIC), codec.string(cfg_blob), struct.pack("<Q", count)]
-
-    def put(name: str, arr: np.ndarray) -> None:
-        parts.append(codec.string(name))
-        parts.append(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-    for name, p in params:
-        put(name, p.data)
-    for prefix, flat in moments:
-        if flat.shape != store.buffer.shape:
-            raise ContractError(f"{prefix}* moments must be flat in the store's layout, "
-                                f"got shape {flat.shape}")
-        data = np.ascontiguousarray(flat, dtype="<f4")
-        for name, _, view in store._layout:
-            put(prefix + name, data[store._spans[name]].reshape(view.shape))
+    tensors = [(name, p.data) for name, p in store.named_parameters()]
+    tensors += sorted((extra_tensors or {}).items())
+    parts = [codec.header(CHECKPOINT_MAGIC), codec.string(cfg_blob),
+             struct.pack("<Q", len(tensors))]
+    for name, arr in tensors:
+        parts.append(codec.string(name) + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+        parts.append(np.ascontiguousarray(arr, dtype="<f4").reshape(-1))
     # write a sibling temp file and rename it over `path`, so a crash or a
     # failed write never leaves a torn checkpoint in place of the last good one
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(b"".join(parts))
+            f.writelines(parts)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

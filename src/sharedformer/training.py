@@ -19,7 +19,7 @@ from a checkpoint reproduces the uninterrupted run bitwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -139,14 +139,26 @@ def noam_lr(step: int, warmup: int, model_dim: int, scale: float) -> float:
 
 
 @dataclass
-class AdamState:
-    """Adam's moments as flat buffers in the store's layout; None before the first step."""
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    step: int = 0
+class TrainState:
+    """Where a run stands, and under which seed: everything a checkpoint adds to the model.
+
+    Each numeric field is one line of the checkpoint's train.* block,
+    train.<field>=repr(value); a run keeps `best_val_loss` a Python float,
+    since numpy scalars repr differently. `m` and `v` are Adam's moments,
+    flat arrays in the store's layout that `adam_step` creates at step 1 and
+    updates in place, None before it; a checkpoint holds them as its
+    `adam.m` and `adam.v` tensors.
+    """
+    step: int = 0  # Adam steps taken
+    best_val_loss: float = float("inf")
+    best_step: int = 0
+    cum_layer_apps: int = 0
+    seed: int | None = None  # None: the checkpoint records no seed
+    m: np.ndarray | None = field(default=None, repr=False, compare=False)
+    v: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def adam_step(state: AdamState, store: ParameterStore, lr: float,
+def adam_step(state: TrainState, store: ParameterStore, lr: float,
               beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-9,
               grad_clip: float = 0.0) -> None:
     """One bias-corrected Adam update of every parameter, as whole-buffer operations.
@@ -154,8 +166,9 @@ def adam_step(state: AdamState, store: ParameterStore, lr: float,
     The gradients are gathered into the store's flat layout (zeros where a
     parameter has none) and checked for finiteness before anything changes.
     A global norm above `grad_clip` (when positive) scales them down to it.
-    Then `m`, `v` and the store's parameter buffer are updated in place, each
-    element by the same expressions, in the same order, as a per-tensor loop.
+    Then `state.step` advances, and `state.m`, `state.v` and the store's
+    parameter buffer are updated in place, each element by the same
+    expressions, in the same order, as a per-tensor loop.
     """
     store.check_layout()
     g = store.flat_grad()
@@ -167,9 +180,7 @@ def adam_step(state: AdamState, store: ParameterStore, lr: float,
         if total > grad_clip:
             g *= grad_clip / total
     if state.m is None:
-        state.m = np.zeros_like(store.buffer)
-    if state.v is None:
-        state.v = np.zeros_like(store.buffer)
+        state.m, state.v = np.zeros_like(store.buffer), np.zeros_like(store.buffer)
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
@@ -251,9 +262,12 @@ def train(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainConfig,
     """Pretrain in float32; every input is checked before `out_dir` is written.
 
     A `resume_from` checkpoint's model config must be `model_cfg`, its seed
-    (when it records one) `cfg.seed`, and its step at most `cfg.max_steps`. The
-    directory is written in one order: the metrics file cut back to the
-    resume step, `echo` as resolved_config.ini, then rows and checkpoints.
+    (when it records one) `cfg.seed`, and its step at most `cfg.max_steps`;
+    past step 0 it must hold Adam's moments, `adam.m` and `adam.v`, and at
+    step 0 neither. Each checkpoint written holds the run's `TrainState`: its
+    train.* lines and, once Adam has stepped, both moments. The directory is
+    written in one order: the metrics file cut back to the resume step,
+    `echo` as resolved_config.ini, then rows and checkpoints.
     """
     with ad.precision("float32"):
         return _train_impl(corpus, model_cfg, cfg, mask_cfg, out_dir, resume_from, echo)
@@ -271,19 +285,17 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
         store = store_from_checkpoint(ck_cfg, tensors)
         if store.config != model_cfg:
             raise ContractError(f"model {model_cfg} is not the resume checkpoint's {store.config}")
-        m, v = (_adam_moment(store, tensors, prefix) for prefix in ("adam.m.", "adam.v."))
         state = train_state(ck_cfg)
+        state.m, state.v = _adam_moments(store, tensors, state.step)
         if state.seed not in (None, cfg.seed):
             raise ContractError(f"seed {cfg.seed} is not the resume checkpoint's {state.seed}")
         if cfg.max_steps < state.step:
             raise ConfigError(f"train.max_steps={cfg.max_steps} is below the resume "
                               f"checkpoint's step {state.step}")
         state.seed = cfg.seed  # a checkpoint that records no seed continues under cfg's
-        adam = AdamState(m, v, state.step)
     else:
         store = ParameterStore.init(model_cfg, substream(cfg.seed, "init"))
         state = TrainState(seed=cfg.seed)
-        adam = AdamState()
     low, high = parse_depth(cfg.depth)
     check_depth(low, high, store.config.max_layers)
     corpus.check_dim(store.config.input_dim)
@@ -323,14 +335,13 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
                 store.zero_grad()
                 loss.backward()
                 lr = noam_lr(step, cfg.warmup_steps, model_cfg.model_dim, cfg.peak_scale)
-                adam_step(adam, store, lr, grad_clip=cfg.grad_clip)
+                adam_step(state, store, lr, grad_clip=cfg.grad_clip)
             except DivergenceError:
                 # keep the last good state: adam_step rejects a non-finite
-                # gradient before it updates anything
+                # gradient before it updates anything, its step included
                 if out_dir is not None:
-                    _save_train_checkpoint(out_dir / "final.ckpt", store, adam, state)
+                    _save_train_checkpoint(out_dir / "final.ckpt", store, state)
                 raise
-            state.step = step
             state.cum_layer_apps += n_layers * cfg.batch_size
 
             val = None
@@ -354,43 +365,30 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             if val is not None and val < state.best_val_loss:
                 state.best_val_loss, state.best_step = val, step
                 if out_dir is not None:
-                    _save_train_checkpoint(out_dir / "best.ckpt", store, adam, state)
+                    _save_train_checkpoint(out_dir / "best.ckpt", store, state)
     finally:
         if metrics_file is not None:
             metrics_file.close()
 
     if out_dir is not None:
-        _save_train_checkpoint(out_dir / "final.ckpt", store, adam, state)
+        _save_train_checkpoint(out_dir / "final.ckpt", store, state)
     return TrainResult(store, metrics, state.best_step, state.best_val_loss, state.cum_layer_apps)
 
 
 # ---- train-state checkpointing ----------------------------------------------
 
 
-@dataclass
-class TrainState:
-    """Where a run stands, and under which seed: its checkpoints' train.* block.
-
-    Each field is one line, train.<field>=repr(value); a run keeps `best_val_loss`
-    a Python float, since numpy scalars repr differently.
-    """
-    step: int = 0
-    best_val_loss: float = float("inf")
-    best_step: int = 0
-    cum_layer_apps: int = 0
-    seed: int | None = None  # None: the checkpoint records no seed
+_MOMENTS = ("m", "v")
+# each numeric TrainState field and its parse; the one table of the train.* block
+_TRAIN_KEYS = tuple((f.name, float if f.type == "float" else int)
+                    for f in fields(TrainState) if f.name not in _MOMENTS)
 
 
-# each TrainState field and its parse; the one table of the train.* block
-_TRAIN_KEYS = tuple((f.name, float if f.type == "float" else int) for f in fields(TrainState))
-
-
-def _save_train_checkpoint(path, store: ParameterStore, adam: AdamState,
-                           state: TrainState) -> None:
+def _save_train_checkpoint(path, store: ParameterStore, state: TrainState) -> None:
     extra_cfg = {f"train.{key}": repr(getattr(state, key)) for key, _ in _TRAIN_KEYS}
-    moments = {prefix: flat for prefix, flat in (("adam.m.", adam.m), ("adam.v.", adam.v))
-               if flat is not None}
-    save_checkpoint(path, store, extra_cfg, moments=moments)
+    moments = {f"adam.{key}": getattr(state, key) for key in _MOMENTS
+               if getattr(state, key) is not None}
+    save_checkpoint(path, store, extra_cfg, moments)
 
 
 def train_state(ck_cfg: dict[str, str]) -> TrainState:
@@ -415,30 +413,36 @@ def train_state(ck_cfg: dict[str, str]) -> TrainState:
     return state
 
 
-def _adam_moment(store: ParameterStore, tensors: dict[str, np.ndarray],
-                 prefix: str) -> np.ndarray | None:
-    """A checkpoint's `prefix`<name> tensors as one flat, finite buffer in the store's layout.
+def _adam_moments(store: ParameterStore, tensors: dict[str, np.ndarray],
+                  step: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A checkpoint's `adam.m` and `adam.v` as fresh flat buffers in the store's layout.
 
-    None when it holds none: a checkpoint written before the first Adam step.
+    The one rule: a checkpoint past step 0 holds both, each finite and of the
+    store buffer's shape; a step-0 checkpoint, written before the first Adam
+    step, holds neither (None, None). Anything else is a FormatError.
     """
-    found = {n[len(prefix):]: a for n, a in tensors.items() if n.startswith(prefix)}
-    if not found:
-        return None
-    flat = np.empty_like(store.buffer)
-    views = store.unflatten(flat)
-    if found.keys() != views.keys():
-        odd = sorted(found.keys() ^ views.keys())[0]
-        raise FormatError(f"checkpoint {prefix}* tensors do not match the model's "
-                          f"parameters, first mismatch {odd!r}")
-    for name, view in views.items():
-        if found[name].shape != view.shape:
-            raise FormatError(f"checkpoint tensor {prefix + name!r} has shape "
-                              f"{found[name].shape}, its parameter {view.shape}")
-        view[...] = found[name]
-    if not np.isfinite(flat).all():
-        name = next(n for n, a in views.items() if not np.isfinite(a).all())
-        raise FormatError(f"checkpoint tensor {prefix + name!r} holds NaN or inf")
-    return flat
+    names = [f"adam.{key}" for key in _MOMENTS]
+    if step == 0:
+        held = [name for name in names if name in tensors]
+        if held:
+            raise FormatError(f"checkpoint at train.step=0 holds {held[0]!r}, "
+                              f"which only Adam's first step writes")
+        return None, None
+    moments = []
+    for name in names:
+        flat = tensors.get(name)
+        if flat is None:
+            raise FormatError(f"checkpoint at train.step={step} needs {name}, "
+                              f"one flat tensor in the model's layout")
+        if flat.shape != store.buffer.shape:
+            raise FormatError(f"checkpoint tensor {name!r} has shape {flat.shape}, "
+                              f"the model's layout {store.buffer.shape}")
+        if not np.isfinite(flat).all():
+            param = next(n for n, a in store.unflatten(flat).items() if not np.isfinite(a).all())
+            raise FormatError(f"checkpoint tensor {name!r} holds NaN or inf, "
+                              f"first in parameter {param!r}")
+        moments.append(np.array(flat, dtype=store.buffer.dtype))
+    return tuple(moments)
 
 
 def _truncate_metrics(path: Path, step: int) -> None:

@@ -440,19 +440,16 @@ def test_depthwise_batch_matches_per_row(float64):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_reduction_vectors_are_cached_read_only_and_exact(monkeypatch, dtype):
-    monkeypatch.setattr(ad, "_ones", {})
     monkeypatch.setattr(ad, "_fills", {})
     dtype = np.dtype(dtype)
-    for n in (5, 40, 7, 40, 1):
-        ones = ad._ones_vector(n, dtype)
-        np.testing.assert_array_equal(ones, np.ones(n, dtype))
-        assert ones.dtype == dtype and not ones.flags.writeable
-    assert ad._ones[dtype].shape == (40,)  # one buffer, grown to the longest n
-    for n, scale in ((16, 1.0), (16, 1.0 / 16), (7, 1.0 / 0.9), (16, 1.0)):
+    for n, scale in ((5, 1.0), (40, 1.0), (7, 1.0), (16, 1.0 / 16), (7, 1.0 / 0.9),
+                     (40, 1.0), (1, 1.0), (3, 1.0 / 16)):
         fill = ad._fill_vector(n, scale, dtype)
         np.testing.assert_array_equal(fill, np.full(n, scale, dtype))
         assert fill.dtype == dtype and not fill.flags.writeable
-    assert len(ad._fills) == 3
+    # one buffer per (scale, dtype), grown to the longest n asked for
+    assert {key: buf.shape for key, buf in ad._fills.items()} == {
+        (1.0, dtype): (40,), (1.0 / 16, dtype): (16,), (1.0 / 0.9, dtype): (7,)}
     x = rng(0).normal(size=(33, 16)).astype(dtype)
     np.testing.assert_array_equal(ad._sum_rows(x), np.ones(33, dtype) @ x)
     np.testing.assert_array_equal(ad._sum_last(x, 0.25),

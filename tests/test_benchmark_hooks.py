@@ -1,12 +1,15 @@
-"""The benchmark in perfbench/ rebinds sharedformer functions by name and calls
-some of them directly; each name must still resolve, and each direct call must
-still bind, or the benchmark breaks while tests pass."""
+"""The benchmark in perfbench/ rebinds sharedformer functions by name, calls
+some of them directly and reads arguments and results of some traced calls;
+each name must still resolve, each direct call must still bind, and each read
+must still find its argument or attribute, or the benchmark breaks while tests
+pass."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -14,13 +17,18 @@ TRACER = PERFBENCH / "tracer.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
 
-def _literal(name):
+def _assigned(name):
+    """The expression assigned to module-level `name` in perfbench/tracer.py."""
     tree = ast.parse(TRACER.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == name for t in node.targets):
-            return ast.literal_eval(node.value)
+            return node.value
     raise AssertionError(f"{name} not found in {TRACER}")
+
+
+def _literal(name):
+    return ast.literal_eval(_assigned(name))
 
 
 def _targets():
@@ -68,3 +76,47 @@ def test_workload_calls_found():
 def test_workload_call_binds(module, attr, n_args, keywords):
     fn = getattr(importlib.import_module(f"sharedformer.{module}"), attr)
     inspect.signature(fn).bind(*range(n_args), **dict.fromkeys(keywords))
+
+
+# ---- what the tracer's post hooks read ---------------------------------------
+
+PATH_FIRST = ("encoder.save_checkpoint", "features.load_features", "features.load_labels")
+
+
+def test_every_post_hook_has_its_contract_checked():
+    hooked = {key.value for key in _assigned("_POST_HOOKS").keys}
+    assert hooked == {*PATH_FIRST, "masking.plan_masks", "encoder.store_from_checkpoint",
+                      "encoder.ParameterStore.init", "training.train"}
+
+
+@pytest.mark.parametrize("qual", PATH_FIRST)
+def test_file_hook_finds_the_path_first(qual):
+    # the hook reads args[0], or kwargs["path"] for a call by keyword
+    module, _, attr = qual.partition(".")
+    fn = getattr(importlib.import_module(f"sharedformer.{module}"), attr)
+    assert next(iter(inspect.signature(fn).parameters)) == "path"
+
+
+def test_plan_masks_returns_the_hooked_counts():
+    from sharedformer import masking
+    plan = masking.plan_masks(40, masking.MaskConfig(), np.random.default_rng(0))
+    assert 0 < plan.num_masked <= plan.total_frames == 40
+
+
+def test_store_builders_return_a_parameter_store(tmp_path):
+    from sharedformer import encoder
+    store = encoder.ParameterStore.init(encoder.ConformerConfig(), np.random.default_rng(0))
+    assert isinstance(store, encoder.ParameterStore)
+    encoder.save_checkpoint(tmp_path / "s.ckpt", store)
+    restored = encoder.store_from_checkpoint(*encoder.load_checkpoint(tmp_path / "s.ckpt"))
+    assert isinstance(restored, encoder.ParameterStore)
+
+
+def test_train_result_carries_its_store():
+    from sharedformer import encoder, features, training
+    # the hook reads kwargs["out_dir"] and the result's .store
+    assert "out_dir" in inspect.signature(training.train).parameters
+    corpus = features.synth_corpus(0, 4, (10, 12), 16, 2)
+    result = training.train(corpus, encoder.ConformerConfig(), training.TrainConfig(max_steps=0))
+    assert isinstance(result.store, encoder.ParameterStore)
+    assert result.store.block_applications == 0

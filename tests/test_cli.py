@@ -322,6 +322,36 @@ def test_malformed_resume_input_is_input_error(tmp_path, corpus_dir, capsys, doc
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def _rewrite_moments(path, per_name):
+    """Checkpoint `path` rewritten without its flat adam.m and adam.v, or, when
+    `per_name`, with them as one adam.m.<name> and adam.v.<name> per parameter."""
+    ck_cfg, tensors = load_checkpoint(path)
+    store = store_from_checkpoint(ck_cfg, tensors)
+    moments = {f"{flat}.{name}": a for flat in ("adam.m", "adam.v") if per_name
+               for name, a in store.unflatten(tensors[flat]).items()}
+    save_checkpoint(path, store, {k: v for k, v in ck_cfg.items() if k.startswith("train.")},
+                    moments)
+
+
+@pytest.mark.parametrize("per_name", [False, True], ids=["no-moments", "per-name-moments"])
+def test_resume_past_step_zero_without_flat_moments_is_input_error(tmp_path, corpus_dir,
+                                                                   capsys, per_name):
+    out = tmp_path / "out"
+    data = ["--data", str(corpus_dir / "features.bin")]
+    assert main(["pretrain", *data, *QUICK, "--out", str(out)]) == 0
+    _rewrite_moments(out / "final.ckpt", per_name)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    code = main(["pretrain", *data, *QUICK, "--train.max_steps=6", "--out", str(out),
+                 "--resume", str(out / "final.ckpt")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint at train.step=4 needs adam.m")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # the model itself still loads for the commands that read no moments
+    assert main(["diagnose", "--which", "transitions", "--checkpoint", str(out / "final.ckpt"),
+                 *data, "--out", str(tmp_path / "diag")]) == 0
+
+
 @pytest.mark.parametrize("command", ["pretrain", "diagnose", "probe", "flops"])
 def test_one_checkpoint_read_per_command(tmp_path, corpus_dir, run_dir, monkeypatch, command):
     from sharedformer import cli
@@ -856,7 +886,7 @@ def _poisoned_checkpoint(src, path, name, value):
     ("diagnose", "layer.shared.ff1.w1", np.nan),
     ("probe", "layer.shared.ff1.w1", np.nan),
     ("pretrain", "layer.shared.ff1.w1", np.nan),
-    ("pretrain", "adam.m.layer.shared.ff1.w1", np.inf),
+    ("pretrain", "adam.m", np.inf),
 ], ids=["diagnose-nan-parameter", "probe-nan-parameter", "resume-nan-parameter",
         "resume-inf-adam-moment"])
 def test_non_finite_checkpoint_is_input_error(tmp_path, corpus_dir, run_dir, capsys,

@@ -616,24 +616,6 @@ def test_mixed_dtype_parameters_rejected():
 # ---- checkpoints ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("share", [True, False], ids=["shared", "unshared"])
-def test_flat_moments_write_the_bytes_of_per_name_tensors(tmp_path, share):
-    store = desk_store(seed=2, share_params=share)
-    r = rng(3)
-    moments = {prefix: r.normal(size=store.buffer.shape).astype(np.float32)
-               for prefix in ("adam.v.", "adam.m.")}
-    per_name = {prefix + name: a for prefix, flat in sorted(moments.items())
-                for name, a in store.unflatten(flat).items()}
-    save_checkpoint(tmp_path / "flat.ckpt", store, {"train.step": "3"}, moments=moments)
-    _, tensors = load_checkpoint(tmp_path / "flat.ckpt")
-    # after the parameters, one float32 tensor per parameter and prefix, in name order
-    assert list(tensors) == [n for n, _ in store.named_parameters()] + list(per_name)
-    for name, a in per_name.items():
-        np.testing.assert_array_equal(tensors[name], a, err_msg=name)
-    with pytest.raises(ContractError, match="adam.m."):
-        save_checkpoint(tmp_path / "bad.ckpt", store, moments={"adam.m.": np.zeros(3)})
-
-
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     store = desk_store(seed=3)
     a = tmp_path / "a.ckpt"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import composite_block
 import numpy as np
@@ -13,7 +14,7 @@ from sharedformer.errors import ConfigError, ContractError, DivergenceError, For
 from sharedformer.features import synth_corpus
 from sharedformer.masking import MaskConfig, MaskPlan, mask_utterance
 from sharedformer.rng import substream
-from sharedformer.training import (AdamState, TrainConfig, TrainState, adam_step, batch_loss,
+from sharedformer.training import (TrainConfig, TrainState, adam_step, batch_loss,
                                    mpc_loss, noam_lr, predictor_apply, train, train_state)
 
 
@@ -163,7 +164,7 @@ def _scalar_store(value):
 def test_adam_zero_gradients_leave_params(float64):
     store = _scalar_store(1.5)
     store.params["w"].grad = np.zeros(1)
-    state = AdamState()
+    state = TrainState()
     adam_step(state, store, lr=0.1)
     assert float(store.params["w"].data[0]) == 1.5
     assert state.step == 1
@@ -172,7 +173,7 @@ def test_adam_zero_gradients_leave_params(float64):
 def test_adam_first_step_is_signed_lr(float64):
     store = _scalar_store(2.0)
     store.params["w"].grad = np.array([0.3])
-    adam_step(AdamState(), store, lr=0.01)
+    adam_step(TrainState(), store, lr=0.01)
     # bias correction makes the first update lr * g / (|g| + eps)
     np.testing.assert_allclose(float(store.params["w"].data[0]),
                                2.0 - 0.01 * 0.3 / (0.3 + 1e-9), rtol=1e-10)
@@ -183,7 +184,7 @@ def test_adam_two_steps_match_hand_recurrence(float64):
     w = 3.0
     m = v = 0.0
     store = _scalar_store(w)
-    state = AdamState()
+    state = TrainState()
     for t in (1, 2):
         g = 2.0 * w  # d/dw of w^2, evaluated like the training loop would
         store.params["w"].grad = np.array([g])
@@ -198,7 +199,7 @@ def test_adam_nan_gradient_names_parameter(float64):
     store = _scalar_store(1.0)
     store.params["w"].grad = np.array([np.nan])
     with pytest.raises(DivergenceError, match="'w'"):
-        adam_step(AdamState(), store, lr=0.1)
+        adam_step(TrainState(), store, lr=0.1)
 
 
 def _reference_adam(moments, named, t, lr, beta1=0.9, beta2=0.98, eps=1e-9):
@@ -224,7 +225,7 @@ def test_adam_step_matches_per_tensor_loop_bitwise(precision, share):
         loose = {n: Tensor(p.data.copy(), requires_grad=True, name=n)
                  for n, p in store.named_parameters()}
     named = sorted(loose.items())
-    state, moments = AdamState(), {}
+    state, moments = TrainState(), {}
     r = rng(9)
     for t in (1, 2, 3):
         for i, (name, p) in enumerate(store.named_parameters()):
@@ -250,7 +251,7 @@ def test_adam_grad_clip_matches_hand_recurrence(float64, clip):
                                      "b": Tensor(np.array([0.5]), requires_grad=True)})
 
     store, unclipped = two_tensor_store(), two_tensor_store()
-    state, unclipped_state = AdamState(), AdamState()
+    state, unclipped_state = TrainState(), TrainState()
     w, m, v = np.array([1.0, -2.0, 0.5]), np.zeros(3), np.zeros(3)
     # global norms 13, 0.37 and 3: with clip 0.5 steps 1 and 3 are clipped
     for t, g in enumerate(([3.0, -4.0, 12.0], [0.1, 0.3, -0.2], [-2.0, 1.0, 2.0]), start=1):
@@ -276,7 +277,7 @@ def test_adam_rejects_a_detached_parameter(float64):
     store.params["w"].data = np.array([2.0])
     store.params["w"].grad = np.array([0.5])
     with pytest.raises(ContractError, match="'w'"):
-        adam_step(AdamState(), store, lr=0.1)
+        adam_step(TrainState(), store, lr=0.1)
 
 
 # ---- training loop ----------------------------------------------------------
@@ -334,9 +335,9 @@ def test_step_zero_checkpoint_holds_no_adam_tensors(tmp_path):
     result = train(corpus, ConformerConfig(), quick_train_config(max_steps=2),
                    out_dir=tmp_path / "two")
     _, tensors = load_checkpoint(tmp_path / "two/final.ckpt")
-    for prefix in ("adam.m.", "adam.v."):
-        assert sorted(n[len(prefix):] for n in tensors if n.startswith(prefix)) == \
-            sorted(result.store.params)
+    # after the parameters, one flat float32 tensor per moment, in name order
+    assert list(tensors) == [n for n, _ in result.store.named_parameters()] + ["adam.m", "adam.v"]
+    assert tensors["adam.m"].shape == tensors["adam.v"].shape == result.store.buffer.shape
 
 
 def test_train_state_round_trips_through_its_checkpoints(tmp_path):
@@ -360,19 +361,43 @@ def test_checkpoint_without_train_block_parses_to_the_defaults(tmp_path):
     assert train_state(load_checkpoint(tmp_path / "bare.ckpt")[0]) == TrainState()
 
 
-@pytest.mark.parametrize("edit", [
-    lambda tensors: tensors.pop("adam.v.predictor.b"),
-    lambda tensors: tensors.update({"adam.m.predictor.b": np.zeros(3, dtype=np.float32)}),
-], ids=["missing", "wrong-shape"])
-def test_resume_rejects_adam_tensors_that_miss_the_layout(tmp_path, edit):
+def _poison(name):
+    def edit(tensors):
+        tensors[name][-1] = np.nan  # the last element belongs to predictor.w
+    return edit
+
+
+@pytest.mark.parametrize("step,edit,message", [
+    (2, lambda tensors: tensors.pop("adam.v"), "needs adam.v"),
+    (2, lambda tensors: tensors.pop("adam.m"), "needs adam.m"),
+    (2, lambda tensors: [tensors.pop(n) for n in ("adam.m", "adam.v")], "needs adam.m"),
+    (2, lambda tensors: tensors.update({"adam.m": tensors["adam.m"][:-1]}), "'adam.m' has shape"),
+    (2, lambda tensors: tensors.update({"adam.v": tensors["adam.v"][:, None]}),
+     "'adam.v' has shape"),
+    (2, _poison("adam.v"), "'adam.v' holds NaN or inf, first in parameter 'predictor.w'"),
+    (0, lambda tensors: tensors.update(  # a flat zero moment; step 0 holds only parameters
+        {"adam.m": np.zeros(sum(a.size for a in tensors.values()), np.float32)}),
+     "train.step=0 holds 'adam.m'"),
+], ids=["missing", "missing-m", "both-missing", "wrong-shape", "not-flat", "nan", "step-0-with-m"])
+def test_resume_rejects_adam_tensors_that_miss_the_layout(tmp_path, step, edit, message):
     corpus = small_corpus()
-    cfg = quick_train_config(max_steps=2)
-    train(corpus, ConformerConfig(), cfg, out_dir=tmp_path)
+    train(corpus, ConformerConfig(), quick_train_config(max_steps=step), out_dir=tmp_path)
     ck_cfg, tensors = load_checkpoint(tmp_path / "final.ckpt")
+    assert ck_cfg["train.step"] == str(step)
     edit(tensors)
-    with pytest.raises(FormatError, match="predictor.b"):
+    with pytest.raises(FormatError, match=re.escape(message)):
         train(corpus, ConformerConfig(), quick_train_config(max_steps=4),
               resume_from=(ck_cfg, tensors))
+
+
+def test_resume_copies_the_checkpoint_s_moments(tmp_path):
+    corpus = small_corpus()
+    train(corpus, ConformerConfig(), quick_train_config(max_steps=2), out_dir=tmp_path)
+    ck_cfg, tensors = load_checkpoint(tmp_path / "final.ckpt")
+    before = {name: tensors[name].copy() for name in ("adam.m", "adam.v")}
+    train(corpus, ConformerConfig(), quick_train_config(max_steps=4), resume_from=(ck_cfg, tensors))
+    for name, a in before.items():
+        np.testing.assert_array_equal(tensors[name], a)
 
 
 def test_resume_rejects_a_model_config_other_than_the_checkpoint_s(tmp_path):
@@ -413,10 +438,10 @@ def test_rows_reach_the_file_before_each_checkpoint_of_their_step(tmp_path, monk
     original = training._save_train_checkpoint
     seen = []
 
-    def spy(path, store, adam, state):
+    def spy(path, store, state):
         rows = (tmp_path / "metrics.jsonl").read_text().splitlines()
         seen.append((path.name, state.step, json.loads(rows[-1])["step"] if rows else 0))
-        return original(path, store, adam, state)
+        return original(path, store, state)
 
     monkeypatch.setattr(training, "_save_train_checkpoint", spy)
     train(small_corpus(), ConformerConfig(), quick_train_config(max_steps=8, validation_every=3),
