@@ -143,7 +143,7 @@ def cmd_diagnose(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     store = store_from_checkpoint(*ckpt)
     if args.which == "transitions":
         idx = list(range(len(corpus.sequences)))
-        traces = collect_traces(store, corpus, idx, cfg.mask, batch_size=cfg.train.batch_size)
+        traces = collect_traces(store, corpus, idx, cfg.mask)
         report = layer_transitions(traces)
         rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
                 for i in range(len(report.l2_mean))]
@@ -179,8 +179,7 @@ def cmd_probe(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     corpus = _load_corpus(args.data, args.labels)
     if len(set(layers)) != len(layers):
         print("warning: duplicate layer entries removed", file=sys.stderr)
-    results = sli_sweep(store, corpus, layers, seed=cfg.train.seed,
-                        batch_size=cfg.train.batch_size)
+    results = sli_sweep(store, corpus, layers, seed=cfg.train.seed)
     out = Path(args.out)
     cfg.write_echo(out)
     rows = [[r.layer, r.accuracy] for r in results]

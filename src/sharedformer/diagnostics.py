@@ -5,11 +5,11 @@ decomposition of the shared parameter gradient, analytic multiply-accumulate
 counts with depth-policy ratios, deterministic PCA scatter projections, and a
 frozen-feature linear probe with a shallow-inference sweep.
 
-Every forward-only diagnostic runs one packed batch per chunk of
-length-sorted utterances through a single traced forward without a graph,
-then cuts each utterance's trace entries out by its row range. Depth m is a
-prefix of the stack, so the shallow-inference sweep reads every requested
-depth from one trace at the deepest of them.
+Every forward-only diagnostic runs each of `encoder.pack_runs`' runs of its
+utterances, in the caller's order, through one traced forward without a
+graph, then cuts each utterance's trace entries out by its row range. Depth m
+is a prefix of the stack, so the shallow-inference sweep reads every
+requested depth from one trace at the deepest of them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import ConformerConfig, LayerTrace, ParameterStore, forward, pack
+from .encoder import ConformerConfig, LayerTrace, ParameterStore, forward, pack, pack_runs
 from .errors import ContractError, InvariantError
 from .features import FeatureSequence, LabeledCorpus
 from .masking import MaskConfig, mask_utterance
@@ -36,26 +36,20 @@ SCHEMA_VERSION = 1
 # ---- traced passes -----------------------------------------------------------
 
 
-def _traced_passes(store: ParameterStore, frames: list[np.ndarray], depth: int,
-                   batch_size: int) -> list[LayerTrace]:
+def _traced_passes(store: ParameterStore, frames: list[np.ndarray], depth: int) -> list[LayerTrace]:
     """Depth-`depth` traces of (T_i, D) utterances, one per utterance in the given order.
 
-    Utterances are stable-sorted by length and packed into chunks of
-    `batch_size`, each run as one traced forward without a graph; every trace
-    keeps its utterance's row range of each entry.
+    Each of `pack_runs`' runs is packed and run as one traced forward without
+    a graph; every trace keeps its utterance's row range of each entry.
     """
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    order = sorted(range(len(frames)), key=lambda i: frames[i].shape[0])
-    traces: list[LayerTrace] = [None] * len(frames)
+    traces = []
     with ad.no_grad():
-        for start in range(0, len(order), batch_size):
-            chunk = order[start:start + batch_size]
-            x, lengths = pack([frames[i] for i in chunk])
+        for run in pack_runs([f.shape[0] for f in frames]):
+            x, lengths = pack(frames[run])
             _, trace = forward(x, store, depth, collect_trace=True, lengths=lengths)
             at = 0
-            for i, n in zip(chunk, lengths):
-                traces[i] = LayerTrace([e[at:at + n] for e in trace.embeddings])
+            for n in lengths:
+                traces.append(LayerTrace([e[at:at + n] for e in trace.embeddings]))
                 at += n
     return traces
 
@@ -348,20 +342,21 @@ def _pooled(traces: list[LayerTrace], m: int) -> np.ndarray:
 
 
 def layer_embeddings(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
-                     m: int, batch_size: int = 8) -> tuple[np.ndarray, np.ndarray]:
+                     m: int) -> tuple[np.ndarray, np.ndarray]:
     """Pooled frame embeddings and labels for the given utterances at depth m.
 
     Depth 0 is the frontend output, an affine map of the raw frames.
     """
     if not (0 <= m <= store.config.max_layers):
         raise ContractError(f"SLI layer count {m} outside [0, {store.config.max_layers}]")
-    traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx], m, batch_size)
+    if not idx:
+        raise ContractError("layer embeddings need at least one utterance")
+    traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx], m)
     return _pooled(traces, m), np.concatenate([corpus.labels[i] for i in idx])
 
 
 def sli_sweep(store: ParameterStore, corpus: LabeledCorpus, layers: list[int],
-              seed: int = 0, probe_config: ProbeConfig | None = None,
-              batch_size: int = 8) -> list[ProbeResult]:
+              seed: int = 0, probe_config: ProbeConfig | None = None) -> list[ProbeResult]:
     """Linear probes at shallow-inference depths 0..max_layers; results sorted by depth.
 
     Depth 0 is the frontend output, the raw-frame baseline. Each probe split
@@ -377,8 +372,7 @@ def sli_sweep(store: ParameterStore, corpus: LabeledCorpus, layers: list[int],
     depths = sorted(set(layers))
     splits = []
     for idx in probe_split(corpus, seed):
-        traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx],
-                                depths[-1], batch_size)
+        traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx], depths[-1])
         splits.append(([_pooled(traces, m) for m in depths],
                        np.concatenate([corpus.labels[i] for i in idx])))
     (xtr, ytr), (xte, yte) = splits
@@ -404,12 +398,10 @@ def write_report(path_base: str | Path, header: list[str], rows: list[list]) -> 
 
 
 def collect_traces(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
-                   mask_cfg: MaskConfig | None = None, masked: bool = True,
-                   batch_size: int = 8) -> list[LayerTrace]:
+                   mask_cfg: MaskConfig | None = None, masked: bool = True) -> list[LayerTrace]:
     """Full-depth traces of the given utterances (fixed masks), in `idx` order."""
     mask_cfg = mask_cfg or MaskConfig()
     seqs = [corpus.sequences[i] for i in idx]
     if masked:
         seqs = [mask_utterance(seq, mask_cfg)[1] for seq in seqs]
-    return _traced_passes(store, [seq.frames for seq in seqs], store.config.max_layers,
-                          batch_size)
+    return _traced_passes(store, [seq.frames for seq in seqs], store.config.max_layers)

@@ -373,6 +373,24 @@ def pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
             [a.shape[0] for a in arrays])
 
 
+# frames per pack of a pass without a graph: on 300 synth utterances (2-vCPU VM) one
+# unbounded pack traced 1.25x slower than 8-utterance packs and peaked 14 MB higher;
+# 2048 frames traced no slower than those on 100, 300 and 20 long (50-800) utterances
+PACK_FRAMES = 2048
+
+
+def pack_runs(lengths: list[int]) -> list[slice]:
+    """Consecutive runs of utterance lengths to pack, in order, greedily: each run
+    holds at most PACK_FRAMES frames, or is a single longer utterance."""
+    starts, frames = [], 0
+    for i, n in enumerate(lengths):
+        if not starts or frames + n > PACK_FRAMES:
+            starts.append(i)
+            frames = 0
+        frames += n
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(lengths)])]
+
+
 def sample_depth(low: int, high: int, rng: np.random.Generator) -> int:
     """Integer depth drawn uniformly from {low, ..., high} inclusive."""
     if not (0 <= low <= high):

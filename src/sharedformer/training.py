@@ -7,10 +7,10 @@ that many encoder layers over it, predict the clean frames with the linear
 head and take the L1 loss (each utterance's mean over its frames, averaged
 over the batch). One backward
 pass and one Adam step under the warmup/inverse-sqrt schedule follow.
-Validation runs at full depth without dropout and without a graph, in packed
-chunks of batch_size, using a fixed mask per utterance (seeded by its id) so
-the validation loss is deterministic; the checkpoint with the best validation
-loss is retained.
+Validation runs at full depth without dropout and without a graph, one
+packed batch per run of `pack_runs` (at most `PACK_FRAMES` frames), using a
+fixed mask per utterance (seeded by its id) so the validation loss is
+deterministic; the checkpoint with the best validation loss is retained.
 
 All per-step randomness is derived from (seed, stream, step), so resuming
 from a checkpoint reproduces the uninterrupted run bitwise.
@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import (Checkpoint, ConformerConfig, ParameterStore, forward, pack,
-                      sample_depth, save_checkpoint, store_from_checkpoint)
+                      pack_runs, sample_depth, save_checkpoint, store_from_checkpoint)
 from .errors import ConfigError, ContractError, DivergenceError, FormatError
 from .features import FeatureSequence, LabeledCorpus
 from .masking import MaskConfig, MaskPlan, mask_utterance
@@ -232,28 +232,16 @@ def batch_loss(store: ParameterStore, clean: list[FeatureSequence],
                     [plan for plan, _ in masked], mode, lengths)
 
 
-ValidationChunk = tuple[list[FeatureSequence], list[tuple[MaskPlan, FeatureSequence]]]
-
-
-def validation_chunks(corpus: LabeledCorpus, val_idx: list[int], batch_size: int,
-                      mask_cfg: MaskConfig) -> list[ValidationChunk]:
-    """The validation split in chunks of batch_size: clean utterances and their
-    fixed masks (seeded by utterance id), built once for every validation point."""
-    chunks = []
-    for start in range(0, len(val_idx), batch_size):
-        clean = [corpus.sequences[i] for i in val_idx[start:start + batch_size]]
-        chunks.append((clean, [mask_utterance(seq, mask_cfg) for seq in clean]))
-    return chunks
-
-
-def validation_loss(store: ParameterStore, chunks: list[ValidationChunk], mode: str) -> float:
-    """Full-depth loss over the validation chunks, weighted by utterance."""
+def validation_loss(store: ParameterStore, clean: list[FeatureSequence],
+                    masked: list[tuple[MaskPlan, FeatureSequence]], mode: str) -> float:
+    """Full-depth loss of the validation utterances, one `batch_loss` per run of
+    `pack_runs`, the runs weighted by utterance."""
     total = 0.0
     with ad.no_grad():
-        for clean, masked in chunks:
-            loss = batch_loss(store, clean, masked, store.config.max_layers, mode)
-            total += float(loss.data) * len(clean)
-    return total / sum(len(clean) for clean, _ in chunks)
+        for run in pack_runs([seq.num_frames for seq in clean]):
+            loss = batch_loss(store, clean[run], masked[run], store.config.max_layers, mode)
+            total += float(loss.data) * len(clean[run])
+    return total / len(clean)
 
 
 def train(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainConfig,
@@ -299,7 +287,8 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
     low, high = parse_depth(cfg.depth)
     check_depth(low, high, store.config.max_layers)
     corpus.check_dim(store.config.input_dim)
-    val_chunks = None  # built at the first validation point, then reused
+    val_clean = [corpus.sequences[i] for i in val_idx]
+    val_masked = [mask_utterance(seq, mask_cfg) for seq in val_clean]  # fixed, by utterance id
 
     out_dir = Path(out_dir) if out_dir is not None else None
     metrics_file = None
@@ -348,9 +337,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             # validation stays on the fixed grid even when max_steps is not a
             # multiple, so a shorter run logs a prefix of the longer run's rows
             if step % cfg.validation_every == 0:
-                if val_chunks is None:
-                    val_chunks = validation_chunks(corpus, val_idx, cfg.batch_size, mask_cfg)
-                val = validation_loss(store, val_chunks, cfg.loss_mode)
+                val = validation_loss(store, val_clean, val_masked, cfg.loss_mode)
 
             row = {"step": step, "sampled_depth": n_layers, "lr": lr,
                    "train_loss": train_loss, "val_loss": val,

@@ -51,3 +51,20 @@ def _lbfgs_logistic_accuracy(train_x, train_y, test_x, test_y, C):
 @pytest.fixture
 def logistic_oracle():
     return _lbfgs_logistic_accuracy
+
+
+@pytest.fixture
+def spanning_corpus(monkeypatch):
+    """Ten utterances over several pack runs: the frame budget is cut to 150, and
+    the fifth utterance, 170 frames long, exceeds it and so runs alone."""
+    from sharedformer import encoder
+    from sharedformer.features import LabeledCorpus, synth_corpus
+
+    monkeypatch.setattr(encoder, "PACK_FRAMES", 150)
+    short = synth_corpus(0, 9, (20, 70), 16, 4)
+    long = synth_corpus(1, 1, (170, 170), 16, 4)
+    corpus = LabeledCorpus(short.sequences[:4] + long.sequences + short.sequences[4:],
+                           short.labels[:4] + long.labels + short.labels[4:], 4)
+    runs = encoder.pack_runs([seq.num_frames for seq in corpus.sequences])
+    assert len(runs) > 2 and slice(4, 5) in runs
+    return corpus

@@ -7,6 +7,7 @@ pass."""
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -120,3 +121,60 @@ def test_train_result_carries_its_store():
     result = training.train(corpus, encoder.ConformerConfig(), training.TrainConfig(max_steps=0))
     assert isinstance(result.store, encoder.ParameterStore)
     assert result.store.block_applications == 0
+
+
+# ---- the timed spans are entered ---------------------------------------------
+
+
+def _spy(monkeypatch, module, attr):
+    """Count the calls into sharedformer.<module>.<attr> through every package
+    module that binds it, as the tracer's rebinding does; returns the call list."""
+    original = getattr(importlib.import_module(f"sharedformer.{module}"), attr)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sharedformer"):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, spy)
+    return calls
+
+
+@pytest.fixture
+def desk_files(tmp_path):
+    from sharedformer import cli, encoder
+    assert cli.main(["synth", "--out", str(tmp_path / "data"), "--data.num_utts=10",
+                     "--data.t_min=15", "--data.t_max=25"]) == 0
+    store = encoder.ParameterStore.init(encoder.ConformerConfig(), np.random.default_rng(0))
+    encoder.save_checkpoint(tmp_path / "init.ckpt", store)
+    return ["--checkpoint", str(tmp_path / "init.ckpt"),
+            "--data", str(tmp_path / "data" / "features.bin")]
+
+
+def test_train_enters_validation_loss_at_each_validation_point(monkeypatch):
+    from sharedformer import encoder, features, training
+    calls = _spy(monkeypatch, "training", "validation_loss")
+    corpus = features.synth_corpus(0, 12, (15, 25), 16, 4)
+    training.train(corpus, encoder.ConformerConfig(), training.TrainConfig(
+        max_steps=4, warmup_steps=2, batch_size=4, validation_every=2))
+    assert len(calls) == 2
+
+
+def test_diagnose_transitions_enters_collect_traces_once(monkeypatch, tmp_path, desk_files):
+    from sharedformer import cli
+    calls = _spy(monkeypatch, "diagnostics", "collect_traces")
+    assert cli.main(["diagnose", "--which", "transitions", *desk_files,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+def test_probe_enters_sli_sweep_once(monkeypatch, tmp_path, desk_files):
+    from sharedformer import cli
+    calls = _spy(monkeypatch, "diagnostics", "sli_sweep")
+    assert cli.main(["probe", *desk_files, "--labels", str(tmp_path / "data" / "labels.bin"),
+                     "--layers", "2,5", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1

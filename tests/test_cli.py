@@ -821,6 +821,22 @@ def test_probe_layer_out_of_range(tmp_path, corpus_dir, run_dir, capsys):
 
 
 @pytest.mark.parametrize("command", [
+    ["diagnose", "--which", "transitions"],
+    ["diagnose", "--which", "project"],
+    ["probe", "--layers", "2"],
+], ids=["transitions", "project", "probe"])
+def test_empty_corpus_is_input_error(tmp_path, run_dir, capsys, command):
+    empty = tmp_path / "empty"
+    assert main(["synth", "--out", str(empty), "--data.num_utts=0"]) == 0
+    labels = ["--labels", str(empty / "labels.bin")] if command[0] == "probe" else []
+    code = main([*command, *labels, "--checkpoint", str(run_dir / "final.ckpt"),
+                 "--data", str(empty / "features.bin"), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
     ["pretrain"],
     ["diagnose", "--which", "transitions"],
 ], ids=["pretrain", "transitions"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sharedformer import autodiff as ad
-from sharedformer import diagnostics
+from sharedformer import diagnostics, encoder
 from sharedformer.diagnostics import (ConsistencyReport, GradDecomposition,
                                       ProbeConfig, collect_traces, flop_report,
                                       gradient_decomposition, layer_embeddings,
@@ -669,10 +669,8 @@ def test_batched_traces_match_per_utterance(float64):
     store = desk_store(seed=2)
     corpus = small_corpus(n=20)
     idx = [7, 2, 19, 0, 11, 5, 13, 3, 16]
-    lengths = sorted(corpus.sequences[i].num_frames for i in idx)
-    chunks = [lengths[k:k + 4] for k in range(0, len(lengths), 4)]
-    assert any(len(set(c)) > 1 for c in chunks)  # some chunk packs unequal lengths
-    traces = collect_traces(store, corpus, idx, masked=False, batch_size=4)
+    assert len({corpus.sequences[i].num_frames for i in idx}) > 1  # the pack holds unequal lengths
+    traces = collect_traces(store, corpus, idx, masked=False)
     assert len(traces) == len(idx)
     for i, trace in zip(idx, traces):
         with ad.no_grad():
@@ -687,10 +685,38 @@ def test_layer_embeddings_match_sli_forward(float64):
     store = desk_store(seed=4)
     corpus = small_corpus(n=12)
     idx = [5, 0, 9, 3, 11, 1]
-    x, y = layer_embeddings(store, corpus, idx, m=5, batch_size=4)
+    x, y = layer_embeddings(store, corpus, idx, m=5)
     ref = np.concatenate([sli_forward(corpus.sequences[i].frames, store, 5).data for i in idx])
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(y, np.concatenate([corpus.labels[i] for i in idx]))
+
+
+def test_traces_across_pack_runs_match_per_utterance(float64, spanning_corpus, monkeypatch):
+    store = desk_store(seed=5)
+    idx = list(range(len(spanning_corpus.sequences)))
+    calls = []
+    original = diagnostics.forward
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["lengths"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "forward", counting)
+    traces = collect_traces(store, spanning_corpus, idx, masked=False)
+    lengths = [seq.num_frames for seq in spanning_corpus.sequences]
+    assert calls == [lengths[run] for run in encoder.pack_runs(lengths)]  # one forward per run
+    assert len(traces) == len(idx)
+    for seq, trace in zip(spanning_corpus.sequences, traces):
+        with ad.no_grad():
+            _, ref = original(seq.frames, store, 8, collect_trace=True)
+        for got, want in zip(trace.embeddings, ref.embeddings):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_layer_embeddings_of_no_utterance_is_a_contract_error():
+    with pytest.raises(ContractError):
+        layer_embeddings(desk_store(), small_corpus(n=4), [], m=2)
 
 
 def test_layer_embeddings_depth_contract(float64):
@@ -715,7 +741,7 @@ def test_collect_traces_block_applications():
     store = desk_store()
     corpus = small_corpus(n=10)
     before = store.block_applications
-    collect_traces(store, corpus, list(range(10)), batch_size=3)
+    collect_traces(store, corpus, list(range(10)))
     assert store.block_applications - before == 10 * store.config.max_layers
 
 

@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharedformer import autodiff as ad
 from sharedformer import encoder
 from sharedformer.autodiff import Tensor
 from sharedformer.config import RunConfig, apply_preset
 from sharedformer.encoder import (ConformerConfig, ParameterStore, conformer_block, forward,
-                                  load_checkpoint, pack, param_count,
+                                  load_checkpoint, pack, pack_runs, param_count,
                                   relative_position_bias, sample_depth, save_checkpoint,
                                   sli_forward, store_from_checkpoint)
 from sharedformer.errors import ConfigError, ContractError
@@ -426,6 +428,23 @@ def test_packed_block_finite_difference(float64):
         return (conformer_block(x, group, cfg, lengths) * coeff).sum()
 
     assert ad.grad_check(f, [x, *group.values()], eps=1e-6) <= 1e-4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 60), max_size=30), st.integers(1, 150))
+def test_pack_runs_are_greedy_consecutive_runs(lengths, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoder, "PACK_FRAMES", budget)
+        runs = pack_runs(lengths)
+    assert [i for run in runs for i in range(len(lengths))[run]] == list(range(len(lengths)))
+    for k, run in enumerate(runs):
+        assert run.step is None and run.start < run.stop  # consecutive and non-empty
+        frames = sum(lengths[run])
+        assert frames <= budget or run.stop - run.start == 1
+        if k + 1 < len(runs):  # greedy: the next utterance would not have fitted
+            assert frames + lengths[run.stop] > budget
+    if not lengths:
+        assert runs == []
 
 
 # ---- depth sampling ---------------------------------------------------------

@@ -522,6 +522,19 @@ def test_validation_masks_each_utterance_once_per_run(monkeypatch):
     assert calls == val_ids
 
 
+@pytest.mark.parametrize("mode", ["all-frames", "masked-only"])
+def test_validation_loss_across_pack_runs_is_the_utterance_mean(float64, spanning_corpus, mode):
+    from sharedformer.training import validation_loss
+
+    store = ParameterStore.init(ConformerConfig(), substream(6, "init"))
+    clean = spanning_corpus.sequences
+    masked = [mask_utterance(seq, MaskConfig()) for seq in clean]
+    with ad.no_grad():
+        alone = [float(batch_loss(store, [c], [m], 8, mode).data) for c, m in zip(clean, masked)]
+    assert validation_loss(store, clean, masked, mode) == pytest.approx(np.mean(alone),
+                                                                        rel=1e-12, abs=0)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run diverges on purpose
 def test_divergence_preserves_last_checkpoint(tmp_path):
     corpus = small_corpus()
