@@ -51,6 +51,8 @@ def _build_config(args, overrides) -> RunConfig:
 
 def _load_corpus(path, labels_path=None) -> LabeledCorpus:
     sequences = load_features(path)
+    if not sequences:
+        raise InputError(f"feature file {path} holds no utterances: the corpus is empty")
     labels, num_classes = ([], 0)
     if labels_path is not None:
         by_id, num_classes = load_labels(labels_path)

@@ -8,8 +8,11 @@ frozen-feature linear probe with a shallow-inference sweep.
 Every forward-only diagnostic runs each of `encoder.pack_runs`' runs of its
 utterances, in the caller's order, through one traced forward without a
 graph, then cuts each utterance's trace entries out by its row range. Depth m
-is a prefix of the stack, so the shallow-inference sweep reads every
-requested depth from one trace at the deepest of them.
+is a prefix of the stack, so `layer_embeddings`, the probe's one embedding
+path, reads every requested depth from one trace at the deepest of them.
+The probe's recipe is fixed: `PROBE_STEPS` full-batch steps of momentum
+`PROBE_MOMENTUM` at rate `PROBE_LR`, trained on four fifths of the
+utterances and scored on the held-out fifth.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .rng import substream
 from .training import batch_loss, check_depth
 
 SCHEMA_VERSION = 1
+PROBE_STEPS, PROBE_LR, PROBE_MOMENTUM = 400, 0.5, 0.9
 
 
 # ---- traced passes -----------------------------------------------------------
@@ -248,17 +252,9 @@ class ProbeResult:
     weights: np.ndarray   # (C, d + 1) float32 on standardized features; last column the bias
 
 
-@dataclass
-class ProbeConfig:
-    steps: int = 400
-    lr: float = 0.5
-    momentum: float = 0.9
-
-
 def linear_probe(train_x: list[np.ndarray], train_y: np.ndarray,
                  test_x: list[np.ndarray], test_y: np.ndarray,
-                 num_classes: int, layers: list[int] | None = None,
-                 config: ProbeConfig | None = None) -> list[ProbeResult]:
+                 num_classes: int, layers: list[int] | None = None) -> list[ProbeResult]:
     """Affine softmax classifiers on frozen features, one per depth, fitted together.
 
     `train_x[i]` and `test_x[i]` are depth i's (n, d) frames, all depths
@@ -282,7 +278,6 @@ def linear_probe(train_x: list[np.ndarray], train_y: np.ndarray,
                             f"{len(train_x)}, {len(test_x)} for {len(layers)} depths")
     if len({x.shape[1] for x in [*train_x, *test_x]}) != 1:
         raise ContractError("probe features must share one width across depths and splits")
-    config = config or ProbeConfig()
     L, (n, d) = len(layers), train_x[0].shape
     xtr = np.ones((L, d + 1, n), dtype=np.float32)
     xte = np.ones((L, d + 1, len(test_y)), dtype=np.float32)
@@ -301,9 +296,9 @@ def linear_probe(train_x: list[np.ndarray], train_y: np.ndarray,
     g = np.empty_like(w)
     z = np.empty((L, num_classes, n), dtype=np.float32)
     col = np.empty((L, 1, n), dtype=np.float32)
-    step = np.float32(config.lr / n)
-    momentum = np.float32(config.momentum)
-    for _ in range(config.steps):
+    step = np.float32(PROBE_LR / n)
+    momentum = np.float32(PROBE_MOMENTUM)
+    for _ in range(PROBE_STEPS):
         # z holds the logits, then the softmax; g is n times the weight gradient
         np.matmul(w, xtr, out=z)
         np.max(z, axis=1, keepdims=True, out=col)
@@ -327,57 +322,48 @@ def linear_probe(train_x: list[np.ndarray], train_y: np.ndarray,
     return results
 
 
-def probe_split(corpus: LabeledCorpus, seed: int, test_fraction: float = 0.2) -> tuple[list[int], list[int]]:
-    """Disjoint train/held-out utterance split for probing."""
+def probe_split(corpus: LabeledCorpus, seed: int) -> tuple[list[int], list[int]]:
+    """Disjoint train/held-out utterance split for probing; a fifth is held out."""
     n = len(corpus.sequences)
     perm = substream(seed, "probe").permutation(n)
-    cut = max(1, int(round(n * test_fraction)))
+    cut = max(1, round(n / 5))
     if cut >= n:
         raise ContractError("probe split would consume the whole corpus")
     return [int(i) for i in perm[cut:]], [int(i) for i in perm[:cut]]
 
 
-def _pooled(traces: list[LayerTrace], m: int) -> np.ndarray:
-    return np.concatenate([t.embeddings[m] for t in traces]).astype(np.float64)
-
-
 def layer_embeddings(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
-                     m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled frame embeddings and labels for the given utterances at depth m.
+                     depths: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Pooled float64 frame embeddings at each depth, and the labels, of the given utterances.
 
-    Depth 0 is the frontend output, an affine map of the raw frames.
+    Entry i of the list is depth `depths[i]`'s (frames, d) array, the
+    utterances in `idx` order. One trace at the deepest depth serves every
+    depth, since depth m is entry m of it. Depth 0 is the frontend output,
+    an affine map of the raw frames.
     """
-    if not (0 <= m <= store.config.max_layers):
-        raise ContractError(f"SLI layer count {m} outside [0, {store.config.max_layers}]")
+    H = store.config.max_layers
+    if not depths or not all(0 <= m <= H for m in depths):
+        raise ContractError(f"layer embeddings need one or more depths in [0, {H}], got {depths}")
     if not idx:
         raise ContractError("layer embeddings need at least one utterance")
-    traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx], m)
-    return _pooled(traces, m), np.concatenate([corpus.labels[i] for i in idx])
+    traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx], max(depths))
+    pooled = [np.concatenate([t.embeddings[m] for t in traces]).astype(np.float64)
+              for m in depths]
+    return pooled, np.concatenate([corpus.labels[i] for i in idx])
 
 
 def sli_sweep(store: ParameterStore, corpus: LabeledCorpus, layers: list[int],
-              seed: int = 0, probe_config: ProbeConfig | None = None) -> list[ProbeResult]:
+              seed: int = 0) -> list[ProbeResult]:
     """Linear probes at shallow-inference depths 0..max_layers; results sorted by depth.
 
     Depth 0 is the frontend output, the raw-frame baseline. Each probe split
-    is traced once, at the deepest requested depth, and depth m is entry m of
-    that trace. One `linear_probe` call fits every depth.
+    takes its embeddings from one `layer_embeddings` call, and one
+    `linear_probe` call fits every depth.
     """
-    H = store.config.max_layers
-    if not layers:
-        raise ContractError("sweep needs at least one layer")
-    for m in layers:
-        if not (0 <= m <= H):
-            raise ContractError(f"sweep layer {m} outside [0, {H}]")
     depths = sorted(set(layers))
-    splits = []
-    for idx in probe_split(corpus, seed):
-        traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx], depths[-1])
-        splits.append(([_pooled(traces, m) for m in depths],
-                       np.concatenate([corpus.labels[i] for i in idx])))
-    (xtr, ytr), (xte, yte) = splits
-    return linear_probe(xtr, ytr, xte, yte, corpus.num_classes, layers=depths,
-                        config=probe_config)
+    (xtr, ytr), (xte, yte) = (layer_embeddings(store, corpus, idx, depths)
+                              for idx in probe_split(corpus, seed))
+    return linear_probe(xtr, ytr, xte, yte, corpus.num_classes, layers=depths)
 
 
 # ---- report emission ---------------------------------------------------------
@@ -398,10 +384,8 @@ def write_report(path_base: str | Path, header: list[str], rows: list[list]) -> 
 
 
 def collect_traces(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
-                   mask_cfg: MaskConfig | None = None, masked: bool = True) -> list[LayerTrace]:
+                   mask_cfg: MaskConfig | None = None) -> list[LayerTrace]:
     """Full-depth traces of the given utterances (fixed masks), in `idx` order."""
     mask_cfg = mask_cfg or MaskConfig()
-    seqs = [corpus.sequences[i] for i in idx]
-    if masked:
-        seqs = [mask_utterance(seq, mask_cfg)[1] for seq in seqs]
-    return _traced_passes(store, [seq.frames for seq in seqs], store.config.max_layers)
+    masked = [mask_utterance(corpus.sequences[i], mask_cfg)[1].frames for i in idx]
+    return _traced_passes(store, masked, store.config.max_layers)

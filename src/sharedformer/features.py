@@ -21,6 +21,7 @@ from .rng import substream
 FEATURE_MAGIC = b"LCFB"
 LABEL_MAGIC = b"LCLB"
 MAX_CLASSES = 1 << 16  # labels are stored as u16
+SELF_TRANSITION = 0.9  # the synthetic chain's probability of staying in its state
 
 
 @dataclass
@@ -138,13 +139,13 @@ def load_labels(path) -> tuple[dict[str, np.ndarray], int]:
 
 
 def synth_corpus(seed: int, num_utts: int, t_range: tuple[int, int], dim: int,
-                 num_classes: int, noise_sigma: float = 0.1,
-                 self_transition: float = 0.9) -> LabeledCorpus:
+                 num_classes: int, noise_sigma: float = 0.1) -> LabeledCorpus:
     """Deterministic Markov-chain corpus with one emission mean per latent state.
 
     Each utterance follows a first-order chain over C states (uniform start,
-    symmetric off-diagonal transitions), emitting its state mean plus Gaussian
-    noise. Labels are the state ids, so raw frames are linearly separable.
+    stay with probability `SELF_TRANSITION`, else a uniform hop to another
+    state), emitting its state mean plus Gaussian noise. Labels are the state
+    ids, so raw frames are linearly separable.
     """
     if num_classes < 2:
         raise ConfigError(f"num_classes must be >= 2, got {num_classes}")
@@ -153,8 +154,6 @@ def synth_corpus(seed: int, num_utts: int, t_range: tuple[int, int], dim: int,
     t_min, t_max = t_range
     if not (1 <= t_min <= t_max):
         raise ConfigError(f"invalid t_range {t_range}")
-    if not (0.0 <= self_transition < 1.0):
-        raise ConfigError(f"self_transition must be in [0, 1), got {self_transition}")
     rng = substream(seed, "corpus")
     means = rng.normal(0.0, 1.0, size=(num_classes, dim))
     sequences, labels = [], []
@@ -163,7 +162,7 @@ def synth_corpus(seed: int, num_utts: int, t_range: tuple[int, int], dim: int,
         states = np.empty(T, dtype=np.int64)
         states[0] = rng.integers(num_classes)
         for t in range(1, T):
-            if rng.random() < self_transition:
+            if rng.random() < SELF_TRANSITION:
                 states[t] = states[t - 1]
             else:
                 hop = rng.integers(1, num_classes)  # any state except the current one

@@ -79,16 +79,17 @@ def plan_masks(T: int, cfg: MaskConfig, rng: np.random.Generator) -> MaskPlan:
 
 
 def apply_masks(x: FeatureSequence, plan: MaskPlan, cfg: MaskConfig,
-                rng: np.random.Generator | None = None) -> FeatureSequence:
-    """Corrupted copy of x per the plan and the config's policy; x is left untouched."""
+                rng: np.random.Generator) -> FeatureSequence:
+    """Corrupted copy of x per the plan and the config's policy; x is left untouched.
+
+    The tera policy draws each block's choice, and any noise, from `rng`.
+    """
     if plan.total_frames != x.num_frames:
         raise ContractError(f"plan T={plan.total_frames} but sequence has {x.num_frames} frames")
     frames = x.frames.copy()
     if cfg.policy == "zero":
         frames[plan.mask_rows()] = 0.0
-    elif cfg.policy == "tera":
-        if rng is None:
-            raise ContractError("tera policy needs an rng")
+    else:  # "tera", the one other policy MaskConfig admits
         for start, length in plan.blocks:
             u = rng.random()
             if u < cfg.p_zero:
@@ -97,8 +98,6 @@ def apply_masks(x: FeatureSequence, plan: MaskPlan, cfg: MaskConfig,
                 frames[start:start + length] = rng.normal(
                     0.0, 1.0, size=(length, x.dim)).astype(np.float32)
             # else: keep original frames
-    else:
-        raise ContractError(f"unknown mask policy {cfg.policy!r}")
     return FeatureSequence(x.utterance_id, frames, x.frame_shift_ms)
 
 

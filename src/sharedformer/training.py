@@ -158,8 +158,10 @@ class TrainState:
     v: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
+
+
 def adam_step(state: TrainState, store: ParameterStore, lr: float,
-              beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-9,
               grad_clip: float = 0.0) -> None:
     """One bias-corrected Adam update of every parameter, as whole-buffer operations.
 
@@ -183,14 +185,14 @@ def adam_step(state: TrainState, store: ParameterStore, lr: float,
         state.m, state.v = np.zeros_like(store.buffer), np.zeros_like(store.buffer)
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    store.buffer -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    store.buffer -= (lr / c1) * m / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---- training loop -----------------------------------------------------------

@@ -269,10 +269,10 @@ def test_criterion_7_sli_stability(corpus, model_a, report, logistic_oracle):
 
     # L-BFGS oracle on the identical frozen embeddings
     train_idx, test_idx = probe_split(corpus, 0)
+    xtrs, ytr = layer_embeddings(store, corpus, train_idx, [5, 8])
+    xtes, yte = layer_embeddings(store, corpus, test_idx, [5, 8])
     oracle = {}
-    for m in (5, 8):
-        xtr, ytr = layer_embeddings(store, corpus, train_idx, m)
-        xte, yte = layer_embeddings(store, corpus, test_idx, m)
+    for m, xtr, xte in zip((5, 8), xtrs, xtes):
         mu, sd = xtr.mean(axis=0), np.maximum(xtr.std(axis=0), 1e-8)
         oracle[m] = logistic_oracle((xtr - mu) / sd, ytr, (xte - mu) / sd, yte, C=1e4)
     oracle_gap = max(abs(results[m] - oracle[m]) for m in (5, 8))

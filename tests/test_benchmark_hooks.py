@@ -178,3 +178,37 @@ def test_probe_enters_sli_sweep_once(monkeypatch, tmp_path, desk_files):
     assert cli.main(["probe", *desk_files, "--labels", str(tmp_path / "data" / "labels.bin"),
                      "--layers", "2,5", "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+def test_probe_enters_layer_embeddings_per_split_and_linear_probe_once(monkeypatch, tmp_path,
+                                                                      desk_files):
+    # diagnostics.layer_embeddings_ms and linear_probe_ms time these two spans
+    from sharedformer import cli
+    embeddings = _spy(monkeypatch, "diagnostics", "layer_embeddings")
+    probes = _spy(monkeypatch, "diagnostics", "linear_probe")
+    assert cli.main(["probe", *desk_files, "--labels", str(tmp_path / "data" / "labels.bin"),
+                     "--layers", "2,5", "--out", str(tmp_path / "o")]) == 0
+    assert len(embeddings) == 2
+    assert len(probes) == 1
+
+
+# ---- what the workloads read from their direct calls -------------------------
+
+
+def test_workload_reads_of_direct_call_results(tmp_path, desk_files):
+    from sharedformer import encoder, features
+    store = encoder.ParameterStore.init(encoder.ConformerConfig(), np.random.default_rng(0))
+    H = store.config.max_layers
+    x = np.random.default_rng(1).normal(size=(23, store.config.input_dim)).astype(np.float32)
+    # sli_references keeps trace.embeddings; sli_pass compares entry m with sli_forward
+    embeddings = encoder.forward(x, store, H, collect_trace=True)[1].embeddings
+    assert len(embeddings) == H + 1
+    for m in range(1, H + 1):
+        assert embeddings[m].shape == encoder.sli_forward(x, store, m).data.shape
+    # check_pretrain unpacks load_checkpoint and reads train.step from the config
+    encoder.save_checkpoint(tmp_path / "s.ckpt", store, {"train.step": "3"})
+    config, tensors = encoder.load_checkpoint(tmp_path / "s.ckpt")
+    assert config.get("train.step") == "3" and tensors
+    # set-up keeps the .frames of every loaded utterance
+    seqs = features.load_features(desk_files[desk_files.index("--data") + 1])
+    assert seqs and all(s.frames.shape == (s.num_frames, 16) for s in seqs)

@@ -823,16 +823,22 @@ def test_probe_layer_out_of_range(tmp_path, corpus_dir, run_dir, capsys):
 @pytest.mark.parametrize("command", [
     ["diagnose", "--which", "transitions"],
     ["diagnose", "--which", "project"],
+    ["diagnose", "--which", "grads"],
     ["probe", "--layers", "2"],
-], ids=["transitions", "project", "probe"])
+    ["pretrain"],
+], ids=["transitions", "project", "grads", "probe", "pretrain"])
 def test_empty_corpus_is_input_error(tmp_path, run_dir, capsys, command):
     empty = tmp_path / "empty"
     assert main(["synth", "--out", str(empty), "--data.num_utts=0"]) == 0
+    capsys.readouterr()
     labels = ["--labels", str(empty / "labels.bin")] if command[0] == "probe" else []
-    code = main([*command, *labels, "--checkpoint", str(run_dir / "final.ckpt"),
+    ckpt = [] if command[0] == "pretrain" else ["--checkpoint", str(run_dir / "final.ckpt")]
+    code = main([*command, *labels, *ckpt,
                  "--data", str(empty / "features.bin"), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no utterances" in err
+    assert str(empty / "features.bin") in err
     assert not (tmp_path / "o").exists()
 
 

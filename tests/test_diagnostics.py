@@ -6,8 +6,9 @@ import pytest
 
 from sharedformer import autodiff as ad
 from sharedformer import diagnostics, encoder
-from sharedformer.diagnostics import (ConsistencyReport, GradDecomposition,
-                                      ProbeConfig, collect_traces, flop_report,
+from sharedformer.diagnostics import (PROBE_LR, PROBE_MOMENTUM, PROBE_STEPS,
+                                      ConsistencyReport, GradDecomposition,
+                                      collect_traces, flop_report,
                                       gradient_decomposition, layer_embeddings,
                                       layer_transitions, linear_probe,
                                       probe_split, project_2d, sli_sweep,
@@ -16,6 +17,7 @@ from sharedformer.encoder import (ConformerConfig, LayerTrace, ParameterStore,
                                   forward, sli_forward)
 from sharedformer.errors import ContractError, InvariantError
 from sharedformer.features import synth_corpus
+from sharedformer.masking import MaskConfig, mask_utterance
 from sharedformer.rng import substream
 
 
@@ -389,10 +391,10 @@ def test_probe_rejects_label_outside_class_range(split, label):
     bad[7] = label
     ytr, yte = (bad, y) if split == "train" else (y, bad)
     with pytest.raises(ContractError, match=split):
-        linear_probe([x], ytr, [x], yte, 3, config=ProbeConfig(steps=5))
+        linear_probe([x], ytr, [x], yte, 3)
 
 
-def _row_major_probe(train_x, train_y, test_x, test_y, num_classes, config):
+def _row_major_probe(train_x, train_y, test_x, test_y, num_classes):
     """Reference: the probe's gradient descent with (n, C) logits and per-row reductions."""
     mu = train_x.mean(axis=0)
     sd = np.maximum(train_x.std(axis=0), 1e-8)
@@ -405,7 +407,7 @@ def _row_major_probe(train_x, train_y, test_x, test_y, num_classes, config):
     vb = np.zeros_like(b)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), train_y] = 1.0
-    for _ in range(config.steps):
+    for _ in range(PROBE_STEPS):
         logits = xtr @ w + b
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
@@ -413,8 +415,8 @@ def _row_major_probe(train_x, train_y, test_x, test_y, num_classes, config):
         gl = (p - onehot) / n
         gw = xtr.T @ gl
         gb = gl.sum(axis=0)
-        vw = config.momentum * vw - config.lr * gw
-        vb = config.momentum * vb - config.lr * gb
+        vw = PROBE_MOMENTUM * vw - PROBE_LR * gw
+        vb = PROBE_MOMENTUM * vb - PROBE_LR * gb
         w += vw
         b += vb
     pred = np.argmax(xte @ w + b, axis=1)
@@ -442,14 +444,13 @@ def test_probe_matches_row_major_reference(make, num_classes):
     # tolerance: none. The stacked solve runs in float32 and in another
     # accumulation order, which moves the weights but no prediction here.
     xtr, ytr, xte, yte = make()
-    config = ProbeConfig()
-    res = linear_probe([xtr], ytr, [xte], yte, num_classes, config=config)[0]
-    acc, per_class = _row_major_probe(xtr, ytr, xte, yte, num_classes, config)
+    res = linear_probe([xtr], ytr, [xte], yte, num_classes)[0]
+    acc, per_class = _row_major_probe(xtr, ytr, xte, yte, num_classes)
     assert res.accuracy == acc
     assert res.per_class_accuracy == per_class
 
 
-def _class_major_probe(train_x, train_y, test_x, test_y, num_classes, config):
+def _class_major_probe(train_x, train_y, test_x, test_y, num_classes):
     """Reference: the float64 class-major loop the stacked solve replaced, one depth per call."""
     mu = train_x.mean(axis=0)
     sd = np.maximum(train_x.std(axis=0), 1e-8)
@@ -463,7 +464,7 @@ def _class_major_probe(train_x, train_y, test_x, test_y, num_classes, config):
     onehot = np.zeros((num_classes, n))
     onehot[train_y, np.arange(n)] = 1.0
     ones = np.ones((n, 1))
-    for _ in range(config.steps):
+    for _ in range(PROBE_STEPS):
         z = w @ xtr + b
         z -= z.max(axis=0)
         np.exp(z, out=z)
@@ -472,8 +473,8 @@ def _class_major_probe(train_x, train_y, test_x, test_y, num_classes, config):
         z /= n
         gw = z @ xtr.T
         gb = z @ ones
-        vw = config.momentum * vw - config.lr * gw
-        vb = config.momentum * vb - config.lr * gb
+        vw = PROBE_MOMENTUM * vw - PROBE_LR * gw
+        vb = PROBE_MOMENTUM * vb - PROBE_LR * gb
         w += vw
         b += vb
     pred = np.argmax(xte @ w.T + b.T, axis=1)
@@ -492,9 +493,8 @@ def _raw_frame_data(noise_sigma):
 
 def _check_against_class_major(xtr, ytr, xte, yte, num_classes):
     # tolerance: none, as for the row-major reference
-    config = ProbeConfig()
-    res = linear_probe([xtr], ytr, [xte], yte, num_classes, config=config)[0]
-    acc, per_class = _class_major_probe(xtr, ytr, xte, yte, num_classes, config)
+    res = linear_probe([xtr], ytr, [xte], yte, num_classes)[0]
+    acc, per_class = _class_major_probe(xtr, ytr, xte, yte, num_classes)
     assert res.accuracy == acc
     assert res.per_class_accuracy == per_class
     return acc
@@ -568,7 +568,7 @@ def test_probe_split_disjoint_and_covering():
 def test_layer_embeddings_shapes(float64):
     store = desk_store()
     corpus = small_corpus(n=6)
-    x, y = layer_embeddings(store, corpus, [0, 1], m=3)
+    [x], y = layer_embeddings(store, corpus, [0, 1], [3])
     frames = corpus.sequences[0].num_frames + corpus.sequences[1].num_frames
     assert x.shape == (frames, 16) and y.shape == (frames,)
     np.testing.assert_array_equal(y[:corpus.sequences[0].num_frames], corpus.labels[0])
@@ -577,8 +577,7 @@ def test_layer_embeddings_shapes(float64):
 def test_sli_sweep_sorted_and_deduped(float64):
     store = desk_store()
     corpus = small_corpus(n=10)
-    quick = ProbeConfig(steps=20)
-    results = sli_sweep(store, corpus, [4, 2, 4], probe_config=quick)
+    results = sli_sweep(store, corpus, [4, 2, 4])
     assert [r.layer for r in results] == [2, 4]
 
 
@@ -587,9 +586,9 @@ def _spy_on_linear_probe(monkeypatch):
     calls = []
     real = diagnostics.linear_probe
 
-    def spy(train_x, train_y, test_x, test_y, num_classes, layers=None, config=None):
+    def spy(train_x, train_y, test_x, test_y, num_classes, layers=None):
         calls.append((train_x, list(layers)))
-        return real(train_x, train_y, test_x, test_y, num_classes, layers, config)
+        return real(train_x, train_y, test_x, test_y, num_classes, layers)
 
     monkeypatch.setattr(diagnostics, "linear_probe", spy)
     return calls
@@ -610,7 +609,7 @@ def test_sli_sweep_layer_contract(float64, monkeypatch):
         sli_sweep(store, corpus, [9])
     # depth 0 probes the frontend output, forward(x, store, 0)
     calls = _spy_on_linear_probe(monkeypatch)
-    results = sli_sweep(store, corpus, [0, 2], probe_config=ProbeConfig(steps=20))
+    results = sli_sweep(store, corpus, [0, 2])
     assert [r.layer for r in results] == [0, 2]
     train_idx, _ = probe_split(corpus, 0)
     np.testing.assert_allclose(calls[0][0][0], _frontend_rows(store, corpus, train_idx),
@@ -621,8 +620,7 @@ def test_sli_sweep_fits_every_depth_in_one_probe_call(monkeypatch):
     # perfbench's diagnostics.linear_probe_ms wraps the module attribute, so
     # the sweep must look it up there and call it once with every depth
     calls = _spy_on_linear_probe(monkeypatch)
-    results = sli_sweep(desk_store(), small_corpus(n=10), [8, 0, 5, 2, 5],
-                        probe_config=ProbeConfig(steps=5))
+    results = sli_sweep(desk_store(), small_corpus(n=10), [8, 0, 5, 2, 5])
     assert [layers for _, layers in calls] == [[0, 2, 5, 8]]
     assert len(calls[0][0]) == 4
     assert [r.layer for r in results] == [0, 2, 5, 8]
@@ -653,13 +651,19 @@ def test_collect_traces_deterministic(float64):
             np.testing.assert_array_equal(ea, eb)
 
 
+def _fixed_mask_frames(seq):
+    """The frames collect_traces runs: the utterance under its id-seeded default mask."""
+    return mask_utterance(seq, MaskConfig())[1].frames
+
+
 def test_collect_traces_unmasked_differs(float64):
     store = desk_store()
     corpus = small_corpus(n=5)
-    masked = collect_traces(store, corpus, [0], masked=True)
-    clean = collect_traces(store, corpus, [0], masked=False)
-    assert not np.array_equal(masked[0].embeddings[0], clean[0].embeddings[0])
-    np.testing.assert_array_equal(clean[0].embeddings[0].shape, masked[0].embeddings[0].shape)
+    masked = collect_traces(store, corpus, [0])
+    with ad.no_grad():
+        _, clean = forward(corpus.sequences[0].frames, store, 8, collect_trace=True)
+    assert not np.array_equal(masked[0].embeddings[0], clean.embeddings[0])
+    np.testing.assert_array_equal(clean.embeddings[0].shape, masked[0].embeddings[0].shape)
 
 
 # ---- batched traced passes ---------------------------------------------------
@@ -670,11 +674,12 @@ def test_batched_traces_match_per_utterance(float64):
     corpus = small_corpus(n=20)
     idx = [7, 2, 19, 0, 11, 5, 13, 3, 16]
     assert len({corpus.sequences[i].num_frames for i in idx}) > 1  # the pack holds unequal lengths
-    traces = collect_traces(store, corpus, idx, masked=False)
+    traces = collect_traces(store, corpus, idx)
     assert len(traces) == len(idx)
     for i, trace in zip(idx, traces):
         with ad.no_grad():
-            _, ref = forward(corpus.sequences[i].frames, store, 8, collect_trace=True)
+            _, ref = forward(_fixed_mask_frames(corpus.sequences[i]), store, 8,
+                             collect_trace=True)
         assert trace.depth == ref.depth
         for got, want in zip(trace.embeddings, ref.embeddings):
             assert got.shape == want.shape
@@ -685,10 +690,25 @@ def test_layer_embeddings_match_sli_forward(float64):
     store = desk_store(seed=4)
     corpus = small_corpus(n=12)
     idx = [5, 0, 9, 3, 11, 1]
-    x, y = layer_embeddings(store, corpus, idx, m=5)
+    [x], y = layer_embeddings(store, corpus, idx, [5])
     ref = np.concatenate([sli_forward(corpus.sequences[i].frames, store, 5).data for i in idx])
     np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(y, np.concatenate([corpus.labels[i] for i in idx]))
+
+
+def test_layer_embeddings_one_trace_serves_every_depth():
+    store = desk_store(seed=4)
+    corpus = small_corpus(n=12)
+    idx = [5, 0, 9, 3, 11, 1]
+    before = store.block_applications
+    xs, y = layer_embeddings(store, corpus, idx, [0, 3, 8])
+    assert store.block_applications - before == 8 * len(idx)  # one trace, at depth 8
+    assert len(xs) == 3
+    for m, x in zip([0, 3, 8], xs):
+        [alone], y_alone = layer_embeddings(store, corpus, idx, [m])
+        assert x.dtype == alone.dtype == np.float64
+        assert x.shape == alone.shape and x.tobytes() == alone.tobytes()
+        np.testing.assert_array_equal(y, y_alone)
 
 
 def test_traces_across_pack_runs_match_per_utterance(float64, spanning_corpus, monkeypatch):
@@ -702,13 +722,13 @@ def test_traces_across_pack_runs_match_per_utterance(float64, spanning_corpus, m
         return original(*args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "forward", counting)
-    traces = collect_traces(store, spanning_corpus, idx, masked=False)
+    traces = collect_traces(store, spanning_corpus, idx)
     lengths = [seq.num_frames for seq in spanning_corpus.sequences]
     assert calls == [lengths[run] for run in encoder.pack_runs(lengths)]  # one forward per run
     assert len(traces) == len(idx)
     for seq, trace in zip(spanning_corpus.sequences, traces):
         with ad.no_grad():
-            _, ref = original(seq.frames, store, 8, collect_trace=True)
+            _, ref = original(_fixed_mask_frames(seq), store, 8, collect_trace=True)
         for got, want in zip(trace.embeddings, ref.embeddings):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -716,7 +736,7 @@ def test_traces_across_pack_runs_match_per_utterance(float64, spanning_corpus, m
 
 def test_layer_embeddings_of_no_utterance_is_a_contract_error():
     with pytest.raises(ContractError):
-        layer_embeddings(desk_store(), small_corpus(n=4), [], m=2)
+        layer_embeddings(desk_store(), small_corpus(n=4), [], [2])
 
 
 def test_layer_embeddings_depth_contract(float64):
@@ -724,8 +744,8 @@ def test_layer_embeddings_depth_contract(float64):
     corpus = small_corpus(n=4)
     for m in (-1, 9):
         with pytest.raises(ContractError):
-            layer_embeddings(store, corpus, [0], m=m)
-    x, _ = layer_embeddings(store, corpus, [1, 0], m=0)
+            layer_embeddings(store, corpus, [0], [m])
+    [x], _ = layer_embeddings(store, corpus, [1, 0], [0])
     np.testing.assert_allclose(x, _frontend_rows(store, corpus, [1, 0]), rtol=0, atol=1e-12)
 
 
@@ -733,7 +753,7 @@ def test_sli_sweep_traces_once_at_deepest_layer():
     store = desk_store()
     corpus = small_corpus(n=10)
     before = store.block_applications
-    sli_sweep(store, corpus, [2, 5, 8], probe_config=ProbeConfig(steps=5))
+    sli_sweep(store, corpus, [2, 5, 8])
     assert store.block_applications - before == 10 * 8
 
 

@@ -85,20 +85,20 @@ def test_ratio_contract():
 
 def test_apply_empty_plan_is_identity():
     x = FeatureSequence("u", rng(0).normal(size=(20, 4)).astype(np.float32))
-    out = apply_masks(x, MaskPlan([], 20), MaskConfig())
+    out = apply_masks(x, MaskPlan([], 20), MaskConfig(), rng(0))
     np.testing.assert_array_equal(out.frames, x.frames)
 
 
 def test_apply_full_coverage_zeroes_everything():
     x = FeatureSequence("u", rng(0).normal(size=(14, 4)).astype(np.float32))
     plan = MaskPlan([(0, 7), (7, 7)], 14)
-    out = apply_masks(x, plan, MaskConfig())
+    out = apply_masks(x, plan, MaskConfig(), rng(0))
     np.testing.assert_array_equal(out.frames, np.zeros((14, 4)))
 
 
 def test_apply_single_block_rows():
     x = FeatureSequence("u", rng(1).normal(size=(30, 4)).astype(np.float32))
-    out = apply_masks(x, MaskPlan([(10, 7)], 30), MaskConfig())
+    out = apply_masks(x, MaskPlan([(10, 7)], 30), MaskConfig(), rng(0))
     np.testing.assert_array_equal(out.frames[10:17], 0.0)
     np.testing.assert_array_equal(out.frames[:10], x.frames[:10])
     np.testing.assert_array_equal(out.frames[17:], x.frames[17:])
@@ -109,7 +109,7 @@ def test_apply_single_block_rows():
 def test_apply_t_mismatch():
     x = FeatureSequence("u", np.ones((10, 4), dtype=np.float32))
     with pytest.raises(ContractError):
-        apply_masks(x, MaskPlan([(0, 7)], 20), MaskConfig())
+        apply_masks(x, MaskPlan([(0, 7)], 20), MaskConfig(), rng(0))
 
 
 def test_tera_policy_branches():

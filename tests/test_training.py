@@ -188,7 +188,7 @@ def test_adam_two_steps_match_hand_recurrence(float64):
     for t in (1, 2):
         g = 2.0 * w  # d/dw of w^2, evaluated like the training loop would
         store.params["w"].grad = np.array([g])
-        adam_step(state, store, lr, b1, b2, eps)
+        adam_step(state, store, lr)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         w = w - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
@@ -258,7 +258,7 @@ def test_adam_grad_clip_matches_hand_recurrence(float64, clip):
         g = np.array(g)
         for s, st in ((store, state), (unclipped, unclipped_state)):
             s.params["a"].grad, s.params["b"].grad = g[:2].copy(), g[2:].copy()
-            adam_step(st, s, lr, b1, b2, eps, grad_clip=clip if s is store else 0.0)
+            adam_step(st, s, lr, grad_clip=clip if s is store else 0.0)
         norm = np.sqrt(np.sum(g * g))
         if norm > clip:
             g = g * (clip / norm)
