@@ -526,20 +526,18 @@ _TILE_BYTES = 512 * 1024
 # lost to underflow (logit < -87.3, 2^-126 the smallest normal float32) is
 # under e^-67 of it, so even T_b < 1e22 of them sum to far below float32
 # rounding (2^-24). float64's limits are wider on both sides.
-# Slots shorter than _BAND_MIN_FRAMES always shift: there a band check
-# costs about as much as the subtract pass it saves.
 #
-# On longer slots the band is read off the row sums s, which the forward
-# needs anyway, so no row-max pass runs: exp2 the unshifted logits, then keep
-# the tile if every s lies in [T_b e^(-20 + m), e^(20 - m)], m = _BAND_MARGIN
-# (a row sum of 2^(x log2(e)) is a row sum of e^x, so the bounds keep their
-# natural form). With M a row's max of the tile's logits over log2(e) and u
-# the unit roundoff, assume exp2 is within 4 ulp of the exact power, a
-# relative error of at most 8u (a subnormal result within 2^-126 of it);
-# numpy 2.4's float64 exp2 measured at most 0.7 ulp, its float32 exp2 at
-# most 1 ulp on results below 2^126 and 2.9 ulp above, and
-# `tests/test_autodiff.py` pins the 4 ulp. A computed
-# sum of T_b nonnegative terms, in any order, is within
+# Every slot, however short, reads the band off the row sums s, which the
+# forward needs anyway: the check costs no pass of its own, so it pays at any
+# T_b, and no row-max pass runs. exp2 the unshifted logits, then keep the tile
+# if every s lies in [T_b e^(-20 + m), e^(20 - m)], m = _BAND_MARGIN (a row
+# sum of 2^(x log2(e)) is a row sum of e^x, so the bounds keep their natural
+# form). With M a row's max of the tile's logits over log2(e) and u the unit
+# roundoff, assume exp2 is within 4 ulp of the exact power, a relative error
+# of at most 8u (a subnormal result within 2^-126 of it); numpy 2.4's float64
+# exp2 measured at most 0.7 ulp, its float32 exp2 at most 1 ulp on results
+# below 2^126 and 2.9 ulp above, and `tests/test_autodiff.py` pins the 4 ulp.
+# A computed sum of T_b nonnegative terms, in any order, is within
 # gamma = T_b u / (1 - T_b u) of the exact one. The row-max path compares
 # against _BAND2 rounded to the tile's dtype, which moves the band's edges by
 # 20u at most, far inside the margin. So:
@@ -560,7 +558,6 @@ _TILE_BYTES = 512 * 1024
 # path alone: 1.02x at T_b = 800 (10 tiles), 1.15x for two 400-frame slots,
 # but 1.9x for a lone 200-frame slot, whose one tile is the whole call.
 _BAND = 20.0
-_BAND_MIN_FRAMES = 64
 _BAND_MAX_FRAMES = 2 ** 16
 _BAND_MARGIN = 0.01
 _BAND_LO, _BAND_HI = math.exp(_BAND_MARGIN - _BAND), math.exp(_BAND - _BAND_MARGIN)
@@ -625,24 +622,20 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
         # a graph keeps the whole exp'd block and the row sums for the backward
         e_all = np.empty((h, tb, tb), out.dtype) if graph else None
         s_all = np.empty((h, tb, 1), out.dtype) if graph else None
-        banded = _BAND_MIN_FRAMES <= tb <= _BAND_MAX_FRAMES
-        lo = tb * _BAND_LO  # the row sums' floor
         for r0 in range(0, tb, rows):
             r1 = min(r0 + rows, tb)
             qt = qb[:, r0:r1]
             dest = (e_all[:, r0:r1] if graph
                     else scratch[:h * (r1 - r0) * tb].reshape(h, r1 - r0, tb))
-            e = None
-            if banded and speculate:  # exp2 the unshifted logits, then check the row sums
+            if speculate and tb <= _BAND_MAX_FRAMES:  # exp2 unshifted, check the row sums
                 with np.errstate(over="ignore", invalid="ignore"):
                     e = _logits(qt, kt, bias, r0, dest)
                     s = _exp_sums(e)
-                if not (lo <= s.min() and s.max() <= _BAND_HI):  # NaN fails too
-                    e, speculate = None, False
-            if e is None:
+                speculate = tb * _BAND_LO <= s.min() and s.max() <= _BAND_HI  # NaN fails
+            if not speculate or tb > _BAND_MAX_FRAMES:  # the row-max path
                 e = _logits(qt, kt, bias, r0, dest)
                 mx = np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
-                if tb < _BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND2:  # NaN, -inf: shift
+                if not np.abs(mx).max() <= _BAND2:  # NaN, -inf: shift
                     e -= mx
                 s = _exp_sums(e)
             o = ob[:, r0:r1]
@@ -790,15 +783,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
     divided by the row sums instead, which with dropout are taken before the
     mask.
 
-    Slots of at least `_BAND_MIN_FRAMES` frames skip the row-max pass when
-    they can: a tile first exp2s its unshifted logits, and if every row sum
-    lies within bounds that prove every row max is in the band, it is kept;
-    otherwise its logits are recomputed and take the path above, so the bits
-    are the same either way, and the call's later tiles take that path
-    directly. Every tile reads its slot's keys as columns of one contiguous
-    (h, dh, N) copy of k, scaled by log2(e), made per call (the backward
-    reads the natural v the same way for dO V^T), so BLAS gets a plain
-    operand instead of a strided view, and without a graph every tile
+    Every slot of up to `_BAND_MAX_FRAMES` frames, however short, first
+    tries without the row-max pass: a tile exp2s its unshifted logits and is
+    kept if every row sum, which costs nothing extra, lies within bounds that
+    prove every row max in the band; otherwise its logits are recomputed and
+    take the path above, with the same bits, and so do the call's later
+    tiles in every slot. Every tile reads its slot's keys as columns of one
+    contiguous (h, dh, N) copy of k, scaled by log2(e), made per call (the
+    backward reads the natural v the same way for dO V^T), so BLAS gets a
+    plain operand instead of a strided view, and without a graph every tile
     writes its logits into one scratch array.
 
     A graph writes each tile into the slot's whole exp'd block e and saves it

@@ -121,6 +121,9 @@ def cmd_diagnose(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
 
     if ckpt is None or not args.data:
         raise InputError(f"diagnose --which={args.which} needs --checkpoint and --data")
+    if args.which == "grads" and cfg.diag.grad_depth > cfg.model.max_layers:
+        raise ConfigError(f"diag.grad_depth={cfg.diag.grad_depth} is above the checkpoint's "
+                          f"model.max_layers={cfg.model.max_layers}")
     corpus = _load_corpus(args.data)
     corpus.check_dim(cfg.model.input_dim)  # cfg.model is the checkpoint's (see main)
     if args.which == "grads":

@@ -19,6 +19,7 @@ from a checkpoint reproduces the uninterrupted run bitwise.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -306,6 +307,11 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
         metrics_file = open(path, "a" if resume_from is not None else "w",
                             encoding="utf-8")
 
+    def checkpoint(name: str) -> None:
+        if out_dir is not None:
+            os.fsync(metrics_file.fileno())
+            _save_train_checkpoint(out_dir / name, store, state)
+
     metrics: list[dict] = []
     try:
         for step in range(state.step + 1, cfg.max_steps + 1):
@@ -330,8 +336,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             except DivergenceError:
                 # keep the last good state: adam_step rejects a non-finite
                 # gradient before it updates anything, its step included
-                if out_dir is not None:
-                    _save_train_checkpoint(out_dir / "final.ckpt", store, state)
+                checkpoint("final.ckpt")
                 raise
             state.cum_layer_apps += n_layers * cfg.batch_size
 
@@ -345,22 +350,19 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
                    "train_loss": train_loss, "val_loss": val,
                    "cum_layer_apps": state.cum_layer_apps}
             metrics.append(row)
-            # the row leaves the process before any checkpoint of its step, so
-            # no checkpoint on disk is ahead of the rows a resume continues
+            # the row leaves the process, and `checkpoint` fsyncs it, before any
+            # checkpoint of its step, so none is ahead of the rows on disk
             if metrics_file is not None:
                 metrics_file.write(json.dumps(row) + "\n")
                 metrics_file.flush()
 
             if val is not None and val < state.best_val_loss:
                 state.best_val_loss, state.best_step = val, step
-                if out_dir is not None:
-                    _save_train_checkpoint(out_dir / "best.ckpt", store, state)
+                checkpoint("best.ckpt")
+        checkpoint("final.ckpt")
     finally:
         if metrics_file is not None:
             metrics_file.close()
-
-    if out_dir is not None:
-        _save_train_checkpoint(out_dir / "final.ckpt", store, state)
     return TrainResult(store, metrics, state.best_step, state.best_val_loss, state.cum_layer_apps)
 
 

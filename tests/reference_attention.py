@@ -7,11 +7,11 @@ in the core's current formula: every tile reads its slot's keys (and the
 backward's v) as columns of one contiguous (h, dh, N) copy made per call,
 the keys' copy scaled by log2(e), so the logits are base 2 and take `exp2`,
 the row-max band is compared in base-2 units, and the row sums are always
-`_sum_last` of the exp'd tile. They read the tile budget and the band's
-minimum slot length from `autodiff` at call time, so a test that shrinks the
-tiles shrinks them here too. The attention core promises bitwise equality
-with these functions for every input, on both sides of the band and on both
-sides of a tile boundary.
+`_sum_last` of the exp'd tile. Every slot, however short, skips the shift
+when its tile's row maxima lie in the band. They read the tile budget from
+`autodiff` at call time, so a test that shrinks the tiles shrinks them here
+too. The attention core promises bitwise equality with these functions for
+every input, on both sides of the band and on both sides of a tile boundary.
 """
 
 import numpy as np
@@ -47,7 +47,7 @@ def attend(q, k, v, bias, keep, scale, lengths, graph):
             if bias is not None:
                 e += bias[r0:r1, :tb]
             mx = np.fmax.reduce(e, axis=-1, keepdims=True)
-            if tb < ad._BAND_MIN_FRAMES or not np.abs(mx).max() <= _BAND2:
+            if not np.abs(mx).max() <= _BAND2:
                 e -= mx
             np.exp2(e, out=e)
             s = ad._sum_last(e)

@@ -6,11 +6,12 @@ reads the keys from the same per-call (h, dh, N) copy. Every case here
 compares outputs, the saved block and row sums, and the q, k and v gradients
 with `np.array_equal`: on both sides of the band (logit gains x1, x40 and
 x400), on both sides of a tile boundary, with a one-row last tile, with
-one-row tiles wider than the tile budget, packed, with and without bias and
-dropout, in a graph and without one, in float32 and float64, with narrow
-and wide heads. The logits read from the key copy are checked against the
-strided product of the packed rows to a rounding bound, since BLAS may sum
-the two in different orders. Biases are in the core's log2 units; the band
+one-row tiles wider than the tile budget, on slots of 1 to 800 frames,
+short ones included, packed, with and without bias and dropout, in a graph
+and without one, in float32 and float64, with narrow and wide heads. The
+logits read from the key copy are checked against the strided product of
+the packed rows to a rounding bound, since BLAS may sum the two in
+different orders. Biases are in the core's log2 units; the band
 cases state their row maxima in natural units and convert them.
 """
 
@@ -26,8 +27,8 @@ from sharedformer import autodiff as ad
 from sharedformer.autodiff import Tensor
 
 # 571 frames: tiles of 114 float32 (57 float64) rows at 2 heads, and a one-row last tile
-LENGTHS = [[1], [40], [63], [64], [65], [200], [257], [800],
-           [800, 40, 257, 1], [65, 64, 63, 1], [571, 9]]
+LENGTHS = [[1], [40], [50], [63], [64], [65], [200], [257], [800],
+           [800, 40, 257, 1], [65, 64, 63, 1], [40, 200, 63], [571, 9]]
 # (lengths, head width): heads of 8, and one packed case with heads of 32
 CASES = [pytest.param(ls, 8, id="+".join(map(str, ls))) for ls in LENGTHS] + [
     pytest.param([800, 40, 257, 1], 32, id="800+40+257+1-dh32")]
@@ -155,6 +156,38 @@ def test_a_failed_tile_ends_the_calls_speculation(monkeypatch):
         calls.clear()
         _assert_same(q, q, v, None, None, 1.0, [800, 200], graph, np.random.default_rng(10))
         assert len(calls) == 10 + 1 + 1
+
+
+def test_a_failed_short_first_slot_ends_the_calls_speculation(monkeypatch):
+    # every logit is 72, far above the band: the 40-frame slot's one tile is
+    # exp'd twice, the 800-frame slot's ten tiles once each
+    q = np.full((840, 2, 8), 3.0, np.float32)
+    v = np.random.default_rng(11).normal(size=q.shape).astype(np.float32)
+    calls = _count_logits(monkeypatch)
+    for graph in (False, True):
+        calls.clear()
+        _assert_same(q, q, v, None, None, 1.0, [40, 800], graph, np.random.default_rng(12))
+        assert calls == [40, 40] + [81] * 9 + [71]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("T", [40, 63])
+def test_a_short_slot_is_the_same_alone_as_behind_a_failed_slot(T, dtype):
+    # the first slot's logits (about 72) fail the row-sum check, so the short
+    # slot behind it takes the row-max path, which skips the shift on its
+    # in-band logits; alone, it passes the check. The bits agree
+    lengths = [200, T]
+    q, k, v, bias, r = _inputs(T, lengths, 2, 8, dtype, 1.0)
+    q[:200] = k[:200] = 3.0
+    for p, graph in itertools.product((0.0, 0.3), (False, True)):
+        keep = [r.random((2, t, t)) >= p for t in lengths] if p else None
+        out, saved = ad._attend(q, k, v, bias, keep, 1.0 / (1.0 - p), lengths, graph)
+        alone, alone_saved = ad._attend(q[200:], k[200:], v[200:], bias[:T, :T],
+                                        keep and keep[1:], 1.0 / (1.0 - p), [T], graph)
+        np.testing.assert_array_equal(out[200:], alone)
+        for got, want in zip(saved[1:], alone_saved):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 def test_the_speculative_pass_adds_no_warning():

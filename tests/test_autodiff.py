@@ -240,9 +240,8 @@ def test_exp2_is_within_the_band_proofs_error(dtype):
 @pytest.fixture
 def small_tiles(monkeypatch):
     """Tiles of a few query rows (6 at 13 float32 frames, 3 at 13 float64
-    frames, with a shorter last tile), and the band check on every slot."""
+    frames, with a shorter last tile)."""
     monkeypatch.setattr(ad, "_TILE_BYTES", 700)
-    monkeypatch.setattr(ad, "_BAND_MIN_FRAMES", 1)
 
 
 def _brute_attention(q, k, v, bias, keep, scale, lengths):

@@ -158,6 +158,7 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["synth", "--data.noise_sigma=-0.1"],
     ["synth", "--data.noise_sigma=inf"],
     ["diagnose", "--which", "grads", "--diag.grad_depth=0"],
+    ["diagnose", "--which", "grads", "--diag.grad_depth=9"],
     ["diagnose", "--which", "project", "--diag.utterance=-1"],
     ["probe", "--layers", "2,x"],
     ["probe", "--layers", ","],
@@ -182,7 +183,10 @@ def test_bad_value_exits_before_any_output(tmp_path, corpus_dir, run_dir, capsys
     # a short run comes first, so a case that slips through ends quickly
     short = ["--train.max_steps=2", "--train.batch_size=2"]
     assert main([argv[0], *inputs[argv[0]], *short, *argv[1:], "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--diag.grad_depth=9" in argv:  # deeper than the 8-layer checkpoint
+        assert "diag.grad_depth" in err
     assert not out.exists()
 
 
@@ -564,6 +568,9 @@ def _pretrain_killed_at(argv, k):
             def flush(self):
                 self.f.flush()
                 boundary()
+
+            def fileno(self):
+                return self.f.fileno()
 
             def close(self):
                 self.f.close()

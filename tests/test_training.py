@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import composite_block
@@ -542,6 +543,37 @@ def test_divergence_preserves_last_checkpoint(tmp_path):
     with pytest.raises(DivergenceError):
         train(corpus, ConformerConfig(), cfg, out_dir=tmp_path)
     assert (tmp_path / "final.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergent run diverges on purpose
+@pytest.mark.parametrize("diverge", [False, True], ids=["run", "divergence"])
+def test_rows_are_fsynced_before_each_checkpoint(tmp_path, monkeypatch, diverge):
+    # one entry per checkpoint fsync: did the metrics file's latest fsync
+    # come after its latest row?
+    metrics, synced, checkpoints = tmp_path / "metrics.jsonl", [None], []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        st = os.fstat(fd)
+        if os.path.samestat(st, metrics.stat()):
+            synced[0] = st.st_size
+        else:  # a checkpoint's temp file
+            checkpoints.append(synced[0] == metrics.stat().st_size)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    if diverge:
+        with pytest.raises(DivergenceError):
+            train(small_corpus(), ConformerConfig(),
+                  quick_train_config(max_steps=40, peak_scale=1e30, warmup_steps=1),
+                  out_dir=tmp_path)
+        assert metrics.read_text() and checkpoints and all(checkpoints)
+    else:
+        result = train(small_corpus(), ConformerConfig(),
+                       quick_train_config(max_steps=6, validation_every=2), out_dir=tmp_path)
+        vals = [m["val_loss"] for m in result.metrics if m["val_loss"] is not None]
+        bests = sum(v < min(vals[:i], default=np.inf) for i, v in enumerate(vals))
+        assert len(vals) == 3 and checkpoints == [True] * (bests + 1)  # best.ckpt's, final.ckpt
 
 
 def test_train_config_contracts():
