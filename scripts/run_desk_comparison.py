@@ -73,8 +73,7 @@ def main() -> int:
         print(f"== training {tag} for {args.steps} steps")
         result = train(corpus, model_cfg, cfg, out_dir=out / tag)
 
-        traces = collect_traces(result.store, corpus, eval_idx)
-        report = layer_transitions(traces)
+        report = layer_transitions(collect_traces(result.store, corpus, eval_idx))
         rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
                 for i in range(len(report.l2_mean))]
         write_report(out / tag / "transitions",

@@ -91,8 +91,9 @@ def cmd_pretrain(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     corpus = _load_corpus(args.data)
     result = train(corpus, cfg.model, cfg.train, cfg.mask, out_dir=Path(args.out),
                    resume_from=ckpt, echo=cfg.echo())
-    print(f"trained to step {cfg.train.max_steps}; best validation loss "
-          f"{result.best_val_loss:.6f} at step {result.best_step}")
+    best = (f"best validation loss {result.best_val_loss:.6f} at step {result.best_step}"
+            if result.best_step else "no validation point ran")
+    print(f"trained to step {cfg.train.max_steps}; {best}")
     return 0
 
 
@@ -148,8 +149,7 @@ def cmd_diagnose(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     store = store_from_checkpoint(*ckpt)
     if args.which == "transitions":
         idx = list(range(len(corpus.sequences)))
-        traces = collect_traces(store, corpus, idx, cfg.mask)
-        report = layer_transitions(traces)
+        report = layer_transitions(collect_traces(store, corpus, idx, cfg.mask))
         rows = [[i, i + 1, report.l2_mean[i], report.cos_mean[i]]
                 for i in range(len(report.l2_mean))]
         cfg.write_echo(out)
@@ -160,7 +160,7 @@ def cmd_diagnose(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     idx = [cfg.diag.utterance]
     if idx[0] >= len(corpus.sequences):
         raise InputError(f"diag.utterance={idx[0]} but corpus has {len(corpus.sequences)} utterances")
-    trace = collect_traces(store, corpus, idx, cfg.mask)[0]
+    trace = collect_traces(store, corpus, idx, cfg.mask)
     end = min(cfg.diag.frame_end, trace.embeddings[0].shape[0])
     proj = project_2d(trace, (cfg.diag.frame_start, end))
     rows = []

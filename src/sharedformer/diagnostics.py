@@ -5,11 +5,11 @@ decomposition of the shared parameter gradient, analytic multiply-accumulate
 counts with depth-policy ratios, deterministic PCA scatter projections, and a
 frozen-feature linear probe with a shallow-inference sweep.
 
-Every forward-only diagnostic runs each of `encoder.pack_runs`' runs of its
-utterances, in the caller's order, through one traced forward without a
-graph, then cuts each utterance's trace entries out by its row range. Depth m
-is a prefix of the stack, so `layer_embeddings`, the probe's one embedding
-path, reads every requested depth from one trace at the deepest of them.
+Every forward-only diagnostic makes one trace of its utterances, entry m
+holding every utterance's depth-m rows in the caller's order; each of
+`encoder.pack_runs`' runs goes through one traced forward without a graph.
+Depth m is a prefix of the stack, so `layer_embeddings`, the probe's one
+embedding path, reads every requested depth from one trace at the deepest.
 The probe's recipe is fixed: `PROBE_STEPS` full-batch steps of momentum
 `PROBE_MOMENTUM` at rate `PROBE_LR`, trained on four fifths of the
 utterances and scored on the held-out fifth.
@@ -40,22 +40,30 @@ PROBE_STEPS, PROBE_LR, PROBE_MOMENTUM = 400, 0.5, 0.9
 # ---- traced passes -----------------------------------------------------------
 
 
-def _traced_passes(store: ParameterStore, frames: list[np.ndarray], depth: int) -> list[LayerTrace]:
-    """Depth-`depth` traces of (T_i, D) utterances, one per utterance in the given order.
+def _traced_pass(store: ParameterStore, frames: list[np.ndarray], depth: int) -> LayerTrace:
+    """Depth-`depth` trace of (T_i, D) utterances, their rows in the given order.
 
     Each of `pack_runs`' runs is packed and run as one traced forward without
-    a graph; every trace keeps its utterance's row range of each entry.
+    a graph. A lone run's trace is returned as `forward` made it; several
+    runs write their rows into one (N, d) array per entry.
     """
-    traces = []
+    if not frames:
+        raise ContractError("a traced pass needs at least one utterance")
+    runs = pack_runs([f.shape[0] for f in frames])
+    pooled, at = None, 0
     with ad.no_grad():
-        for run in pack_runs([f.shape[0] for f in frames]):
+        for run in runs:
             x, lengths = pack(frames[run])
             _, trace = forward(x, store, depth, collect_trace=True, lengths=lengths)
-            at = 0
-            for n in lengths:
-                traces.append(LayerTrace([e[at:at + n] for e in trace.embeddings]))
-                at += n
-    return traces
+            if len(runs) == 1:
+                return trace
+            if pooled is None:
+                n = sum(f.shape[0] for f in frames)
+                pooled = [np.empty((n, e.shape[1]), e.dtype) for e in trace.embeddings]
+            for out, e in zip(pooled, trace.embeddings):
+                out[at:at + len(e)] = e
+            at += len(x)
+    return LayerTrace(pooled)
 
 
 # ---- layer transitions -------------------------------------------------------
@@ -72,34 +80,24 @@ class ConsistencyReport:
         return float(np.mean(vals))
 
 
-def layer_transitions(traces: list[LayerTrace]) -> ConsistencyReport:
+def layer_transitions(trace: LayerTrace) -> ConsistencyReport:
     """Frame-wise L2 distance and cosine similarity between consecutive layers,
-    averaged over all frames of all traces.
+    averaged over every frame of the trace.
 
-    Each trace is one (H+1, T, d) float64 stack, so every layer's frame norms
-    are computed once and every transition is one pass over the stack.
+    Walks the trace's consecutive entry pairs in float64; each entry is
+    converted, and its frame norms computed, once.
     """
-    if not traces:
-        raise ContractError("need at least one trace")
-    depth = traces[0].depth
-    if any(t.depth != depth for t in traces):
-        raise ContractError("traces disagree on depth")
-    l2_sums = np.zeros(depth)
-    cos_sums = np.zeros(depth)
-    total = 0
-    for trace in traces:
-        h = np.array(trace.embeddings, dtype=np.float64)  # (H+1, T, d)
-        total += h.shape[1]
-        a, b = h[:-1], h[1:]
-        l2_sums += np.sqrt(((b - a) ** 2).sum(axis=2)).sum(axis=1)
-        norms = np.sqrt((h ** 2).sum(axis=2))  # (H+1, T)
-        denom = np.maximum(norms[:-1] * norms[1:], 1e-12)
-        cos_sums += ((a * b).sum(axis=2) / denom).sum(axis=1)
-    return ConsistencyReport(
-        l2_mean=[float(v / total) for v in l2_sums],
-        cos_mean=[float(v / total) for v in cos_sums],
-        num_frames=total,
-    )
+    l2_mean, cos_mean = [], []
+    total = trace.embeddings[0].shape[0]
+    a = trace.embeddings[0].astype(np.float64)
+    na = np.sqrt((a ** 2).sum(axis=1))
+    for e in trace.embeddings[1:]:
+        b = e.astype(np.float64)
+        nb = np.sqrt((b ** 2).sum(axis=1))
+        l2_mean.append(float(np.sqrt(((b - a) ** 2).sum(axis=1)).sum() / total))
+        cos_mean.append(float(((a * b).sum(axis=1) / np.maximum(na * nb, 1e-12)).sum() / total))
+        a, na = b, nb
+    return ConsistencyReport(l2_mean=l2_mean, cos_mean=cos_mean, num_frames=total)
 
 
 # ---- gradient decomposition --------------------------------------------------
@@ -344,12 +342,9 @@ def layer_embeddings(store: ParameterStore, corpus: LabeledCorpus, idx: list[int
     H = store.config.max_layers
     if not depths or not all(0 <= m <= H for m in depths):
         raise ContractError(f"layer embeddings need one or more depths in [0, {H}], got {depths}")
-    if not idx:
-        raise ContractError("layer embeddings need at least one utterance")
-    traces = _traced_passes(store, [corpus.sequences[i].frames for i in idx], max(depths))
-    pooled = [np.concatenate([t.embeddings[m] for t in traces]).astype(np.float64)
-              for m in depths]
-    return pooled, np.concatenate([corpus.labels[i] for i in idx])
+    trace = _traced_pass(store, [corpus.sequences[i].frames for i in idx], max(depths))
+    return ([trace.embeddings[m].astype(np.float64) for m in depths],
+            np.concatenate([corpus.labels[i] for i in idx]))
 
 
 def sli_sweep(store: ParameterStore, corpus: LabeledCorpus, layers: list[int],
@@ -384,8 +379,9 @@ def write_report(path_base: str | Path, header: list[str], rows: list[list]) -> 
 
 
 def collect_traces(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
-                   mask_cfg: MaskConfig | None = None) -> list[LayerTrace]:
-    """Full-depth traces of the given utterances (fixed masks), in `idx` order."""
+                   mask_cfg: MaskConfig | None = None) -> LayerTrace:
+    """Full-depth trace of the given utterances under their fixed masks; entry m
+    holds every utterance's depth-m rows, in `idx` order."""
     mask_cfg = mask_cfg or MaskConfig()
     masked = [mask_utterance(corpus.sequences[i], mask_cfg)[1].frames for i in idx]
-    return _traced_passes(store, masked, store.config.max_layers)
+    return _traced_pass(store, masked, store.config.max_layers)

@@ -243,8 +243,8 @@ def eval_indices(corpus):
 
 
 def mean_eval_cosine(store, corpus):
-    traces = collect_traces(store, corpus, eval_indices(corpus))
-    return layer_transitions(traces).mean_cosine(from_layer=2)
+    trace = collect_traces(store, corpus, eval_indices(corpus))
+    return layer_transitions(trace).mean_cosine(from_layer=2)
 
 
 @pytest.mark.slow

@@ -201,6 +201,15 @@ def test_pretrain_outputs(run_dir):
     assert all(np.isfinite(r["train_loss"]) for r in rows)
 
 
+def test_pretrain_without_a_validation_point_says_so(tmp_path, corpus_dir, capsys):
+    # one step, validation every second step: no validation loss is ever measured
+    assert main(["pretrain", "--data", str(corpus_dir / "features.bin"), "--out", str(tmp_path),
+                 *QUICK, "--train.max_steps=1"]) == 0
+    out = capsys.readouterr().out
+    assert "trained to step 1; no validation point ran" in out
+    assert "inf" not in out and not (tmp_path / "best.ckpt").exists()
+
+
 @pytest.mark.parametrize("case", ["missing-data", "missing-resume", "no-training-utterance",
                                   "bad-magic", "too-shallow", "dim-mismatch",
                                   "resume-dim-mismatch"])

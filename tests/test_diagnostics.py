@@ -39,7 +39,7 @@ def desk_store(seed=0, **overrides):
 
 def test_transitions_identical_layers():
     e = rng(0).normal(size=(6, 4))
-    report = layer_transitions([LayerTrace([e, e.copy(), e.copy()])])
+    report = layer_transitions(LayerTrace([e, e.copy(), e.copy()]))
     np.testing.assert_allclose(report.l2_mean, 0.0, atol=1e-12)
     np.testing.assert_allclose(report.cos_mean, 1.0, atol=1e-12)
     assert report.mean_cosine() == pytest.approx(1.0)
@@ -50,7 +50,7 @@ def test_transitions_orthogonal_layers():
     b = np.zeros((3, 4))
     a[:, 0] = 1.0
     b[:, 1] = 1.0
-    report = layer_transitions([LayerTrace([a, b])])
+    report = layer_transitions(LayerTrace([a, b]))
     np.testing.assert_allclose(report.cos_mean, [0.0], atol=1e-12)
     np.testing.assert_allclose(report.l2_mean, [np.sqrt(2.0)], atol=1e-12)
 
@@ -59,7 +59,7 @@ def test_transitions_hand_computed():
     # two frames: (3,4) -> (6,8) doubles the vector, (0,5) -> (5,0) rotates it
     a = np.array([[3.0, 4.0], [0.0, 5.0]])
     b = np.array([[6.0, 8.0], [5.0, 0.0]])
-    report = layer_transitions([LayerTrace([a, b])])
+    report = layer_transitions(LayerTrace([a, b]))
     # l2: ||(3,4)|| = 5 and ||(5,-5)|| = 5 sqrt 2, mean of the two
     np.testing.assert_allclose(report.l2_mean, [(5.0 + 5.0 * np.sqrt(2.0)) / 2], atol=1e-12)
     # cosine: 1 for the scaling, 0 for the rotation
@@ -69,9 +69,9 @@ def test_transitions_hand_computed():
 def test_transitions_frame_weighted_average():
     a2 = np.ones((2, 3))
     a6 = np.ones((6, 3))
-    big = LayerTrace([a6, 2.0 * a6])     # l2 per frame: sqrt(3)
-    small = LayerTrace([a2, -1.0 * a2])  # l2 per frame: 2 sqrt(3), cos -1
-    report = layer_transitions([big, small])
+    # six frames double (l2 per frame sqrt(3), cos 1), two flip (2 sqrt(3), cos -1)
+    report = layer_transitions(LayerTrace([np.concatenate([a6, a2]),
+                                           np.concatenate([2.0 * a6, -1.0 * a2])]))
     assert report.num_frames == 8
     np.testing.assert_allclose(report.l2_mean,
                                [(6 * np.sqrt(3) + 2 * 2 * np.sqrt(3)) / 8], atol=1e-12)
@@ -84,18 +84,16 @@ def test_transitions_mean_cosine_from_layer():
 
 
 def test_transitions_contracts():
+    # a trace of no utterance is refused before any transition is read
     with pytest.raises(ContractError):
-        layer_transitions([])
-    a = np.zeros((2, 3))
-    with pytest.raises(ContractError):
-        layer_transitions([LayerTrace([a, a]), LayerTrace([a, a, a])])
+        layer_transitions(collect_traces(desk_store(), small_corpus(n=4), []))
 
 
 def test_transitions_on_trained_shapes(float64):
     store = desk_store()
     corpus = small_corpus()
-    traces = collect_traces(store, corpus, [0, 1, 2])
-    report = layer_transitions(traces)
+    report = layer_transitions(collect_traces(store, corpus, [0, 1, 2]))
+    assert report.num_frames == sum(corpus.sequences[i].num_frames for i in (0, 1, 2))
     assert len(report.l2_mean) == 8 and len(report.cos_mean) == 8
     assert all(-1.0 - 1e-9 <= c <= 1.0 + 1e-9 for c in report.cos_mean)
 
@@ -119,16 +117,15 @@ def _transitions_loop(traces):
 
 
 def test_transitions_are_bitwise_the_per_layer_loop():
-    # float32 traces of a fresh desk store (15-30 frames), plus float64 ones
-    # of 1, 130 and 7 frames with a zero frame (the cosine's floor)
+    # the float32 trace of a fresh desk store (20 utterances of 15-30 frames),
+    # and a float64 one of 138 frames with a zero frame (the cosine's floor)
     corpus = small_corpus()
-    traces = collect_traces(desk_store(), corpus, list(range(len(corpus.sequences))))
-    r = rng(5)
-    wide = [LayerTrace([r.normal(size=(t, 24)) for _ in range(4)]) for t in (1, 130, 7)]
-    wide[1].embeddings[2][5] = 0.0
-    for case in (traces, wide):
+    trace = collect_traces(desk_store(), corpus, list(range(len(corpus.sequences))))
+    wide = LayerTrace([rng(5).normal(size=(138, 24)) for _ in range(4)])
+    wide.embeddings[2][5] = 0.0
+    for case in (trace, wide):
         report = layer_transitions(case)
-        assert (report.l2_mean, report.cos_mean, report.num_frames) == _transitions_loop(case)
+        assert (report.l2_mean, report.cos_mean, report.num_frames) == _transitions_loop([case])
 
 # ---- gradient decomposition --------------------------------------------------
 
@@ -646,14 +643,27 @@ def test_collect_traces_deterministic(float64):
     corpus = small_corpus(n=5)
     a = collect_traces(store, corpus, [0, 1])
     b = collect_traces(store, corpus, [0, 1])
-    for ta, tb in zip(a, b):
-        for ea, eb in zip(ta.embeddings, tb.embeddings):
-            np.testing.assert_array_equal(ea, eb)
+    for ea, eb in zip(a.embeddings, b.embeddings):
+        np.testing.assert_array_equal(ea, eb)
 
 
 def _fixed_mask_frames(seq):
     """The frames collect_traces runs: the utterance under its id-seeded default mask."""
     return mask_utterance(seq, MaskConfig())[1].frames
+
+
+def _assert_rows_are_lone_traces(trace, seqs, store, forward_fn):
+    """Each utterance's row range of the pooled trace matches its lone traced
+    forward, and the rows cover every utterance in order."""
+    at = 0
+    for seq in seqs:
+        with ad.no_grad():
+            _, ref = forward_fn(_fixed_mask_frames(seq), store, 8, collect_trace=True)
+        assert trace.depth == ref.depth
+        for got, want in zip(trace.embeddings, ref.embeddings):
+            np.testing.assert_allclose(got[at:at + seq.num_frames], want, rtol=0, atol=1e-12)
+        at += seq.num_frames
+    assert all(e.shape[0] == at for e in trace.embeddings)
 
 
 def test_collect_traces_unmasked_differs(float64):
@@ -662,8 +672,8 @@ def test_collect_traces_unmasked_differs(float64):
     masked = collect_traces(store, corpus, [0])
     with ad.no_grad():
         _, clean = forward(corpus.sequences[0].frames, store, 8, collect_trace=True)
-    assert not np.array_equal(masked[0].embeddings[0], clean.embeddings[0])
-    np.testing.assert_array_equal(clean.embeddings[0].shape, masked[0].embeddings[0].shape)
+    assert not np.array_equal(masked.embeddings[0], clean.embeddings[0])
+    np.testing.assert_array_equal(clean.embeddings[0].shape, masked.embeddings[0].shape)
 
 
 # ---- batched traced passes ---------------------------------------------------
@@ -674,16 +684,8 @@ def test_batched_traces_match_per_utterance(float64):
     corpus = small_corpus(n=20)
     idx = [7, 2, 19, 0, 11, 5, 13, 3, 16]
     assert len({corpus.sequences[i].num_frames for i in idx}) > 1  # the pack holds unequal lengths
-    traces = collect_traces(store, corpus, idx)
-    assert len(traces) == len(idx)
-    for i, trace in zip(idx, traces):
-        with ad.no_grad():
-            _, ref = forward(_fixed_mask_frames(corpus.sequences[i]), store, 8,
-                             collect_trace=True)
-        assert trace.depth == ref.depth
-        for got, want in zip(trace.embeddings, ref.embeddings):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    trace = collect_traces(store, corpus, idx)
+    _assert_rows_are_lone_traces(trace, [corpus.sequences[i] for i in idx], store, forward)
 
 
 def test_layer_embeddings_match_sli_forward(float64):
@@ -722,16 +724,38 @@ def test_traces_across_pack_runs_match_per_utterance(float64, spanning_corpus, m
         return original(*args, **kwargs)
 
     monkeypatch.setattr(diagnostics, "forward", counting)
-    traces = collect_traces(store, spanning_corpus, idx)
+    trace = collect_traces(store, spanning_corpus, idx)
     lengths = [seq.num_frames for seq in spanning_corpus.sequences]
     assert calls == [lengths[run] for run in encoder.pack_runs(lengths)]  # one forward per run
-    assert len(traces) == len(idx)
-    for seq, trace in zip(spanning_corpus.sequences, traces):
-        with ad.no_grad():
-            _, ref = original(_fixed_mask_frames(seq), store, 8, collect_trace=True)
-        for got, want in zip(trace.embeddings, ref.embeddings):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    _assert_rows_are_lone_traces(trace, spanning_corpus.sequences, store, original)
+
+
+def test_one_run_trace_is_forwards_own(float64, monkeypatch):
+    store = desk_store(seed=6)
+    corpus = small_corpus(n=20)
+    idx = list(range(20))
+    made = []
+    original = diagnostics.forward
+
+    def keeping(*args, **kwargs):
+        out = original(*args, **kwargs)
+        made.append(out[1])
+        return out
+
+    monkeypatch.setattr(diagnostics, "forward", keeping)
+    one = collect_traces(store, corpus, idx)
+    assert len(made) == 1  # 20 utterances of 15-30 frames fit one run
+    for got, own in zip(one.embeddings, made[0].embeddings):
+        assert got is own  # no copy of forward's trace
+    # the same utterances over several runs pool to the same rows; not the
+    # same bits, since a layer norm's row sums (a BLAS matrix-vector product)
+    # can move in the last bit with a row's place in its pack
+    monkeypatch.setattr(encoder, "PACK_FRAMES", 150)
+    split = collect_traces(store, corpus, idx)
+    assert len(made) > 3
+    for a, b in zip(one.embeddings, split.embeddings):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
 
 def test_layer_embeddings_of_no_utterance_is_a_contract_error():
