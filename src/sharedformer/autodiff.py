@@ -20,9 +20,10 @@ node that computes softmax(q k^T + bias ln 2) v with optional 0/1 dropout
 masks per slot, on (N, h, dh) rows, in L2-sized tiles of query rows, with a
 closed-form backward. Its weights are powers of 2: every tile reads its keys
 from one contiguous copy per call, scaled by log2(e), so the logits come out
-in base-2 units and `exp2` replaces `exp`; the tiles of a forward-only pass
-share one scratch array, and the row-max shift runs only where a tile's row
-sums fail to prove every row max inside a safe band.
+in base-2 units and `exp2` replaces `exp`; the tiles of a pass share one
+scratch array, and the row-max shift runs only where a tile's row sums fail
+to prove every row max inside a safe band. A graph keeps no exp'd weights:
+the backward replays each tile, so its memory grows with T, not T^2.
 
 Each module of a Conformer block, its residual included, is one node as
 well: `feed_forward`, `self_attention` (whose core is `attention`'s) and
@@ -509,9 +510,10 @@ def _conv_grads(g: np.ndarray, xpad: np.ndarray, kernel: Tensor, lengths: list[i
 # about this many bytes, so every pass over a tile runs from L2 (2 MiB per
 # core on the machine the budget was measured on). At 2 float32 heads a slot
 # of up to 256 frames is one tile; a slot wider than the budget takes one-row
-# tiles. Without a graph, every tile of a call writes into one scratch array
-# sized for the call's largest tile (against one fresh array per tile:
-# sli-long sli_frames_per_s.m8 +2.8%, 9 of 10 benchmark pairs).
+# tiles. Every tile of a call writes into one scratch array sized for the
+# call's largest tile (against one fresh array per tile: sli-long
+# sli_frames_per_s.m8 +2.8%, 9 of 10 benchmark pairs), and so does every
+# tile its backward replays.
 _TILE_BYTES = 512 * 1024
 # The core's logits are base 2: the keys' copy is scaled by log2(e) and a
 # bias comes in log2 units, so a tile holds x log2(e) for the natural logits
@@ -601,15 +603,17 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
             lengths: list[int], graph: bool) -> tuple[np.ndarray, list]:
     """`attention`'s forward on packed (N, h, d) rows: (out, what the backward keeps).
 
-    Nothing is kept unless `graph`; `scale` is the kept weights' scale.
+    Nothing is kept unless `graph`; `scale` is the kept weights' scale. Per
+    slot a graph keeps (s, tiles): its (h, T_b, 1) row sums s and, per tile,
+    (r0, r1, its row-max shift or None), from which the backward replays the
+    tile's exp'd logits.
     """
     n, h, _ = q.shape
     out = np.empty(v.shape, dtype=q.dtype)
     saved = []
-    kt_all = np.empty((h, k.shape[-1], n), k.dtype)  # (h, dh, N): a slot's keys are columns
-    np.multiply(k.transpose(1, 2, 0), LOG2E, out=kt_all)  # so q k^T comes out in log2 units
+    kt_all = _key_columns(k)
     tile_cells = max(1, _TILE_BYTES // (h * out.itemsize))  # rows x T_b per tile
-    scratch = np.empty(0, out.dtype)  # without a graph, every tile's logits
+    scratch = np.empty(0, out.dtype)  # every tile's logits
     speculate = True  # until a tile of this call fails the row-sum check
     at = 0
     for b, tb in enumerate(lengths):
@@ -617,16 +621,15 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
         kt = kt_all[:, :, at:at + tb]
         at += tb
         rows = min(tb, max(1, tile_cells // tb))
-        if not graph and scratch.size < h * rows * tb:  # grown to the call's largest tile
+        if scratch.size < h * rows * tb:  # grown to the call's largest tile
             scratch = np.empty(h * rows * tb, out.dtype)
-        # a graph keeps the whole exp'd block and the row sums for the backward
-        e_all = np.empty((h, tb, tb), out.dtype) if graph else None
         s_all = np.empty((h, tb, 1), out.dtype) if graph else None
+        tiles = []
         for r0 in range(0, tb, rows):
             r1 = min(r0 + rows, tb)
             qt = qb[:, r0:r1]
-            dest = (e_all[:, r0:r1] if graph
-                    else scratch[:h * (r1 - r0) * tb].reshape(h, r1 - r0, tb))
+            dest = scratch[:h * (r1 - r0) * tb].reshape(h, r1 - r0, tb)
+            shift = None
             if speculate and tb <= _BAND_MAX_FRAMES:  # exp2 unshifted, check the row sums
                 with np.errstate(over="ignore", invalid="ignore"):
                     e = _logits(qt, kt, bias, r0, dest)
@@ -637,48 +640,88 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias, keep, scale: floa
                 mx = np.fmax.reduce(e, axis=-1, keepdims=True)  # max on finite rows, faster
                 if not np.abs(mx).max() <= _BAND2:  # NaN, -inf: shift
                     e -= mx
+                    shift = mx
                 s = _exp_sums(e)
             o = ob[:, r0:r1]
             if keep is None:
                 np.divide(e @ vb, s, out=o)
             else:  # s: the row sums before dropout
-                kb = keep[b][:, r0:r1]
-                np.divide((e * kb if graph else np.multiply(e, kb, out=e)) @ vb, s, out=o)
+                np.divide(np.multiply(e, keep[b][:, r0:r1], out=e) @ vb, s, out=o)
                 o *= scale
             if graph:
                 s_all[:, r0:r1] = s
+                tiles.append((r0, r1, shift))
         if graph:
-            saved.append((e_all, s_all))
+            saved.append((s_all, tiles))
     return out, saved
 
 
+def _key_columns(k: np.ndarray) -> np.ndarray:
+    """k's (h, dh, N) copy scaled by log2(e): a slot's keys are columns, so
+    q k^T comes out in log2 units."""
+    kt_all = np.empty((k.shape[1], k.shape[2], k.shape[0]), k.dtype)
+    np.multiply(k.transpose(1, 2, 0), LOG2E, out=kt_all)
+    return kt_all
+
+
 def _attend_grads(g: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                  out: np.ndarray, saved: list, keep, scale: float, lengths: list[int],
+                  out: np.ndarray, bias, saved: list, keep, scale: float, lengths: list[int],
                   need: tuple[bool, bool, bool]) -> list[np.ndarray | None]:
-    """`attention`'s backward: the (N, h, d) gradients of q, k and v where `need`ed."""
+    """`attention`'s backward: the (N, h, d) gradients of q, k and v where `need`ed.
+
+    Each slot runs tile by tile: a tile replays its forward's exp'd logits
+    (the same q k^T into the same shape, its bias rows, its shift and exp2,
+    so the forward's bits) and adds its shares of dV and dK.
+    """
     gq, gk, gv = (np.empty(a.shape, a.dtype) if wanted else None
                   for wanted, a in zip(need, (q, k, v)))
-    if gq is not None or gk is not None:
+    need_ds = gq is not None or gk is not None
+    if need_ds:
         vt_all = np.ascontiguousarray(v.transpose(1, 2, 0))  # (h, dv, N), as the forward's keys
+    kt_all = _key_columns(k)
+    h = q.shape[1]
+    # the largest tile's cells, twice: the replayed logits, and W or dS
+    scratch = np.empty((2, max(h * (t[0][1] - t[0][0]) * tb
+                               for tb, (_, t) in zip(lengths, saved))), g.dtype)
     at = 0
-    for b, (tb, (e, s)) in enumerate(zip(lengths, saved)):
-        do = _heads(g, at, tb)
+    for b, (tb, (s, tiles)) in enumerate(zip(lengths, saved)):
+        do, qb, kb = (_heads(a, at, tb) for a in (g, q, k))
+        gqb, gkb, gvb = (None if a is None else _heads(a, at, tb) for a in (gq, gk, gv))
+        kt = kt_all[:, :, at:at + tb]
         r = scale / s  # W = e * keep * r
-        if gv is not None:
-            w = e if keep is None else e * keep[b]
-            _heads(gv, at, tb)[...] = np.swapaxes(w, -1, -2) @ (do * r)
-        if gq is not None or gk is not None:
-            # dS / r, its row scale r applied to the (T_b, dh) products instead
-            ds = do @ vt_all[:, :, at:at + tb]  # dL/dW
-            if keep is not None:
-                ds *= keep[b]
-            ds -= _sum_last(do * _heads(out, at, tb), 1.0 / scale)
-            ds *= e
-            if gq is not None:
-                np.multiply(ds @ _heads(k, at, tb), r, out=_heads(gq, at, tb))
-            if gk is not None:
-                _heads(gk, at, tb)[...] = np.swapaxes(ds, -1, -2) @ (_heads(q, at, tb) * r)
+        if need_ds:
+            vt = vt_all[:, :, at:at + tb]
+            dsum = _sum_last(do * _heads(out, at, tb), 1.0 / scale)  # rowsum(dO * O) / scale
         at += tb
+        for r0, r1, shift in tiles:
+            e, tmp = (a[:h * (r1 - r0) * tb].reshape(h, r1 - r0, tb) for a in scratch)
+            e = _logits(qb[:, r0:r1], kt, bias, r0, e)
+            if shift is not None:
+                e -= shift
+            np.exp2(e, out=e)
+            dot, rt = do[:, r0:r1], r[:, r0:r1]
+            kp = None if keep is None else keep[b][:, r0:r1]
+            if gv is not None:
+                w = np.swapaxes(e if kp is None else np.multiply(e, kp, out=tmp), -1, -2)
+                if r0:
+                    gvb += w @ (dot * rt)
+                else:
+                    np.matmul(w, dot * rt, out=gvb)
+            if need_ds:
+                # dS / r, its row scale r applied to the (rows, dh) products instead
+                ds = np.matmul(dot, vt, out=tmp)  # dL/dW
+                if kp is not None:
+                    ds *= kp
+                ds -= dsum[:, r0:r1]
+                ds *= e
+                if gq is not None:
+                    np.multiply(ds @ kb, rt, out=gqb[:, r0:r1])
+                if gk is not None:
+                    dst = np.swapaxes(ds, -1, -2)
+                    if r0:
+                        gkb += dst @ (qb[:, r0:r1] * rt)
+                    else:
+                        np.matmul(dst, qb[:, r0:r1] * rt, out=gkb)
     return [gq, gk, gv]
 
 
@@ -791,18 +834,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
     tiles in every slot. Every tile reads its slot's keys as columns of one
     contiguous (h, dh, N) copy of k, scaled by log2(e), made per call (the
     backward reads the natural v the same way for dO V^T), so BLAS gets a
-    plain operand instead of a strided view, and without a graph every tile
-    writes its logits into one scratch array.
+    plain operand instead of a strided view, and every tile writes its
+    logits into one scratch array.
 
-    A graph writes each tile into the slot's whole exp'd block e and saves it
-    with its row sums s; the softmax is P = e / s (whatever shift each row
-    took), the same P as e^(logits) would give up to rounding, so the
-    backward reads the natural q, k and v, and the dropped weights are
-    W = P * keep * scale. The backward is the closed form dV = W^T dO,
-    dP = (dO V^T) * keep * scale, dS = P * (dP - rowsum(dP * P)), dQ = dS K,
-    dK = dS^T Q, where rowsum(dP * P) = rowsum(dO * O) needs no T x T pass
-    (Rabe & Staats, arXiv 2112.05682; Dao et al., FlashAttention,
-    arXiv 2205.14135).
+    A graph keeps every slot's row sums s and each tile's row-max shift (or
+    none); with e a tile's exp'd logits, the softmax is P = e / s (whatever
+    shift each row took), the same P as e^(logits) would give up to
+    rounding, so the backward reads the natural q, k and v, and the dropped
+    weights are W = P * keep * scale. The backward is the closed form
+    dV = W^T dO, dP = (dO V^T) * keep * scale, dS = P * (dP - rowsum(dP * P)),
+    dQ = dS K, dK = dS^T Q, where rowsum(dP * P) = rowsum(dO * O) needs no
+    T x T pass, run tile by tile over the query rows: each tile recomputes
+    its e from q, the key copy, the bias rows and the shift, bit for bit the
+    forward's, and adds its shares of dV and dK, so a graph over a slot of
+    T_b frames keeps O(T_b) floats, not h T_b^2 (Rabe & Staats,
+    arXiv 2112.05682; Dao et al., FlashAttention, arXiv 2205.14135). The
+    keep masks are the caller's and stay whole.
     """
     q, k, v = Tensor._wrap(q), Tensor._wrap(k), Tensor._wrap(v)
     shape = q.data.shape
@@ -816,8 +863,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None = None,
     out, saved = _attend(q.data, k.data, v.data, bias, keep, scale, lengths, graph)
 
     def backward(g):
-        grads = _attend_grads(g, q.data, k.data, v.data, out, saved, keep, scale, lengths,
-                              (q.requires_grad, k.requires_grad, v.requires_grad))
+        grads = _attend_grads(g, q.data, k.data, v.data, out, bias, saved, keep, scale,
+                              lengths, (q.requires_grad, k.requires_grad, v.requires_grad))
         for t, gt in zip((q, k, v), grads):
             if gt is not None:
                 t._accumulate(gt)
@@ -939,8 +986,8 @@ def self_attention(x: Tensor, gamma: Tensor, beta: Tensor, wq: Tensor, bq: Tenso
 
     def backward(g):
         _affine_grads(g, ctx, wo, bo)
-        gq, gk, gv = _attend_grads((g @ wo.data.T).reshape(N, heads, dh), q, k, v, o, saved,
-                                   keep, scale, lengths, (True, True, True))
+        gq, gk, gv = _attend_grads((g @ wo.data.T).reshape(N, heads, dh), q, k, v, o, bias,
+                                   saved, keep, scale, lengths, (True, True, True))
         gq *= qscale
         gq, gk, gv = gq.reshape(N, d), gk.reshape(N, d), gv.reshape(N, d)
         _affine_grads(gq, n, wq, bq)

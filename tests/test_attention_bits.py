@@ -3,16 +3,21 @@
 `reference_attention` keeps the forward and backward from before the tiles
 shared one scratch array and the shift was decided from the row sums; it
 reads the keys from the same per-call (h, dh, N) copy. Every case here
-compares outputs, the saved block and row sums, and the q, k and v gradients
-with `np.array_equal`: on both sides of the band (logit gains x1, x40 and
-x400), on both sides of a tile boundary, with a one-row last tile, with
-one-row tiles wider than the tile budget, on slots of 1 to 800 frames,
-short ones included, packed, with and without bias and dropout, in a graph
-and without one, in float32 and float64, with narrow and wide heads. The
-logits read from the key copy are checked against the strided product of
-the packed rows to a rounding bound, since BLAS may sum the two in
-different orders. Biases are in the core's log2 units; the band
-cases state their row maxima in natural units and convert them.
+compares outputs, what a graph keeps (every slot's row sums, its tiles and
+their shifts), and the q, k and v gradients with `np.array_equal`: on both
+sides of the band (logit gains x1, x40 and x400), on both sides of a tile
+boundary, with a one-row last tile, with one-row tiles wider than the tile
+budget, on slots of 1 to 800 frames, short ones included, packed, with and
+without bias and dropout, in a graph and without one, in float32 and
+float64, with narrow and wide heads. The gradients are also compared with
+`attend_grads_whole`, the backward that read every slot's saved exp'd
+block: bit for bit on one-tile slots, and on longer slots, whose dV and dK
+sums over query rows now run tile by tile, within the rounding of that
+regrouping. The logits read from the key copy
+are checked against the strided product of the packed rows to a rounding
+bound, since BLAS may sum the two in different orders. Biases are in the
+core's log2 units; the band cases state their row maxima in natural units
+and convert them.
 """
 
 import itertools
@@ -48,15 +53,52 @@ def _assert_same(q, k, v, bias, keep, scale, lengths, graph, r):
     np.testing.assert_array_equal(out, want)
     if not graph:
         return
-    for (e, s), (e_ref, s_ref) in zip(saved, want_saved):
-        np.testing.assert_array_equal(e, e_ref)
+    for (s, tiles), (s_ref, tiles_ref) in zip(saved, want_saved):
         np.testing.assert_array_equal(s, s_ref)
+        assert len(tiles) == len(tiles_ref)
+        for (r0, r1, shift), (r0_ref, r1_ref, shift_ref) in zip(tiles, tiles_ref):
+            assert (r0, r1, shift is None) == (r0_ref, r1_ref, shift_ref is None)
+            np.testing.assert_array_equal(shift, shift_ref)
     g = r.normal(size=out.shape).astype(out.dtype)
     need = (True, True, True)
-    for got, exp in zip(ad._attend_grads(g, q, k, v, out, saved, keep, scale, lengths, need),
-                        ref.attend_grads(g, q, k, v, want, want_saved, keep, scale, lengths,
-                                         need)):
+    grads = ad._attend_grads(g, q, k, v, out, bias, saved, keep, scale, lengths, need)
+    for got, exp in zip(grads, ref.attend_grads(g, q, k, v, want, bias, want_saved, keep, scale,
+                                                lengths, need)):
         np.testing.assert_array_equal(got, exp)
+    _assert_regrouped(grads, g, q, k, v, bias, keep, scale, lengths)
+
+
+def _assert_regrouped(grads, g, q, k, v, bias, keep, scale, lengths):
+    # against the whole-block backward: a one-tile slot replays the very
+    # block that backward reads and runs its operations, so its rows agree
+    # bit for bit. A longer slot computes the same products (the forward's
+    # bits, replayed), but sums dV and dK over query rows tile by tile, and
+    # dO V^T per tile; each computed sum of n terms is within
+    # gamma_n = n u / (1 - n u) of the exact one, times the sum of the
+    # terms' magnitudes, so the two are within twice that
+    out, whole = ref.attend(q, k, v, bias, keep, scale, lengths, True, whole=True)
+    want = ref.attend_grads_whole(g, q, k, v, out, whole, keep, scale, lengths, (True,) * 3)
+    u = np.finfo(q.dtype).eps / 2
+    at = 0
+    for b, (tb, (e, s)) in enumerate(zip(lengths, whole)):
+        rows = slice(at, at + tb)
+        at += tb
+        if tb <= max(1, ad._TILE_BYTES // (q.shape[1] * q.itemsize) // tb):  # one tile
+            for got, exp in zip(grads, want):
+                np.testing.assert_array_equal(got[rows], exp[rows])
+            continue
+        do, qb, kb, vb, ob = (np.abs(ref._heads(a, rows.start, tb).astype(np.float64))
+                              for a in (g, q, k, v, out))
+        kp = 1.0 if keep is None else keep[b]
+        r = np.abs(scale / s.astype(np.float64))
+        e = e.astype(np.float64)
+        ds = (do @ np.swapaxes(vb, -1, -2) * kp + (do * ob).sum(-1, keepdims=True) / scale) * e
+        n = tb + vb.shape[-1] + 2
+        mags = ((ds @ kb) * r, np.swapaxes(ds, -1, -2) @ (qb * r),
+                np.swapaxes(e * kp, -1, -2) @ (do * r))
+        for got, exp, mag in zip(grads, want, mags):
+            diff = np.abs(got[rows].astype(np.float64) - exp[rows])
+            assert np.all(diff <= 2 * n * u / (1 - n * u) * mag.transpose(1, 0, 2))
 
 
 def _assert_same_with_and_without_graph(q, k, v, bias, lengths, r):
@@ -139,10 +181,11 @@ def test_row_sums_outside_the_bounds_take_the_row_max_path(monkeypatch, T, top, 
     keep = [r.random((2, T, T)) >= p] if p else None
     calls = _count_logits(monkeypatch)
     for graph in (False, True):
-        calls.clear()
-        _assert_same(zeros, zeros, v, bias, keep, 1.0 / (1.0 - p), [T], graph, r)
+        calls.clear()  # the forward's calls: a graph's backward replays a long slot's tiles
+        ad._attend(zeros, zeros, v, bias, keep, 1.0 / (1.0 - p), [T], graph)
         tiles = len(range(0, T, max(1, ad._TILE_BYTES // (2 * 4) // T)))
         assert len(calls) == tiles + fallback  # only the first failing tile is exp'd twice
+        _assert_same(zeros, zeros, v, bias, keep, 1.0 / (1.0 - p), [T], graph, r)
 
 
 def test_a_failed_tile_ends_the_calls_speculation(monkeypatch):
@@ -154,8 +197,9 @@ def test_a_failed_tile_ends_the_calls_speculation(monkeypatch):
     calls = _count_logits(monkeypatch)
     for graph in (False, True):
         calls.clear()
-        _assert_same(q, q, v, None, None, 1.0, [800, 200], graph, np.random.default_rng(10))
+        ad._attend(q, q, v, None, None, 1.0, [800, 200], graph)
         assert len(calls) == 10 + 1 + 1
+        _assert_same(q, q, v, None, None, 1.0, [800, 200], graph, np.random.default_rng(10))
 
 
 def test_a_failed_short_first_slot_ends_the_calls_speculation(monkeypatch):
@@ -166,8 +210,9 @@ def test_a_failed_short_first_slot_ends_the_calls_speculation(monkeypatch):
     calls = _count_logits(monkeypatch)
     for graph in (False, True):
         calls.clear()
-        _assert_same(q, q, v, None, None, 1.0, [40, 800], graph, np.random.default_rng(12))
+        ad._attend(q, q, v, None, None, 1.0, [40, 800], graph)
         assert calls == [40, 40] + [81] * 9 + [71]
+        _assert_same(q, q, v, None, None, 1.0, [40, 800], graph, np.random.default_rng(12))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -185,9 +230,9 @@ def test_a_short_slot_is_the_same_alone_as_behind_a_failed_slot(T, dtype):
         alone, alone_saved = ad._attend(q[200:], k[200:], v[200:], bias[:T, :T],
                                         keep and keep[1:], 1.0 / (1.0 - p), [T], graph)
         np.testing.assert_array_equal(out[200:], alone)
-        for got, want in zip(saved[1:], alone_saved):
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
+        for (s, tiles), (s_alone, tiles_alone) in zip(saved[1:], alone_saved):
+            np.testing.assert_array_equal(s, s_alone)
+            assert tiles == tiles_alone == [(0, T, None)]
 
 
 def test_the_speculative_pass_adds_no_warning():
@@ -224,3 +269,68 @@ def test_forward_only_call_peaks_at_one_tile():
         finally:
             tracemalloc.stop()
     assert peak < ad._TILE_BYTES + 5 * T * h * (dh + 1) * 4
+
+
+def _arrays(obj):
+    """The numpy arrays in `obj`, walking lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("T", [200, 800])
+def test_graph_call_keeps_o_t(T):
+    # a graph keeps a slot's row sums and per-tile shifts, not its (h, T_b,
+    # T_b) exp'd block, whether the slot is one float32 tile at 2 heads (200
+    # frames) or ten (800): the forward peaks as the forward-only call does,
+    # the backward closure holds no array of T_b^2 elements (the caller's
+    # own (T, T) bias aside), and the backward replays tile by tile, each
+    # tile's logits and dS living one tile at a time
+    h, dh = 2, 8
+    q, k, v, bias, r = _inputs(7, [T], h, dh, np.float32, 1.0)
+    q, k, v = (Tensor(a, requires_grad=True) for a in (q, k, v))
+    g = r.normal(size=(T, h, dh)).astype(np.float32)
+    ad.attention(q, k, v, bias)._backward(g)
+    tracemalloc.start()
+    try:
+        out = ad.attention(q, k, v, bias)
+        _, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out._backward(g)
+        _, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < ad._TILE_BYTES + 5 * T * h * (dh + 1) * 4
+    assert backward_peak < 3 * ad._TILE_BYTES + 12 * T * h * (dh + 1) * 4
+    held = [a for cell in ad.attention(q, k, v, bias)._backward.__closure__
+            for a in _arrays(cell.cell_contents) if a is not bias]
+    assert held and max(a.size for a in held) < T * T
+
+
+def test_the_backward_replays_each_forward_tile(monkeypatch):
+    # the 200-frame slot is one float32 tile at 2 heads, the 800-frame
+    # slot's ten tiles follow: the backward calls `_logits` once per tile,
+    # in the forward's order, each time for the very logits the forward
+    # tile computed
+    lengths = [200, 800]
+    q, k, v, bias, r = _inputs(8, lengths, 2, 8, np.float32, 1.0)
+    q, k, v = (Tensor(a, requires_grad=True) for a in (q, k, v))
+    logits = []
+    original = ad._logits
+
+    def recorded(*args):
+        e = original(*args)
+        logits.append(e.copy())
+        return e
+
+    monkeypatch.setattr(ad, "_logits", recorded)
+    out = ad.attention(q, k, v, bias, lengths=lengths)
+    assert [e.shape[1] for e in logits] == [200] + [81] * 9 + [71]
+    forward = logits[:]
+    logits.clear()
+    out._backward(r.normal(size=out.shape).astype(np.float32))
+    assert len(logits) == len(forward)
+    for replayed, computed in zip(logits, forward):
+        np.testing.assert_array_equal(replayed, computed)

@@ -277,16 +277,45 @@ def test_attention_tiles_match_brute_force(float64, small_tiles, lengths, p):
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
 
-@_TILED
-def test_attention_tiles_finite_difference(float64, small_tiles, lengths, p):
-    lengths = [9, 9] if lengths[1] == 13 else [9, 5]
+@pytest.mark.parametrize("lengths,p,gain", [([9, 9], 0.0, 1.0), ([9, 5], 0.0, 1.0),
+                                            ([9, 5], 0.3, 1.0), ([9, 5], 0.3, 40.0)],
+                         ids=["unpadded", "padded", "dropout", "failed-band"])
+def test_attention_tiles_finite_difference(float64, small_tiles, lengths, p, gain):
+    # a 9-frame slot is three tiles, whose backward replays each tile's
+    # logits; at gain x40 on q and the bias, every tile's row maxima leave
+    # the band, so each replays its saved shift. At x400 the central
+    # difference itself reaches the 1e-7 bound, with the whole-block
+    # backward as with the tiled one (9.9e-8 on this case, 1.1e-6 unpadded)
     q, k, v, bias, coeff = _attention_inputs(12, lengths)
+    q.data *= gain
+    bias *= gain
     keep = _keep_masks(13, 2, lengths, p) if p else None
+    _, saved = ad._attend(q.data, k.data, v.data, bias, keep, 1.0, lengths, True)
+    assert all((shift is not None) == (gain > 1.0) for shift in
+               (t[2] for _, tiles in saved for t in tiles))
 
     def f():
         return (ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - p), lengths) * coeff).sum()
 
     assert ad.grad_check(f, [q, k, v], eps=1e-6) <= 1e-7
+
+
+def test_self_attention_tiles_finite_difference(float64, small_tiles):
+    # the module node over a three-tile and a one-tile slot, with bias and
+    # dropout: its backward hands the bias on to the tiles' replay
+    lengths, d, heads = [9, 5], 6, 2
+    r = rng(22)
+    x = Tensor(r.normal(size=(sum(lengths), d)), requires_grad=True)
+    params = [Tensor(r.normal(size=shape), requires_grad=True)
+              for shape in [(d,), (d,), (d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]]
+    bias = r.normal(size=(9, 9))
+    keep = _keep_masks(23, heads, lengths, 0.3)
+    coeff = Tensor(r.normal(size=x.shape))
+
+    def f():
+        return (ad.self_attention(x, *params, heads, bias, keep, 1 / 0.7, lengths) * coeff).sum()
+
+    assert ad.grad_check(f, [x] + params, eps=1e-6) <= 1e-6
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])

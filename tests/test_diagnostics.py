@@ -139,6 +139,16 @@ def test_decomposition_sum_identity(float64):
     decomp.assert_sum_identity()
 
 
+def test_decomposition_sum_identity_over_a_multi_tile_utterance(float64):
+    # a 300-frame float64 slot at 2 heads spans two attention tiles, so both
+    # backwards sum its dV and dK over the tiles' replayed logits
+    store = desk_store(seed=5)
+    assert ad._TILE_BYTES // (store.config.num_heads * 8) < 300 * 300
+    batch = small_corpus().sequences[:2] + synth_corpus(4, 1, (300, 300), 16, 4).sequences
+    decomp = gradient_decomposition(store, batch, n_layers=3)
+    decomp.assert_sum_identity(1e-6)
+
+
 def test_decomposition_leaves_the_store_bound_to_its_buffer(float64):
     store = desk_store(seed=5)
     before = {n: p.data for n, p in store.named_parameters()}
