@@ -49,7 +49,8 @@ def _build_config(args, overrides) -> RunConfig:
     return cfg
 
 
-def _load_corpus(path, labels_path=None) -> LabeledCorpus:
+def _load_corpus(path, input_dim: int, labels_path=None) -> LabeledCorpus:
+    """The corpus at `path`, non-empty and of the feature dim of the model that runs."""
     sequences = load_features(path)
     if not sequences:
         raise InputError(f"feature file {path} holds no utterances: the corpus is empty")
@@ -61,7 +62,9 @@ def _load_corpus(path, labels_path=None) -> LabeledCorpus:
             if seq.utterance_id not in by_id:
                 raise InputError(f"no labels for utterance {seq.utterance_id!r}")
             labels.append(by_id[seq.utterance_id])
-    return LabeledCorpus(sequences, labels, num_classes)
+    corpus = LabeledCorpus(sequences, labels, num_classes)
+    corpus.check_dim(input_dim)
+    return corpus
 
 
 # ---- subcommands -------------------------------------------------------------
@@ -77,8 +80,6 @@ def cmd_synth(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     save_labels(corpus, out / "labels.bin")
     cfg.write_echo(out)
     frames = sum(s.num_frames for s in corpus.sequences)
-    if d.num_utts == 0:
-        print("warning: wrote an empty corpus (0 utterances)", file=sys.stderr)
     print(f"wrote {d.num_utts} utterances, {frames} frames, {d.num_classes} classes to {out}")
     return 0
 
@@ -88,7 +89,7 @@ def cmd_pretrain(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
         seed = train_state(ckpt[0]).seed
         if seed is not None:
             cfg.train.seed = seed
-    corpus = _load_corpus(args.data)
+    corpus = _load_corpus(args.data, cfg.model.input_dim)
     result = train(corpus, cfg.model, cfg.train, cfg.mask, out_dir=Path(args.out),
                    resume_from=ckpt, echo=cfg.echo())
     best = (f"best validation loss {result.best_val_loss:.6f} at step {result.best_step}"
@@ -125,8 +126,7 @@ def cmd_diagnose(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     if args.which == "grads" and cfg.diag.grad_depth > cfg.model.max_layers:
         raise ConfigError(f"diag.grad_depth={cfg.diag.grad_depth} is above the checkpoint's "
                           f"model.max_layers={cfg.model.max_layers}")
-    corpus = _load_corpus(args.data)
-    corpus.check_dim(cfg.model.input_dim)  # cfg.model is the checkpoint's (see main)
+    corpus = _load_corpus(args.data, cfg.model.input_dim)
     if args.which == "grads":
         with ad.precision("float64"):
             store64 = store_from_checkpoint(*ckpt)
@@ -181,7 +181,7 @@ def cmd_probe(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
     if not layers:
         raise InputError(f"--layers names no depth, got {args.layers!r}")
     store = store_from_checkpoint(*ckpt)
-    corpus = _load_corpus(args.data, args.labels)
+    corpus = _load_corpus(args.data, cfg.model.input_dim, args.labels)
     if len(set(layers)) != len(layers):
         print("warning: duplicate layer entries removed", file=sys.stderr)
     results = sli_sweep(store, corpus, layers, seed=cfg.train.seed)

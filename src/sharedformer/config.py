@@ -34,8 +34,8 @@ class DataSection:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.num_utts < 0:
-            raise ConfigError(f"num_utts must be >= 0, got {self.num_utts}")
+        if self.num_utts < 1:
+            raise ConfigError(f"num_utts must be >= 1, got {self.num_utts}")
         if self.num_classes > MAX_CLASSES:
             raise ConfigError(f"num_classes must be <= {MAX_CLASSES}, got {self.num_classes}")
         if not 0.0 <= self.noise_sigma < float("inf"):

@@ -45,7 +45,6 @@ class ConformerConfig:
     max_layers: int = 8
     share_params: bool = True
     dropout: float = 0.1
-    pos_bias: str = "relative-bias"  # "none" | "relative-bias"
 
     def __post_init__(self):
         for name in ("input_dim", "model_dim", "num_heads", "ff_dim", "conv_kernel"):
@@ -61,12 +60,10 @@ class ConformerConfig:
             raise ConfigError(f"conv_kernel must be odd, got {self.conv_kernel}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.pos_bias not in ("none", "relative-bias"):
-            raise ConfigError(f"pos_bias must be 'none' or 'relative-bias', got {self.pos_bias!r}")
         # the relative bias is a mean over head_dim // 2 sinusoids: NaN over none
-        if self.pos_bias == "relative-bias" and self.head_dim < 2:
-            raise ConfigError(f"relative-bias needs model_dim // num_heads >= 2, got "
-                              f"{self.model_dim} // {self.num_heads}")
+        if self.head_dim < 2:
+            raise ConfigError(f"the relative position bias needs model_dim // num_heads >= 2, "
+                              f"got {self.model_dim} // {self.num_heads}")
 
     @property
     def head_dim(self) -> int:
@@ -83,6 +80,10 @@ class ConformerConfig:
         missing = [f.name for f in fields(cls) if f.name not in values]
         if missing:
             raise FormatError(f"checkpoint config lacks model key {missing[0]!r}")
+        # older blocks name the one bias every model runs; another is a model this code lacks
+        if d.get("pos_bias", "relative-bias") != "relative-bias":
+            raise FormatError(f"checkpoint config has pos_bias={d['pos_bias']!r}; only "
+                              f"'relative-bias' is supported")
         return cls(**values)
 
 
@@ -310,8 +311,7 @@ def conformer_block(x: Tensor, group: dict[str, Tensor], cfg: ConformerConfig,
     if rngs is not None and (not isinstance(rngs, list) or len(rngs) != B):
         raise ContractError(f"rngs must be a list of {B} generators, one per slot")
     h = cfg.num_heads
-    bias = (relative_position_bias(max(lengths), cfg.head_dim, x.data.dtype)
-            if cfg.pos_bias == "relative-bias" else None)
+    bias = relative_position_bias(max(lengths), cfg.head_dim, x.data.dtype)
     keep = None
     if rngs is not None and cfg.dropout > 0.0:
         # each slot draws its (h, T_b, T_b) block from its own generator, so a

@@ -1,8 +1,6 @@
 """Time-alteration masking: contiguous frame blocks up to a target ratio.
 
-Default policy zeroes masked frames. A TERA-style mixed policy (zero /
-unit-variance noise / keep, with configurable probabilities) is available but
-not default.
+A mask zeroes the frames of its plan's blocks; only the plan is random.
 """
 
 from __future__ import annotations
@@ -21,20 +19,12 @@ from .rng import utterance_seed
 class MaskConfig:
     block_len: int = 7
     ratio: float = 0.15
-    policy: str = "zero"  # "zero" | "tera"
-    p_zero: float = 0.8  # tera only
-    p_random: float = 0.1  # tera only; the remaining probability keeps the frames
 
     def __post_init__(self):
         if not (0.0 < self.ratio < 0.5):
             raise ConfigError(f"mask ratio must be in (0, 0.5), got {self.ratio}")
         if self.block_len < 1:
             raise ConfigError(f"mask block_len must be >= 1, got {self.block_len}")
-        if self.policy not in ("zero", "tera"):
-            raise ConfigError(f"mask policy must be 'zero' or 'tera', got {self.policy!r}")
-        if not (self.p_zero >= 0.0 and self.p_random >= 0.0 and self.p_zero + self.p_random <= 1.0):
-            raise ConfigError(f"need p_zero, p_random >= 0 and p_zero + p_random <= 1, "
-                              f"got {self.p_zero}, {self.p_random}")
 
 
 @dataclass
@@ -78,32 +68,18 @@ def plan_masks(T: int, cfg: MaskConfig, rng: np.random.Generator) -> MaskPlan:
     return MaskPlan([(ci + i * (cfg.block_len - 1), cfg.block_len) for i, ci in enumerate(c)], T)
 
 
-def apply_masks(x: FeatureSequence, plan: MaskPlan, cfg: MaskConfig,
-                rng: np.random.Generator) -> FeatureSequence:
-    """Corrupted copy of x per the plan and the config's policy; x is left untouched.
-
-    The tera policy draws each block's choice, and any noise, from `rng`.
-    """
+def apply_masks(x: FeatureSequence, plan: MaskPlan) -> FeatureSequence:
+    """Copy of x with the plan's frames zeroed; x is left untouched."""
     if plan.total_frames != x.num_frames:
         raise ContractError(f"plan T={plan.total_frames} but sequence has {x.num_frames} frames")
     frames = x.frames.copy()
-    if cfg.policy == "zero":
-        frames[plan.mask_rows()] = 0.0
-    else:  # "tera", the one other policy MaskConfig admits
-        for start, length in plan.blocks:
-            u = rng.random()
-            if u < cfg.p_zero:
-                frames[start:start + length] = 0.0
-            elif u < cfg.p_zero + cfg.p_random:
-                frames[start:start + length] = rng.normal(
-                    0.0, 1.0, size=(length, x.dim)).astype(np.float32)
-            # else: keep original frames
+    frames[plan.mask_rows()] = 0.0
     return FeatureSequence(x.utterance_id, frames, x.frame_shift_ms)
 
 
 def mask_utterance(x: FeatureSequence, cfg: MaskConfig,
                    rng: np.random.Generator | None = None) -> tuple[MaskPlan, FeatureSequence]:
-    """Plan and apply one utterance's mask, both drawing from the one generator `rng`.
+    """Plan and apply one utterance's mask; the plan is the one draw from `rng`.
 
     Without `rng` the mask is fixed by the utterance id (a generator seeded
     from it), which is how validation and the diagnostics see the same mask
@@ -112,4 +88,4 @@ def mask_utterance(x: FeatureSequence, cfg: MaskConfig,
     if rng is None:
         rng = np.random.default_rng(utterance_seed(x.utterance_id))
     plan = plan_masks(x.num_frames, cfg, rng)
-    return plan, apply_masks(x, plan, cfg, rng)
+    return plan, apply_masks(x, plan)

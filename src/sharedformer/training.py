@@ -46,7 +46,6 @@ class TrainConfig:
     depth: str = "uniform:2:8"  # "fixed:N" | "uniform:L:H"
     loss_mode: str = "all-frames"  # "all-frames" | "masked-only"
     val_fraction: float = 0.1
-    grad_clip: float = 0.0  # max global norm; 0 disables
 
     def __post_init__(self):
         if self.seed < 0:
@@ -63,8 +62,6 @@ class TrainConfig:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if not 0.0 < self.peak_scale < np.inf:
             raise ConfigError(f"peak_scale must be finite and > 0, got {self.peak_scale}")
-        if not 0.0 <= self.grad_clip < np.inf:
-            raise ConfigError(f"grad_clip must be finite and >= 0, got {self.grad_clip}")
         parse_depth(self.depth)
         if self.loss_mode not in ("all-frames", "masked-only"):
             raise ConfigError(f"loss_mode must be 'all-frames' or 'masked-only', got {self.loss_mode!r}")
@@ -162,13 +159,11 @@ class TrainState:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
 
 
-def adam_step(state: TrainState, store: ParameterStore, lr: float,
-              grad_clip: float = 0.0) -> None:
+def adam_step(state: TrainState, store: ParameterStore, lr: float) -> None:
     """One bias-corrected Adam update of every parameter, as whole-buffer operations.
 
     The gradients are gathered into the store's flat layout (zeros where a
     parameter has none) and checked for finiteness before anything changes.
-    A global norm above `grad_clip` (when positive) scales them down to it.
     Then `state.step` advances, and `state.m`, `state.v` and the store's
     parameter buffer are updated in place, each element by the same
     expressions, in the same order, as a per-tensor loop.
@@ -178,10 +173,6 @@ def adam_step(state: TrainState, store: ParameterStore, lr: float,
     if not np.isfinite(g).all():
         name = next(n for n, a in store.unflatten(g).items() if not np.isfinite(a).all())
         raise DivergenceError(f"non-finite gradient for parameter {name!r}")
-    if grad_clip > 0.0:
-        total = float(np.sqrt(np.dot(g, g)))
-        if total > grad_clip:
-            g *= grad_clip / total
     if state.m is None:
         state.m, state.v = np.zeros_like(store.buffer), np.zeros_like(store.buffer)
     state.step += 1
@@ -332,7 +323,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
                 store.zero_grad()
                 loss.backward()
                 lr = noam_lr(step, cfg.warmup_steps, model_cfg.model_dim, cfg.peak_scale)
-                adam_step(state, store, lr, grad_clip=cfg.grad_clip)
+                adam_step(state, store, lr)
             except DivergenceError:
                 # keep the last good state: adam_step rejects a non-finite
                 # gradient before it updates anything, its step included

@@ -31,8 +31,7 @@ def attention(x, g, cfg, keep, lengths):
     q = ad.matmul(n, g["attn.wq"], g["attn.bq"]).reshape(N, h, dh) * (1.0 / np.sqrt(dh))
     k = (n @ g["attn.wk"]).reshape(N, h, dh)
     v = ad.matmul(n, g["attn.wv"], g["attn.bv"]).reshape(N, h, dh)
-    bias = (relative_position_bias(max(lengths), dh, x.data.dtype)
-            if cfg.pos_bias == "relative-bias" else None)
+    bias = relative_position_bias(max(lengths), dh, x.data.dtype)
     ctx = ad.attention(q, k, v, bias, keep, 1.0 / (1.0 - cfg.dropout), lengths)
     return x + ad.matmul(ctx.reshape(N, d), g["attn.wo"], g["attn.bo"])
 

@@ -13,7 +13,8 @@ from sharedformer.config import PRESETS, RunConfig, apply_preset, load_config
 from sharedformer.encoder import (ConformerConfig, ParameterStore, load_checkpoint,
                                   param_count, save_checkpoint, store_from_checkpoint)
 from sharedformer.errors import ConfigError, FormatError
-from sharedformer.features import FeatureSequence, load_features, save_features
+from sharedformer.features import (FeatureSequence, LabeledCorpus, load_features,
+                                   save_features, save_labels)
 
 QUICK = [
     "--data.num_utts=14", "--data.t_min=15", "--data.t_max=25",
@@ -60,11 +61,6 @@ def test_synth_echo_reflects_overrides(corpus_dir):
     echo = (corpus_dir / "resolved_config.ini").read_text()
     assert "num_utts=14" in echo
     assert "[data]" in echo and "[train]" in echo
-
-
-def test_synth_empty_corpus_warns(tmp_path, capsys):
-    assert main(["synth", "--out", str(tmp_path), "--data.num_utts=0"]) == 0
-    assert "empty corpus" in capsys.readouterr().err
 
 
 def test_unknown_override_key_is_input_error(tmp_path, capsys):
@@ -121,6 +117,39 @@ def test_default_section_is_an_unknown_section(tmp_path):
         load_config(ini)
 
 
+def test_config_keys_are_pinned():
+    # a key added to or removed from the schema must show up here
+    keys, section = [], None
+    for line in RunConfig().echo().splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            keys.append(f"{section}.{line.partition('=')[0]}")
+    assert keys == [
+        "data.seed", "data.num_utts", "data.t_min", "data.t_max", "data.dim",
+        "data.num_classes", "data.noise_sigma",
+        "mask.block_len", "mask.ratio",
+        "model.input_dim", "model.model_dim", "model.num_heads", "model.ff_dim",
+        "model.conv_kernel", "model.max_layers", "model.share_params", "model.dropout",
+        "train.batch_size", "train.max_steps", "train.warmup_steps", "train.peak_scale",
+        "train.validation_every", "train.seed", "train.depth", "train.loss_mode",
+        "train.val_fraction",
+        "diag.frame_start", "diag.frame_end", "diag.utterance", "diag.grad_depth",
+        "diag.flop_frames",
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--mask.policy=zero", "--mask.p_zero=0.8",
+                                  "--mask.p_random=0.1", "--model.pos_bias=relative-bias",
+                                  "--train.grad_clip=1"])
+def test_removed_key_is_unknown(tmp_path, corpus_dir, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["pretrain", "--data", str(corpus_dir / "features.bin"), *QUICK, flag,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key {flag[2:].partition('=')[0]}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset", [None, *PRESETS])
 def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     cfg = RunConfig()
@@ -133,8 +162,13 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
 @pytest.mark.parametrize("argv", [
     ["pretrain", "--train.validation_every=0"],
     ["pretrain", "--train.max_steps=-3"],
+    # keys no longer in the schema: each is an unknown key
     ["pretrain", "--mask.policy=bogus"],
     ["pretrain", "--mask.policy=tera", "--mask.p_zero=1.5"],
+    ["pretrain", "--model.model_dim=1", "--model.num_heads=1", "--model.pos_bias=none"],
+    ["pretrain", "--train.grad_clip=-1"],
+    ["pretrain", "--train.grad_clip=inf"],
+    ["pretrain", "--train.grad_clip=nan"],
     ["pretrain", "--train.depth=uniform:2:9"],
     ["pretrain", "--mask.ratio=0.7"],
     ["pretrain", "--mask.block_len=0"],
@@ -142,7 +176,8 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["pretrain", "--model.min_layers=2"],
     ["pretrain", "--model.num_heads=0"],
     ["pretrain", "--model.model_dim=4", "--model.num_heads=4"],
-    ["pretrain", "--model.model_dim=1", "--model.num_heads=1", "--model.pos_bias=none"],
+    ["pretrain", "--model.model_dim=1", "--model.num_heads=1"],
+    ["pretrain", "--model.model_dim=3", "--model.num_heads=3"],
     ["pretrain", "--model.ff_dim=0"],
     ["pretrain", "--train.val_fraction=nan"],
     ["pretrain", "--train.val_fraction=0"],
@@ -151,9 +186,6 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["pretrain", "--train.peak_scale=-1"],
     ["pretrain", "--train.peak_scale=inf"],
     ["pretrain", "--train.peak_scale=nan"],
-    ["pretrain", "--train.grad_clip=-1"],
-    ["pretrain", "--train.grad_clip=inf"],
-    ["pretrain", "--train.grad_clip=nan"],
     ["synth", "--data.noise_sigma=nan"],
     ["synth", "--data.noise_sigma=-0.1"],
     ["synth", "--data.noise_sigma=inf"],
@@ -168,6 +200,7 @@ def test_resolved_config_reloads_to_the_same_config(tmp_path, preset):
     ["diagnose", "--which", "project", "--diag.utterance=99"],
     ["synth", "--data.num_classes=70000"],
     ["synth", "--data.num_utts=-3"],
+    ["synth", "--data.num_utts=0"],
     ["diagnose", "--which", "project", "--diag.frame_start=-5"],
     ["diagnose", "--which", "flops", "--diag.flop_frames=-4"],
     ["synth", "--data.seed=-1"],
@@ -187,6 +220,8 @@ def test_bad_value_exits_before_any_output(tmp_path, corpus_dir, run_dir, capsys
     assert err.startswith("error: ")
     if "--diag.grad_depth=9" in argv:  # deeper than the 8-layer checkpoint
         assert "diag.grad_depth" in err
+    if "--model.num_heads=3" in argv:
+        assert "model_dim // num_heads >= 2" in err
     assert not out.exists()
 
 
@@ -624,6 +659,63 @@ def test_killed_pretrain_resumes_to_the_same_bytes(tmp_path, capsys):
     assert k - 1 >= rows + 2 * 2  # each row, and both boundaries of best.ckpt and final.ckpt
 
 
+def _with_config_line(src, path, key, value):
+    """Copy of run checkpoint `src` at `path`, its config block holding one more line."""
+    ck_cfg, tensors = load_checkpoint(src)
+    save_checkpoint(path, store_from_checkpoint(ck_cfg, tensors),
+                    {**{k: v for k, v in ck_cfg.items() if k.startswith("train.")}, key: value},
+                    {k: a for k, a in tensors.items() if k.startswith("adam.")})
+    return path
+
+
+def test_checkpoint_with_relative_bias_line_runs_as_without(tmp_path, corpus_dir, run_dir):
+    # checkpoints written while the bias was a model key name it: pos_bias=relative-bias
+    new = run_dir / "final.ckpt"
+    old = _with_config_line(new, tmp_path / "old.ckpt", "pos_bias", "relative-bias")
+    (old_cfg, old_tensors), (new_cfg, new_tensors) = load_checkpoint(old), load_checkpoint(new)
+    assert old_cfg == {**new_cfg, "pos_bias": "relative-bias"}
+    assert old_tensors.keys() == new_tensors.keys()
+    for name, arr in new_tensors.items():
+        np.testing.assert_array_equal(old_tensors[name], arr)
+    data = ["--data", str(corpus_dir / "features.bin")]
+    outs = {}
+    for name, ckpt in (("new", new), ("old", old)):
+        out = outs[name] = tmp_path / name
+        assert main(["pretrain", *data, *QUICK, "--train.max_steps=6", "--resume", str(ckpt),
+                     "--out", str(out / "resume")]) == 0
+        assert main(["diagnose", "--which", "transitions", "--checkpoint", str(ckpt), *data,
+                     "--out", str(out / "transitions")]) == 0
+        assert main(["probe", "--layers", "0,2", "--checkpoint", str(ckpt), *data,
+                     "--labels", str(corpus_dir / "labels.bin"), "--out", str(out / "probe")]) == 0
+    files = sorted(p.relative_to(outs["new"]) for p in outs["new"].rglob("*") if p.is_file())
+    assert {"resume/metrics.jsonl", "resume/final.ckpt", "transitions/transitions.csv",
+            "probe/sweep.csv"} <= {str(f) for f in files}
+    assert files == sorted(p.relative_to(outs["old"]) for p in outs["old"].rglob("*")
+                           if p.is_file())
+    for f in files:
+        assert (outs["old"] / f).read_bytes() == (outs["new"] / f).read_bytes(), f
+
+
+def _checkpoint_argv(command, ckpt, corpus_dir):
+    """A `command` that reads checkpoint `ckpt`, without --data and --out."""
+    return {"diagnose": ["diagnose", "--which", "transitions", "--checkpoint", ckpt],
+            "probe": ["probe", "--layers", "2,8", "--checkpoint", ckpt,
+                      "--labels", str(corpus_dir / "labels.bin")],
+            "pretrain": ["pretrain", *QUICK, "--train.max_steps=6", "--resume", ckpt]}[command]
+
+
+@pytest.mark.parametrize("command", ["diagnose", "probe", "pretrain"])
+def test_checkpoint_of_a_model_without_the_bias_is_input_error(tmp_path, corpus_dir, run_dir,
+                                                               capsys, command):
+    ckpt = _with_config_line(run_dir / "final.ckpt", tmp_path / "none.ckpt", "pos_bias", "none")
+    out = tmp_path / "out"
+    assert main([*_checkpoint_argv(command, str(ckpt), corpus_dir),
+                 "--data", str(corpus_dir / "features.bin"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint config has pos_bias='none'")
+    assert not out.exists()
+
+
 def test_checkpoint_with_min_layers_line_still_loads(tmp_path, run_dir):
     store = store_from_checkpoint(*load_checkpoint(run_dir / "final.ckpt"))
     save_checkpoint(tmp_path / "old.ckpt", store, {"min_layers": "2"})
@@ -739,12 +831,35 @@ def test_diagnose_dim_mismatch_is_input_error(tmp_path, run_dir, capsys):
     other = tmp_path / "narrow"
     assert main(["synth", "--out", str(other), "--data.dim=8",
                  "--data.num_utts=4"]) == 0
+    capsys.readouterr()
     code = main(["diagnose", "--which", "transitions",
                  "--checkpoint", str(run_dir / "final.ckpt"),
-                 "--data", str(other / "features.bin"), "--out", str(tmp_path)])
+                 "--data", str(other / "features.bin"), "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "16" in err and "8" in err
+    assert err == "error: feature dim mismatch: the model expects 16, the corpus has 8\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["pretrain", *QUICK],
+    ["diagnose", "--which", "grads"],
+    ["diagnose", "--which", "project"],
+    ["probe", "--layers", "2", "--labels", "LABELS"],
+], ids=["pretrain", "grads", "project", "probe"])
+def test_corpus_of_another_dim_is_input_error(tmp_path, run_dir, capsys, command):
+    # every command that takes a model checks the corpus against it the same
+    # way, before it writes anything (transitions: the test above)
+    narrow = tmp_path / "narrow"
+    assert main(["synth", "--out", str(narrow), "--data.dim=12", "--data.num_utts=6"]) == 0
+    capsys.readouterr()
+    command = [str(narrow / "labels.bin") if a == "LABELS" else a for a in command]
+    ckpt = [] if command[0] == "pretrain" else ["--checkpoint", str(run_dir / "final.ckpt")]
+    out = tmp_path / "o"
+    assert main([*command, *ckpt, "--data", str(narrow / "features.bin"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: feature dim mismatch: the model expects 16, the corpus has 12\n"
+    assert not out.exists()
 
 
 def test_diagnose_grads_sum_identity_holds(tmp_path, corpus_dir, run_dir):
@@ -845,8 +960,9 @@ def test_probe_layer_out_of_range(tmp_path, corpus_dir, run_dir, capsys):
 ], ids=["transitions", "project", "grads", "probe", "pretrain"])
 def test_empty_corpus_is_input_error(tmp_path, run_dir, capsys, command):
     empty = tmp_path / "empty"
-    assert main(["synth", "--out", str(empty), "--data.num_utts=0"]) == 0
-    capsys.readouterr()
+    empty.mkdir()
+    save_features([], empty / "features.bin")
+    save_labels(LabeledCorpus([]), empty / "labels.bin")
     labels = ["--labels", str(empty / "labels.bin")] if command[0] == "probe" else []
     ckpt = [] if command[0] == "pretrain" else ["--checkpoint", str(run_dir / "final.ckpt")]
     code = main([*command, *labels, *ckpt,
@@ -930,13 +1046,9 @@ def _poisoned_checkpoint(src, path, name, value):
 def test_non_finite_checkpoint_is_input_error(tmp_path, corpus_dir, run_dir, capsys,
                                               command, tensor, value):
     ckpt = str(_poisoned_checkpoint(run_dir / "final.ckpt", tmp_path / "bad.ckpt", tensor, value))
-    data = str(corpus_dir / "features.bin")
-    argv = {"diagnose": ["diagnose", "--which", "transitions", "--checkpoint", ckpt],
-            "probe": ["probe", "--layers", "2,8", "--checkpoint", ckpt,
-                      "--labels", str(corpus_dir / "labels.bin")],
-            "pretrain": ["pretrain", *QUICK, "--train.max_steps=6", "--resume", ckpt]}[command]
     out = tmp_path / "out"
-    assert main([*argv, "--data", data, "--out", str(out)]) == 2
+    assert main([*_checkpoint_argv(command, ckpt, corpus_dir),
+                 "--data", str(corpus_dir / "features.bin"), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{tensor!r} holds NaN or inf" in err
     assert not out.exists()

@@ -179,7 +179,7 @@ def test_decomposition_matches_finite_difference(float64):
         for seq in batch:
             r = np.random.default_rng(utterance_seed(seq.utterance_id))
             plan = plan_masks(seq.num_frames, mask_cfg, r)
-            corrupted = apply_masks(seq, plan, mask_cfg, r)
+            corrupted = apply_masks(seq, plan)
             emb, _ = forward(Tensor(corrupted.frames), store, 3)
             # the utterance's L1 mean over all its frames
             total += float(np.abs(predictor_apply(emb, store).data - seq.frames).mean())

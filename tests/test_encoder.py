@@ -16,7 +16,7 @@ from sharedformer.encoder import (ConformerConfig, ParameterStore, conformer_blo
                                   load_checkpoint, pack, pack_runs, param_count,
                                   relative_position_bias, sample_depth, save_checkpoint,
                                   sli_forward, store_from_checkpoint)
-from sharedformer.errors import ConfigError, ContractError
+from sharedformer.errors import ConfigError, ContractError, FormatError
 from sharedformer.rng import substream
 from sharedformer.training import mpc_loss, predictor_apply
 
@@ -47,6 +47,8 @@ def test_config_validation():
         ConformerConfig(conv_kernel=4)
     with pytest.raises(ConfigError):
         ConformerConfig(max_layers=0)
+    with pytest.raises(ConfigError, match="num_heads >= 2"):  # head_dim 1: the bias is NaN
+        ConformerConfig(model_dim=3, num_heads=3)
     for name in ("input_dim", "model_dim", "num_heads", "ff_dim", "conv_kernel"):
         with pytest.raises(ConfigError, match=name):
             ConformerConfig(**{name: -1})
@@ -680,3 +682,7 @@ def test_config_from_dict_rejects_malformed_values():
         ConformerConfig.from_dict({"model_dim": "16.5"})
     full = ConformerConfig().to_dict()
     assert ConformerConfig.from_dict({**full, "share_params": "False"}).share_params is False
+    # a checkpoint's pos_bias line may only name the bias every model runs
+    assert ConformerConfig.from_dict({**full, "pos_bias": "relative-bias"}) == ConformerConfig()
+    with pytest.raises(FormatError, match="pos_bias='none'"):
+        ConformerConfig.from_dict({**full, "pos_bias": "none"})

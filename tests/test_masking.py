@@ -85,20 +85,20 @@ def test_ratio_contract():
 
 def test_apply_empty_plan_is_identity():
     x = FeatureSequence("u", rng(0).normal(size=(20, 4)).astype(np.float32))
-    out = apply_masks(x, MaskPlan([], 20), MaskConfig(), rng(0))
+    out = apply_masks(x, MaskPlan([], 20))
     np.testing.assert_array_equal(out.frames, x.frames)
 
 
 def test_apply_full_coverage_zeroes_everything():
     x = FeatureSequence("u", rng(0).normal(size=(14, 4)).astype(np.float32))
     plan = MaskPlan([(0, 7), (7, 7)], 14)
-    out = apply_masks(x, plan, MaskConfig(), rng(0))
+    out = apply_masks(x, plan)
     np.testing.assert_array_equal(out.frames, np.zeros((14, 4)))
 
 
 def test_apply_single_block_rows():
     x = FeatureSequence("u", rng(1).normal(size=(30, 4)).astype(np.float32))
-    out = apply_masks(x, MaskPlan([(10, 7)], 30), MaskConfig(), rng(0))
+    out = apply_masks(x, MaskPlan([(10, 7)], 30))
     np.testing.assert_array_equal(out.frames[10:17], 0.0)
     np.testing.assert_array_equal(out.frames[:10], x.frames[:10])
     np.testing.assert_array_equal(out.frames[17:], x.frames[17:])
@@ -109,38 +109,19 @@ def test_apply_single_block_rows():
 def test_apply_t_mismatch():
     x = FeatureSequence("u", np.ones((10, 4), dtype=np.float32))
     with pytest.raises(ContractError):
-        apply_masks(x, MaskPlan([(0, 7)], 20), MaskConfig(), rng(0))
-
-
-def test_tera_policy_branches():
-    x = FeatureSequence("u", np.ones((50, 4), dtype=np.float32))
-    plan = MaskPlan([(0, 7), (10, 7), (20, 7), (30, 7), (40, 7)], 50)
-    policy = MaskConfig(policy="tera", p_zero=0.4, p_random=0.3)
-    seen = set()
-    for seed in range(40):
-        out = apply_masks(x, plan, policy, rng(seed))
-        for start, length in plan.blocks:
-            block = out.frames[start:start + length]
-            if np.all(block == 0.0):
-                seen.add("zero")
-            elif np.all(block == 1.0):
-                seen.add("keep")
-            else:
-                seen.add("random")
-    assert seen == {"zero", "keep", "random"}
+        apply_masks(x, MaskPlan([(0, 7)], 20))
 
 
 def test_training_mask_plans_and_applies_from_one_generator():
     x = FeatureSequence("u", np.ones((300, 4), dtype=np.float32))
-    cfg = MaskConfig(policy="tera", p_zero=0.4, p_random=0.3)
-    plan, out = mask_utterance(x, cfg, substream(0, "mask", 1, 0))
+    cfg = MaskConfig()
     g = substream(0, "mask", 1, 0)
-    expect_plan = plan_masks(x.num_frames, cfg, g)
-    expect = apply_masks(x, expect_plan, cfg, g)
-    assert plan == expect_plan
-    np.testing.assert_array_equal(out.frames, expect.frames)
-    # the policy drew noise for some block, so its draws really continue the plan's
-    assert not np.isin(out.frames, (0.0, 1.0)).all()
+    plan, out = mask_utterance(x, cfg, g)
+    expect_g = substream(0, "mask", 1, 0)
+    assert plan == plan_masks(x.num_frames, cfg, expect_g)
+    np.testing.assert_array_equal(out.frames, apply_masks(x, plan).frames)
+    # applying the plan draws nothing: the generator stops where the plan left it
+    assert g.bit_generator.state == expect_g.bit_generator.state
 
 
 def test_invalid_block_rejected():
@@ -150,8 +131,8 @@ def test_invalid_block_rejected():
         MaskPlan([(28, 7)], 30)  # runs past the end
 
 
-@pytest.mark.parametrize("values", [dict(policy="bogus"), dict(p_zero=-0.1),
-                                    dict(p_random=-0.1), dict(p_zero=0.6, p_random=0.5)])
+@pytest.mark.parametrize("values", [dict(ratio=0.0), dict(ratio=0.5),
+                                    dict(ratio=float("nan")), dict(block_len=0)])
 def test_mask_config_contract(values):
     with pytest.raises(ConfigError):
-        MaskConfig(**{"policy": "tera", **values})
+        MaskConfig(**values)
