@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import PRESETS, RunConfig, apply_override, apply_preset, load_config
+from .config import PRESETS, SECTIONS, RunConfig, apply_override, apply_preset, load_config
 from .diagnostics import (collect_traces, flop_report, gradient_decomposition,
                           layer_transitions, project_2d, sli_sweep, write_report)
 from .encoder import (Checkpoint, ConformerConfig, load_checkpoint, param_count,
@@ -89,6 +89,16 @@ def cmd_pretrain(args, cfg: RunConfig, ckpt: Checkpoint | None) -> int:
         seed = train_state(ckpt[0]).seed
         if seed is not None:
             cfg.train.seed = seed
+        echo = Path(args.out) / "resolved_config.ini"
+        if echo.exists():  # the run's own settings: a resume may only move max_steps
+            run = load_config(echo)
+            run.train.max_steps = cfg.train.max_steps
+            for name in SECTIONS:
+                for f in fields(getattr(cfg, name)):
+                    was, now = (getattr(getattr(c, name), f.name) for c in (run, cfg))
+                    if was != now:
+                        raise ConfigError(f"resume cannot change {name}.{f.name} from {was} to "
+                                          f"{now}: only train.max_steps may change")
     corpus = _load_corpus(args.data, cfg.model.input_dim)
     result = train(corpus, cfg.model, cfg.train, cfg.mask, out_dir=Path(args.out),
                    resume_from=ckpt, echo=cfg.echo())

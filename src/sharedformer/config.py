@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .encoder import ConformerConfig, parse_field
 from .errors import ConfigError
-from .features import MAX_CLASSES
+from .features import MAX_CLASSES, MAX_VALUES
 from .masking import MaskConfig
 from .training import TrainConfig, parse_depth  # noqa: F401 (re-exported with the schema)
 
@@ -36,6 +36,9 @@ class DataSection:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_utts < 1:
             raise ConfigError(f"num_utts must be >= 1, got {self.num_utts}")
+        if self.t_max * self.dim > MAX_VALUES:
+            raise ConfigError(f"t_max * dim must be <= {MAX_VALUES}, the largest utterance "
+                              f"a feature file holds, got {self.t_max} * {self.dim}")
         if self.num_classes > MAX_CLASSES:
             raise ConfigError(f"num_classes must be <= {MAX_CLASSES}, got {self.num_classes}")
         if not 0.0 <= self.noise_sigma < float("inf"):

@@ -29,7 +29,7 @@ from .autodiff import Tensor
 from .encoder import ConformerConfig, LayerTrace, ParameterStore, forward, pack, pack_runs
 from .errors import ContractError, InvariantError
 from .features import FeatureSequence, LabeledCorpus
-from .masking import MaskConfig, mask_utterance
+from .masking import MaskConfig, apply_masks, fixed_plan
 from .rng import substream
 from .training import batch_loss, check_depth
 
@@ -138,7 +138,7 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
         raise ContractError("empty batch")
     mask_cfg = mask_cfg or MaskConfig()
     short = [n[len("layer.shared."):] for n in _shared_group_names(store)]
-    masked = [mask_utterance(seq, mask_cfg) for seq in batch]
+    plans = [fixed_plan(seq, mask_cfg) for seq in batch]
 
     # the view store copies every value into its own buffer, so its tensors
     # share neither data nor gradients with the store it was built from
@@ -149,13 +149,13 @@ def gradient_decomposition(store: ParameterStore, batch: list[FeatureSequence],
             view[f"layer.{i}.{name}"] = Tensor(store.params["layer.shared." + name].data,
                                                requires_grad=True)
     unshared = ParameterStore(replace(cfg, share_params=False), view)
-    batch_loss(unshared, batch, masked, n_layers, "all-frames").backward()
+    batch_loss(unshared, batch, plans, n_layers, "all-frames").backward()
     grad = unshared.flat_grad()
     contributions = [grad[unshared.span(f"layer.{i}.")] for i in range(n_layers)]
 
     # reference: one shared group applied n_layers times
     store.zero_grad()
-    batch_loss(store, batch, masked, n_layers, "all-frames").backward()
+    batch_loss(store, batch, plans, n_layers, "all-frames").backward()
     total = store.flat_grad()[store.span("layer.shared.")].copy()
     store.zero_grad()
 
@@ -383,5 +383,6 @@ def collect_traces(store: ParameterStore, corpus: LabeledCorpus, idx: list[int],
     """Full-depth trace of the given utterances under their fixed masks; entry m
     holds every utterance's depth-m rows, in `idx` order."""
     mask_cfg = mask_cfg or MaskConfig()
-    masked = [mask_utterance(corpus.sequences[i], mask_cfg)[1].frames for i in idx]
+    seqs = [corpus.sequences[i] for i in idx]
+    masked = [apply_masks(seq.frames, [fixed_plan(seq, mask_cfg)]) for seq in seqs]
     return _traced_pass(store, masked, store.config.max_layers)

@@ -21,6 +21,7 @@ from .rng import substream
 FEATURE_MAGIC = b"LCFB"
 LABEL_MAGIC = b"LCLB"
 MAX_CLASSES = 1 << 16  # labels are stored as u16
+MAX_VALUES = 1 << 30  # T * D of the largest utterance a feature file may hold
 SELF_TRANSITION = 0.9  # the synthetic chain's probability of staying in its state
 
 
@@ -87,7 +88,7 @@ def load_features(path) -> list[FeatureSequence]:
     for _ in range(r.u32("sequence count")):
         uid = r.string("utterance id")
         T, D, shift = r.unpack("IIf", "shape")
-        if T < 1 or D < 1 or T * D > 1 << 30:
+        if T < 1 or D < 1 or T * D > MAX_VALUES:
             raise FormatError(f"implausible shape {T}x{D}", offset=r.off - 12)
         if out and D != out[0].dim:
             raise FormatError(f"utterance {uid!r} has feature dim {D}, the first "

@@ -1,6 +1,8 @@
 """Time-alteration masking: contiguous frame blocks up to a target ratio.
 
 A mask zeroes the frames of its plan's blocks; only the plan is random.
+`apply_masks` is the one place that zeroes frames: one copy of a packed
+batch with every slot's plan applied.
 """
 
 from __future__ import annotations
@@ -68,24 +70,18 @@ def plan_masks(T: int, cfg: MaskConfig, rng: np.random.Generator) -> MaskPlan:
     return MaskPlan([(ci + i * (cfg.block_len - 1), cfg.block_len) for i, ci in enumerate(c)], T)
 
 
-def apply_masks(x: FeatureSequence, plan: MaskPlan) -> FeatureSequence:
-    """Copy of x with the plan's frames zeroed; x is left untouched."""
-    if plan.total_frames != x.num_frames:
-        raise ContractError(f"plan T={plan.total_frames} but sequence has {x.num_frames} frames")
-    frames = x.frames.copy()
-    frames[plan.mask_rows()] = 0.0
-    return FeatureSequence(x.utterance_id, frames, x.frame_shift_ms)
+def apply_masks(frames: np.ndarray, plans: list[MaskPlan]) -> np.ndarray:
+    """Copy of a packed (N, D) array with every plan's rows zeroed; `frames` is
+    left untouched. Plan b covers slot b, the next `plans[b].total_frames` rows."""
+    rows = np.concatenate([np.zeros(0, dtype=bool)] + [p.mask_rows() for p in plans])
+    if len(rows) != len(frames):
+        raise ContractError(f"plans cover {len(rows)} frames, the array has {len(frames)}")
+    out = frames.copy()
+    out[rows] = 0.0
+    return out
 
 
-def mask_utterance(x: FeatureSequence, cfg: MaskConfig,
-                   rng: np.random.Generator | None = None) -> tuple[MaskPlan, FeatureSequence]:
-    """Plan and apply one utterance's mask; the plan is the one draw from `rng`.
-
-    Without `rng` the mask is fixed by the utterance id (a generator seeded
-    from it), which is how validation and the diagnostics see the same mask
-    on every call.
-    """
-    if rng is None:
-        rng = np.random.default_rng(utterance_seed(x.utterance_id))
-    plan = plan_masks(x.num_frames, cfg, rng)
-    return plan, apply_masks(x, plan)
+def fixed_plan(x: FeatureSequence, cfg: MaskConfig) -> MaskPlan:
+    """The utterance's fixed mask plan, drawn from a generator seeded by its id,
+    so validation and the diagnostics see the same mask on every call."""
+    return plan_masks(x.num_frames, cfg, np.random.default_rng(utterance_seed(x.utterance_id)))

@@ -1,16 +1,16 @@
 """Masked-reconstruction pretraining loop.
 
 Per iteration: draw a depth uniformly from the configured range (fixed:N is
-the range N..N), mask each batch utterance, pack the batch into one
-(N, D) array of all its frames (each utterance a contiguous row range), run
-that many encoder layers over it, predict the clean frames with the linear
-head and take the L1 loss (each utterance's mean over its frames, averaged
-over the batch). One backward
-pass and one Adam step under the warmup/inverse-sqrt schedule follow.
-Validation runs at full depth without dropout and without a graph, one
-packed batch per run of `pack_runs` (at most `PACK_FRAMES` frames), using a
-fixed mask per utterance (seeded by its id) so the validation loss is
-deterministic; the checkpoint with the best validation loss is retained.
+the range N..N) and one mask plan per batch utterance, pack the batch's clean
+frames into one (N, D) array (each utterance a contiguous row range), zero
+each plan's rows in one copy of it, run that many encoder layers over the
+copy, predict the clean frames with the linear head and take the L1 loss
+(each utterance's mean over its frames, averaged over the batch). One
+backward pass and one Adam step under the warmup/inverse-sqrt schedule
+follow. Validation runs at full depth without dropout and without a graph,
+one packed batch per run of `pack_runs` (at most `PACK_FRAMES` frames),
+under each utterance's fixed plan (seeded by its id) so the validation loss
+is deterministic; the checkpoint with the best validation loss is retained.
 
 All per-step randomness is derived from (seed, stream, step), so resuming
 from a checkpoint reproduces the uninterrupted run bitwise.
@@ -31,7 +31,7 @@ from .encoder import (Checkpoint, ConformerConfig, ParameterStore, forward, pack
                       pack_runs, sample_depth, save_checkpoint, store_from_checkpoint)
 from .errors import ConfigError, ContractError, DivergenceError, FormatError
 from .features import FeatureSequence, LabeledCorpus
-from .masking import MaskConfig, MaskPlan, mask_utterance
+from .masking import MaskConfig, MaskPlan, apply_masks, fixed_plan, plan_masks
 from .rng import substream
 
 
@@ -211,29 +211,27 @@ def split_corpus(corpus: LabeledCorpus, seed: int, val_fraction: float) -> tuple
     return [int(i) for i in perm[val_count:]], [int(i) for i in perm[:val_count]]
 
 
-def batch_loss(store: ParameterStore, clean: list[FeatureSequence],
-               masked: list[tuple[MaskPlan, FeatureSequence]], n_layers: int, mode: str,
-               dropout_rngs: list[np.random.Generator] | None = None) -> Tensor:
-    """MPC loss of one packed batch: one forward, one predictor, one loss.
+def batch_loss(store: ParameterStore, clean: list[FeatureSequence], plans: list[MaskPlan],
+               n_layers: int, mode: str, rngs: list[np.random.Generator] | None = None) -> Tensor:
+    """MPC loss of one packed batch: one pack, one forward, one predictor, one loss.
 
-    `masked` holds each utterance's plan and corrupted copy; dropout is on
-    when one generator per slot is given.
+    The clean frames, packed once, are the target; the forward reads a copy
+    with each utterance's plan zeroed. Dropout is on when one generator per
+    slot is given.
     """
-    x, lengths = pack([c.frames for _, c in masked])
-    emb, _ = forward(x, store, n_layers, rngs=dropout_rngs, lengths=lengths)
-    pred = predictor_apply(emb, store)
-    return mpc_loss(pred, pack([seq.frames for seq in clean])[0],
-                    [plan for plan, _ in masked], mode, lengths)
+    target, lengths = pack([seq.frames for seq in clean])
+    emb, _ = forward(apply_masks(target, plans), store, n_layers, rngs=rngs, lengths=lengths)
+    return mpc_loss(predictor_apply(emb, store), target, plans, mode, lengths)
 
 
-def validation_loss(store: ParameterStore, clean: list[FeatureSequence],
-                    masked: list[tuple[MaskPlan, FeatureSequence]], mode: str) -> float:
+def validation_loss(store: ParameterStore, clean: list[FeatureSequence], plans: list[MaskPlan],
+                    mode: str) -> float:
     """Full-depth loss of the validation utterances, one `batch_loss` per run of
     `pack_runs`, the runs weighted by utterance."""
     total = 0.0
     with ad.no_grad():
         for run in pack_runs([seq.num_frames for seq in clean]):
-            loss = batch_loss(store, clean[run], masked[run], store.config.max_layers, mode)
+            loss = batch_loss(store, clean[run], plans[run], store.config.max_layers, mode)
             total += float(loss.data) * len(clean[run])
     return total / len(clean)
 
@@ -282,7 +280,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
     check_depth(low, high, store.config.max_layers)
     corpus.check_dim(store.config.input_dim)
     val_clean = [corpus.sequences[i] for i in val_idx]
-    val_masked = [mask_utterance(seq, mask_cfg) for seq in val_clean]  # fixed, by utterance id
+    val_plans = [fixed_plan(seq, mask_cfg) for seq in val_clean]
 
     out_dir = Path(out_dir) if out_dir is not None else None
     metrics_file = None
@@ -312,10 +310,10 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             batch = batch_rng.choice(train_idx, size=cfg.batch_size, replace=replace)
 
             clean = [corpus.sequences[int(i)] for i in batch]
-            masked = [mask_utterance(seq, mask_cfg, substream(cfg.seed, "mask", step, slot))
-                      for slot, seq in enumerate(clean)]
+            plans = [plan_masks(seq.num_frames, mask_cfg, substream(cfg.seed, "mask", step, slot))
+                     for slot, seq in enumerate(clean)]
             rngs = [substream(cfg.seed, "dropout", step, slot) for slot in range(len(clean))]
-            loss = batch_loss(store, clean, masked, n_layers, cfg.loss_mode, rngs)
+            loss = batch_loss(store, clean, plans, n_layers, cfg.loss_mode, rngs)
             train_loss = float(loss.data)
             try:
                 if not np.isfinite(train_loss):
@@ -335,7 +333,7 @@ def _train_impl(corpus: LabeledCorpus, model_cfg: ConformerConfig, cfg: TrainCon
             # validation stays on the fixed grid even when max_steps is not a
             # multiple, so a shorter run logs a prefix of the longer run's rows
             if step % cfg.validation_every == 0:
-                val = validation_loss(store, val_clean, val_masked, cfg.loss_mode)
+                val = validation_loss(store, val_clean, val_plans, cfg.loss_mode)
 
             row = {"step": step, "sampled_depth": n_layers, "lr": lr,
                    "train_loss": train_loss, "val_loss": val,

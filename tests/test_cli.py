@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from sharedformer.config import PRESETS, RunConfig, apply_preset, load_config
 from sharedformer.encoder import (ConformerConfig, ParameterStore, load_checkpoint,
                                   param_count, save_checkpoint, store_from_checkpoint)
 from sharedformer.errors import ConfigError, FormatError
-from sharedformer.features import (FeatureSequence, LabeledCorpus, load_features,
+from sharedformer import codec
+from sharedformer.features import (FEATURE_MAGIC, MAX_VALUES, FeatureSequence, LabeledCorpus,
+                                   load_features,
                                    save_features, save_labels)
 
 QUICK = [
@@ -61,6 +65,31 @@ def test_synth_echo_reflects_overrides(corpus_dir):
     echo = (corpus_dir / "resolved_config.ini").read_text()
     assert "num_utts=14" in echo
     assert "[data]" in echo and "[train]" in echo
+
+
+@pytest.mark.parametrize("flag", [f"--data.t_max={(MAX_VALUES >> 4) + 1}",
+                                  f"--data.dim={MAX_VALUES // 100 + 1}"],
+                         ids=["t_max", "dim"])
+def test_synth_rejects_an_utterance_the_feature_loader_would(tmp_path, capsys, flag):
+    # 16 x (2^26 + 1) and (2^30 / 100 + 1) x 100 values: one past the loader's
+    # bound, rejected as config before any frame is drawn
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), flag]) == 2
+    assert "t_max * dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_bound_is_the_feature_loader_bound(tmp_path):
+    T, D = (MAX_VALUES >> 4) + 1, 16
+    with pytest.raises(ConfigError):
+        replace(RunConfig().data, t_max=T, dim=D)
+    replace(RunConfig().data, t_max=T - 1, dim=D)  # exactly MAX_VALUES values
+    # a file header that claims the same shape is rejected before its payload is read
+    path = tmp_path / "big.bin"
+    path.write_bytes(codec.header(FEATURE_MAGIC) + struct.pack("<I", 1) + codec.string("u")
+                     + struct.pack("<IIf", T, D, 10.0))
+    with pytest.raises(FormatError, match="implausible shape"):
+        load_features(path)
 
 
 def test_unknown_override_key_is_input_error(tmp_path, capsys):
@@ -137,6 +166,26 @@ def test_config_keys_are_pinned():
         "diag.frame_start", "diag.frame_end", "diag.utterance", "diag.grad_depth",
         "diag.flop_frames",
     ]
+
+
+def _settable_values(tree) -> int:
+    """Defaulted parameters (positional and keyword-only) plus dataclass fields
+    that have a default."""
+    n = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            n += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+            n += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return n
+
+
+def test_settable_values_are_pinned():
+    # an option added to or removed from the package must show up here
+    src = Path(__file__).resolve().parents[1] / "src" / "sharedformer"
+    assert sum(_settable_values(ast.parse(p.read_text(encoding="utf-8")))
+               for p in sorted(src.glob("*.py"))) == 92
 
 
 @pytest.mark.parametrize("flag", ["--mask.policy=zero", "--mask.p_zero=0.8",
@@ -321,6 +370,42 @@ def test_resume_below_the_checkpoint_step_is_rejected(tmp_path, corpus_dir, caps
     # resuming to the checkpoint's own step trains nothing and rewrites the same bytes
     assert main(["pretrain", *data, *QUICK, "--train.max_steps=8", *resume]) == 0
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("flags,key", [
+    (["--train.depth=fixed:8"], "train.depth"),
+    (["--train.loss_mode=masked-only"], "train.loss_mode"),
+    (["--mask.ratio=0.4"], "mask.ratio"),
+    (["--train.validation_every=3"], "train.validation_every"),
+    (["--preset", "desk-unshared-8", "--train.loss_mode=masked-only", "--mask.ratio=0.4"],
+     "mask.ratio"),
+], ids=["depth", "loss_mode", "ratio", "validation_every", "preset"])
+def test_resume_cannot_change_the_run_settings(tmp_path, corpus_dir, capsys, flags, key):
+    out = tmp_path / "out"
+    data = ["--data", str(corpus_dir / "features.bin")]
+    assert main(["pretrain", *data, *QUICK, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    preset, flags = (flags[:2], flags[2:]) if flags[0] == "--preset" else ([], flags)
+    assert main([*preset, "pretrain", *data, *QUICK, *flags, "--train.max_steps=8",
+                 "--out", str(out), "--resume", str(out / "final.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot change {key} from " in err and "only train.max_steps may change" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_resume_with_the_run_settings_matches_the_uninterrupted_run(tmp_path, corpus_dir):
+    data = ["--data", str(corpus_dir / "features.bin")]
+    run = ["--preset", "desk-unshared-8"]
+    masked = ["--train.loss_mode=masked-only", "--mask.ratio=0.4"]
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main([*run, "pretrain", *data, *QUICK, *masked, "--train.max_steps=8",
+                 "--out", str(full)]) == 0
+    assert main([*run, "pretrain", *data, *QUICK, *masked, "--out", str(part)]) == 0
+    assert main([*run, "pretrain", *data, *QUICK, *masked, "--train.max_steps=8",
+                 "--out", str(part), "--resume", str(part / "final.ckpt")]) == 0
+    assert ({p.name: p.read_bytes() for p in part.iterdir()}
+            == {p.name: p.read_bytes() for p in full.iterdir()})
 
 
 def _edit_config_line(ckpt, key, value):

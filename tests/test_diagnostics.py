@@ -17,7 +17,7 @@ from sharedformer.encoder import (ConformerConfig, LayerTrace, ParameterStore,
                                   forward, sli_forward)
 from sharedformer.errors import ContractError, InvariantError
 from sharedformer.features import synth_corpus
-from sharedformer.masking import MaskConfig, mask_utterance
+from sharedformer.masking import MaskConfig, apply_masks, fixed_plan
 from sharedformer.rng import substream
 
 
@@ -166,8 +166,6 @@ def test_decomposition_matches_finite_difference(float64):
     decomp = gradient_decomposition(store, batch, n_layers=3)
 
     from sharedformer.diagnostics import _shared_group_names
-    from sharedformer.masking import MaskConfig, apply_masks, plan_masks
-    from sharedformer.rng import utterance_seed
     from sharedformer.encoder import forward
     from sharedformer.training import predictor_apply
     from sharedformer.autodiff import Tensor
@@ -177,10 +175,8 @@ def test_decomposition_matches_finite_difference(float64):
     def loss_value():
         total = 0.0
         for seq in batch:
-            r = np.random.default_rng(utterance_seed(seq.utterance_id))
-            plan = plan_masks(seq.num_frames, mask_cfg, r)
-            corrupted = apply_masks(seq, plan)
-            emb, _ = forward(Tensor(corrupted.frames), store, 3)
+            corrupted = apply_masks(seq.frames, [fixed_plan(seq, mask_cfg)])
+            emb, _ = forward(Tensor(corrupted), store, 3)
             # the utterance's L1 mean over all its frames
             total += float(np.abs(predictor_apply(emb, store).data - seq.frames).mean())
         return total / len(batch)
@@ -659,7 +655,7 @@ def test_collect_traces_deterministic(float64):
 
 def _fixed_mask_frames(seq):
     """The frames collect_traces runs: the utterance under its id-seeded default mask."""
-    return mask_utterance(seq, MaskConfig())[1].frames
+    return apply_masks(seq.frames, [fixed_plan(seq, MaskConfig())])
 
 
 def _assert_rows_are_lone_traces(trace, seqs, store, forward_fn):

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from sharedformer import autodiff as ad
+from sharedformer.encoder import pack
 from sharedformer.errors import ConfigError, ContractError
 from sharedformer.features import FeatureSequence
-from sharedformer.masking import MaskConfig, MaskPlan, apply_masks, mask_utterance, plan_masks
-from sharedformer.rng import substream
+from sharedformer.masking import MaskConfig, MaskPlan, apply_masks, fixed_plan, plan_masks
+from sharedformer.rng import substream, utterance_seed
 
 
 def rng(seed):
@@ -84,44 +86,81 @@ def test_ratio_contract():
 
 
 def test_apply_empty_plan_is_identity():
-    x = FeatureSequence("u", rng(0).normal(size=(20, 4)).astype(np.float32))
-    out = apply_masks(x, MaskPlan([], 20))
-    np.testing.assert_array_equal(out.frames, x.frames)
+    x = rng(0).normal(size=(20, 4)).astype(np.float32)
+    np.testing.assert_array_equal(apply_masks(x, [MaskPlan([], 20)]), x)
 
 
 def test_apply_full_coverage_zeroes_everything():
-    x = FeatureSequence("u", rng(0).normal(size=(14, 4)).astype(np.float32))
-    plan = MaskPlan([(0, 7), (7, 7)], 14)
-    out = apply_masks(x, plan)
-    np.testing.assert_array_equal(out.frames, np.zeros((14, 4)))
+    x = rng(0).normal(size=(14, 4)).astype(np.float32)
+    out = apply_masks(x, [MaskPlan([(0, 7), (7, 7)], 14)])
+    np.testing.assert_array_equal(out, np.zeros((14, 4)))
 
 
 def test_apply_single_block_rows():
-    x = FeatureSequence("u", rng(1).normal(size=(30, 4)).astype(np.float32))
-    out = apply_masks(x, MaskPlan([(10, 7)], 30))
-    np.testing.assert_array_equal(out.frames[10:17], 0.0)
-    np.testing.assert_array_equal(out.frames[:10], x.frames[:10])
-    np.testing.assert_array_equal(out.frames[17:], x.frames[17:])
+    x = rng(1).normal(size=(30, 4)).astype(np.float32)
+    out = apply_masks(x, [MaskPlan([(10, 7)], 30)])
+    np.testing.assert_array_equal(out[10:17], 0.0)
+    np.testing.assert_array_equal(out[:10], x[:10])
+    np.testing.assert_array_equal(out[17:], x[17:])
     # original untouched
-    assert not np.all(x.frames[10:17] == 0.0)
+    assert not np.all(x[10:17] == 0.0)
 
 
 def test_apply_t_mismatch():
-    x = FeatureSequence("u", np.ones((10, 4), dtype=np.float32))
-    with pytest.raises(ContractError):
-        apply_masks(x, MaskPlan([(0, 7)], 20))
+    # the plans must cover exactly the array's rows, slot after slot
+    x = np.ones((10, 4), dtype=np.float32)
+    for totals in ([20], [7], [7, 7], []):
+        with pytest.raises(ContractError):
+            apply_masks(x, [MaskPlan([(0, 7)], T) for T in totals])
+
+
+def _slots_and_plans(draw):
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    plans = []
+    for T in lengths:
+        # distinct sorted edges, paired up: any set of separated blocks
+        edges = sorted(draw(st.sets(st.integers(0, T), max_size=8)))
+        plans.append(MaskPlan([(a, b - a) for a, b in zip(edges[::2], edges[1::2])], T))
+    return lengths, plans
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(["float32", "float64"]), seed=st.integers(0, 99))
+def test_packed_masks_match_each_utterance_zeroed_alone(data, dtype, seed):
+    lengths, plans = _slots_and_plans(data.draw)
+    frames = [rng(seed + b).normal(size=(T, 3)).astype(np.float32) for b, T in enumerate(lengths)]
+    with ad.precision(dtype):
+        x = pack(frames)[0]
+        before = x.copy()
+        out = apply_masks(x, plans)
+        alone = []
+        for f, plan in zip(frames, plans):
+            z = f.copy()
+            z[plan.mask_rows()] = 0.0
+            alone.append(z)
+        want = pack(alone)[0]
+    assert out.dtype == want.dtype == np.dtype(dtype)
+    assert out.tobytes() == want.tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 def test_training_mask_plans_and_applies_from_one_generator():
-    x = FeatureSequence("u", np.ones((300, 4), dtype=np.float32))
+    # a training slot's plan is the one draw from its ("mask", step, slot)
+    # stream; applying it zeroes exactly the plan's rows and draws nothing
+    x = np.ones((300, 4), dtype=np.float32)
     cfg = MaskConfig()
-    g = substream(0, "mask", 1, 0)
-    plan, out = mask_utterance(x, cfg, g)
-    expect_g = substream(0, "mask", 1, 0)
-    assert plan == plan_masks(x.num_frames, cfg, expect_g)
-    np.testing.assert_array_equal(out.frames, apply_masks(x, plan).frames)
-    # applying the plan draws nothing: the generator stops where the plan left it
-    assert g.bit_generator.state == expect_g.bit_generator.state
+    plan = plan_masks(300, cfg, substream(0, "mask", 1, 0))
+    assert plan == plan_masks(300, cfg, substream(0, "mask", 1, 0))
+    zeroed = (apply_masks(x, [plan]) == 0.0).all(axis=1)
+    np.testing.assert_array_equal(zeroed, plan.mask_rows())
+
+
+def test_fixed_plan_is_seeded_by_the_utterance_id():
+    cfg = MaskConfig()
+    x = FeatureSequence("u-7", np.ones((300, 4), dtype=np.float32))
+    want = plan_masks(300, cfg, np.random.default_rng(utterance_seed("u-7")))
+    assert fixed_plan(x, cfg) == fixed_plan(x, cfg) == want
+    assert fixed_plan(FeatureSequence("u-8", x.frames), cfg) != want
 
 
 def test_invalid_block_rejected():

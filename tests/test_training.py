@@ -13,7 +13,7 @@ from sharedformer.encoder import (ConformerConfig, ParameterStore, forward, load
                                   pack, save_checkpoint)
 from sharedformer.errors import ConfigError, ContractError, DivergenceError, FormatError
 from sharedformer.features import synth_corpus
-from sharedformer.masking import MaskConfig, MaskPlan, mask_utterance
+from sharedformer.masking import MaskConfig, MaskPlan, apply_masks, fixed_plan, plan_masks
 from sharedformer.rng import substream
 from sharedformer.training import (TrainConfig, TrainState, adam_step, batch_loss,
                                    mpc_loss, noam_lr, predictor_apply, train, train_state)
@@ -477,14 +477,13 @@ def test_validation_masks_each_utterance_once_per_run(monkeypatch):
     from sharedformer import training
 
     calls = []
-    original = training.mask_utterance
+    original = training.fixed_plan
 
-    def counting(seq, cfg, *rngs):
-        if not rngs:  # the fixed validation mask
-            calls.append(seq.utterance_id)
-        return original(seq, cfg, *rngs)
+    def counting(seq, cfg):
+        calls.append(seq.utterance_id)
+        return original(seq, cfg)
 
-    monkeypatch.setattr(training, "mask_utterance", counting)
+    monkeypatch.setattr(training, "fixed_plan", counting)
     corpus = small_corpus()
     result = train(corpus, ConformerConfig(), quick_train_config(max_steps=9, validation_every=3))
     assert sum(m["val_loss"] is not None for m in result.metrics) == 3
@@ -499,11 +498,11 @@ def test_validation_loss_across_pack_runs_is_the_utterance_mean(float64, spannin
 
     store = ParameterStore.init(ConformerConfig(), substream(6, "init"))
     clean = spanning_corpus.sequences
-    masked = [mask_utterance(seq, MaskConfig()) for seq in clean]
+    plans = [fixed_plan(seq, MaskConfig()) for seq in clean]
     with ad.no_grad():
-        alone = [float(batch_loss(store, [c], [m], 8, mode).data) for c, m in zip(clean, masked)]
-    assert validation_loss(store, clean, masked, mode) == pytest.approx(np.mean(alone),
-                                                                        rel=1e-12, abs=0)
+        alone = [float(batch_loss(store, [c], [p], 8, mode).data) for c, p in zip(clean, plans)]
+    assert validation_loss(store, clean, plans, mode) == pytest.approx(np.mean(alone),
+                                                                       rel=1e-12, abs=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run diverges on purpose
@@ -565,8 +564,8 @@ def test_depth_range_beyond_model_rejected_before_step_one(tmp_path):
 # ---- packed batches ----------------------------------------------------------
 
 
-def _masked_batch(seqs, step=1):
-    return [mask_utterance(seq, MaskConfig(), substream(0, "mask", step, slot))
+def _step_plans(seqs, step=1):
+    return [plan_masks(seq.num_frames, MaskConfig(), substream(0, "mask", step, slot))
             for slot, seq in enumerate(seqs)]
 
 
@@ -581,18 +580,18 @@ def test_batched_loss_matches_per_utterance(float64, share, mode):
     seqs = synth_corpus(5, 5, (20, 50), 16, 4).sequences
     assert len({s.num_frames for s in seqs}) > 1
     store = ParameterStore.init(ConformerConfig(share_params=share), substream(0, "init"))
-    masked = _masked_batch(seqs)
+    plans = _step_plans(seqs)
     depth = 6
 
     store.zero_grad()
-    loss = batch_loss(store, seqs, masked, depth, mode, _dropout_rngs(len(seqs)))
+    loss = batch_loss(store, seqs, plans, depth, mode, _dropout_rngs(len(seqs)))
     loss.backward()
     batched = {n: p.grad.copy() for n, p in store.named_parameters() if p.grad is not None}
 
     store.zero_grad()
     total = 0.0
-    for slot, (seq, (plan, corrupted)) in enumerate(zip(seqs, masked)):
-        emb, _ = forward(Tensor(corrupted.frames), store, depth,
+    for slot, (seq, plan) in enumerate(zip(seqs, plans)):
+        emb, _ = forward(Tensor(apply_masks(seq.frames, [plan])), store, depth,
                          rngs=[_dropout_rngs(len(seqs))[slot]])
         # this utterance's L1 mean over its frames, or over its masked frames
         rows = slice(None) if mode == "all-frames" else plan.mask_rows()
@@ -606,6 +605,38 @@ def test_batched_loss_matches_per_utterance(float64, share, mode):
     assert batched.keys() == per_utt.keys()
     for name, g in per_utt.items():
         np.testing.assert_allclose(batched[name], g, rtol=1e-9, atol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("mode", ["all-frames", "masked-only"])
+def test_batch_loss_matches_zeroing_each_utterance_before_packing(mode):
+    """Bit for bit, in float32 with dropout: zeroing the plans' rows of the
+    packed batch gives the loss and gradients of packing per-utterance
+    zeroed copies, with the clean frames packed apart as the target."""
+    seqs = synth_corpus(5, 5, (20, 50), 16, 4).sequences
+    store = ParameterStore.init(ConformerConfig(), substream(0, "init"))
+    plans = _step_plans(seqs)
+
+    def grads(loss):
+        loss.backward()
+        return float(loss.data), {n: p.grad.copy() for n, p in store.named_parameters()
+                                  if p.grad is not None}
+
+    store.zero_grad()
+    got = grads(batch_loss(store, seqs, plans, 6, mode, _dropout_rngs(len(seqs))))
+    store.zero_grad()
+    copies = []
+    for seq, plan in zip(seqs, plans):
+        corrupted = seq.frames.copy()
+        corrupted[plan.mask_rows()] = 0.0
+        copies.append(corrupted)
+    x, lengths = pack(copies)
+    emb, _ = forward(x, store, 6, rngs=_dropout_rngs(len(seqs)), lengths=lengths)
+    want = grads(mpc_loss(predictor_apply(emb, store), pack([s.frames for s in seqs])[0],
+                          plans, mode, lengths))
+    assert got[0] == want[0]
+    assert got[1].keys() == want[1].keys()
+    for name, g in want[1].items():
+        assert got[1][name].tobytes() == g.tobytes(), name
 
 
 def test_other_slots_values_change_no_slot_output_or_gradient(float64):
